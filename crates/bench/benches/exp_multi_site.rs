@@ -3,15 +3,15 @@
 //!
 //! The paper's cost model is round trips; PR 1 made per-probe CPU cheap
 //! enough that the wire dominates. This experiment measures what the
-//! per-connection clock model buys: the concurrent [`MultiSiteDriver`]
-//! overlaps every site's walkers' requests (fleet time = max over
-//! connections), while the serial baseline drives the same sites one
-//! after another on a single connection each (fleet time = sum over
-//! fetches). Per-site query budgets and the per-site shared history cache
+//! per-connection clock model buys: one fleet [`RunPlan`] overlaps every
+//! site's walkers' requests (fleet time = max over connections), while
+//! the serial baseline — a loop of one-site, one-walker plans — drives the
+//! same sites one after another on a single connection each (fleet time =
+//! sum over sites). Per-site query budgets and the per-site shared history cache
 //! are active end-to-end.
 //!
 //! Expected shape: time-to-N-samples for the whole fleet is roughly flat
-//! in S for the concurrent driver and linear in S for the serial one —
+//! in S for the concurrent fleet and linear in S for the serial loop —
 //! ≥ 4× apart at S = 16 (the acceptance bar; walker parallelism pushes it
 //! far higher).
 
@@ -21,7 +21,7 @@ use hdsampler_bench::{f, section, table};
 use hdsampler_hidden_db::HiddenDb;
 use hdsampler_model::FormInterface;
 use hdsampler_webform::{
-    FleetConfig, LatencyTransport, LocalSite, MultiSiteDriver, SiteTask, WebFormInterface,
+    FleetReport, LatencyTransport, LocalSite, RunPlan, SiteTask, WebFormInterface,
 };
 use hdsampler_workload::{DbConfig, VehiclesSpec, WorkloadSpec};
 
@@ -59,19 +59,30 @@ fn main() {
          {WALKERS_PER_SITE} walkers/site, budget {BUDGET_PER_SITE} fetches/site"
     );
 
-    let driver = MultiSiteDriver::new(FleetConfig {
-        walkers_per_site: WALKERS_PER_SITE,
-        target_per_site: TARGET_PER_SITE,
-        seed: 2009,
-        slider: 0.4,
-        ..FleetConfig::default()
-    });
+    let plan = |walkers: usize| {
+        RunPlan::target(TARGET_PER_SITE)
+            .walkers(walkers)
+            .seed(2009)
+            .slider(0.4)
+    };
+    // The serial baseline: each site alone on one connection, one after
+    // another, so fleet time is the sum over sites.
+    let serial = |sites: usize| {
+        let reports: Vec<FleetReport> = build_fleet(sites)
+            .into_iter()
+            .map(|task| plan(1).run(&mut [task]).fleet)
+            .collect();
+        FleetReport {
+            fleet_elapsed_ms: reports.iter().map(|r| r.fleet_elapsed_ms).sum(),
+            sites: reports.into_iter().flat_map(|r| r.sites).collect(),
+        }
+    };
 
     let mut rows = Vec::new();
     let mut speedup_at = Vec::new();
     for sites in [1usize, 4, 16] {
-        let serial = driver.run_serial(&mut build_fleet(sites));
-        let concurrent = driver.run_concurrent(&mut build_fleet(sites));
+        let serial = serial(sites);
+        let concurrent = plan(WALKERS_PER_SITE).run(&mut build_fleet(sites)).fleet;
         assert_eq!(serial.total_samples(), sites * TARGET_PER_SITE);
         assert_eq!(concurrent.total_samples(), sites * TARGET_PER_SITE);
         for report in [&serial, &concurrent] {
@@ -109,7 +120,7 @@ fn main() {
     let (_, s16) = *speedup_at.last().expect("three fleet sizes");
     assert!(
         s16 >= 4.0,
-        "concurrent driver must beat serial ≥4× at 16 sites, got {s16:.1}×"
+        "the concurrent fleet must beat serial ≥4× at 16 sites, got {s16:.1}×"
     );
     assert!(
         speedup_at.windows(2).all(|w| w[1].1 >= w[0].1 * 0.8),

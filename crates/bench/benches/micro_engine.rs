@@ -12,7 +12,6 @@ use rand::{Rng, SeedableRng};
 
 use hdsampler_core::{
     CachingExecutor, DirectExecutor, HdsSampler, QueryExecutor, Sampler, SamplerConfig,
-    SamplingSession,
 };
 use hdsampler_hidden_db::HiddenDb;
 use hdsampler_model::{AttrId, ConjunctiveQuery, FormInterface};
@@ -180,12 +179,20 @@ fn parallel_contention(c: &mut Criterion) {
         }
         group.bench_function(name, |b| {
             b.iter(|| {
-                let session = SamplingSession::new(TARGET);
-                let out = session.run_parallel(WORKERS, |w| {
-                    HdsSampler::new(Arc::clone(&exec), SamplerConfig::seeded(1000 + w as u64))
-                        .expect("valid config")
+                // Each walker thread draws its share of the target.
+                std::thread::scope(|scope| {
+                    for w in 0..WORKERS {
+                        let exec = Arc::clone(&exec);
+                        scope.spawn(move || {
+                            let mut s =
+                                HdsSampler::new(exec, SamplerConfig::seeded(1000 + w as u64))
+                                    .expect("valid config");
+                            for _ in 0..TARGET / WORKERS {
+                                s.next_sample().expect("healthy site");
+                            }
+                        });
+                    }
                 });
-                assert_eq!(out.samples.len(), TARGET);
             })
         });
     }

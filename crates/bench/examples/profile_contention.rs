@@ -5,9 +5,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use hdsampler_core::{
-    CachingExecutor, HdsSampler, QueryExecutor, Sampler, SamplerConfig, SamplingSession,
-};
+use hdsampler_core::{CachingExecutor, HdsSampler, QueryExecutor, Sampler, SamplerConfig};
 use hdsampler_workload::{DbConfig, VehiclesSpec, WorkloadSpec};
 
 fn main() {
@@ -27,12 +25,19 @@ fn main() {
         let t0 = Instant::now();
         let mut iters = 0;
         while t0.elapsed().as_millis() < 3000 {
-            let session = SamplingSession::new(600);
-            let out = session.run_parallel(8, |w| {
-                HdsSampler::new(Arc::clone(&exec), SamplerConfig::seeded(1000 + w as u64))
-                    .expect("valid config")
+            // 8 walker threads, 75 samples each: one 600-sample session.
+            std::thread::scope(|scope| {
+                for w in 0..8u64 {
+                    let exec = Arc::clone(&exec);
+                    scope.spawn(move || {
+                        let mut s = HdsSampler::new(exec, SamplerConfig::seeded(1000 + w))
+                            .expect("valid config");
+                        for _ in 0..75 {
+                            s.next_sample().expect("healthy site");
+                        }
+                    });
+                }
             });
-            assert_eq!(out.samples.len(), 600);
             iters += 1;
         }
         let per_iter = t0.elapsed() / iters;

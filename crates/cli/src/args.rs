@@ -34,9 +34,9 @@ COMMON OPTIONS:
 
 OBSERVABILITY (sample, multi-site, serve):
   --trace <path>       journal trace events to JSONL — sample/multi-site:
-                       the run's span stream (full fidelity under --driver
-                       coop, accepted samples otherwise); serve: the
-                       per-request log, written at graceful shutdown.
+                       the run's full span stream (cache, wire, retry,
+                       stall, steal, sample); serve: the per-request log,
+                       written at graceful shutdown.
                        Seeded virtual-wire journals replay bit-identically
   --metrics <value>    sample/multi-site: loopback port for a live
                        telemetry server exposing /metrics + /events while
@@ -64,12 +64,9 @@ sample:
   --remote <addr>      sample a live `hdsampler serve` at host:port — sugar
                        for the `http://<addr>` locator (the schema is
                        discovered by scraping /, never configured)
-  --coop-walkers <W>   with --remote: drive W cooperative walker machines
-                       from one thread, pipelined over the wire (optionally
-                       share connections via --coop-conns)
-  --coop-conns <C>     with --coop-walkers: TCP connections to share
-                       (default 4 — a live server serves at most
-                       `serve --workers` keep-alive connections at once)
+  --walkers <W>        walker machines, multiplexed on one thread (default 1)
+  --conns <C>          wire connections the walkers share (default: one per
+                       walker; up to 64 on a live http:// server)
 
 aggregate:
   --proportion attr=label   estimate a proportion (repeatable)
@@ -83,28 +80,26 @@ multi-site:
                        local:, http:// and replay: legs in a single run;
                        replaces --sites/--latency/--jitter/--chaos/--remote
   --sites <S>          number of simulated sites                (default 4)
-  --walkers <W>        walker threads (connections) per site    (default 2)
+  --walkers <W>        walker machines per site                 (default 2)
   --latency <MS[,MS,...]>  per-request latency in ms; a comma list assigns
                        site i the i-th value, cycling           (default 100)
   --jitter <MS>        ± uniform jitter around each site's latency (default 0)
-  --driver <concurrent|serial|both|coop>  driving mode          (default concurrent)
-                       coop: one thread multiplexes all sites' walkers over
-                       pipelined connections instead of W threads per site
   --remote <addr[,addr,...]>  drive live servers (one site per address;
                        latency/jitter flags do not apply — the wire is real)
   --watch              re-render fleet-wide live histograms while the run
                        progresses
-  --coop-conns <C>     with --driver coop: wire connections per site
-                       (default: 1/walker on the virtual wire, 4 on live
-                       servers)
+  --conns <C>          wire connections per site the walkers share
+                       (default: one per walker on the virtual wire, up to
+                       64 on live servers)
   --chaos <spec>       make every simulated site adversarial: seeded faults
                        on the virtual wire (not valid with --remote — serve
                        the adversary with `serve --chaos` instead), e.g.
                        seed=7,latency=40,throttle=0.2,retry_after=250,
                        fail=0.1,drop=0.05,slow=400x50,jitter=30,count_noise=0.3
-  --steal              with --driver coop: when a site finishes, reassign its
-                       walkers to the hungriest site still sampling
-  (--samples is the per-site target; --budget the per-site query cap)
+  --steal              when a site finishes, reassign its walkers to the
+                       hungriest site still sampling
+  (one thread multiplexes every site's walkers; --samples is the per-site
+  target, --budget the per-site query cap)
 
 serve:
   --port <P>           TCP port on 127.0.0.1 (default 8000; 0 = ephemeral)
@@ -162,12 +157,11 @@ pub enum Command {
         histograms: Vec<String>,
         /// Record every exchange to this JSONL tape for `replay:`.
         record: Option<String>,
-        /// With `--remote`: drive this many cooperative walker machines
-        /// from one thread instead of a single blocking sampler.
-        coop_walkers: Option<usize>,
-        /// With `--coop-walkers`: wire connections to share (default: one
-        /// per walker).
-        coop_conns: Option<usize>,
+        /// Walker machines multiplexed on one thread.
+        walkers: usize,
+        /// Wire connections the walkers share (default: one per walker,
+        /// or a pipelined handful on a live server).
+        conns: Option<usize>,
         /// Re-render live histograms from streaming snapshots mid-run.
         watch: bool,
         /// Journal the run's trace events to this JSONL path.
@@ -198,28 +192,24 @@ pub enum Command {
         site_locators: Vec<String>,
         /// Number of simulated sites.
         sites: usize,
-        /// Walker threads (= virtual connections) per site.
+        /// Walker machines per site.
         walkers: usize,
         /// Per-site latency list in milliseconds (site i uses entry
         /// `i % len`).
         latencies_ms: Vec<u64>,
         /// ± uniform jitter half-width around each site's latency.
         jitter_ms: u64,
-        /// Driving mode.
-        mode: DriverMode,
-        /// With `--driver coop`: wire connections per site the walkers
-        /// share. Defaults to one per walker on the virtual wire and a
-        /// small pipelined handful on live servers (a thread-per-
-        /// connection server serves at most `--workers` keep-alive
-        /// connections at once).
-        coop_conns: Option<usize>,
+        /// Wire connections per site the walkers share. Defaults to one
+        /// per walker on the virtual wire and a pipelined handful on live
+        /// servers.
+        conns: Option<usize>,
         /// Re-render fleet-wide live histograms mid-run.
         watch: bool,
         /// Seeded fault schedule wrapped around every simulated site's
         /// wire (never valid with `--remote`).
         chaos: Option<ChaosSpec>,
-        /// With `--driver coop`: reassign finished sites' walkers to the
-        /// hungriest site still sampling.
+        /// Reassign finished sites' walkers to the hungriest site still
+        /// sampling.
         steal: bool,
         /// Journal the run's trace events to this JSONL path.
         trace: Option<String>,
@@ -292,19 +282,6 @@ pub enum TraceAction {
     },
 }
 
-/// How the `multi-site` command drives the fleet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DriverMode {
-    /// All sites concurrently (per-site walker pools).
-    Concurrent,
-    /// One site after another, single connection each (baseline).
-    Serial,
-    /// Both, reporting the speedup.
-    Both,
-    /// Cooperative: every site's walkers multiplexed from one thread.
-    Coop,
-}
-
 /// Options shared by all subcommands.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Common {
@@ -368,17 +345,15 @@ pub fn parse(argv: &[String]) -> Result<Cli, String> {
     let mut avgs = Vec::new();
     let mut validate_attr = None;
     let mut sites = 4usize;
-    let mut walkers = 2usize;
+    let mut walkers = None;
     let mut latencies_ms = vec![100u64];
     let mut jitter_ms = 0u64;
-    let mut mode = DriverMode::Concurrent;
     let mut port = 8000u16;
     let mut serve_workers = 4usize;
     let mut serve_for = None;
     let mut serve_pool = false;
     let mut serve_reactor = false;
-    let mut coop_walkers = None;
-    let mut coop_conns = None;
+    let mut conns = None;
     let mut watch = false;
     let mut chaos = None;
     let mut steal = false;
@@ -447,12 +422,13 @@ pub fn parse(argv: &[String]) -> Result<Cli, String> {
                 }
             }
             "--walkers" => {
-                walkers = value("--walkers")?
+                let w: usize = value("--walkers")?
                     .parse()
                     .map_err(|_| "--walkers: not a number")?;
-                if walkers == 0 {
+                if w == 0 {
                     return Err("--walkers must be at least 1".into());
                 }
+                walkers = Some(w);
             }
             "--latency" => {
                 latency_set = true;
@@ -497,32 +473,14 @@ pub fn parse(argv: &[String]) -> Result<Cli, String> {
                         .map_err(|_| "--serve-for: not a number of seconds")?,
                 )
             }
-            "--driver" => {
-                mode = match value("--driver")?.as_str() {
-                    "concurrent" => DriverMode::Concurrent,
-                    "serial" => DriverMode::Serial,
-                    "both" => DriverMode::Both,
-                    "coop" => DriverMode::Coop,
-                    other => return Err(format!("--driver: unknown mode `{other}`")),
-                }
-            }
-            "--coop-walkers" => {
-                let w: usize = value("--coop-walkers")?
+            "--conns" => {
+                let c: usize = value("--conns")?
                     .parse()
-                    .map_err(|_| "--coop-walkers: not a number")?;
-                if w == 0 {
-                    return Err("--coop-walkers must be at least 1".into());
-                }
-                coop_walkers = Some(w);
-            }
-            "--coop-conns" => {
-                let c: usize = value("--coop-conns")?
-                    .parse()
-                    .map_err(|_| "--coop-conns: not a number")?;
+                    .map_err(|_| "--conns: not a number")?;
                 if c == 0 {
-                    return Err("--coop-conns must be at least 1".into());
+                    return Err("--conns must be at least 1".into());
                 }
-                coop_conns = Some(c);
+                conns = Some(c);
             }
             "--watch" => watch = true,
             "--chaos" => chaos = Some(ChaosSpec::parse(value("--chaos")?)?),
@@ -578,17 +536,13 @@ pub fn parse(argv: &[String]) -> Result<Cli, String> {
         }
     }
 
-    // The coop flags belong to specific commands; anywhere else they
-    // would parse and then be silently ignored — reject instead.
-    if coop_walkers.is_some() && command_word != "sample" {
-        return Err(
-            "--coop-walkers is a `sample` flag (multi-site sizes its cooperative \
-             fleet with --walkers)"
-                .into(),
-        );
+    // The walker flags belong to the sampling commands; anywhere else
+    // they would parse and then be silently ignored — reject instead.
+    if walkers.is_some() && !matches!(command_word.as_str(), "sample" | "multi-site") {
+        return Err(format!("--walkers does not apply to `{command_word}`"));
     }
-    if coop_conns.is_some() && !matches!(command_word.as_str(), "sample" | "multi-site") {
-        return Err(format!("--coop-conns does not apply to `{command_word}`"));
+    if conns.is_some() && !matches!(command_word.as_str(), "sample" | "multi-site") {
+        return Err(format!("--conns does not apply to `{command_word}`"));
     }
     if watch && !matches!(command_word.as_str(), "sample" | "multi-site") {
         return Err(format!("--watch does not apply to `{command_word}`"));
@@ -641,20 +595,12 @@ pub fn parse(argv: &[String]) -> Result<Cli, String> {
                             for `sample http://<addr>`)"
                     .into());
             }
-            if coop_walkers.is_some() && common.remote.is_none() && locator.is_none() {
-                return Err("--coop-walkers needs a wire to pipeline on (pass \
-                            a locator or --remote)"
-                    .into());
-            }
-            if coop_conns.is_some() && coop_walkers.is_none() {
-                return Err("--coop-conns requires --coop-walkers".into());
-            }
             Command::Sample {
                 locator,
                 histograms,
                 record,
-                coop_walkers,
-                coop_conns,
+                walkers: walkers.unwrap_or(1),
+                conns,
                 watch,
                 trace: trace_path,
                 metrics,
@@ -695,19 +641,6 @@ pub fn parse(argv: &[String]) -> Result<Cli, String> {
                                 legs have per-site schemas"
                         .into());
                 }
-                if mode == DriverMode::Both {
-                    return Err("--driver both does not combine with --site \
-                                (run the drivers as two invocations)"
-                        .into());
-                }
-            }
-            if coop_conns.is_some() && mode != DriverMode::Coop {
-                return Err("--coop-conns requires --driver coop".into());
-            }
-            if steal && mode != DriverMode::Coop {
-                return Err("--steal requires --driver coop (only the cooperative \
-                            driver can move walkers between sites)"
-                    .into());
             }
             if chaos.is_some() && common.remote.is_some() {
                 return Err("--chaos wraps the simulated wire and cannot apply to \
@@ -718,11 +651,10 @@ pub fn parse(argv: &[String]) -> Result<Cli, String> {
             Command::MultiSite {
                 site_locators,
                 sites,
-                walkers,
+                walkers: walkers.unwrap_or(2),
                 latencies_ms,
                 jitter_ms,
-                mode,
-                coop_conns,
+                conns,
                 watch,
                 chaos,
                 steal,
@@ -847,8 +779,8 @@ mod tests {
                 locator: None,
                 histograms: vec!["make".into(), "year".into()],
                 record: None,
-                coop_walkers: None,
-                coop_conns: None,
+                walkers: 1,
+                conns: None,
                 watch: false,
                 trace: None,
                 metrics: None,
@@ -896,8 +828,8 @@ mod tests {
             "4",
             "--latency",
             "150",
-            "--driver",
-            "both",
+            "--conns",
+            "2",
             "--samples",
             "80",
             "--budget",
@@ -912,8 +844,7 @@ mod tests {
                 walkers: 4,
                 latencies_ms: vec![150],
                 jitter_ms: 0,
-                mode: DriverMode::Both,
-                coop_conns: None,
+                conns: Some(2),
                 watch: false,
                 chaos: None,
                 steal: false,
@@ -934,8 +865,7 @@ mod tests {
                 walkers: 2,
                 latencies_ms: vec![100],
                 jitter_ms: 0,
-                mode: DriverMode::Concurrent,
-                coop_conns: None,
+                conns: None,
                 watch: false,
                 chaos: None,
                 steal: false,
@@ -947,7 +877,8 @@ mod tests {
         assert!(parse(&argv(&["multi-site", "--sites", "0"])).is_err());
         assert!(parse(&argv(&["multi-site", "--walkers", "0"])).is_err());
         assert!(parse(&argv(&["multi-site", "--latency", "0"])).is_err());
-        assert!(parse(&argv(&["multi-site", "--driver", "psychic"])).is_err());
+        assert!(parse(&argv(&["multi-site", "--conns", "0"])).is_err());
+        assert!(parse(&argv(&["multi-site", "--driver", "coop"])).is_err());
     }
 
     #[test]
@@ -968,8 +899,7 @@ mod tests {
                 walkers: 2,
                 latencies_ms: vec![50, 100, 250],
                 jitter_ms: 20,
-                mode: DriverMode::Concurrent,
-                coop_conns: None,
+                conns: None,
                 watch: false,
                 chaos: None,
                 steal: false,
@@ -1050,14 +980,14 @@ mod tests {
     }
 
     #[test]
-    fn coop_flags() {
+    fn walker_flags() {
         let cli = parse(&argv(&[
             "sample",
             "--remote",
             "127.0.0.1:9090",
-            "--coop-walkers",
+            "--walkers",
             "64",
-            "--coop-conns",
+            "--conns",
             "4",
         ]))
         .unwrap();
@@ -1067,60 +997,43 @@ mod tests {
                 locator: None,
                 histograms: vec![],
                 record: None,
-                coop_walkers: Some(64),
-                coop_conns: Some(4),
+                walkers: 64,
+                conns: Some(4),
                 watch: false,
                 trace: None,
                 metrics: None,
                 l2: None,
             }
         );
-        let fleet = parse(&argv(&["multi-site", "--driver", "coop"])).unwrap();
+        // One spelling on both commands, and no wire is needed to run
+        // several walkers.
+        let fleet = parse(&argv(&["multi-site", "--walkers", "16", "--conns", "8"])).unwrap();
         assert!(matches!(
             fleet.command,
             Command::MultiSite {
-                mode: DriverMode::Coop,
+                walkers: 16,
+                conns: Some(8),
                 ..
             }
         ));
-        // The cooperative sampler needs a wire to pipeline on.
-        assert!(parse(&argv(&["sample", "--coop-walkers", "4"])).is_err());
-        assert!(parse(&argv(&["sample", "--remote", "h:1", "--coop-walkers", "0"])).is_err());
-        assert!(parse(&argv(&["sample", "--remote", "h:1", "--coop-conns", "2"])).is_err());
-        // Coop flags are never silently ignored by other commands.
-        assert!(parse(&argv(&[
-            "multi-site",
-            "--driver",
-            "coop",
-            "--coop-walkers",
-            "64"
-        ]))
-        .is_err());
-        assert!(parse(&argv(&["multi-site", "--coop-conns", "2"])).is_err());
-        assert!(parse(&argv(&["serve", "--coop-conns", "2"])).is_err());
-        let with_conns = parse(&argv(&[
-            "multi-site",
-            "--driver",
-            "coop",
-            "--coop-conns",
-            "8",
-        ]))
-        .unwrap();
         assert!(matches!(
-            with_conns.command,
-            Command::MultiSite {
-                coop_conns: Some(8),
-                ..
-            }
+            parse(&argv(&["sample", "--walkers", "4"])).unwrap().command,
+            Command::Sample { walkers: 4, .. }
         ));
+        assert!(parse(&argv(&["sample", "--walkers", "0"])).is_err());
+        assert!(parse(&argv(&["sample", "--conns", "0"])).is_err());
+        // Walker flags are never silently ignored by other commands, and
+        // the renamed spellings are gone.
+        assert!(parse(&argv(&["serve", "--walkers", "2"])).is_err());
+        assert!(parse(&argv(&["serve", "--conns", "2"])).is_err());
+        assert!(parse(&argv(&["sample", "--coop-walkers", "4"])).is_err());
+        assert!(parse(&argv(&["multi-site", "--coop-conns", "2"])).is_err());
     }
 
     #[test]
     fn chaos_and_steal_flags() {
         let fleet = parse(&argv(&[
             "multi-site",
-            "--driver",
-            "coop",
             "--steal",
             "--chaos",
             "seed=7,throttle=0.2,retry_after=250,fail=0.1,drop=0.05",
@@ -1145,11 +1058,10 @@ mod tests {
             }
             other => panic!("wrong command {other:?}"),
         }
-        // Strictness: bad grammar, wrong commands, wrong driver, real wire.
+        // Strictness: bad grammar, wrong commands, real wire.
         assert!(parse(&argv(&["serve", "--chaos", "throttle=2.0"])).is_err());
         assert!(parse(&argv(&["serve", "--chaos", "psychic=1"])).is_err());
         assert!(parse(&argv(&["sample", "--chaos", "fail=0.1"])).is_err());
-        assert!(parse(&argv(&["multi-site", "--steal"])).is_err());
         assert!(parse(&argv(&["serve", "--steal"])).is_err());
         assert!(parse(&argv(&[
             "multi-site",
@@ -1188,13 +1100,13 @@ mod tests {
             cli.command,
             Command::Sample { locator: Some(ref l), .. } if l == "http://127.0.0.1:8080"
         ));
-        // --record rides along; locators make --coop-walkers legal.
+        // --record rides along with several walkers.
         let cli = parse(&argv(&[
             "sample",
             "http://h:1",
             "--record",
             "tape.jsonl",
-            "--coop-walkers",
+            "--walkers",
             "8",
         ]))
         .unwrap();
@@ -1202,7 +1114,7 @@ mod tests {
             cli.command,
             Command::Sample {
                 record: Some(ref r),
-                coop_walkers: Some(8),
+                walkers: 8,
                 ..
             } if r == "tape.jsonl"
         ));
@@ -1256,14 +1168,6 @@ mod tests {
         ]))
         .is_err());
         assert!(parse(&argv(&["multi-site", "--site", "local:b", "--watch"])).is_err());
-        assert!(parse(&argv(&[
-            "multi-site",
-            "--site",
-            "local:b",
-            "--driver",
-            "both"
-        ]))
-        .is_err());
     }
 
     #[test]

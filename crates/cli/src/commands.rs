@@ -22,7 +22,7 @@ use hdsampler_webform::{
 };
 use hdsampler_workload::{resolve_dataset, DbConfig, WorkloadSpec};
 
-use crate::args::{CacheAction, Cli, Command, Common, DriverMode, TraceAction};
+use crate::args::{CacheAction, Cli, Command, Common, TraceAction};
 use crate::display::{self, progress_line, ProgressSink, WatchSink};
 
 /// Build one simulated hidden database from the common options with an
@@ -241,8 +241,7 @@ impl PlanTelemetry {
         })
     }
 
-    /// Attach the resolved sinks to one plan. Called once per driver pass
-    /// (the journal accumulates across passes of `--driver both`).
+    /// Attach the resolved sinks to the run's plan.
     fn attach<'a>(&'a mut self, mut plan: RunPlan<'a>) -> RunPlan<'a> {
         if let Some(b) = self.bridge.as_mut() {
             plan = plan.attach(b);
@@ -286,8 +285,8 @@ pub fn run(cli: Cli) -> Result<(), String> {
             locator,
             histograms,
             record,
-            coop_walkers,
-            coop_conns,
+            walkers,
+            conns,
             watch,
             trace,
             metrics,
@@ -297,8 +296,8 @@ pub fn run(cli: Cli) -> Result<(), String> {
             locator.as_deref(),
             &histograms,
             record.as_deref(),
-            coop_walkers,
-            coop_conns,
+            walkers,
+            conns,
             watch,
             &TelemetryOpts::new(trace, metrics),
             l2.as_deref(),
@@ -311,8 +310,7 @@ pub fn run(cli: Cli) -> Result<(), String> {
             walkers,
             latencies_ms,
             jitter_ms,
-            mode,
-            coop_conns,
+            conns,
             watch,
             chaos,
             steal,
@@ -326,8 +324,7 @@ pub fn run(cli: Cli) -> Result<(), String> {
                     &cli.common,
                     &site_locators,
                     walkers,
-                    mode,
-                    coop_conns,
+                    conns,
                     steal,
                     &telemetry,
                     l2.as_deref(),
@@ -351,8 +348,7 @@ pub fn run(cli: Cli) -> Result<(), String> {
                 walkers,
                 &latencies_ms,
                 jitter_ms,
-                mode,
-                coop_conns,
+                conns,
                 watch,
                 chaos,
                 steal,
@@ -721,13 +717,11 @@ fn build_remote_fleet(addrs: &[&str]) -> Result<Vec<SiteTask<BoxTransport>>, Str
 /// leg is its own locator — mixed `local:`, `http://` and `replay:` wires
 /// with per-site schemas, all resolved through the connector registry and
 /// driven by one [`RunPlan`].
-#[allow(clippy::too_many_arguments)]
 fn multi_site_locators(
     common: &Common,
     locs: &[String],
     walkers: usize,
-    mode: DriverMode,
-    coop_conns: Option<usize>,
+    conns: Option<usize>,
     steal: bool,
     telemetry: &TelemetryOpts,
     l2: Option<&str>,
@@ -741,13 +735,6 @@ fn multi_site_locators(
         .iter()
         .map(|s| SiteLocator::parse(s))
         .collect::<Result<_, String>>()?;
-    let driver = match mode {
-        DriverMode::Concurrent => Driver::Threaded,
-        DriverMode::Serial => Driver::Serial,
-        DriverMode::Coop => Driver::Coop { conns: coop_conns },
-        // Rejected at parse time: `both` would need to rebuild the fleet.
-        DriverMode::Both => return Err("--driver both does not combine with --site".into()),
-    };
     println!(
         "fleet: {} site(s) by locator, {} samples per site, {walkers} walker(s) per site",
         locators.len(),
@@ -756,12 +743,7 @@ fn multi_site_locators(
     for loc in &locators {
         println!("  - {loc}");
     }
-    if mode == DriverMode::Coop {
-        println!(
-            "driver: cooperative — one thread multiplexes every site's walkers{}",
-            if steal { ", stealing enabled" } else { "" }
-        );
-    }
+    print_driver_line(steal);
     if let Some(root) = l2 {
         println!("l2 history: persisting learned facts under `{root}/<fingerprint>/`");
     }
@@ -770,7 +752,7 @@ fn multi_site_locators(
         .walkers(walkers)
         .seed(common.seed)
         .slider(common.slider)
-        .driver(driver)
+        .driver(Driver::Coop { conns })
         .steal(steal);
     if let Some(root) = l2 {
         plan = plan.l2(root);
@@ -788,88 +770,46 @@ fn multi_site_locators(
     observers.finish()
 }
 
-/// Drive one fleet through the chosen mode(s): the shared back half of
-/// `multi-site`, generic over the wire (virtual, chaos-wrapped, or real).
-/// `build` is called once up front and again for the serial pass of
-/// `--driver both` (each pass gets fresh clocks).
-#[allow(clippy::too_many_arguments)]
-fn drive_fleet<T, B>(
+/// The engine line every simulated or locator-built fleet prints.
+fn print_driver_line(steal: bool) {
+    println!(
+        "driver: cooperative — one thread multiplexes every site's walkers{}",
+        if steal { ", stealing enabled" } else { "" }
+    );
+}
+
+/// Drive one fleet: the shared back half of `multi-site`, generic over
+/// the wire (virtual, chaos-wrapped, or real).
+fn drive_fleet<T>(
     common: &Common,
-    build: B,
+    mut fleet: Vec<SiteTask<T>>,
     walkers: usize,
-    mode: DriverMode,
-    coop_conns: Option<usize>,
+    conns: Option<usize>,
     watch: bool,
     steal: bool,
     telemetry: &TelemetryOpts,
 ) -> Result<(), String>
 where
-    T: Transport + AsyncTransport + Clocked + Send,
-    B: Fn() -> Result<Vec<SiteTask<T>>, String>,
+    T: Transport + AsyncTransport + Clocked,
 {
-    // Build one fleet up front: its schema validates the --bind scope
-    // (the sites share a schema structure, so ids resolve fleet-wide).
-    let mut fleet = build()?;
+    // The sites share a schema structure, so the --bind scope resolves
+    // fleet-wide against the first one.
     let schema = fleet[0].iface.schema().clone();
     let scope = scope_query(&schema, &common.binds)?;
-    let plan_for = |driver: Driver| {
-        RunPlan::target(common.samples)
-            .walkers(walkers)
-            .seed(common.seed)
-            .slider(common.slider)
-            .scope(scope.clone())
-            .driver(driver)
-            .steal(steal)
-    };
     let mut watch_sink = watch.then(|| fleet_watch_sink(&schema)).transpose()?;
     let mut observers = PlanTelemetry::start(telemetry)?;
-    if mode == DriverMode::Coop {
-        println!(
-            "driver: cooperative — one thread multiplexes every site's walkers{}",
-            if steal { ", stealing enabled" } else { "" }
-        );
-        let mut plan = plan_for(Driver::Coop { conns: coop_conns });
-        if let Some(w) = watch_sink.as_mut() {
-            plan = plan.attach(w);
-        }
-        let report = observers.attach(plan).run(&mut fleet);
-        println!("\n{}", display::fleet_report(&report.fleet));
-        return observers.finish();
+    let mut plan = RunPlan::target(common.samples)
+        .walkers(walkers)
+        .seed(common.seed)
+        .slider(common.slider)
+        .scope(scope)
+        .driver(Driver::Coop { conns })
+        .steal(steal);
+    if let Some(w) = watch_sink.as_mut() {
+        plan = plan.attach(w);
     }
-    let concurrent = match mode {
-        DriverMode::Serial | DriverMode::Coop => None,
-        DriverMode::Concurrent | DriverMode::Both => {
-            let mut plan = plan_for(Driver::Threaded);
-            if let Some(w) = watch_sink.as_mut() {
-                plan = plan.attach(w);
-            }
-            let report = observers.attach(plan).run(&mut fleet);
-            println!("\n{}", display::fleet_report(&report.fleet));
-            Some(report)
-        }
-    };
-    let serial = match mode {
-        DriverMode::Concurrent | DriverMode::Coop => None,
-        DriverMode::Serial | DriverMode::Both => {
-            let mut plan = plan_for(Driver::Serial);
-            if let Some(w) = watch_sink.as_mut() {
-                plan = plan.attach(w);
-            }
-            let report = observers.attach(plan).run(&mut build()?);
-            println!("\n{}", display::fleet_report(&report.fleet));
-            Some(report)
-        }
-    };
-    if let (Some(c), Some(s)) = (concurrent, serial) {
-        if c.fleet.fleet_elapsed_ms > 0 {
-            println!(
-                "speedup: {:.1}× (serial {:.1} s → concurrent {:.1} s of virtual wall clock)",
-                s.fleet.fleet_elapsed_ms as f64 / c.fleet.fleet_elapsed_ms as f64,
-                s.fleet.fleet_elapsed_ms as f64 / 1_000.0,
-                c.fleet.fleet_elapsed_ms as f64 / 1_000.0,
-            );
-        }
-    }
+    let report = observers.attach(plan).run(&mut fleet);
+    println!("\n{}", display::fleet_report(&report.fleet));
     observers.finish()
 }
 
@@ -880,17 +820,14 @@ fn multi_site(
     walkers: usize,
     latencies_ms: &[u64],
     jitter_ms: u64,
-    mode: DriverMode,
-    coop_conns: Option<usize>,
+    conns: Option<usize>,
     watch: bool,
     chaos: Option<ChaosSpec>,
     steal: bool,
     telemetry: &TelemetryOpts,
 ) -> Result<(), String> {
     if let Some(remote) = &common.remote {
-        return multi_site_remote(
-            common, remote, walkers, mode, coop_conns, watch, steal, telemetry,
-        );
+        return multi_site_remote(common, remote, walkers, conns, watch, steal, telemetry);
     }
     let latency_desc = if latencies_ms.len() == 1 {
         format!("{} ms", latencies_ms[0])
@@ -912,16 +849,9 @@ fn multi_site(
                 spec.count_noise * 100.0,
                 common.samples
             );
-            drive_fleet(
-                common,
-                || build_chaos_fleet(common, sites, latencies_ms, &spec),
-                walkers,
-                mode,
-                coop_conns,
-                watch,
-                steal,
-                telemetry,
-            )
+            print_driver_line(steal);
+            let fleet = build_chaos_fleet(common, sites, latencies_ms, &spec)?;
+            drive_fleet(common, fleet, walkers, conns, watch, steal, telemetry)
         }
         None => {
             println!(
@@ -929,16 +859,9 @@ fn multi_site(
                  virtual latency, {} samples per site, {walkers} walker(s) per site",
                 common.source, common.n, common.samples
             );
-            drive_fleet(
-                common,
-                || build_fleet(common, sites, latencies_ms, jitter_ms),
-                walkers,
-                mode,
-                coop_conns,
-                watch,
-                steal,
-                telemetry,
-            )
+            print_driver_line(steal);
+            let fleet = build_fleet(common, sites, latencies_ms, jitter_ms)?;
+            drive_fleet(common, fleet, walkers, conns, watch, steal, telemetry)
         }
     }
 }
@@ -953,24 +876,21 @@ fn fleet_watch_sink(schema: &Schema) -> Result<WatchSink, String> {
     Ok(WatchSink::new(vec![Histogram::new(schema, attr)], 25, 40))
 }
 
+/// Pipelined connections per live site when `--conns` is not given: the
+/// reactor server (the `serve` default) multiplexes every connection onto
+/// per-core readiness loops, so a wide fan-out no longer starves a worker
+/// pool — 64 connections keeps per-connection pipelines shallow (better
+/// latency under cancellation) while staying far below fd limits. Against
+/// a `serve --pool` server, cap it by hand (`--conns <= --workers`).
+const DEFAULT_REMOTE_CONNS: usize = 64;
+
 /// `multi-site --remote a,b,c`: one site per live server address, real
 /// wall clock instead of the virtual one.
-/// Pipelined connections per live site when `--driver coop` is used
-/// without `--coop-conns`: the reactor server (the `serve` default)
-/// multiplexes every connection onto per-core readiness loops, so a
-/// wide fan-out no longer starves a worker pool — 64 connections keeps
-/// per-connection pipelines shallow (better latency under cancellation)
-/// while staying far below fd limits. Against a `serve --pool` server,
-/// cap it by hand (`--coop-conns <= --workers`).
-const DEFAULT_REMOTE_COOP_CONNS: usize = 64;
-
-#[allow(clippy::too_many_arguments)]
 fn multi_site_remote(
     common: &Common,
     remote: &str,
     walkers: usize,
-    mode: DriverMode,
-    coop_conns: Option<usize>,
+    conns: Option<usize>,
     watch: bool,
     steal: bool,
     telemetry: &TelemetryOpts,
@@ -979,60 +899,19 @@ fn multi_site_remote(
     if addrs.iter().any(|a| a.is_empty()) {
         return Err("--remote: empty address in list".into());
     }
-    let mut fleet = build_remote_fleet(&addrs)?;
-    let schema = fleet[0].iface.schema().clone();
-    let scope = scope_query(&schema, &common.binds)?;
-    let plan_for = |driver: Driver| {
-        RunPlan::target(common.samples)
-            .walkers(walkers)
-            .seed(common.seed)
-            .slider(common.slider)
-            .scope(scope.clone())
-            .driver(driver)
-            .steal(steal)
-    };
+    let fleet = build_remote_fleet(&addrs)?;
     println!(
         "fleet: {} live server(s) over real TCP, {} samples per site, {walkers} walker(s) per site",
         addrs.len(),
         common.samples
     );
-    let mut watch_sink = watch.then(|| fleet_watch_sink(&schema)).transpose()?;
-    let mut observers = PlanTelemetry::start(telemetry)?;
-    if mode == DriverMode::Coop {
-        let conns = coop_conns
-            .unwrap_or(DEFAULT_REMOTE_COOP_CONNS)
-            .min(walkers.max(1));
-        println!(
-            "driver: cooperative — one thread, {walkers} walker(s) pipelined over \
-             {conns} connection(s) per site"
-        );
-        let mut plan = plan_for(Driver::Coop { conns: Some(conns) });
-        if let Some(w) = watch_sink.as_mut() {
-            plan = plan.attach(w);
-        }
-        let report = observers.attach(plan).run(&mut fleet);
-        println!("\n{}", display::fleet_report(&report.fleet));
-        return observers.finish();
-    }
-    if matches!(mode, DriverMode::Concurrent | DriverMode::Both) {
-        let mut plan = plan_for(Driver::Threaded);
-        if let Some(w) = watch_sink.as_mut() {
-            plan = plan.attach(w);
-        }
-        let report = observers.attach(plan).run(&mut fleet);
-        println!("\n{}", display::fleet_report(&report.fleet));
-    }
-    if matches!(mode, DriverMode::Serial | DriverMode::Both) {
-        // A fresh fleet for the serial pass: each transport's real clock
-        // starts at zero, like the virtual-wire path rebuilds its fleet.
-        let mut plan = plan_for(Driver::Serial);
-        if let Some(w) = watch_sink.as_mut() {
-            plan = plan.attach(w);
-        }
-        let report = observers.attach(plan).run(&mut build_remote_fleet(&addrs)?);
-        println!("\n{}", display::fleet_report(&report.fleet));
-    }
-    observers.finish()
+    let conns = conns.unwrap_or(DEFAULT_REMOTE_CONNS).min(walkers);
+    println!(
+        "driver: cooperative — one thread, {walkers} walker(s) pipelined over \
+         {conns} connection(s) per site{}",
+        if steal { ", stealing enabled" } else { "" }
+    );
+    drive_fleet(common, fleet, walkers, Some(conns), watch, steal, telemetry)
 }
 
 fn describe(common: &Common) -> Result<(), String> {
@@ -1112,13 +991,13 @@ fn run_sample_plan<T>(
     task: &mut SiteTask<T>,
     schema: &Schema,
     requested: &[String],
-    driver: Driver,
     walkers: usize,
+    conns: Option<usize>,
     watch: bool,
     telemetry: &TelemetryOpts,
 ) -> Result<(RunReport, Vec<Histogram>), String>
 where
-    T: Transport + AsyncTransport + Clocked + Send,
+    T: Transport + AsyncTransport + Clocked,
 {
     let scope = scope_query(schema, &common.binds)?;
     let mut hists = wanted_histograms(schema, requested)?;
@@ -1130,7 +1009,7 @@ where
         .seed(common.seed)
         .slider(common.slider)
         .scope(scope)
-        .driver(driver)
+        .driver(Driver::Coop { conns })
         .attach(&mut progress);
     for hist in hists.iter_mut() {
         plan = plan.attach(hist);
@@ -1182,8 +1061,8 @@ fn sample(
     locator: Option<&str>,
     histograms: &[String],
     record: Option<&str>,
-    coop_walkers: Option<usize>,
-    coop_conns: Option<usize>,
+    walkers: usize,
+    conns: Option<usize>,
     watch: bool,
     telemetry: &TelemetryOpts,
     l2: Option<&str>,
@@ -1203,47 +1082,31 @@ fn sample(
             schema.arity()
         );
     }
-    let (driver, walker_count) = match (&loc, coop_walkers) {
-        (SiteLocator::Http { addr }, Some(w)) => {
-            // Without an explicit --coop-conns, fan out over a reactor-
-            // sized default: the event-driven server multiplexes them all
-            // on epoll, and `.min(w)` keeps small fleets at one socket
-            // per walker.
-            let conns = coop_conns
-                .unwrap_or(DEFAULT_REMOTE_COOP_CONNS)
-                .min(w.max(1));
-            println!(
-                "sampling live server http://{addr}: {w} cooperative walker(s) on one \
-                 thread, {conns} pipelined connection(s)"
-            );
-            (Driver::Coop { conns: Some(conns) }, w)
-        }
-        (SiteLocator::Http { addr }, None) => {
-            println!("sampling live server http://{addr} over real TCP");
-            (Driver::Threaded, 1)
-        }
-        (_, Some(w)) => (Driver::Coop { conns: coop_conns }, w),
-        (_, None) => (Driver::Threaded, 1),
+    let conns = if let SiteLocator::Http { addr } = &loc {
+        // Without an explicit --conns, fan out over a reactor-sized
+        // default: the event-driven server multiplexes them all on epoll,
+        // and `.min(walkers)` keeps small runs at one socket per walker.
+        let conns = conns.unwrap_or(DEFAULT_REMOTE_CONNS).min(walkers);
+        println!(
+            "sampling live server http://{addr} over real TCP: {walkers} walker(s), \
+             {conns} connection(s)"
+        );
+        Some(conns)
+    } else {
+        conns
     };
     let (report, hists) = run_sample_plan(
-        common,
-        &mut task,
-        &schema,
-        histograms,
-        driver,
-        walker_count,
-        watch,
-        telemetry,
+        common, &mut task, &schema, histograms, walkers, conns, watch, telemetry,
     )?;
     let site = report.site();
     print_session_block(site);
     if let Some(log) = task.l2() {
         println!("l2 history: persisted under `{}`", log.dir().display());
     }
-    if let Some(details) = &report.details {
+    if walkers > 1 {
         println!(
-            "coop: {} walker machine(s) over {} pipelined connection(s), {} history hits",
-            walker_count, details[0].connections, site.history_hits
+            "walkers: {walkers} walk machine(s) over {} pipelined connection(s), {} history hits",
+            report.details[0].connections, site.history_hits
         );
     }
     check_site_stopped(site)?;
@@ -1371,7 +1234,7 @@ mod tests {
             None,
             &["make".into()],
             None,
-            None,
+            1,
             None,
             false,
             &TelemetryOpts::default(),
@@ -1393,7 +1256,7 @@ mod tests {
             Some("local:vehicles-compact?n=400&k=50&seed=9"),
             &["make".into()],
             None,
-            None,
+            1,
             None,
             false,
             &TelemetryOpts::default(),
@@ -1406,7 +1269,7 @@ mod tests {
             Some("local:vehicles-compat?n=400"),
             &[],
             None,
-            None,
+            1,
             None,
             false,
             &TelemetryOpts::default(),
@@ -1431,7 +1294,7 @@ mod tests {
             Some("local:vehicles-compact?n=400&k=50&seed=4"),
             &["make".into()],
             Some(&tape_str),
-            None,
+            1,
             None,
             false,
             &TelemetryOpts::default(),
@@ -1443,7 +1306,7 @@ mod tests {
             Some(&format!("replay:{tape_str}")),
             &["make".into()],
             None,
-            None,
+            1,
             None,
             false,
             &TelemetryOpts::default(),
@@ -1486,7 +1349,6 @@ mod tests {
             2,
             &[100],
             0,
-            DriverMode::Both,
             None,
             false,
             None,
@@ -1506,15 +1368,14 @@ mod tests {
         };
         let spec =
             ChaosSpec::parse("seed=3,throttle=0.15,retry_after=80,fail=0.05,drop=0.03").unwrap();
-        // The adversarial fleet still converges, under both the threaded
-        // and the cooperative (stealing) drivers.
+        // The adversarial fleet still converges, with and without
+        // work-stealing.
         multi_site(
             &common,
             3,
             2,
             &[40],
             0,
-            DriverMode::Concurrent,
             None,
             false,
             Some(spec.clone()),
@@ -1528,7 +1389,6 @@ mod tests {
             2,
             &[40],
             0,
-            DriverMode::Coop,
             None,
             false,
             Some(spec),
@@ -1556,7 +1416,7 @@ mod tests {
             None,
             &["make".into()],
             None,
-            None,
+            1,
             None,
             false,
             &TelemetryOpts::default(),
@@ -1586,7 +1446,7 @@ mod tests {
             None,
             &["make".into()],
             None,
-            Some(16),
+            16,
             Some(2),
             false,
             &TelemetryOpts::default(),
@@ -1624,7 +1484,7 @@ mod tests {
             None,
             &["make".into()],
             None,
-            None,
+            1,
             None,
             false,
             &TelemetryOpts::default(),
@@ -1654,7 +1514,6 @@ mod tests {
             4,
             &[100],
             0,
-            DriverMode::Coop,
             None,
             false,
             None,
@@ -1678,7 +1537,6 @@ mod tests {
             2,
             &[50, 100, 250],
             20,
-            DriverMode::Concurrent,
             None,
             false,
             None,
@@ -1703,7 +1561,6 @@ mod tests {
             1,
             &[100],
             0,
-            DriverMode::Concurrent,
             None,
             false,
             None,
@@ -1721,7 +1578,6 @@ mod tests {
             1,
             &[100],
             0,
-            DriverMode::Concurrent,
             None,
             false,
             None,
@@ -1766,7 +1622,7 @@ mod tests {
                 Some("local:vehicles-compact?n=400&k=50&seed=9&latency=40"),
                 &[],
                 None,
-                Some(4),
+                4,
                 Some(2),
                 false,
                 &TelemetryOpts::new(Some(path.to_str().unwrap().to_string()), None),
@@ -1780,7 +1636,7 @@ mod tests {
         let b = std::fs::read(&p2).unwrap();
         assert!(!a.is_empty(), "the journal must not be empty");
         assert_eq!(a, b, "seeded virtual-wire journals replay bit-identically");
-        // The cooperative driver journals the full span stream.
+        // The journal carries the full span stream.
         let events = read_journal(&p1).unwrap();
         assert!(events.iter().any(|e| e.kind == "wire"));
         assert!(events.iter().any(|e| e.kind == "sample"));

@@ -176,11 +176,6 @@ pub fn summary(stats: &SamplerStats) -> String {
 pub fn fleet_report(report: &FleetReport) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
-    let mode = if report.concurrent {
-        "concurrent"
-    } else {
-        "serial"
-    };
     let _ = writeln!(
         out,
         "  {:<10} {:>8} {:>9} {:>10} {:>8} {:>8} {:>10} {:>7} {:>11}  stopped",
@@ -221,7 +216,7 @@ pub fn fleet_report(report: &FleetReport) -> String {
     };
     let _ = writeln!(
         out,
-        "  fleet ({mode}): {} samples over {} sites in {:.1} s — {rate} samples/s, {} fetches",
+        "  fleet: {} samples over {} sites in {:.1} s — {rate} samples/s, {} fetches",
         report.total_samples(),
         report.sites.len(),
         report.fleet_elapsed_ms as f64 / 1_000.0,
@@ -274,7 +269,6 @@ mod tests {
         let report = FleetReport {
             sites: vec![],
             fleet_elapsed_ms: 0,
-            concurrent: true,
         };
         let text = fleet_report(&report);
         assert!(text.contains("n/a samples/s"), "{text}");
@@ -302,7 +296,6 @@ mod tests {
         let report = FleetReport {
             sites: vec![site],
             fleet_elapsed_ms: 4_200,
-            concurrent: true,
         };
         let text = fleet_report(&report);
         assert!(text.contains("retries"), "{text}");

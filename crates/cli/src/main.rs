@@ -11,7 +11,7 @@
 //!                     --proportion make=Toyota --avg price_usd
 //! hdsampler validate  --source vehicles-compact --n 5000 --samples 400 --attr make
 //! hdsampler multi-site --sites 16 --walkers 4 --latency 50,100,250 --jitter 20 \
-//!                     --samples 100 --driver both
+//!                     --samples 100 --steal
 //! hdsampler serve     --port 8000 --workers 4 --n 8000 --k 250
 //! hdsampler sample    --remote 127.0.0.1:8000 --n 8000 --k 250 --samples 200
 //! ```

@@ -4,12 +4,17 @@
 
 use std::sync::Arc;
 
+use hdsampler_core::{
+    CachingExecutor, HdsSampler, QueryExecutor as _, SampleSink, SamplingSession,
+};
+use hdsampler_estimator::Histogram;
 use hdsampler_hidden_db::HiddenDb;
+use hdsampler_model::AttrId;
 use hdsampler_model::FormInterface as _;
 use hdsampler_server::{HttpServer, ServerConfig, ServerHandle};
 use hdsampler_webform::{
-    ConnectOptions, ConnectorRegistry, Driver, HttpTransport, LocalSite, RunPlan, SiteLocator,
-    SiteTask, WebFormInterface,
+    ConnectOptions, ConnectorRegistry, HttpTransport, LocalSite, RunPlan, SiteLocator, SiteTask,
+    WebFormInterface,
 };
 use hdsampler_workload::{resolve_dataset, DbConfig, WorkloadSpec};
 
@@ -36,10 +41,7 @@ fn keys(samples: &hdsampler_core::SampleSet) -> Vec<u64> {
 }
 
 fn plan(target: usize, seed: u64) -> RunPlan<'static> {
-    RunPlan::target(target)
-        .walkers(1)
-        .seed(seed)
-        .driver(Driver::Threaded)
+    RunPlan::target(target).walkers(1).seed(seed)
 }
 
 /// The headline acceptance criterion: `sample http://addr` with *zero*
@@ -150,17 +152,78 @@ fn committed_replay_fixture_is_fresh() {
     assert_eq!(task.iface.result_limit(), 50, "k comes off the taped `/`");
     drop(task);
 
-    // The CLI's defaults: slider 0, seed 2009, one threaded walker.
-    let (report, _fleet) = RunPlan::target(25)
-        .walkers(1)
-        .seed(2009)
-        .driver(Driver::Threaded)
-        .run_locators(&[loc])
-        .unwrap();
+    // The CLI's defaults: slider 0, seed 2009, one walker.
+    let (report, _fleet) = plan(25, 2009).run_locators(&[loc]).unwrap();
     assert_eq!(
         report.site().samples.len(),
         25,
         "stale fixture? stopped: {:?} — regenerate it (see test doc)",
         report.site().stopped
     );
+}
+
+/// What one session observed: sample keys, logical requests, charged
+/// fetches and the online histogram over the first attribute.
+type Observed = (Vec<u64>, u64, u64, Vec<f64>);
+
+/// The front door's one-walker plan against the same session composed by
+/// hand from a blocking sampler: both must see the identical session on
+/// every wire.
+fn front_door_matches_hand_built(loc: &str, target: usize) {
+    let loc = SiteLocator::parse(loc).unwrap();
+    let connect = || {
+        ConnectorRegistry::standard()
+            .connect(&loc, &ConnectOptions::default())
+            .unwrap()
+    };
+
+    let mut task = connect();
+    let schema = task.iface.schema().clone();
+    let mut hist = Histogram::new(&schema, AttrId(0));
+    let report = RunPlan::target(target)
+        .walkers(1)
+        .attach(&mut hist)
+        .run(std::slice::from_mut(&mut task));
+    let site = report.site();
+    let front: Observed = (
+        keys(&site.samples),
+        site.requests,
+        site.queries_issued,
+        hist.counts().to_vec(),
+    );
+
+    let task = connect();
+    let exec = CachingExecutor::new(&task.iface);
+    let cfg = RunPlan::target(target).fleet_config().walker_config(0, 0);
+    let mut sampler = HdsSampler::new(&exec, cfg).unwrap();
+    let mut hist = Histogram::new(&schema, AttrId(0));
+    let outcome = {
+        let mut sinks: Vec<&mut dyn SampleSink> = vec![&mut hist];
+        SamplingSession::new(target).run_observed(&mut sampler, &mut sinks, |_| {})
+    };
+    let hand: Observed = (
+        keys(&outcome.samples),
+        exec.requests(),
+        exec.queries_issued(),
+        hist.counts().to_vec(),
+    );
+
+    assert_eq!(front.0.len(), target, "{loc}: {:?}", site.stopped);
+    assert_eq!(
+        front, hand,
+        "{loc}: the front door drifted from the blocking session"
+    );
+}
+
+#[test]
+fn front_door_is_the_blocking_session_on_every_wire() {
+    front_door_matches_hand_built("local:vehicles-compact?n=2000&k=100&seed=5", 150);
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/replay_smoke.jsonl"
+    );
+    front_door_matches_hand_built(&format!("replay:{fixture}"), 25);
+    let handle = serve("vehicles-compact", 2000, 100, 5);
+    front_door_matches_hand_built(&format!("http://{}", handle.addr()), 150);
+    handle.shutdown();
 }

@@ -64,5 +64,5 @@ pub use sink::{merged, observe_all, NullSink, SampleEvent, SampleSetSink, Sample
 pub use stats::SamplerStats;
 pub use trace::{
     merged_trace, parse_exposition, trace_all, MetricsRegistry, MetricsSink, NullTraceSink,
-    SampleTraceSink, TraceEvent, TraceLog, TraceSink, Tracer, LATENCY_BUCKETS_MS,
+    TraceEvent, TraceLog, TraceSink, Tracer, LATENCY_BUCKETS_MS,
 };

@@ -9,9 +9,10 @@
 //!
 //! [`SamplingSession`] drives any [`Sampler`] toward a target count,
 //! surfacing progress through an event callback (the AJAX live-update path
-//! of the original demo) and honouring a shared kill switch. A parallel
-//! variant ([`SamplingSession::run_parallel`]) fans walkers out over
-//! threads that share one interface, budget and history cache.
+//! of the original demo) and honouring a shared kill switch. Many walkers
+//! over many sites run cooperatively on one thread through
+//! `hdsampler_webform::RunPlan`; this session is the blocking
+//! single-sampler loop.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -79,8 +80,8 @@ impl SamplingSession {
         }
     }
 
-    /// Label every emitted [`SampleEvent`] with this site index (fleet
-    /// drivers run one session per site; default 0).
+    /// Label every emitted [`SampleEvent`] with this site index
+    /// (default 0).
     pub fn with_site(mut self, site: usize) -> Self {
         self.site = site;
         self
@@ -153,150 +154,6 @@ impl SamplingSession {
             samples,
             reason,
             stats: sampler.stats(),
-        }
-    }
-
-    /// Parallel variant: spawn `workers` samplers built by `make_sampler`
-    /// (one per thread, typically sharing an `Arc`'d executor/cache) and
-    /// merge their samples until the global target is met.
-    ///
-    /// Ordering of the merged samples is nondeterministic; the *set* is
-    /// reproducible only under a single worker. The outcome's stats merge
-    /// every worker's counters ([`SamplerStats::merge_worker`]):
-    /// sampler-local counters sum, the executor-view counters take the max
-    /// (exact when the workers share one executor). `accepted` counts
-    /// samples *produced*, which can exceed the collected set when workers
-    /// overshoot the target before the kill switch reaches them.
-    pub fn run_parallel<S, F>(&self, workers: usize, make_sampler: F) -> SessionOutcome
-    where
-        S: Sampler,
-        F: Fn(usize) -> S + Sync,
-    {
-        self.run_parallel_observed(workers, make_sampler, &mut [])
-    }
-
-    /// [`SamplingSession::run_parallel`] with streaming observation: each
-    /// sink is [`fork`](SampleSink::fork)ed once per worker, a worker's
-    /// accepted samples are observed into its fork (in that worker's
-    /// production order, as the collector admits them to the shared set),
-    /// and the forks are [`merge`](SampleSink::merge)d back in worker
-    /// order on join. As in the single-threaded path, the sinks' final
-    /// state describes exactly the collected sample set — overshoot
-    /// samples a worker produced after the target was met are observed by
-    /// no sink.
-    pub fn run_parallel_observed<S, F>(
-        &self,
-        workers: usize,
-        make_sampler: F,
-        sinks: &mut [&mut dyn SampleSink],
-    ) -> SessionOutcome
-    where
-        S: Sampler,
-        F: Fn(usize) -> S + Sync,
-    {
-        assert!(workers >= 1, "need at least one worker");
-        let (tx, rx) =
-            crossbeam::channel::unbounded::<(usize, Result<Sample, SamplerError>, SamplerStats)>();
-        // One fork per (sink, worker); merged back in worker order after
-        // the scope joins.
-        let mut forks: Vec<Vec<Box<dyn SampleSink>>> = sinks
-            .iter()
-            .map(|s| (0..workers).map(|_| s.fork()).collect())
-            .collect();
-        let kill = &self.kill;
-        // Run-local stop flag. Workers are told to wind down through this,
-        // *never* by storing into the user-facing kill switch: the session
-        // (and every `kill_switch()` handle a UI holds) must stay reusable
-        // for another run, and a latched kill switch would make every later
-        // run return 0 samples as `Killed`.
-        let stop = AtomicBool::new(false);
-        let stop = &stop;
-        let target = self.target;
-
-        let mut samples = SampleSet::new();
-        let mut reason = StopReason::TargetReached;
-        let mut merged_stats = SamplerStats::default();
-
-        crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let tx = tx.clone();
-                let make_sampler = &make_sampler;
-                handles.push(scope.spawn(move |_| {
-                    let mut sampler = make_sampler(w);
-                    loop {
-                        if stop.load(Ordering::Relaxed) || kill.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let out = sampler.next_sample();
-                        let is_err = out.is_err();
-                        if tx.send((w, out, sampler.stats())).is_err() || is_err {
-                            break;
-                        }
-                    }
-                    drop(tx);
-                    sampler.stats()
-                }));
-            }
-            drop(tx);
-
-            while samples.len() < target {
-                match rx.recv() {
-                    Ok((w, Ok(s), stats)) => {
-                        let collected = samples.len() + 1;
-                        let ev = SampleEvent {
-                            sample: &s,
-                            site: self.site,
-                            walker: w,
-                            collected,
-                            target,
-                            queries: stats.queries_issued,
-                            requests: stats.requests,
-                        };
-                        for worker_forks in forks.iter_mut() {
-                            worker_forks[w].observe(&ev);
-                        }
-                        samples.push(s);
-                    }
-                    Ok((_, Err(SamplerError::BudgetExhausted { .. }), _)) => {
-                        reason = StopReason::BudgetExhausted;
-                        break;
-                    }
-                    Ok((_, Err(e), _)) => {
-                        reason = StopReason::Failed(e);
-                        break;
-                    }
-                    Err(_) => {
-                        reason = StopReason::Failed(SamplerError::Config(
-                            "all workers exited before reaching the target".into(),
-                        ));
-                        break;
-                    }
-                }
-            }
-            if self.kill.load(Ordering::Relaxed) && samples.len() < target {
-                reason = StopReason::Killed;
-            }
-            // Stop workers, then collect each worker's final counters.
-            stop.store(true, Ordering::Relaxed);
-            for handle in handles {
-                let worker_stats = handle.join().expect("worker panicked");
-                merged_stats.merge_worker(&worker_stats);
-            }
-            while rx.try_recv().is_ok() {}
-        })
-        .expect("worker panicked");
-
-        for (sink, worker_forks) in sinks.iter_mut().zip(forks) {
-            for fork in worker_forks {
-                sink.merge(fork);
-            }
-        }
-
-        SessionOutcome {
-            samples,
-            reason,
-            stats: merged_stats,
         }
     }
 }
@@ -372,51 +229,6 @@ mod tests {
     }
 
     #[test]
-    fn session_is_reusable_after_run_parallel() {
-        // Regression: `run_parallel` used to stop its workers by latching
-        // `self.kill` to true and never resetting it, so a second
-        // `run`/`run_parallel` on the same session returned 0 samples with
-        // `StopReason::Killed` — and every `kill_switch()` Arc handed to a
-        // UI read as permanently tripped.
-        use crate::history::CachingExecutor;
-        let db = figure1_db(1);
-        let exec = Arc::new(CachingExecutor::new(&db));
-        let session = SamplingSession::new(20);
-        let kill = session.kill_switch();
-
-        let first = session.run_parallel(3, |w| {
-            HdsSampler::new(Arc::clone(&exec), SamplerConfig::seeded(500 + w as u64))
-                .expect("valid config")
-        });
-        assert_eq!(first.reason, StopReason::TargetReached);
-        assert_eq!(first.samples.len(), 20);
-        assert!(
-            !kill.load(Ordering::Relaxed),
-            "finishing a run must not trip the user-facing kill switch"
-        );
-
-        // Same session object, second parallel run: must reach the target
-        // again instead of dying instantly as Killed.
-        let second = session.run_parallel(3, |w| {
-            HdsSampler::new(Arc::clone(&exec), SamplerConfig::seeded(900 + w as u64))
-                .expect("valid config")
-        });
-        assert_eq!(second.reason, StopReason::TargetReached);
-        assert_eq!(second.samples.len(), 20);
-
-        // And the single-threaded entry point still works on it too.
-        let mut s = HdsSampler::new(Arc::clone(&exec), SamplerConfig::seeded(7)).unwrap();
-        let third = session.run(&mut s, |_| {});
-        assert_eq!(third.reason, StopReason::TargetReached);
-        assert_eq!(third.samples.len(), 20);
-
-        // The kill switch itself still functions after all that.
-        kill.store(true, Ordering::Relaxed);
-        let killed = session.run(&mut s, |_| {});
-        assert_eq!(killed.reason, StopReason::Killed);
-    }
-
-    #[test]
     fn observed_run_streams_every_collected_sample() {
         use crate::sink::{SampleSetSink, SampleSink as _};
         let db = figure1_db(1);
@@ -451,61 +263,5 @@ mod tests {
         let forked = collector.fork();
         collector.merge(forked);
         assert_eq!(collector.set().len(), 30);
-    }
-
-    #[test]
-    fn parallel_observed_sinks_describe_the_collected_set() {
-        use crate::history::CachingExecutor;
-        use crate::sink::{SampleSetSink, SampleSink};
-        let db = figure1_db(1);
-        let exec = Arc::new(CachingExecutor::new(&db));
-        let session = SamplingSession::new(40);
-        let mut collector = SampleSetSink::new();
-        let out = {
-            let mut sinks: Vec<&mut dyn SampleSink> = vec![&mut collector];
-            session.run_parallel_observed(
-                3,
-                |w| {
-                    HdsSampler::new(Arc::clone(&exec), SamplerConfig::seeded(40 + w as u64))
-                        .expect("valid config")
-                },
-                &mut sinks,
-            )
-        };
-        assert_eq!(out.reason, StopReason::TargetReached);
-        // Same multiset of samples: merge groups per worker, so only the
-        // (key-sorted) contents are comparable, not the interleaving.
-        let mut observed = collector.set().keys();
-        let mut collected = out.samples.keys();
-        observed.sort_unstable();
-        collected.sort_unstable();
-        assert_eq!(observed, collected);
-        assert_eq!(collector.set().len(), 40, "no overshoot reaches the sink");
-    }
-
-    #[test]
-    fn parallel_session_reaches_target_on_shared_cache() {
-        use crate::executor::QueryExecutor as _;
-        use crate::history::CachingExecutor;
-        let db = figure1_db(1);
-        let exec = Arc::new(CachingExecutor::new(&db));
-        let session = SamplingSession::new(60);
-        let out = session.run_parallel(4, |w| {
-            HdsSampler::new(Arc::clone(&exec), SamplerConfig::seeded(100 + w as u64))
-                .expect("valid config")
-        });
-        assert_eq!(out.reason, StopReason::TargetReached);
-        assert_eq!(out.samples.len(), 60);
-        // All sampled rows are genuine database tuples.
-        for row in out.samples.rows() {
-            assert!(db.oracle().tuple_by_key(row.key).is_some());
-        }
-        // Merged worker stats are real counters, not approximations:
-        // every collected sample was produced by some worker, and the
-        // shared-executor charge figure matches the executor exactly.
-        assert!(out.stats.accepted >= out.samples.len() as u64);
-        assert!(out.stats.walks >= out.stats.accepted);
-        assert_eq!(out.stats.queries_issued, exec.queries_issued());
-        assert_eq!(out.stats.requests, exec.requests());
     }
 }

@@ -5,8 +5,8 @@
 //! final sample set and histograms till the desired number of samples are
 //! obtained" (§3.4). A [`SampleSink`] is the Output Module's intake: every
 //! execution path (a [`SamplingSession`](crate::session::SamplingSession)
-//! run, its parallel variant, and the webform fleet drivers) emits each
-//! accepted sample into the attached sinks *as it is accepted*, so
+//! run and the webform fleet driver) emits each accepted sample into the
+//! attached sinks *as it is accepted*, so
 //! estimators can maintain live state mid-run instead of waiting for the
 //! session to end.
 //!

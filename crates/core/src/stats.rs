@@ -73,7 +73,8 @@ impl SamplerStats {
         }
     }
 
-    /// Fold another worker's counters into this one (parallel sessions).
+    /// Fold another walker's counters into this one (a fleet site's
+    /// walkers).
     ///
     /// Sampler-local counters (walks, candidates, accepted, …) add up.
     /// The executor-view counters (`requests`, `queries_issued`) take the

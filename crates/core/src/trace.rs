@@ -2,7 +2,7 @@
 //!
 //! HDSampler's premise is inferring structure from per-query
 //! observations, so the reproduction observes *itself* with the same
-//! rigor: every driver emits typed [`TraceEvent`]s (walk steps, cache
+//! rigor: the fleet driver emits typed [`TraceEvent`]s (walk steps, cache
 //! hits, wire submits/completions, backoff sleeps, steals and stalls)
 //! into attached [`TraceSink`]s, mirroring the
 //! [`SampleSink`](crate::sink::SampleSink) fork/merge design so the same
@@ -29,8 +29,6 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-
-use crate::sink::{SampleEvent, SampleSink};
 
 /// One observability event. Flat on purpose — the vendored JSON layer
 /// round-trips plain structs, and a flat record is what line-oriented
@@ -76,11 +74,12 @@ pub struct TraceEvent {
     pub queue_ms: u64,
 }
 
-/// A streaming observer of trace events — [`SampleSink`]'s sibling, with
-/// the identical fork/merge contract: forks observe one worker's (or
-/// site's) stream, merges fold them back in worker order, so parallel
-/// observation is deterministic for order-insensitive sinks and the
-/// single-threaded paths are bit-exact.
+/// A streaming observer of trace events — the sibling of
+/// [`SampleSink`](crate::sink::SampleSink), with the identical fork/merge
+/// contract: forks observe one worker's (or site's) stream, merges fold
+/// them back in worker order, so parallel observation is deterministic
+/// for order-insensitive sinks and the single-threaded paths are
+/// bit-exact.
 pub trait TraceSink: Send + 'static {
     /// Observe one event.
     fn observe(&mut self, event: &TraceEvent);
@@ -222,58 +221,6 @@ impl<'r, 's> Tracer<'r, 's> {
     /// Deliver `event` to every attached sink.
     pub fn emit(&mut self, event: &TraceEvent) {
         trace_all(self.sinks, event);
-    }
-}
-
-/// A [`SampleSink`] that mirrors accepted samples into trace events —
-/// how the threaded and serial drivers (which predate tracing) feed a
-/// journal without new plumbing: attach the bridge as a sample sink,
-/// then drain [`SampleTraceSink::take`] into the trace sinks after the
-/// run. Forks start empty and merges concatenate, inheriting the sample
-/// plumbing's determinism.
-#[derive(Debug, Clone, Default)]
-pub struct SampleTraceSink {
-    events: Vec<TraceEvent>,
-}
-
-impl SampleTraceSink {
-    /// Empty bridge.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Drain the mirrored events.
-    pub fn take(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.events)
-    }
-}
-
-impl SampleSink for SampleTraceSink {
-    fn observe(&mut self, event: &SampleEvent<'_>) {
-        self.events.push(TraceEvent {
-            kind: "sample".into(),
-            site: event.site as u64,
-            walker: event.walker as u64,
-            seq: event.collected as u64,
-            ..TraceEvent::default()
-        });
-    }
-
-    fn fork(&self) -> Box<dyn SampleSink> {
-        Box::new(SampleTraceSink::new())
-    }
-
-    fn merge(&mut self, other: Box<dyn SampleSink>) {
-        let other = crate::sink::merged::<SampleTraceSink>(other);
-        self.events.extend(other.events);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
     }
 }
 
@@ -604,34 +551,6 @@ mod tests {
         assert_eq!(b.events().len(), 1);
         let mut none: Vec<&mut dyn TraceSink> = vec![];
         assert!(!Tracer::new(&mut none).enabled());
-    }
-
-    #[test]
-    fn sample_trace_bridge_mirrors_sample_events() {
-        use crate::sample::{Sample, SampleMeta};
-        use hdsampler_model::Row;
-        let s = Sample {
-            row: Row::new(7, vec![0], vec![]),
-            weight: 1.0,
-            meta: SampleMeta::default(),
-        };
-        let mut bridge = SampleTraceSink::new();
-        bridge.observe(&SampleEvent {
-            sample: &s,
-            site: 2,
-            walker: 3,
-            collected: 4,
-            target: 10,
-            queries: 12,
-            requests: 20,
-        });
-        let events = bridge.take();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].kind, "sample");
-        assert_eq!(events[0].site, 2);
-        assert_eq!(events[0].walker, 3);
-        assert_eq!(events[0].seq, 4);
-        assert!(bridge.take().is_empty());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! End-to-end: the cooperative pipelined walker drives a *live*
 //! `hdsampler-server` over loopback TCP — hundreds of in-flight requests
 //! multiplexed onto a handful of connections by one thread — and each
-//! walker's sample sequence equals what the thread-per-walker stack
+//! walker's sample sequence equals what a standalone blocking sampler
 //! produces for the same (site, walker) seed.
 
 use std::sync::Arc;
@@ -47,9 +47,8 @@ fn remote_task(server: &ServerHandle, schema: &Arc<Schema>, k: usize) -> SiteTas
 #[test]
 fn coop_sequences_over_tcp_match_per_walker_seeds() {
     // The cooperative driver over a real socket must produce, per walker,
-    // exactly the sample sequence a standalone thread-style HdsSampler
-    // produces for the same FleetConfig::walker_config seed — the
-    // interchangeability guarantee between the two drivers, now checked
+    // exactly the sample sequence a standalone blocking HdsSampler
+    // produces for the same FleetConfig::walker_config seed, checked
     // through HTTP parsing, scraping and the shared history cache.
     let (server, schema, k) = serve(vehicles_db(4242));
     let cfg = FleetConfig {

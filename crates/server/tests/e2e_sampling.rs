@@ -10,9 +10,7 @@ use hdsampler_core::{DirectExecutor, HdsSampler, Sampler, SamplerConfig};
 use hdsampler_hidden_db::HiddenDb;
 use hdsampler_model::{FormInterface, Schema};
 use hdsampler_server::{HttpServer, ServerConfig, ServerHandle};
-use hdsampler_webform::{
-    FleetConfig, HttpTransport, LocalSite, MultiSiteDriver, SiteTask, WebFormInterface,
-};
+use hdsampler_webform::{HttpTransport, LocalSite, RunPlan, SiteTask, WebFormInterface};
 use hdsampler_workload::{DbConfig, VehiclesSpec, WorkloadSpec};
 
 fn vehicles_db(seed: u64, budget: Option<u64>) -> HiddenDb {
@@ -85,9 +83,9 @@ fn sampling_over_loopback_tcp_matches_in_process() {
 }
 
 #[test]
-fn multi_site_driver_samples_live_servers() {
-    // Two live servers, each its own data; the unmodified MultiSiteDriver
-    // drives both over real TCP.
+fn run_plan_samples_live_servers() {
+    // Two live servers, each its own data; one unmodified RunPlan drives
+    // both over real TCP.
     let (s0, schema, k) = serve(vehicles_db(40, None));
     let (s1, _, _) = serve(vehicles_db(41, None));
     let mut tasks: Vec<SiteTask<HttpTransport>> = [&s0, &s1]
@@ -105,15 +103,9 @@ fn multi_site_driver_samples_live_servers() {
             )
         })
         .collect();
-    let driver = MultiSiteDriver::new(FleetConfig {
-        walkers_per_site: 2,
-        target_per_site: 15,
-        seed: 5,
-        ..FleetConfig::default()
-    });
-    let report = driver.run_concurrent(&mut tasks);
+    let report = RunPlan::target(15).walkers(2).seed(5).run(&mut tasks);
     assert_eq!(report.total_samples(), 30);
-    for site in &report.sites {
+    for site in &report.fleet.sites {
         assert_eq!(site.stopped, hdsampler_core::StopReason::TargetReached);
         assert!(site.queries_issued > 0);
     }

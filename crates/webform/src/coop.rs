@@ -1,13 +1,13 @@
 //! [`CoopDriver`]: one OS thread, hundreds of in-flight form submissions.
 //!
-//! The threaded [`MultiSiteDriver`](crate::driver::MultiSiteDriver) buys
-//! request overlap by spending one OS thread per walker — each blocking
-//! [`Transport::fetch`] parks a whole stack while its single request rides
-//! the wire. That is the wrong currency for a scraper whose cost model is
-//! round trips: at fleet scale the interesting number is how many
-//! submissions are in flight, and threads cap it at "how many stacks fit".
+//! This is the engine behind every [`RunPlan`](crate::plan::RunPlan), from
+//! a one-site, one-walker `sample` session to a many-site adversarial
+//! fleet. The paper's cost model is round trips, so a scraper's
+//! throughput question is how many submissions it keeps in flight.
+//! Spending one OS thread per walker caps that at "how many stacks fit";
+//! parking each walker's state machine caps it at memory.
 //!
-//! This driver multiplexes instead. Every walker is a
+//! The driver multiplexes. Every walker is a
 //! [`WalkMachine`](hdsampler_core::WalkMachine) — the HIDDEN-DB-SAMPLER
 //! walk as a resumable state machine — parked whenever its next query is
 //! on the wire:
@@ -28,9 +28,10 @@
 //! it — virtual wires would otherwise bill time-travelling walks.
 //!
 //! Seed for seed, walker (s, w) produces the *identical* sample sequence
-//! under this driver and under the thread-per-walker driver: both run the
-//! same machine over the same [`FleetConfig::walker_config`] seeds, and
-//! the history cache answers are semantically equal to the wire's.
+//! as a standalone blocking [`HdsSampler`](hdsampler_core::HdsSampler)
+//! over the same [`FleetConfig::walker_config`] seed: both run the same
+//! machine, and the history cache answers are semantically equal to the
+//! wire's.
 //!
 //! ## Adversarial sites: backoff and work-stealing
 //!
@@ -139,12 +140,13 @@ struct Harvested {
     result: Result<QueryResponse, InterfaceError>,
 }
 
-/// Per-site detail only the cooperative driver can report.
+/// Per-site walker detail of a run.
 #[derive(Debug)]
 pub struct CoopSiteDetail {
     /// Each walker's sample keys in production order — deterministic per
-    /// (seed, site, walker), and identical to what the same walker
-    /// produces under the thread-per-walker driver.
+    /// (seed, site, walker), and identical to what a standalone
+    /// [`HdsSampler`](hdsampler_core::HdsSampler) with the same seed
+    /// produces.
     pub per_walker_keys: Vec<Vec<u64>>,
     /// Wire connections the site's walkers shared.
     pub connections: usize,
@@ -360,19 +362,20 @@ impl CoopDriver {
             waited_ms: 0,
         };
         loop {
-            let mut all_done = true;
             let mut progress = false;
             for st in &mut states {
                 if st.stopped.is_none() {
                     progress |= self.harvest(st, run_sinks, &mut tracer);
                 }
-                all_done &= st.stopped.is_some();
-            }
-            if all_done {
-                break;
             }
             if self.steal {
                 self.rebalance(&mut states, run_sinks, &mut tracer);
+            }
+            // Checked after the rebalance: a stolen walker can finish the
+            // last running site straight from history, leaving nothing in
+            // flight for `force_earliest` to resolve.
+            if states.iter().all(|st| st.stopped.is_some()) {
+                break;
             }
             if progress {
                 stall.reset();
@@ -425,7 +428,6 @@ impl CoopDriver {
             FleetReport {
                 sites: reports,
                 fleet_elapsed_ms,
-                concurrent: true,
             },
             details,
         )
@@ -1122,7 +1124,6 @@ mod tests {
             .collect();
         let (report, details) = CoopDriver::new(cfg).run_with_details(&mut sites);
         assert_eq!(report.total_samples(), 120);
-        assert!(report.concurrent);
         for (site, detail) in report.sites.iter().zip(&details) {
             assert_eq!(site.stopped, StopReason::TargetReached);
             assert_eq!(detail.connections, 4);
@@ -1144,8 +1145,7 @@ mod tests {
     fn per_walker_sequences_match_the_thread_walker_sampler() {
         // Walker (s, w) must produce the identical seeded sample sequence
         // under the cooperative driver and under a standalone HdsSampler
-        // with the same FleetConfig::walker_config seed — the guarantee
-        // that makes the two drivers interchangeable.
+        // with the same FleetConfig::walker_config seed.
         let cfg = FleetConfig {
             walkers_per_site: 3,
             target_per_site: 45,
@@ -1195,30 +1195,6 @@ mod tests {
             site.elapsed_ms <= serial_bound,
             "pipelining must overlap: {} vs {serial_bound}",
             site.elapsed_ms
-        );
-    }
-
-    #[test]
-    fn one_thread_matches_threaded_driver_throughput_at_equal_walkers() {
-        let cfg = FleetConfig {
-            walkers_per_site: 4,
-            target_per_site: 60,
-            seed: 21,
-            slider: 0.3,
-            ..FleetConfig::default()
-        };
-        let threaded = MultiSiteDriver::new(cfg.clone())
-            .run_concurrent(&mut [vehicles_task("t", 9, 100, None)]);
-        let coop = CoopDriver::new(cfg).run(&mut [vehicles_task("c", 9, 100, None)]);
-        assert_eq!(threaded.total_samples(), coop.total_samples());
-        // The cooperative driver pays an honest causal floor on cache-hit
-        // resumes that the threaded driver cannot account; parity within
-        // 25% (it is usually well within a few percent).
-        assert!(
-            coop.samples_per_vsec() >= threaded.samples_per_vsec() * 0.75,
-            "coop {:.1} smp/vs vs threaded {:.1} smp/vs",
-            coop.samples_per_vsec(),
-            threaded.samples_per_vsec()
         );
     }
 
@@ -1277,8 +1253,6 @@ mod tests {
         // All 200 samples in far fewer round trips than walks.
         assert!(site.queries_issued < 100);
     }
-
-    use crate::driver::MultiSiteDriver;
 
     fn chaos_task(
         name: &str,
@@ -1414,6 +1388,69 @@ mod tests {
             with.fleet_elapsed_ms,
             without.fleet_elapsed_ms
         );
+    }
+
+    #[test]
+    fn stolen_walker_finishing_the_last_site_ends_the_run() {
+        // Regression: the loop decided "every site stopped" before the
+        // rebalance. When a freshly stolen walker then finished the last
+        // running site straight from history, and the harvest pass had
+        // made no progress, `force_earliest` found nothing in flight and
+        // hit `unreachable!`. Four 16-walker sites sharing 4 connections
+        // each, sites 0 and 2 heavily throttled, stealing on: the job seed
+        // below panicked before the fix.
+        use crate::chaos::{ChaosSpec, ChaosTransport, RetryPolicy};
+        use hdsampler_workload::{DbConfig, VehiclesSpec, WorkloadSpec};
+        let job_seed = (1u64 << 20) + 15;
+        let mut sites: Vec<_> = (0..4u64)
+            .map(|i| {
+                let db = WorkloadSpec::vehicles(
+                    VehiclesSpec::compact(5_000, 90 + i),
+                    DbConfig::no_counts().with_k(100),
+                )
+                .build();
+                let schema = Arc::new(db.schema().clone());
+                let spec = if i % 2 == 0 {
+                    ChaosSpec {
+                        seed: job_seed.wrapping_mul(4).wrapping_add(i),
+                        latency_ms: 40,
+                        throttle: 0.5,
+                        retry_after_ms: 600,
+                        fail: 0.05,
+                        drop: 0.03,
+                        ..ChaosSpec::default()
+                    }
+                } else {
+                    ChaosSpec {
+                        latency_ms: 40,
+                        ..ChaosSpec::default()
+                    }
+                };
+                let wire = ChaosTransport::new(LocalSite::new(db, Arc::clone(&schema)), spec);
+                let iface =
+                    WebFormInterface::new(wire, schema, 100, false).with_retry(RetryPolicy {
+                        max_retries: 20,
+                        base_backoff_ms: 25,
+                        max_backoff_ms: 600,
+                    });
+                SiteTask::new(format!("site-{i}"), iface)
+            })
+            .collect();
+        let cfg = FleetConfig {
+            walkers_per_site: 16,
+            target_per_site: 30,
+            seed: job_seed,
+            slider: 0.4,
+            ..FleetConfig::default()
+        };
+        let report = CoopDriver::new(cfg)
+            .with_connections(4)
+            .with_stealing(true)
+            .run(&mut sites);
+        assert_eq!(report.total_samples(), 4 * 30);
+        for site in &report.sites {
+            assert_eq!(site.stopped, StopReason::TargetReached, "{}", site.name);
+        }
     }
 
     #[test]

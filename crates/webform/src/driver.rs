@@ -1,27 +1,23 @@
-//! One process, many sites: the fleet-scale driving loop.
+//! The fleet vocabulary: what a site is, how a fleet is configured, and
+//! what a run reports.
 //!
-//! The paper's cost model is round trips — per-probe CPU is cheap (the
-//! zero-materialization engine made it cheaper), so a scraper's real
-//! throughput question is how many form submissions it keeps in flight.
-//! [`MultiSiteDriver`] runs S simulated sites × W walkers per site in one
-//! process: every walker thread rides its own virtual connection of its
-//! site's [`LatencyTransport`], each site's walkers share one
-//! [`CachingExecutor`] (history inference is per-site — facts learned from
-//! one database must never answer for another), and per-site query budgets
-//! are enforced by the backing interface end-to-end.
+//! A [`SiteTask`] is one site to drive — the scraper stack over its wire,
+//! plus an optional streaming sink and persistent history log.
+//! [`FleetConfig`] sizes the run and derives every walker's seed.
+//! [`SiteReport`] and [`FleetReport`] carry the outcome. The cooperative
+//! [`CoopDriver`](crate::coop::CoopDriver) is the engine that executes a
+//! fleet, and [`RunPlan`](crate::plan::RunPlan) is its front door.
 //!
 //! Accounting follows the per-connection clock model of [`crate::aio`]:
 //! a site's virtual elapsed time is the maximum over its connections, and
-//! the concurrent fleet's elapsed time is the maximum over sites —
-//! overlapping requests overlap. The serial baseline
-//! ([`MultiSiteDriver::run_serial`]) drives the same sites one after
-//! another on a single connection each, so its fleet time is the sum over
-//! sites; the ratio between the two is the wire-level win concurrency
-//! buys.
+//! the fleet's elapsed time is the maximum over sites — overlapping
+//! requests overlap. Each site's walkers share one history cache
+//! (inference is per-site — facts learned from one database must never
+//! answer for another), and per-site query budgets are enforced by the
+//! backing interface end to end.
 
 use hdsampler_core::{
-    CachingExecutor, HdsSampler, HistoryStats, QueryExecutor, SampleSet, SampleSink, SamplerConfig,
-    SamplerStats, SamplingSession, SessionOutcome, StopReason,
+    HistoryStats, SampleSet, SampleSink, SamplerConfig, SamplerStats, StopReason,
 };
 
 use crate::adapter::WebFormInterface;
@@ -43,8 +39,9 @@ pub struct SiteTask<T> {
     pub iface: WebFormInterface<T>,
     /// Streaming observer of this site's accepted samples.
     pub(crate) sink: Option<Box<dyn SampleSink>>,
-    /// Persistent history log keyed by this site's fingerprint; drivers
-    /// attach it as the L2 tier of the site's [`CachingExecutor`].
+    /// Persistent history log keyed by this site's fingerprint; the
+    /// driver attaches it as the L2 tier of the site's
+    /// [`CachingExecutor`](hdsampler_core::CachingExecutor).
     pub(crate) l2: Option<std::sync::Arc<hdsampler_core::L2Log>>,
 }
 
@@ -104,7 +101,7 @@ impl<T: std::fmt::Debug> std::fmt::Debug for SiteTask<T> {
 /// Fleet-wide driving parameters.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Walker threads (= virtual connections) per site in concurrent mode.
+    /// Walk machines per site.
     pub walkers_per_site: usize,
     /// Samples to collect from each site.
     pub target_per_site: usize,
@@ -132,12 +129,10 @@ impl Default for FleetConfig {
 impl FleetConfig {
     /// Per-(site, walker) sampler configuration with a distinct seed.
     ///
-    /// Shared by every driver — the threaded [`MultiSiteDriver`] and the
-    /// cooperative [`CoopDriver`](crate::coop::CoopDriver) — so walker
-    /// (s, w) walks the identical seeded sequence no matter which driver
-    /// runs it. Golden-ratio mixing keeps (site, walker) seeds distinct
-    /// without any two sites' walkers ever colliding for realistic fleet
-    /// sizes.
+    /// Walker (s, w) walks the identical seeded sequence as a standalone
+    /// [`HdsSampler`](hdsampler_core::HdsSampler) built with this config.
+    /// Golden-ratio mixing keeps (site, walker) seeds distinct without
+    /// any two sites' walkers ever colliding for realistic fleet sizes.
     pub fn walker_config(&self, site_ix: usize, walker: usize) -> SamplerConfig {
         let seed = self
             .seed
@@ -173,7 +168,7 @@ pub struct SiteReport {
     /// milliseconds (virtual on simulated wires).
     pub backoff_vms: u64,
     /// Walkers stolen *into* this site from sites that finished early
-    /// (cooperative driver with work-stealing enabled; 0 elsewhere).
+    /// (work-stealing enabled; 0 otherwise).
     pub steals: u64,
     /// Why the site's session ended.
     pub stopped: StopReason,
@@ -189,11 +184,8 @@ pub struct SiteReport {
 pub struct FleetReport {
     /// Per-site outcomes, in task order.
     pub sites: Vec<SiteReport>,
-    /// Fleet virtual wall clock: max over sites when concurrent, sum when
-    /// serial.
+    /// Fleet wall clock (virtual on simulated wires): max over sites.
     pub fleet_elapsed_ms: u64,
-    /// Whether sites were driven concurrently.
-    pub concurrent: bool,
 }
 
 impl FleetReport {
@@ -212,7 +204,7 @@ impl FleetReport {
         self.sites.iter().map(|s| s.retries).sum()
     }
 
-    /// Walkers stolen across the fleet (cooperative driver only).
+    /// Walkers stolen across the fleet.
     pub fn total_steals(&self) -> u64 {
         self.sites.iter().map(|s| s.steals).sum()
     }
@@ -230,182 +222,10 @@ impl FleetReport {
     }
 }
 
-/// Drives a fleet of sites to a per-site sample target.
-#[derive(Debug, Default)]
-pub struct MultiSiteDriver {
-    cfg: FleetConfig,
-}
-
-impl MultiSiteDriver {
-    /// Driver with the given fleet configuration.
-    pub fn new(cfg: FleetConfig) -> Self {
-        MultiSiteDriver { cfg }
-    }
-
-    /// The fleet configuration.
-    pub fn config(&self) -> &FleetConfig {
-        &self.cfg
-    }
-
-    /// Drive one site to the target with `walkers` threads sharing the
-    /// site's history cache. `extra` sinks (forks of run-level sinks)
-    /// observe alongside the task's own sink.
-    fn drive_site<T: Transport + Clocked>(
-        &self,
-        task: &mut SiteTask<T>,
-        site_ix: usize,
-        walkers: usize,
-        extra: &mut [&mut dyn SampleSink],
-    ) -> SiteReport {
-        // Split the task: the interface is shared by the executor, the
-        // sink needs exclusive access for observation.
-        let SiteTask {
-            name,
-            iface,
-            sink,
-            l2,
-        } = task;
-        let iface: &WebFormInterface<T> = iface;
-        let mut sinks: Vec<&mut dyn SampleSink> = Vec::with_capacity(1 + extra.len());
-        if let Some(s) = sink.as_deref_mut() {
-            sinks.push(s);
-        }
-        for s in extra.iter_mut() {
-            sinks.push(&mut **s);
-        }
-
-        let mut exec = CachingExecutor::new(iface);
-        if let Some(log) = l2 {
-            exec = exec.with_l2(std::sync::Arc::clone(log));
-        }
-        let session = SamplingSession::new(self.cfg.target_per_site).with_site(site_ix);
-        let outcome: SessionOutcome = if walkers <= 1 {
-            let mut sampler = HdsSampler::new(&exec, self.cfg.walker_config(site_ix, 0))
-                .expect("fleet walker configuration is valid");
-            session.run_observed(&mut sampler, &mut sinks, |_| {})
-        } else {
-            session.run_parallel_observed(
-                walkers,
-                |w| {
-                    HdsSampler::new(&exec, self.cfg.walker_config(site_ix, w))
-                        .expect("fleet walker configuration is valid")
-                },
-                &mut sinks,
-            )
-        };
-        // The walker threads are gone; reap their idle keep-alive
-        // connections (real-TCP transports) instead of stranding the
-        // sockets for the transport's lifetime.
-        iface.transport().close_idle();
-        let mut stats = outcome.stats;
-        stats.retries = iface.retries();
-        stats.backoff_ms = iface.backoff_ms();
-        SiteReport {
-            name: name.clone(),
-            samples: outcome.samples,
-            requests: exec.requests(),
-            queries_issued: exec.queries_issued(),
-            history_hits: exec.history_stats().total_hits(),
-            elapsed_ms: iface.transport().elapsed_ms(),
-            retries: stats.retries,
-            backoff_vms: stats.backoff_ms,
-            steals: 0,
-            stopped: outcome.reason,
-            stats,
-            history: exec.history_stats(),
-        }
-    }
-
-    /// Drive every site concurrently: one runner thread per site, W walker
-    /// threads per runner, fleet elapsed = max over sites.
-    pub fn run_concurrent<T: Transport + Clocked + Send>(
-        &self,
-        sites: &mut [SiteTask<T>],
-    ) -> FleetReport {
-        self.run_concurrent_observed(sites, &mut [])
-    }
-
-    /// [`MultiSiteDriver::run_concurrent`] with run-level streaming
-    /// observation: each sink in `run_sinks` is forked once per site, the
-    /// forks ride the site runner threads, and they are merged back in
-    /// site order after the join (per-site [`SiteTask`] sinks observe as
-    /// well, on their own site's thread).
-    pub fn run_concurrent_observed<T: Transport + Clocked + Send>(
-        &self,
-        sites: &mut [SiteTask<T>],
-        run_sinks: &mut [&mut dyn SampleSink],
-    ) -> FleetReport {
-        let walkers = self.cfg.walkers_per_site.max(1);
-        let results: Vec<(SiteReport, Vec<Box<dyn SampleSink>>)> =
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = sites
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(i, task)| {
-                        let mut forks: Vec<Box<dyn SampleSink>> =
-                            run_sinks.iter().map(|s| s.fork()).collect();
-                        scope.spawn(move |_| {
-                            let mut refs: Vec<&mut dyn SampleSink> =
-                                forks.iter_mut().map(|b| &mut **b).collect();
-                            let report = self.drive_site(task, i, walkers, &mut refs);
-                            drop(refs);
-                            (report, forks)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("site runner panicked"))
-                    .collect()
-            })
-            .expect("fleet scope");
-        let mut reports = Vec::with_capacity(results.len());
-        for (report, forks) in results {
-            for (sink, fork) in run_sinks.iter_mut().zip(forks) {
-                sink.merge(fork);
-            }
-            reports.push(report);
-        }
-        let fleet_elapsed_ms = reports.iter().map(|r| r.elapsed_ms).max().unwrap_or(0);
-        FleetReport {
-            sites: reports,
-            fleet_elapsed_ms,
-            concurrent: true,
-        }
-    }
-
-    /// The serial baseline: sites driven one after another, one walker and
-    /// one connection each, fleet elapsed = sum over sites.
-    pub fn run_serial<T: Transport + Clocked>(&self, sites: &mut [SiteTask<T>]) -> FleetReport {
-        self.run_serial_observed(sites, &mut [])
-    }
-
-    /// [`MultiSiteDriver::run_serial`] with run-level streaming
-    /// observation. Sites run sequentially, so the sinks observe the
-    /// whole run directly — no forking.
-    pub fn run_serial_observed<T: Transport + Clocked>(
-        &self,
-        sites: &mut [SiteTask<T>],
-        run_sinks: &mut [&mut dyn SampleSink],
-    ) -> FleetReport {
-        let mut reports = Vec::with_capacity(sites.len());
-        for (i, task) in sites.iter_mut().enumerate() {
-            let mut refs: Vec<&mut dyn SampleSink> =
-                run_sinks.iter_mut().map(|s| &mut **s).collect();
-            reports.push(self.drive_site(task, i, 1, &mut refs));
-        }
-        let fleet_elapsed_ms = reports.iter().map(|r| r.elapsed_ms).sum();
-        FleetReport {
-            sites: reports,
-            fleet_elapsed_ms,
-            concurrent: false,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coop::CoopDriver;
     use crate::transport::{LatencyTransport, LocalSite};
     use hdsampler_hidden_db::HiddenDb;
     use hdsampler_model::{Attribute, FormInterface, SchemaBuilder, Tuple};
@@ -453,45 +273,43 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_fleet_beats_serial_on_virtual_time() {
+    fn fleet_overlaps_sites_on_virtual_time() {
         let cfg = FleetConfig {
             walkers_per_site: 2,
             target_per_site: 25,
             seed: 7,
             ..FleetConfig::default()
         };
-        let driver = MultiSiteDriver::new(cfg);
+        // The serial baseline: each site alone with one walker, one site
+        // after another — fleet time is the sum of the solo runs.
+        let solo = FleetConfig {
+            walkers_per_site: 1,
+            ..cfg.clone()
+        };
+        let serial_ms: u64 = (0..3)
+            .map(|i| {
+                CoopDriver::new(solo.clone())
+                    .run(&mut [figure1_task(&format!("s{i}"), 100)])
+                    .fleet_elapsed_ms
+            })
+            .sum();
 
-        let mut serial_sites: Vec<_> = (0..3)
-            .map(|i| figure1_task(&format!("s{i}"), 100))
-            .collect();
-        let serial = driver.run_serial(&mut serial_sites);
-        assert!(!serial.concurrent);
-        assert_eq!(serial.total_samples(), 75);
-        assert_eq!(
-            serial.fleet_elapsed_ms,
-            serial.sites.iter().map(|s| s.elapsed_ms).sum::<u64>(),
-            "serial fleet time sums over sites"
-        );
-
-        let mut conc_sites: Vec<_> = (0..3)
+        let mut sites: Vec<_> = (0..3)
             .map(|i| figure1_task(&format!("c{i}"), 100))
             .collect();
-        let concurrent = driver.run_concurrent(&mut conc_sites);
-        assert!(concurrent.concurrent);
-        assert_eq!(concurrent.total_samples(), 75);
+        let fleet = CoopDriver::new(cfg).run(&mut sites);
+        assert_eq!(fleet.total_samples(), 75);
         assert_eq!(
-            concurrent.fleet_elapsed_ms,
-            concurrent.sites.iter().map(|s| s.elapsed_ms).max().unwrap(),
-            "concurrent fleet time is the max over sites"
+            fleet.fleet_elapsed_ms,
+            fleet.sites.iter().map(|s| s.elapsed_ms).max().unwrap(),
+            "fleet time is the max over sites"
         );
         assert!(
-            concurrent.fleet_elapsed_ms < serial.fleet_elapsed_ms,
-            "overlap must win: {} vs {}",
-            concurrent.fleet_elapsed_ms,
-            serial.fleet_elapsed_ms
+            fleet.fleet_elapsed_ms < serial_ms,
+            "overlap must win: {} vs {serial_ms}",
+            fleet.fleet_elapsed_ms,
         );
-        for site in &concurrent.sites {
+        for site in &fleet.sites {
             assert_eq!(site.stopped, StopReason::TargetReached);
             assert!(site.queries_issued > 0);
             assert!(
@@ -509,13 +327,11 @@ mod tests {
         let report = FleetReport {
             sites: vec![],
             fleet_elapsed_ms: 0,
-            concurrent: true,
         };
         assert_eq!(report.samples_per_vsec(), 0.0);
         let report = FleetReport {
             sites: vec![],
             fleet_elapsed_ms: 2_000,
-            concurrent: false,
         };
         assert_eq!(report.samples_per_vsec(), 0.0, "0 samples / 2 s = 0");
     }
@@ -530,9 +346,8 @@ mod tests {
             scope: ConjunctiveQuery::from_pairs([(AttrId(1), 1)]).unwrap(),
             ..FleetConfig::default()
         };
-        let driver = MultiSiteDriver::new(cfg);
         let mut sites: Vec<_> = (0..2).map(|i| figure1_task(&format!("s{i}"), 50)).collect();
-        let report = driver.run_concurrent(&mut sites);
+        let report = CoopDriver::new(cfg).run(&mut sites);
         for site in &report.sites {
             assert_eq!(site.stopped, StopReason::TargetReached);
             for row in site.samples.rows() {
@@ -549,11 +364,10 @@ mod tests {
             seed: 3,
             ..FleetConfig::default()
         };
-        let driver = MultiSiteDriver::new(cfg);
         // One starving site next to a healthy one: the budgeted site stops
         // early with partial results, the rest of the fleet is unaffected.
         let mut sites = vec![budgeted_task("starved", 50, 12), figure1_task("ok", 50)];
-        let report = driver.run_concurrent(&mut sites);
+        let report = CoopDriver::new(cfg).run(&mut sites);
         let starved = &report.sites[0];
         assert_eq!(starved.stopped, StopReason::BudgetExhausted);
         assert!(starved.samples.len() < 1_000);

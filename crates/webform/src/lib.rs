@@ -29,13 +29,13 @@
 //!   HTTP/1.1 client on `std::net::TcpStream` implementing both transport
 //!   faces, so the same sampler stack walks a live `hdsampler serve`
 //!   front door over loopback or a network;
-//! * [`driver`] — [`MultiSiteDriver`], one process driving S sites
-//!   (simulated or live) × W walkers concurrently with per-site history
-//!   caches, budgets and throughput accounting;
-//! * [`coop`] — [`CoopDriver`], the cooperative alternative: one OS
-//!   thread multiplexing S × W resumable walk machines over explicit
-//!   connections, pipelining hundreds of in-flight submissions where the
-//!   threaded driver would need hundreds of stacks;
+//! * [`driver`] — the fleet vocabulary: [`SiteTask`] (one site's
+//!   scraper stack), [`FleetConfig`] (sizes and per-walker seeds) and
+//!   the [`SiteReport`]/[`FleetReport`] outcomes;
+//! * [`coop`] — [`CoopDriver`], the one engine: a single OS thread
+//!   multiplexing S sites × W resumable walk machines over explicit
+//!   connections, pipelining hundreds of in-flight submissions with
+//!   per-site history caches, budgets, retries and work-stealing;
 //! * [`reactor`] — the std-only epoll readiness wrapper both halves of
 //!   the real wire multiplex on: the client's single-`epoll_wait`
 //!   completion path and the server's event-driven serve mode;
@@ -51,9 +51,9 @@
 //!   stream, its dependency-free chunked-transfer client, and the
 //!   per-stage latency [`TraceReport`] behind `trace report`;
 //! * [`plan`] — [`RunPlan`], the single front door: one builder
-//!   (`target → walkers → driver → attach(sink)`) that executes any of
-//!   the drivers over simulated or live sites, streaming every accepted
-//!   sample into attached
+//!   (`target → walkers → driver → attach(sink)`) that runs the
+//!   cooperative driver over simulated or live sites, streaming every
+//!   accepted sample into attached
 //!   [`SampleSink`](hdsampler_core::SampleSink)s and returning one
 //!   [`RunReport`].
 
@@ -80,7 +80,7 @@ pub use aio::{AsyncTransport, ConnId, FetchHandle, FetchPoll};
 pub use chaos::{ChaosCounters, ChaosSpec, ChaosTransport, Decision, Fault, RetryPolicy};
 pub use connect::{BoxTransport, ConnectOptions, Connector, ConnectorRegistry};
 pub use coop::{CoopDriver, CoopSiteDetail};
-pub use driver::{FleetConfig, FleetReport, MultiSiteDriver, SiteReport, SiteTask};
+pub use driver::{FleetConfig, FleetReport, SiteReport, SiteTask};
 pub use form::WebForm;
 pub use httpc::HttpTransport;
 pub use locator::SiteLocator;

@@ -1,20 +1,14 @@
-//! [`RunPlan`]: one front door for every execution path.
+//! [`RunPlan`]: the one front door for every sampling run.
 //!
-//! PRs past grew four ways to run a sampling fleet —
-//! [`SamplingSession::run`](hdsampler_core::SamplingSession::run) and its
-//! parallel variant, [`MultiSiteDriver`]'s concurrent/serial modes, and
-//! the cooperative [`CoopDriver`] — each with its own config plumbing and
-//! report shape. [`RunPlan`] normalizes them: one builder describing
-//! *what* to run (target, walkers, seed, slider, scope), *how* to run it
-//! ([`Driver`]), and *who watches* (attached
-//! [`SampleSink`](hdsampler_core::SampleSink)s observing every accepted
-//! sample live), returning one [`RunReport`] whichever driver executed.
-//!
-//! ```no_run
-//! # use hdsampler_webform::{RunPlan, Driver, SiteTask, LatencyTransport, LocalSite};
-//! # fn demo(mut fleet: Vec<SiteTask<LatencyTransport<LocalSite<std::sync::Arc<()>>>>>) {
-//! # }
-//! ```
+//! One builder describes *what* to run (target, walkers, seed, slider,
+//! scope), *how walkers share a site's connections* ([`Driver`]), and
+//! *who watches* (attached [`SampleSink`]s observing every accepted
+//! sample live, and [`TraceSink`]s observing the span stream). Every
+//! plan executes on the cooperative [`CoopDriver`]: a one-site,
+//! one-walker plan (what `sample <locator>` runs) takes the same loop as
+//! a many-site fleet, walks the same seeded sequence as a standalone
+//! [`HdsSampler`](hdsampler_core::HdsSampler), and returns the same
+//! [`RunReport`].
 //!
 //! Typical use:
 //!
@@ -29,48 +23,57 @@
 
 use std::sync::Arc;
 
-use hdsampler_core::{trace_all, SampleSink, SampleTraceSink, TraceSink};
+use hdsampler_core::{SampleSink, TraceSink};
 use hdsampler_model::{ConjunctiveQuery, Schema};
 
 use crate::adapter::WebFormInterface;
 use crate::aio::AsyncTransport;
 use crate::connect::{BoxTransport, ConnectOptions, ConnectorRegistry};
 use crate::coop::{CoopDriver, CoopSiteDetail};
-use crate::driver::{FleetConfig, FleetReport, MultiSiteDriver, SiteReport, SiteTask};
+use crate::driver::{FleetConfig, FleetReport, SiteReport, SiteTask};
 use crate::httpc::HttpTransport;
 use crate::locator::SiteLocator;
 use crate::transport::{Clocked, Transport};
 
-/// Which execution engine a [`RunPlan`] uses.
+/// How a [`RunPlan`]'s walkers share each site's wire connections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Driver {
-    /// Thread-per-walker: one runner thread per site, W walker threads
-    /// per runner ([`MultiSiteDriver::run_concurrent`]). With one site
-    /// and one walker this is the plain blocking session.
+    /// One connection per walker: exactly `Coop { conns: None }`. The
+    /// name predates the single engine and is kept for existing callers.
     Threaded,
-    /// The serial baseline: sites one after another, one walker each
-    /// ([`MultiSiteDriver::run_serial`]).
-    Serial,
-    /// Cooperative: one OS thread multiplexing every site's walker
-    /// machines over `conns` pipelined connections per site (`None` =
-    /// one connection per walker) — [`CoopDriver`].
+    /// `conns` pipelined connections per site shared round-robin by its
+    /// walkers (`None` = one connection per walker) —
+    /// [`CoopDriver::with_connections`].
     Coop {
         /// Wire connections per site the walkers share.
         conns: Option<usize>,
     },
 }
 
-/// Outcome of a [`RunPlan`]: the fleet report plus which driver ran and,
-/// for the cooperative driver, its per-walker detail.
+impl Default for Driver {
+    /// One connection per walker.
+    fn default() -> Self {
+        Driver::Coop { conns: None }
+    }
+}
+
+impl Driver {
+    /// Connections per site the walkers share (`None` = one each).
+    fn conns(self) -> Option<usize> {
+        match self {
+            Driver::Threaded => None,
+            Driver::Coop { conns } => conns,
+        }
+    }
+}
+
+/// Outcome of a [`RunPlan`]: the fleet report plus per-walker detail.
 #[derive(Debug)]
 pub struct RunReport {
-    /// Which engine executed the plan.
-    pub driver: Driver,
     /// Per-site outcomes and fleet clocks.
     pub fleet: FleetReport,
-    /// Per-walker sequences and connection counts (cooperative driver
-    /// only).
-    pub details: Option<Vec<CoopSiteDetail>>,
+    /// Per-site walker sequences and connection counts, in site order.
+    pub details: Vec<CoopSiteDetail>,
 }
 
 impl RunReport {
@@ -85,7 +88,7 @@ impl RunReport {
     }
 }
 
-/// A single builder describing one sampling run, whatever the driver.
+/// A single builder describing one sampling run.
 ///
 /// The lifetime `'a` covers attached sinks: the caller keeps ownership
 /// and reads their final (or, for a live display, mid-run) state after
@@ -112,7 +115,7 @@ impl<'a> RunPlan<'a> {
             seed: 2009,
             slider: 0.0,
             scope: ConjunctiveQuery::empty(),
-            driver: Driver::Threaded,
+            driver: Driver::default(),
             steal: false,
             l2: None,
             sinks: Vec::new(),
@@ -120,9 +123,7 @@ impl<'a> RunPlan<'a> {
         }
     }
 
-    /// Walkers per site (threads for [`Driver::Threaded`], machines for
-    /// [`Driver::Coop`]; ignored by [`Driver::Serial`], which is
-    /// single-walker by definition).
+    /// Walk machines per site (default 1).
     pub fn walkers(mut self, walkers: usize) -> Self {
         self.walkers = walkers.max(1);
         self
@@ -147,7 +148,8 @@ impl<'a> RunPlan<'a> {
         self
     }
 
-    /// Which engine runs the plan.
+    /// How walkers share each site's connections (default: one
+    /// connection per walker).
     pub fn driver(mut self, driver: Driver) -> Self {
         self.driver = driver;
         self
@@ -155,8 +157,7 @@ impl<'a> RunPlan<'a> {
 
     /// Enable cross-site work-stealing: sites that finish early donate
     /// their walker slots to the hungriest still-running site
-    /// ([`CoopDriver::with_stealing`]). Only the cooperative driver
-    /// steals; the flag is ignored by the others.
+    /// ([`CoopDriver::with_stealing`]).
     pub fn steal(mut self, steal: bool) -> Self {
         self.steal = steal;
         self
@@ -185,18 +186,14 @@ impl<'a> RunPlan<'a> {
 
     /// Attach a [`TraceSink`] observing the run's trace events.
     /// Repeatable; attaching none keeps tracing off (no events are even
-    /// constructed).
-    ///
-    /// Fidelity depends on the driver: the cooperative driver emits the
-    /// full span stream (cache, wire, retry, stall, steal, sample); the
-    /// threaded and serial drivers bridge accepted-sample events only,
-    /// via [`SampleTraceSink`], without touching their hot paths.
+    /// constructed). The stream carries every span the driver emits:
+    /// cache, wire, retry, stall, steal and sample.
     pub fn attach_trace(mut self, sink: &'a mut dyn TraceSink) -> Self {
         self.trace_sinks.push(sink);
         self
     }
 
-    /// The [`FleetConfig`] this plan resolves to (what the drivers see).
+    /// The [`FleetConfig`] this plan resolves to (what the driver sees).
     pub fn fleet_config(&self) -> FleetConfig {
         FleetConfig {
             walkers_per_site: self.walkers,
@@ -213,51 +210,18 @@ impl<'a> RunPlan<'a> {
     /// plan's attached run-level sinks.
     pub fn run<T>(mut self, sites: &mut [SiteTask<T>]) -> RunReport
     where
-        T: Transport + AsyncTransport + Clocked + Send,
+        T: Transport + AsyncTransport + Clocked,
     {
-        let cfg = self.fleet_config();
-        let mut bridge = SampleTraceSink::new();
+        let mut coop = CoopDriver::new(self.fleet_config()).with_stealing(self.steal);
+        if let Some(c) = self.driver.conns() {
+            coop = coop.with_connections(c);
+        }
         let mut run_sinks: Vec<&mut dyn SampleSink> =
             self.sinks.drain(..).map(|s| &mut *s).collect();
         let mut trace_sinks: Vec<&mut dyn TraceSink> =
             self.trace_sinks.drain(..).map(|s| &mut *s).collect();
-        // The threaded/serial drivers have no native trace stream; mirror
-        // their accepted samples through a bridge sink instead.
-        let bridging = !trace_sinks.is_empty() && !matches!(self.driver, Driver::Coop { .. });
-        if bridging {
-            run_sinks.push(&mut bridge);
-        }
-        let report = match self.driver {
-            Driver::Threaded => RunReport {
-                driver: self.driver,
-                fleet: MultiSiteDriver::new(cfg).run_concurrent_observed(sites, &mut run_sinks),
-                details: None,
-            },
-            Driver::Serial => RunReport {
-                driver: self.driver,
-                fleet: MultiSiteDriver::new(cfg).run_serial_observed(sites, &mut run_sinks),
-                details: None,
-            },
-            Driver::Coop { conns } => {
-                let mut coop = CoopDriver::new(cfg).with_stealing(self.steal);
-                if let Some(c) = conns {
-                    coop = coop.with_connections(c);
-                }
-                let (fleet, details) = coop.run_traced(sites, &mut run_sinks, &mut trace_sinks);
-                RunReport {
-                    driver: self.driver,
-                    fleet,
-                    details: Some(details),
-                }
-            }
-        };
-        if bridging {
-            drop(run_sinks);
-            for event in bridge.take() {
-                trace_all(&mut trace_sinks, &event);
-            }
-        }
-        report
+        let (fleet, details) = coop.run_traced(sites, &mut run_sinks, &mut trace_sinks);
+        RunReport { fleet, details }
     }
 
     /// Connect every locator through the standard
@@ -365,37 +329,47 @@ mod tests {
     }
 
     #[test]
-    fn one_front_door_runs_all_three_drivers() {
-        for driver in [
-            Driver::Threaded,
-            Driver::Serial,
-            Driver::Coop { conns: Some(2) },
-        ] {
+    fn every_connection_layout_reaches_the_target() {
+        let run = |driver: Option<Driver>| {
             let mut fleet = vec![figure1_task("a", 50), figure1_task("b", 50)];
             let mut collected = SampleSetSink::new();
-            let report = RunPlan::target(20)
-                .walkers(3)
-                .seed(5)
-                .driver(driver)
-                .attach(&mut collected)
-                .run(&mut fleet);
-            assert_eq!(report.driver, driver);
+            let mut plan = RunPlan::target(20).walkers(3).seed(5);
+            if let Some(d) = driver {
+                plan = plan.driver(d);
+            }
+            let report = plan.attach(&mut collected).run(&mut fleet);
             assert_eq!(report.total_samples(), 40, "{driver:?}");
             assert_eq!(
                 collected.set().len(),
                 40,
                 "run-level sink sees the whole fleet under {driver:?}"
             );
+            assert_eq!(report.details.len(), 2, "one detail per site");
             for site in &report.fleet.sites {
                 assert_eq!(site.stopped, StopReason::TargetReached);
                 assert!(site.stats.accepted >= 20);
                 assert!(site.history.shard_count > 0);
             }
-            assert_eq!(
-                report.details.is_some(),
-                matches!(driver, Driver::Coop { .. })
-            );
-        }
+            report
+        };
+        let keys = |r: &RunReport| {
+            r.details
+                .iter()
+                .map(|d| d.per_walker_keys.clone())
+                .collect::<Vec<_>>()
+        };
+        // `Threaded` is a spelling of the default, one connection per
+        // walker: the same run, walker for walker.
+        let default = run(None);
+        assert_eq!(default.details[0].connections, 3);
+        let threaded = run(Some(Driver::Threaded));
+        assert_eq!(keys(&threaded), keys(&default));
+        assert_eq!(
+            threaded.fleet.fleet_elapsed_ms,
+            default.fleet.fleet_elapsed_ms
+        );
+        let pipelined = run(Some(Driver::Coop { conns: Some(2) }));
+        assert_eq!(pipelined.details[0].connections, 2);
     }
 
     #[test]
@@ -471,27 +445,6 @@ mod tests {
             "the traced run journaled wire events"
         );
         assert!(log.events().iter().any(|e| e.kind == "sample"));
-    }
-
-    #[test]
-    fn threaded_and_serial_drivers_bridge_samples_into_trace_sinks() {
-        use hdsampler_core::TraceLog;
-        for driver in [Driver::Threaded, Driver::Serial] {
-            let mut fleet = vec![figure1_task("a", 10)];
-            let mut log = TraceLog::new();
-            let report = RunPlan::target(10)
-                .walkers(2)
-                .seed(3)
-                .driver(driver)
-                .attach_trace(&mut log)
-                .run(&mut fleet);
-            assert_eq!(
-                log.events().len(),
-                report.total_samples(),
-                "one bridged sample event per accepted sample under {driver:?}"
-            );
-            assert!(log.events().iter().all(|e| e.kind == "sample"));
-        }
     }
 
     #[test]

@@ -74,8 +74,8 @@ pub mod prelude {
     };
     pub use hdsampler_webform::{
         ChaosCounters, ChaosSpec, ChaosTransport, CoopDriver, Driver, FleetConfig,
-        LatencyTransport, LocalSite, MultiSiteDriver, RetryPolicy, RunPlan, RunReport, SiteTask,
-        Transport, WebFormInterface,
+        LatencyTransport, LocalSite, RetryPolicy, RunPlan, RunReport, SiteTask, Transport,
+        WebFormInterface,
     };
     pub use hdsampler_workload::{DataSpec, DbConfig, VehiclesSpec, WorkloadSpec};
 }

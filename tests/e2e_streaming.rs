@@ -124,7 +124,7 @@ fn coop_multi_site_live_snapshots_equal_posthoc_batch() {
         .run(&mut fleet);
 
     assert_eq!(report.total_samples(), 3 * target);
-    assert!(report.details.is_some(), "coop reports per-walker detail");
+    assert_eq!(report.details.len(), 3, "per-walker detail for every site");
 
     // Per-site sinks: byte-identical to the batch build over that site's
     // collected samples, in acceptance order.
@@ -222,11 +222,11 @@ fn coop_multi_site_live_snapshots_equal_posthoc_batch() {
 }
 
 #[test]
-fn run_plan_threaded_and_serial_agree_with_batch_too() {
-    // The other two drivers through the same front door: run-level sinks
-    // survive fork/merge (threaded) and direct observation (serial) with
-    // the same final-state guarantee against their own recorded streams.
-    for driver in [Driver::Threaded, Driver::Serial] {
+fn run_plan_connection_layouts_agree_with_batch_too() {
+    // One connection per walker, and every walker pipelined over a single
+    // shared connection: run-level sinks keep the same final-state
+    // guarantee against their own recorded streams either way.
+    for conns in [None, Some(1)] {
         let schema = hdsampler::simulated_site(50, 60, 1).schema().clone();
         let make = AttrId(0);
         let mut fleet = vec![site_task("a", 400, 5, 30), site_task("b", 400, 6, 30)];
@@ -235,17 +235,17 @@ fn run_plan_threaded_and_serial_agree_with_batch_too() {
         let report = RunPlan::target(40)
             .walkers(3)
             .seed(7)
-            .driver(driver)
+            .driver(Driver::Coop { conns })
             .attach(&mut stream)
             .attach(&mut hist)
             .run(&mut fleet);
-        assert_eq!(report.total_samples(), 80, "{driver:?}");
+        assert_eq!(report.total_samples(), 80, "{conns:?}");
+        assert_eq!(report.details[0].connections, conns.unwrap_or(3));
         let batch = Histogram::from_weighted(
             &schema,
             make,
             stream.set().samples().iter().map(|s| (&s.row, s.weight)),
         );
-        // Unit-weight samples: fork/merge regrouping is still exact.
-        assert_bit_identical(&hist, &batch, &format!("{driver:?}"));
+        assert_bit_identical(&hist, &batch, &format!("{conns:?}"));
     }
 }

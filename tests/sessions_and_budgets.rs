@@ -1,5 +1,5 @@
-//! Operational behaviour: metered sites, kill switches, parallel
-//! sessions, and scoped sampling — the §3.4 incremental workflow.
+//! Operational behaviour: metered sites, kill switches, several walkers
+//! on one site, and scoped sampling — the §3.4 incremental workflow.
 
 use hdsampler::prelude::*;
 use std::sync::atomic::Ordering;
@@ -93,16 +93,24 @@ fn kill_switch_stops_a_running_session_from_another_thread() {
 
 #[test]
 fn parallel_session_shares_one_cache_and_budget() {
+    // Four walkers on one site: one history cache, one query budget.
     let db = metered_db(3_000);
-    let exec = Arc::new(CachingExecutor::new(Arc::clone(&db)));
-    let session = SamplingSession::new(200);
-    let outcome = session.run_parallel(4, |w| {
-        HdsSampler::new(Arc::clone(&exec), SamplerConfig::seeded(500 + w as u64)).unwrap()
-    });
-    assert_eq!(outcome.reason, StopReason::TargetReached);
-    assert_eq!(outcome.samples.len(), 200);
+    let schema = Arc::new(db.schema().clone());
+    let site = LocalSite::new(Arc::clone(&db), Arc::clone(&schema));
+    let iface = WebFormInterface::new(LatencyTransport::new(site, 10), schema, 150, false);
+    let mut tasks = vec![SiteTask::new("metered", iface)];
+    let report = RunPlan::target(200).walkers(4).seed(500).run(&mut tasks);
+    let site = report.site();
+    assert_eq!(site.stopped, StopReason::TargetReached);
+    assert_eq!(site.samples.len(), 200);
     assert!(db.queries_issued() <= 3_000);
-    for row in outcome.samples.rows() {
+    assert_eq!(
+        site.requests,
+        site.queries_issued + site.history_hits,
+        "every request is a charged fetch or a shared-cache hit"
+    );
+    assert!(site.history_hits > 0, "walkers answer each other's queries");
+    for row in site.samples.rows() {
         assert!(db.oracle().tuple_by_key(row.key).is_some());
     }
 }
