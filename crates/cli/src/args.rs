@@ -1,36 +1,61 @@
 //! Hand-rolled argument parsing (no external parser dependencies).
+//!
+//! Every command names its site with one [`SiteLocator`] (a positional
+//! argument, or `--site` legs under `multi-site`); the flags only steer
+//! the run. [`FLAGS`] lists which commands take each flag, and a flag
+//! given to any other command is an error rather than silently ignored.
 
-use hdsampler_webform::ChaosSpec;
+use hdsampler_webform::SiteLocator;
 
 /// Usage text shown on parse errors and `--help`.
 pub const USAGE: &str = "\
 HDSampler — sampling hidden databases behind top-k web forms
 
 USAGE:
-  hdsampler <COMMAND> [OPTIONS]
+  hdsampler <COMMAND> <locator> [OPTIONS]
 
 COMMANDS:
-  describe    show the simulated site's form (attributes and domains)
-  sample      run an incremental sampling session and print histograms
-  aggregate   estimate aggregates (proportion / count / avg / sum)
-  validate    compare sampled marginals against the simulation's truth
-  multi-site  drive a fleet of sites concurrently (virtual or real wire)
-  serve       put the simulated site behind a real HTTP front door
-  trace       analyze a trace journal or follow a live /events stream
-  cache       inspect or maintain a persistent L2 history directory
+  describe <locator>    show a site's form, discovered off its `/` page
+  sample <locator>      run an incremental sampling session and print histograms
+  aggregate <locator>   estimate aggregates (proportion / avg)
+  validate <local:...>  compare sampled marginals against the simulation's truth
+  multi-site --site <locator> [--site <locator> ...]
+                        drive a fleet of sites concurrently (virtual or real wire)
+  serve <local:...>     put a simulated site behind a real HTTP front door
+  trace                 analyze a trace journal or follow a live /events stream
+  cache                 inspect or maintain a persistent L2 history directory
 
-COMMON OPTIONS:
-  --source <name>      dataset registry name: vehicles-compact, vehicles-full,
-                       boolean, boolean-correlated (default vehicles-compact)
-  --dataset <...>      alias for --source
-  --n <N>              number of tuples to simulate        (default 8000)
-  --k <K>              top-k display limit                 (default 250)
-  --seed <S>           data + sampler seed                 (default 2009)
-  --samples <S>        sample target                       (default 200)
-  --slider <0..1>      efficiency/skew slider              (default 0.0)
+LOCATORS (one string names a site; its schema, k and count support are
+discovered by scraping its `/` page, never configured; quote a locator
+holding `&` in the shell):
+  local:<dataset>[?key=value&...]  an in-process simulated site. Datasets:
+                       vehicles-compact, vehicles-full, boolean,
+                       boolean-correlated. Parameters:
+      n=<N>            tuples to simulate                      (default 8000)
+      k=<K>            top-k display limit, at least 1         (default 250)
+      seed=<S>         data seed (also seeds the wire's jitter) (default 2009)
+      counts=<absent|exact|noisy>  count banner mode           (default absent)
+      budget=<Q>       per-session query limit
+      latency=<MS>     virtual service time per request        (default 1)
+      jitter=<MS>      ± uniform jitter around latency         (default 0)
+      l2=<dir>         this leg's persistent history root (wins over --l2)
+      chaos=<spec>     seeded faults. On a client's virtual wire: a fault-
+                       injecting transport (a spec without latency takes the
+                       leg's latency=); under serve: a live adversary whose
+                       sleeps are real wall clock. e.g.
+                       chaos=seed=7,latency=40,throttle=0.2,retry_after=250,
+                       fail=0.1,drop=0.05,slow=400x50,jitter=30,count_noise=0.3
+  http://host:port     a live `hdsampler serve` over real TCP
+  replay:<tape.jsonl>  a tape recorded with --record, served offline
+
+  e.g. hdsampler sample \"local:vehicles-full?n=20000&seed=7\" --samples 300
+
+SAMPLING OPTIONS (sample, aggregate, validate, multi-site):
+  --seed <S>           sampler seed; the data seed is the locator's seed=
+                       (default 2009)
+  --samples <S>        sample target (per site under multi-site) (default 200)
+  --slider <0..1>      efficiency/skew slider                   (default 0.0)
   --bind attr=label    pin a binding (repeatable; Figure 3 style scoping)
-  --budget <Q>         per-session query limit
-  --counts <absent|exact|noisy>  count banner mode         (default absent)
 
 OBSERVABILITY (sample, multi-site, serve):
   --trace <path>       journal trace events to JSONL — sample/multi-site:
@@ -46,24 +71,15 @@ OBSERVABILITY (sample, multi-site, serve):
                        is always on)
 
 sample:
-  <locator>            sample any site named by one locator string instead of
-                       the flag-built in-process site:
-                         local:<dataset>[?n=..&k=..&seed=..&counts=..&budget=..&latency=..&jitter=..]
-                         http://host:port     (schema discovered by scraping /)
-                         replay:<tape.jsonl>  (recorded tape served offline — no server)
   --record <path>      write every exchange to a JSONL tape; replay it later
                        with `sample replay:<path>` (no server needed)
   --l2 <dir>           persist learned facts under <dir>/<site fingerprint>/
                        (JSONL fact log); a second run against the same site
                        version warm-starts from disk instead of the wire
-                       (also a multi-site flag; per-site `l2=` locator
-                       parameters win over it)
+                       (also a multi-site flag; a leg's l2= wins over it)
   --histogram <attr>   attribute(s) to display (repeatable; default: first)
   --watch              re-render live histograms from streaming snapshots
                        every 25 samples while the session runs
-  --remote <addr>      sample a live `hdsampler serve` at host:port — sugar
-                       for the `http://<addr>` locator (the schema is
-                       discovered by scraping /, never configured)
   --walkers <W>        walker machines, multiplexed on one thread (default 1)
   --conns <C>          wire connections the walkers share (default: one per
                        walker; up to 64 on a live http:// server)
@@ -76,46 +92,32 @@ validate:
   --attr <attr>        attribute to validate (default: first)
 
 multi-site:
-  --site <locator>     add one fleet leg by locator (repeatable) — mixes
-                       local:, http:// and replay: legs in a single run;
-                       replaces --sites/--latency/--jitter/--chaos/--remote
-  --sites <S>          number of simulated sites                (default 4)
+  --site <locator>     add one fleet leg (repeatable, at least one) — mixes
+                       local:, http:// and replay: legs in a single run
   --walkers <W>        walker machines per site                 (default 2)
-  --latency <MS[,MS,...]>  per-request latency in ms; a comma list assigns
-                       site i the i-th value, cycling           (default 100)
-  --jitter <MS>        ± uniform jitter around each site's latency (default 0)
-  --remote <addr[,addr,...]>  drive live servers (one site per address;
-                       latency/jitter flags do not apply — the wire is real)
   --watch              re-render fleet-wide live histograms while the run
-                       progresses
+                       progresses (every leg must have the same schema, as
+                       for --bind)
   --conns <C>          wire connections per site the walkers share
-                       (default: one per walker on the virtual wire, up to
-                       64 on live servers)
-  --chaos <spec>       make every simulated site adversarial: seeded faults
-                       on the virtual wire (not valid with --remote — serve
-                       the adversary with `serve --chaos` instead), e.g.
-                       seed=7,latency=40,throttle=0.2,retry_after=250,
-                       fail=0.1,drop=0.05,slow=400x50,jitter=30,count_noise=0.3
+                       (default: one per walker; up to 64 when a leg is a
+                       live http:// server)
   --steal              when a site finishes, reassign its walkers to the
                        hungriest site still sampling
+  --l2 <dir>           persistent history root shared by every leg
   (one thread multiplexes every site's walkers; --samples is the per-site
-  target, --budget the per-site query cap)
+  target, a leg's budget= its query cap)
 
 serve:
   --port <P>           TCP port on 127.0.0.1 (default 8000; 0 = ephemeral)
-  --reactor            event-driven serve mode: epoll readiness loops, one
-                       per core, multiplexing every connection (default)
   --pool               thread-per-connection serve mode: a bounded worker
-                       pool of --workers threads (at most that many
-                       keep-alive connections at once)
-  --workers <W>        connection worker threads with --pool     (default 4)
+                       pool instead of the default epoll reactor (one
+                       readiness loop per core multiplexing every connection)
+  --workers <W>        worker threads of the --pool mode       (default 4)
   --serve-for <SECS>   shut down gracefully after SECS (default: run until
                        killed)
   --max-conns <N>      admission cap: connections past N concurrently open
                        get `503` + `Retry-After: 1` and are closed
                        (default 0 = uncapped)
-  --chaos <spec>       serve through a fault-injecting adversary (grammar as
-                       under multi-site; sleeps are real wall-clock here)
 
 trace:
   report <journal.jsonl>   per-stage latency breakdown (queue/service/
@@ -133,48 +135,80 @@ cache:
   clear --l2 <dir>         delete all persisted facts (keeps the directory)
 ";
 
+/// Every command word.
+const COMMANDS: &[&str] = &[
+    "describe",
+    "sample",
+    "aggregate",
+    "validate",
+    "multi-site",
+    "serve",
+    "trace",
+    "cache",
+];
+
+/// The commands that sample a site (and so take the sampling options).
+const SAMPLERS: &[&str] = &["sample", "aggregate", "validate", "multi-site"];
+
+/// Every flag and the commands that take it. Parsing rejects a flag the
+/// command is not listed for, so no flag is ever accepted and ignored.
+const FLAGS: &[(&str, &[&str])] = &[
+    ("--seed", SAMPLERS),
+    ("--samples", SAMPLERS),
+    ("--slider", SAMPLERS),
+    ("--bind", SAMPLERS),
+    ("--walkers", &["sample", "multi-site"]),
+    ("--conns", &["sample", "multi-site"]),
+    ("--watch", &["sample", "multi-site"]),
+    ("--trace", &["sample", "multi-site", "serve"]),
+    ("--metrics", &["sample", "multi-site", "serve"]),
+    ("--l2", &["sample", "multi-site", "cache"]),
+    ("--record", &["sample"]),
+    ("--histogram", &["sample"]),
+    ("--proportion", &["aggregate"]),
+    ("--avg", &["aggregate"]),
+    ("--attr", &["validate"]),
+    ("--site", &["multi-site"]),
+    ("--steal", &["multi-site"]),
+    ("--port", &["serve"]),
+    ("--pool", &["serve"]),
+    ("--workers", &["serve"]),
+    ("--serve-for", &["serve"]),
+    ("--max-conns", &["serve"]),
+];
+
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cli {
     /// Which subcommand to run.
     pub command: Command,
-    /// Shared options.
+    /// Sampling options.
     pub common: Common,
 }
 
 /// Subcommands.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// Show the form definition.
-    Describe,
+    /// Show the form a site serves.
+    Describe {
+        /// The site.
+        site: SiteLocator,
+    },
     /// Incremental sampling with live histograms.
     Sample {
-        /// Positional site locator (`local:…`, `http://…`, `replay:…`).
-        /// `None` falls back to the flag-built in-process site (or
-        /// `--remote`, which is sugar for an `http://` locator).
-        locator: Option<String>,
+        /// The site (`local:…`, `http://…`, `replay:…`).
+        site: SiteLocator,
         /// Attributes to display as histograms.
         histograms: Vec<String>,
         /// Record every exchange to this JSONL tape for `replay:`.
         record: Option<String>,
-        /// Walker machines multiplexed on one thread.
-        walkers: usize,
-        /// Wire connections the walkers share (default: one per walker,
-        /// or a pipelined handful on a live server).
-        conns: Option<usize>,
-        /// Re-render live histograms from streaming snapshots mid-run.
-        watch: bool,
-        /// Journal the run's trace events to this JSONL path.
-        trace: Option<String>,
-        /// Loopback port for a live telemetry server (`/metrics` +
-        /// `/events`) over the run.
-        metrics: Option<String>,
-        /// Root directory of the persistent L2 fact log (facts learned
-        /// on the wire persist; later runs warm-start from disk).
-        l2: Option<String>,
+        /// How the run is driven and observed.
+        run: RunOpts,
     },
     /// Aggregate console.
     Aggregate {
+        /// The site.
+        site: SiteLocator,
         /// `attr=label` proportion targets.
         proportions: Vec<(String, String)>,
         /// Measures to average.
@@ -182,46 +216,27 @@ pub enum Command {
     },
     /// Truth comparison.
     Validate {
+        /// The simulated site (`local:` only: the truth is its database).
+        site: SiteLocator,
         /// Attribute to validate.
         attr: Option<String>,
     },
-    /// Fleet driving: S sites × W walkers over the virtual or real wire.
+    /// Fleet driving: one leg per locator, every leg's walkers on one
+    /// thread.
     MultiSite {
-        /// Heterogeneous fleet legs by locator (`--site`, repeatable).
-        /// Non-empty supersedes `sites`/`latencies_ms`/`jitter_ms`.
-        site_locators: Vec<String>,
-        /// Number of simulated sites.
-        sites: usize,
-        /// Walker machines per site.
-        walkers: usize,
-        /// Per-site latency list in milliseconds (site i uses entry
-        /// `i % len`).
-        latencies_ms: Vec<u64>,
-        /// ± uniform jitter half-width around each site's latency.
-        jitter_ms: u64,
-        /// Wire connections per site the walkers share. Defaults to one
-        /// per walker on the virtual wire and a pipelined handful on live
-        /// servers.
-        conns: Option<usize>,
-        /// Re-render fleet-wide live histograms mid-run.
-        watch: bool,
-        /// Seeded fault schedule wrapped around every simulated site's
-        /// wire (never valid with `--remote`).
-        chaos: Option<ChaosSpec>,
+        /// The fleet legs (`--site`, repeatable, at least one).
+        sites: Vec<SiteLocator>,
         /// Reassign finished sites' walkers to the hungriest site still
         /// sampling.
         steal: bool,
-        /// Journal the run's trace events to this JSONL path.
-        trace: Option<String>,
-        /// Loopback port for a live telemetry server (`/metrics` +
-        /// `/events`) over the run.
-        metrics: Option<String>,
-        /// Root directory of the persistent L2 fact log shared by every
-        /// leg (per-site `l2=` locator parameters win over it).
-        l2: Option<String>,
+        /// How the run is driven and observed.
+        run: RunOpts,
     },
-    /// Serve the simulated site over real HTTP.
+    /// Serve a simulated site over real HTTP.
     Serve {
+        /// The simulated site (`local:` only); its `chaos=` parameter
+        /// hides it behind an adversary.
+        site: SiteLocator,
         /// Port on 127.0.0.1 (0 picks an ephemeral port).
         port: u16,
         /// Serve through the bounded thread-per-connection pool instead
@@ -232,8 +247,6 @@ pub enum Command {
         /// Graceful shutdown after this many seconds (None: run until
         /// killed).
         serve_for: Option<u64>,
-        /// Seeded fault schedule the served site hides behind.
-        chaos: Option<ChaosSpec>,
         /// Journal the per-request log to this JSONL path at shutdown.
         trace: Option<String>,
         /// Write the final `/metrics` exposition to this file at shutdown.
@@ -282,16 +295,44 @@ pub enum TraceAction {
     },
 }
 
-/// Options shared by all subcommands.
+/// How a `sample` or `multi-site` run is driven and observed.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunOpts {
+    /// Walker machines per site, multiplexed on one thread.
+    pub walkers: usize,
+    /// Wire connections per site the walkers share (default: one per
+    /// walker, capped when a site is a live server).
+    pub conns: Option<usize>,
+    /// Re-render live histograms from streaming snapshots mid-run.
+    pub watch: bool,
+    /// Journal the run's trace events to this JSONL path.
+    pub trace: Option<String>,
+    /// Loopback port for a live telemetry server (`/metrics` +
+    /// `/events`) over the run.
+    pub metrics: Option<String>,
+    /// Root directory of the persistent L2 fact log (a leg's `l2=`
+    /// parameter wins over it).
+    pub l2: Option<String>,
+}
+
+impl RunOpts {
+    /// `walkers` walkers, every other option off.
+    pub fn walkers(walkers: usize) -> Self {
+        RunOpts {
+            walkers,
+            conns: None,
+            watch: false,
+            trace: None,
+            metrics: None,
+            l2: None,
+        }
+    }
+}
+
+/// The sampling options shared by every command that samples a site.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Common {
-    /// Data source name.
-    pub source: String,
-    /// Simulated tuple count.
-    pub n: usize,
-    /// Top-k limit.
-    pub k: usize,
-    /// Seed.
+    /// Sampler seed (the data seed lives in the locator).
     pub seed: u64,
     /// Sample target.
     pub samples: usize,
@@ -299,28 +340,15 @@ pub struct Common {
     pub slider: f64,
     /// Pinned bindings.
     pub binds: Vec<(String, String)>,
-    /// Optional query budget.
-    pub budget: Option<u64>,
-    /// Count banner mode.
-    pub counts: String,
-    /// Live server address(es) — `host:port`, comma-separated for
-    /// multi-site — instead of the in-process wire.
-    pub remote: Option<String>,
 }
 
 impl Default for Common {
     fn default() -> Self {
         Common {
-            source: "vehicles-compact".into(),
-            n: 8_000,
-            k: 250,
             seed: 2009,
             samples: 200,
             slider: 0.0,
             binds: Vec::new(),
-            budget: None,
-            counts: "absent".into(),
-            remote: None,
         }
     }
 }
@@ -331,352 +359,195 @@ fn split_kv(s: &str, flag: &str) -> Result<(String, String), String> {
         .ok_or_else(|| format!("{flag} expects attr=label, got `{s}`"))
 }
 
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: `{value}` is not a number"))
+}
+
+fn at_least_one(flag: &str, value: &str) -> Result<usize, String> {
+    match number(flag, value)? {
+        0 => Err(format!("{flag} must be at least 1")),
+        n => Ok(n),
+    }
+}
+
+/// The one positional locator of `describe`/`sample`/`aggregate`/
+/// `validate`/`serve`; `validate` and `serve` need a `local:` site.
+fn one_locator(command: &str, words: Vec<String>) -> Result<SiteLocator, String> {
+    let mut words = words.into_iter();
+    let word = words.next().ok_or_else(|| {
+        format!("{command} needs a site locator, e.g. `{command} local:vehicles-compact`")
+    })?;
+    if let Some(extra) = words.next() {
+        return Err(format!(
+            "unexpected argument `{extra}` ({command} takes one site locator)"
+        ));
+    }
+    let site = SiteLocator::parse(&word)?;
+    if matches!(command, "validate" | "serve") && !matches!(site, SiteLocator::Local { .. }) {
+        return Err(format!(
+            "{command} needs a simulated `local:` site (got `{site}`): {}",
+            if command == "validate" {
+                "the truth it compares against is the site's own database"
+            } else {
+                "it serves an in-process database"
+            }
+        ));
+    }
+    Ok(site)
+}
+
 /// Parse an argv slice (without the program name).
 pub fn parse(argv: &[String]) -> Result<Cli, String> {
-    let mut it = argv.iter().peekable();
-    let command_word = it.next().ok_or("missing command")?;
+    let mut it = argv.iter();
+    let command_word = it.next().ok_or("missing command")?.as_str();
     if command_word == "--help" || command_word == "-h" {
         return Err("help requested".into());
     }
+    if !COMMANDS.contains(&command_word) {
+        return Err(format!("unknown command `{command_word}`"));
+    }
 
     let mut common = Common::default();
+    let mut words: Vec<String> = Vec::new();
     let mut histograms = Vec::new();
     let mut proportions = Vec::new();
     let mut avgs = Vec::new();
     let mut validate_attr = None;
-    let mut sites = 4usize;
     let mut walkers = None;
-    let mut latencies_ms = vec![100u64];
-    let mut jitter_ms = 0u64;
+    let mut run = RunOpts::walkers(1);
     let mut port = 8000u16;
-    let mut serve_workers = 4usize;
+    let mut serve_workers = None;
     let mut serve_for = None;
     let mut serve_pool = false;
-    let mut serve_reactor = false;
-    let mut conns = None;
-    let mut watch = false;
-    let mut chaos = None;
     let mut steal = false;
-    let mut locator = None;
-    let mut site_locators: Vec<String> = Vec::new();
+    let mut sites: Vec<SiteLocator> = Vec::new();
     let mut record = None;
-    let mut trace_path = None;
-    let mut metrics = None;
-    let mut trace_words: Vec<String> = Vec::new();
-    let mut cache_word: Option<String> = None;
-    let mut l2 = None;
     let mut max_conns = 0usize;
-    let mut sites_set = false;
-    let mut latency_set = false;
-    let mut jitter_set = false;
 
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
+        if !flag.starts_with('-') {
+            words.push(flag.clone());
+            continue;
+        }
+        let takers = FLAGS
+            .iter()
+            .find(|(name, _)| name == flag)
+            .map(|(_, takers)| *takers)
+            .ok_or_else(|| format!("unknown option `{flag}`"))?;
+        if !takers.contains(&command_word) {
+            return Err(format!(
+                "{flag} does not apply to `{command_word}` (it is a flag of: {})",
+                takers.join(", ")
+            ));
+        }
+        let mut value = || -> Result<&String, String> {
+            it.next().ok_or_else(|| format!("{flag} needs a value"))
         };
         match flag.as_str() {
-            "--source" => common.source = value("--source")?.clone(),
-            "--dataset" => common.source = value("--dataset")?.clone(),
-            "--n" => common.n = value("--n")?.parse().map_err(|_| "--n: not a number")?,
-            "--k" => common.k = value("--k")?.parse().map_err(|_| "--k: not a number")?,
-            "--seed" => {
-                common.seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed: not a number")?
-            }
-            "--samples" => {
-                common.samples = value("--samples")?
-                    .parse()
-                    .map_err(|_| "--samples: not a number")?
-            }
+            "--seed" => common.seed = number(flag, value()?)?,
+            "--samples" => common.samples = number(flag, value()?)?,
             "--slider" => {
-                common.slider = value("--slider")?
-                    .parse()
-                    .map_err(|_| "--slider: not a number")?;
+                common.slider = number(flag, value()?)?;
                 if !(0.0..=1.0).contains(&common.slider) {
                     return Err("--slider must lie in [0, 1]".into());
                 }
             }
-            "--bind" => common.binds.push(split_kv(value("--bind")?, "--bind")?),
-            "--budget" => {
-                common.budget = Some(
-                    value("--budget")?
-                        .parse()
-                        .map_err(|_| "--budget: not a number")?,
-                )
-            }
-            "--counts" => {
-                let v = value("--counts")?.clone();
-                if !["absent", "exact", "noisy"].contains(&v.as_str()) {
-                    return Err(format!("--counts: unknown mode `{v}`"));
-                }
-                common.counts = v;
-            }
-            "--sites" => {
-                sites_set = true;
-                sites = value("--sites")?
-                    .parse()
-                    .map_err(|_| "--sites: not a number")?;
-                if sites == 0 {
-                    return Err("--sites must be at least 1".into());
-                }
-            }
-            "--walkers" => {
-                let w: usize = value("--walkers")?
-                    .parse()
-                    .map_err(|_| "--walkers: not a number")?;
-                if w == 0 {
-                    return Err("--walkers must be at least 1".into());
-                }
-                walkers = Some(w);
-            }
-            "--latency" => {
-                latency_set = true;
-                latencies_ms = value("--latency")?
-                    .split(',')
-                    .map(|part| part.trim().parse::<u64>())
-                    .collect::<Result<Vec<u64>, _>>()
-                    .map_err(|_| "--latency: expects ms or a comma list of ms")?;
-                if latencies_ms.is_empty() || latencies_ms.contains(&0) {
-                    return Err(
-                        "--latency entries must be at least 1 ms (the wire model bills round trips)"
-                            .into(),
-                    );
-                }
-            }
-            "--jitter" => {
-                jitter_set = true;
-                jitter_ms = value("--jitter")?
-                    .parse()
-                    .map_err(|_| "--jitter: not a number")?
-            }
-            "--remote" => common.remote = Some(value("--remote")?.clone()),
-            "--port" => {
-                port = value("--port")?
-                    .parse()
-                    .map_err(|_| "--port: not a port number")?
-            }
-            "--workers" => {
-                serve_workers = value("--workers")?
-                    .parse()
-                    .map_err(|_| "--workers: not a number")?;
-                if serve_workers == 0 {
-                    return Err("--workers must be at least 1".into());
-                }
-            }
-            "--pool" => serve_pool = true,
-            "--reactor" => serve_reactor = true,
-            "--serve-for" => {
-                serve_for = Some(
-                    value("--serve-for")?
-                        .parse()
-                        .map_err(|_| "--serve-for: not a number of seconds")?,
-                )
-            }
-            "--conns" => {
-                let c: usize = value("--conns")?
-                    .parse()
-                    .map_err(|_| "--conns: not a number")?;
-                if c == 0 {
-                    return Err("--conns must be at least 1".into());
-                }
-                conns = Some(c);
-            }
-            "--watch" => watch = true,
-            "--chaos" => chaos = Some(ChaosSpec::parse(value("--chaos")?)?),
+            "--bind" => common.binds.push(split_kv(value()?, flag)?),
+            "--walkers" => walkers = Some(at_least_one(flag, value()?)?),
+            "--conns" => run.conns = Some(at_least_one(flag, value()?)?),
+            "--watch" => run.watch = true,
+            "--trace" => run.trace = Some(value()?.clone()),
+            "--metrics" => run.metrics = Some(value()?.clone()),
+            "--l2" => run.l2 = Some(value()?.clone()),
+            "--record" => record = Some(value()?.clone()),
+            "--histogram" => histograms.push(value()?.clone()),
+            "--proportion" => proportions.push(split_kv(value()?, flag)?),
+            "--avg" => avgs.push(value()?.clone()),
+            "--attr" => validate_attr = Some(value()?.clone()),
+            "--site" => sites.push(SiteLocator::parse(value()?)?),
             "--steal" => steal = true,
-            "--histogram" => histograms.push(value("--histogram")?.clone()),
-            "--proportion" => proportions.push(split_kv(value("--proportion")?, "--proportion")?),
-            "--avg" => avgs.push(value("--avg")?.clone()),
-            "--attr" => validate_attr = Some(value("--attr")?.clone()),
-            "--site" => site_locators.push(value("--site")?.clone()),
-            "--record" => record = Some(value("--record")?.clone()),
-            "--l2" => l2 = Some(value("--l2")?.clone()),
-            "--max-conns" => {
-                max_conns = value("--max-conns")?
-                    .parse()
-                    .map_err(|_| "--max-conns: not a number")?
-            }
-            "--trace" => trace_path = Some(value("--trace")?.clone()),
-            "--metrics" => metrics = Some(value("--metrics")?.clone()),
-            other if !other.starts_with('-') => {
-                // A bare word is `sample`'s positional locator or one of
-                // `trace`'s action words — nothing else takes positionals.
-                if command_word == "trace" {
-                    if trace_words.len() == 2 {
-                        return Err(format!(
-                            "unexpected argument `{other}` (trace takes an action \
-                             and one operand)"
-                        ));
-                    }
-                    trace_words.push(other.to_string());
-                    continue;
-                }
-                if command_word == "cache" {
-                    if cache_word.is_some() {
-                        return Err(format!(
-                            "unexpected argument `{other}` (cache takes one action)"
-                        ));
-                    }
-                    cache_word = Some(other.to_string());
-                    continue;
-                }
-                if command_word != "sample" {
-                    return Err(format!(
-                        "unexpected argument `{other}` (only `sample` takes a \
-                         positional locator)"
-                    ));
-                }
-                if locator.is_some() {
-                    return Err(format!("unexpected second locator `{other}`"));
-                }
-                locator = Some(other.to_string());
-            }
-            other => return Err(format!("unknown option `{other}`")),
+            "--port" => port = value()?.parse().map_err(|_| "--port: not a port number")?,
+            "--pool" => serve_pool = true,
+            "--workers" => serve_workers = Some(at_least_one(flag, value()?)?),
+            "--serve-for" => serve_for = Some(number(flag, value()?)?),
+            "--max-conns" => max_conns = number(flag, value()?)?,
+            other => unreachable!("`{other}` is in FLAGS but has no parser"),
         }
     }
 
-    // The walker flags belong to the sampling commands; anywhere else
-    // they would parse and then be silently ignored — reject instead.
-    if walkers.is_some() && !matches!(command_word.as_str(), "sample" | "multi-site") {
-        return Err(format!("--walkers does not apply to `{command_word}`"));
-    }
-    if conns.is_some() && !matches!(command_word.as_str(), "sample" | "multi-site") {
-        return Err(format!("--conns does not apply to `{command_word}`"));
-    }
-    if watch && !matches!(command_word.as_str(), "sample" | "multi-site") {
-        return Err(format!("--watch does not apply to `{command_word}`"));
-    }
-    if chaos.is_some() && !matches!(command_word.as_str(), "multi-site" | "serve") {
-        return Err(format!("--chaos does not apply to `{command_word}`"));
-    }
-    if steal && command_word != "multi-site" {
-        return Err(format!("--steal does not apply to `{command_word}`"));
-    }
-    if !site_locators.is_empty() && command_word != "multi-site" {
-        return Err("--site is a `multi-site` flag (sample one site by passing \
-                    the locator positionally: `sample <locator>`)"
-            .into());
-    }
-    if record.is_some() && command_word != "sample" {
-        return Err(format!(
-            "--record does not apply to `{command_word}` (record one site's \
-             exchanges with `sample <locator> --record <path>`)"
-        ));
-    }
-    if trace_path.is_some() && !matches!(command_word.as_str(), "sample" | "multi-site" | "serve") {
-        return Err(format!("--trace does not apply to `{command_word}`"));
-    }
-    if metrics.is_some() && !matches!(command_word.as_str(), "sample" | "multi-site" | "serve") {
-        return Err(format!("--metrics does not apply to `{command_word}`"));
-    }
-    if l2.is_some() && !matches!(command_word.as_str(), "sample" | "multi-site" | "cache") {
-        return Err(format!("--l2 does not apply to `{command_word}`"));
-    }
-    if max_conns != 0 && command_word != "serve" {
-        return Err(format!("--max-conns does not apply to `{command_word}`"));
-    }
-    if (serve_pool || serve_reactor) && command_word != "serve" {
-        return Err(format!(
-            "--{} does not apply to `{command_word}`",
-            if serve_pool { "pool" } else { "reactor" }
-        ));
-    }
-    if serve_pool && serve_reactor {
-        return Err("--pool and --reactor name opposite serve modes; pick one".into());
-    }
-
-    let command = match command_word.as_str() {
-        "describe" => Command::Describe,
-        "sample" => {
-            if locator.is_some() && common.remote.is_some() {
-                return Err("pass a locator or --remote, not both (a locator \
-                            already names the wire; --remote <addr> is sugar \
-                            for `sample http://<addr>`)"
-                    .into());
-            }
-            Command::Sample {
-                locator,
-                histograms,
-                record,
+    let command = match command_word {
+        "describe" => Command::Describe {
+            site: one_locator(command_word, words)?,
+        },
+        "sample" => Command::Sample {
+            site: one_locator(command_word, words)?,
+            histograms,
+            record,
+            run: RunOpts {
                 walkers: walkers.unwrap_or(1),
-                conns,
-                watch,
-                trace: trace_path,
-                metrics,
-                l2,
-            }
-        }
-        "aggregate" => Command::Aggregate { proportions, avgs },
+                ..run
+            },
+        },
+        "aggregate" => Command::Aggregate {
+            site: one_locator(command_word, words)?,
+            proportions,
+            avgs,
+        },
         "validate" => Command::Validate {
+            site: one_locator(command_word, words)?,
             attr: validate_attr,
         },
         "multi-site" => {
-            if !site_locators.is_empty() {
-                // A locator list *is* the fleet: every flag that sizes or
-                // decorates the simulated fleet contradicts it.
-                if sites_set {
-                    return Err("--sites counts simulated sites; with --site, \
-                                the locator list is the fleet"
-                        .into());
-                }
-                if latency_set || jitter_set {
-                    return Err("--latency/--jitter configure simulated wires; \
-                                bake them into the locator instead \
-                                (local:<dataset>?latency=..&jitter=..)"
-                        .into());
-                }
-                if common.remote.is_some() {
-                    return Err("--remote and --site both name fleet legs; use --site \
-                         http://<addr>"
-                        .into());
-                }
-                if chaos.is_some() {
-                    return Err("--chaos wraps the flag-built simulated fleet \
-                                and does not apply to --site locator legs"
-                        .into());
-                }
-                if watch {
-                    return Err("--watch needs one fleet-wide schema; --site \
-                                legs have per-site schemas"
-                        .into());
-                }
+            if let Some(word) = words.first() {
+                return Err(format!(
+                    "unexpected argument `{word}` (name each fleet leg with --site <locator>)"
+                ));
             }
-            if chaos.is_some() && common.remote.is_some() {
-                return Err("--chaos wraps the simulated wire and cannot apply to \
-                            --remote servers; serve the adversary itself with \
-                            `hdsampler serve --chaos ...`"
-                    .into());
+            if sites.is_empty() {
+                return Err(
+                    "multi-site needs at least one leg: --site <locator> (repeatable)".into(),
+                );
             }
             Command::MultiSite {
-                site_locators,
                 sites,
-                walkers: walkers.unwrap_or(2),
-                latencies_ms,
-                jitter_ms,
-                conns,
-                watch,
-                chaos,
                 steal,
-                trace: trace_path,
-                metrics,
-                l2,
+                run: RunOpts {
+                    walkers: walkers.unwrap_or(2),
+                    ..run
+                },
             }
         }
-        "serve" => Command::Serve {
-            port,
-            pool: serve_pool,
-            workers: serve_workers,
-            serve_for,
-            chaos,
-            trace: trace_path,
-            metrics,
-            max_conns,
-        },
+        "serve" => {
+            if serve_workers.is_some() && !serve_pool {
+                return Err(
+                    "--workers sizes the --pool worker pool; the default reactor \
+                            serve has no worker threads to size"
+                        .into(),
+                );
+            }
+            Command::Serve {
+                site: one_locator(command_word, words)?,
+                port,
+                pool: serve_pool,
+                workers: serve_workers.unwrap_or(4),
+                serve_for,
+                trace: run.trace,
+                metrics: run.metrics,
+                max_conns,
+            }
+        }
         "trace" => {
-            let mut words = trace_words.into_iter();
-            let action = match (words.next(), words.next()) {
-                (Some(a), Some(operand)) => match a.as_str() {
+            let mut words = words.into_iter();
+            let action = match (words.next(), words.next(), words.next()) {
+                (_, _, Some(extra)) => {
+                    return Err(format!(
+                        "unexpected argument `{extra}` (trace takes an action \
+                         and one operand)"
+                    ))
+                }
+                (Some(a), Some(operand), None) => match a.as_str() {
                     "report" => TraceAction::Report { journal: operand },
                     "watch" => TraceAction::Watch { addr: operand },
                     other => {
@@ -685,7 +556,7 @@ pub fn parse(argv: &[String]) -> Result<Cli, String> {
                         ))
                     }
                 },
-                (Some(a), None) => {
+                (Some(a), None, None) => {
                     return Err(match a.as_str() {
                         "report" => "trace report needs a journal path \
                                      (`trace report <journal.jsonl>`)"
@@ -698,7 +569,7 @@ pub fn parse(argv: &[String]) -> Result<Cli, String> {
                         }
                     })
                 }
-                (None, _) => {
+                (None, _, _) => {
                     return Err("trace needs an action: `trace report <journal.jsonl>` \
                                 or `trace watch <host:port>`"
                         .into())
@@ -707,7 +578,13 @@ pub fn parse(argv: &[String]) -> Result<Cli, String> {
             Command::Trace { action }
         }
         "cache" => {
-            let action = match cache_word.as_deref() {
+            if words.len() > 1 {
+                return Err(format!(
+                    "unexpected argument `{}` (cache takes one action)",
+                    words[1]
+                ));
+            }
+            let action = match words.first().map(String::as_str) {
                 Some("stats") => CacheAction::Stats,
                 Some("compact") => CacheAction::Compact,
                 Some("clear") => CacheAction::Clear,
@@ -722,10 +599,12 @@ pub fn parse(argv: &[String]) -> Result<Cli, String> {
                     )
                 }
             };
-            let dir = l2.ok_or("cache needs the history directory: --l2 <dir>")?;
+            let dir = run
+                .l2
+                .ok_or("cache needs the history directory: --l2 <dir>")?;
             Command::Cache { action, dir }
         }
-        other => return Err(format!("unknown command `{other}`")),
+        other => unreachable!("`{other}` is in COMMANDS but has no builder"),
     };
     Ok(Cli { command, common })
 }
@@ -738,16 +617,15 @@ mod tests {
         words.iter().map(|s| s.to_string()).collect()
     }
 
+    fn loc(s: &str) -> SiteLocator {
+        SiteLocator::parse(s).unwrap()
+    }
+
     #[test]
     fn parses_sample_with_everything() {
         let cli = parse(&argv(&[
             "sample",
-            "--source",
-            "vehicles-full",
-            "--n",
-            "1000",
-            "--k",
-            "50",
+            "local:vehicles-full?n=1000&k=50&budget=5000",
             "--seed",
             "7",
             "--samples",
@@ -758,48 +636,50 @@ mod tests {
             "condition=used",
             "--bind",
             "make=Toyota",
-            "--budget",
-            "5000",
             "--histogram",
             "make",
             "--histogram",
             "year",
         ]))
         .unwrap();
-        assert_eq!(cli.common.source, "vehicles-full");
-        assert_eq!(cli.common.n, 1000);
-        assert_eq!(cli.common.k, 50);
+        assert_eq!(cli.common.seed, 7);
         assert_eq!(cli.common.samples, 99);
         assert_eq!(cli.common.slider, 0.5);
         assert_eq!(cli.common.binds.len(), 2);
-        assert_eq!(cli.common.budget, Some(5000));
         assert_eq!(
             cli.command,
             Command::Sample {
-                locator: None,
+                site: loc("local:vehicles-full?n=1000&k=50&budget=5000"),
                 histograms: vec!["make".into(), "year".into()],
                 record: None,
-                walkers: 1,
-                conns: None,
-                watch: false,
-                trace: None,
-                metrics: None,
-                l2: None,
+                run: RunOpts::walkers(1),
             }
         );
     }
 
     #[test]
     fn defaults_apply() {
-        let cli = parse(&argv(&["describe"])).unwrap();
+        let cli = parse(&argv(&["describe", "local:vehicles-compact"])).unwrap();
         assert_eq!(cli.common, Common::default());
-        assert_eq!(cli.command, Command::Describe);
+        assert_eq!(cli.common.seed, 2009);
+        assert_eq!(
+            cli.command,
+            Command::Describe {
+                site: loc("local:vehicles-compact")
+            }
+        );
+        // Every site-naming command needs its locator.
+        for command in ["describe", "sample", "aggregate", "validate", "serve"] {
+            let err = parse(&argv(&[command])).unwrap_err();
+            assert!(err.contains("needs a site locator"), "{command}: {err}");
+        }
     }
 
     #[test]
     fn aggregate_flags() {
         let cli = parse(&argv(&[
             "aggregate",
+            "http://127.0.0.1:8000",
             "--proportion",
             "make=Toyota",
             "--avg",
@@ -807,7 +687,12 @@ mod tests {
         ]))
         .unwrap();
         match cli.command {
-            Command::Aggregate { proportions, avgs } => {
+            Command::Aggregate {
+                site,
+                proportions,
+                avgs,
+            } => {
+                assert_eq!(site, loc("http://127.0.0.1:8000"));
                 assert_eq!(
                     proportions,
                     vec![("make".to_string(), "Toyota".to_string())]
@@ -822,212 +707,188 @@ mod tests {
     fn multi_site_flags() {
         let cli = parse(&argv(&[
             "multi-site",
-            "--sites",
-            "16",
+            "--site",
+            "local:boolean?seed=1",
+            "--site",
+            "local:boolean?seed=2",
             "--walkers",
             "4",
-            "--latency",
-            "150",
             "--conns",
             "2",
             "--samples",
             "80",
-            "--budget",
-            "2000",
         ]))
         .unwrap();
         assert_eq!(
             cli.command,
             Command::MultiSite {
-                site_locators: vec![],
-                sites: 16,
-                walkers: 4,
-                latencies_ms: vec![150],
-                jitter_ms: 0,
-                conns: Some(2),
-                watch: false,
-                chaos: None,
+                sites: vec![loc("local:boolean?seed=1"), loc("local:boolean?seed=2")],
                 steal: false,
-                trace: None,
-                metrics: None,
-                l2: None,
+                run: RunOpts {
+                    conns: Some(2),
+                    ..RunOpts::walkers(4)
+                },
             }
         );
         assert_eq!(cli.common.samples, 80);
-        assert_eq!(cli.common.budget, Some(2000));
 
-        let defaults = parse(&argv(&["multi-site"])).unwrap();
-        assert_eq!(
+        let defaults = parse(&argv(&["multi-site", "--site", "local:boolean"])).unwrap();
+        assert!(matches!(
             defaults.command,
-            Command::MultiSite {
-                site_locators: vec![],
-                sites: 4,
-                walkers: 2,
-                latencies_ms: vec![100],
-                jitter_ms: 0,
-                conns: None,
-                watch: false,
-                chaos: None,
-                steal: false,
-                trace: None,
-                metrics: None,
-                l2: None,
-            }
-        );
-        assert!(parse(&argv(&["multi-site", "--sites", "0"])).is_err());
-        assert!(parse(&argv(&["multi-site", "--walkers", "0"])).is_err());
-        assert!(parse(&argv(&["multi-site", "--latency", "0"])).is_err());
-        assert!(parse(&argv(&["multi-site", "--conns", "0"])).is_err());
+            Command::MultiSite { run, .. } if run == RunOpts::walkers(2)
+        ));
+        // A fleet is its legs: none is an error, and so is a bare word.
+        assert!(parse(&argv(&["multi-site"])).is_err());
+        assert!(parse(&argv(&["multi-site", "local:boolean"])).is_err());
+        assert!(parse(&argv(&["multi-site", "--site", "boolean"])).is_err());
+        assert!(parse(&argv(&[
+            "multi-site",
+            "--site",
+            "local:b",
+            "--walkers",
+            "0"
+        ]))
+        .is_err());
+        assert!(parse(&argv(&["multi-site", "--site", "local:b", "--conns", "0"])).is_err());
         assert!(parse(&argv(&["multi-site", "--driver", "coop"])).is_err());
     }
 
     #[test]
     fn multi_site_heterogeneous_latency_and_jitter() {
+        // Per-site wires live in the legs; the fleet-wide wire flags are
+        // gone.
         let cli = parse(&argv(&[
             "multi-site",
-            "--latency",
-            "50,100, 250",
-            "--jitter",
-            "20",
+            "--site",
+            "local:vehicles-compact?seed=2009&latency=50&jitter=20",
+            "--site",
+            "local:vehicles-compact?seed=2010&latency=250&jitter=20",
         ]))
         .unwrap();
-        assert_eq!(
-            cli.command,
-            Command::MultiSite {
-                site_locators: vec![],
-                sites: 4,
-                walkers: 2,
-                latencies_ms: vec![50, 100, 250],
-                jitter_ms: 20,
-                conns: None,
-                watch: false,
-                chaos: None,
-                steal: false,
-                trace: None,
-                metrics: None,
-                l2: None,
-            }
-        );
-        assert!(parse(&argv(&["multi-site", "--latency", "50,0,100"])).is_err());
-        assert!(parse(&argv(&["multi-site", "--latency", ""])).is_err());
-        assert!(parse(&argv(&["multi-site", "--latency", "50,,100"])).is_err());
+        match cli.command {
+            Command::MultiSite { sites, .. } => assert_eq!(
+                sites,
+                vec![
+                    loc("local:vehicles-compact?seed=2009&latency=50&jitter=20"),
+                    loc("local:vehicles-compact?seed=2010&latency=250&jitter=20"),
+                ]
+            ),
+            other => panic!("wrong command {other:?}"),
+        }
+        for flag in ["--latency", "--jitter", "--sites"] {
+            let err = parse(&argv(&["multi-site", "--site", "local:b", flag, "50"])).unwrap_err();
+            assert!(err.contains("unknown option"), "{flag}: {err}");
+        }
     }
 
     #[test]
     fn serve_and_remote_flags() {
         let cli = parse(&argv(&[
             "serve",
+            "local:boolean?n=500",
             "--port",
             "9090",
+            "--pool",
             "--workers",
             "8",
             "--serve-for",
             "30",
-            "--dataset",
-            "boolean",
         ]))
         .unwrap();
         assert_eq!(
             cli.command,
             Command::Serve {
+                site: loc("local:boolean?n=500"),
                 port: 9090,
-                pool: false,
+                pool: true,
                 workers: 8,
                 serve_for: Some(30),
-                chaos: None,
                 trace: None,
                 metrics: None,
                 max_conns: 0,
             }
         );
-        assert_eq!(cli.common.source, "boolean", "--dataset aliases --source");
 
-        let defaults = parse(&argv(&["serve"])).unwrap();
-        assert_eq!(
+        let defaults = parse(&argv(&["serve", "local:vehicles-compact"])).unwrap();
+        assert!(matches!(
             defaults.command,
             Command::Serve {
                 port: 8000,
                 pool: false,
                 workers: 4,
                 serve_for: None,
-                chaos: None,
-                trace: None,
-                metrics: None,
-                max_conns: 0,
+                ..
             }
-        );
-        assert!(parse(&argv(&["serve", "--workers", "0"])).is_err());
-        assert!(parse(&argv(&["serve", "--port", "99999"])).is_err());
-
-        // Serve modes: the reactor is the default, `--pool` opts out, and
-        // the two flags are mutually exclusive and serve-only.
-        assert!(matches!(
-            parse(&argv(&["serve", "--pool"])).unwrap().command,
-            Command::Serve { pool: true, .. }
         ));
-        assert!(matches!(
-            parse(&argv(&["serve", "--reactor"])).unwrap().command,
-            Command::Serve { pool: false, .. }
-        ));
-        assert!(parse(&argv(&["serve", "--pool", "--reactor"])).is_err());
-        assert!(parse(&argv(&["sample", "--pool"])).is_err());
-        assert!(parse(&argv(&["describe", "--reactor"])).is_err());
+        assert!(parse(&argv(&["serve", "local:b", "--pool", "--workers", "0"])).is_err());
+        assert!(parse(&argv(&["serve", "local:b", "--port", "99999"])).is_err());
+        // The reactor is the default and has no workers to size.
+        let err = parse(&argv(&["serve", "local:b", "--workers", "2"])).unwrap_err();
+        assert!(err.contains("--pool"), "{err}");
+        // serve needs a simulated site to serve.
+        assert!(parse(&argv(&["serve", "http://h:1"])).is_err());
+        assert!(parse(&argv(&["serve", "replay:t.jsonl"])).is_err());
 
-        let remote = parse(&argv(&["sample", "--remote", "127.0.0.1:9090"])).unwrap();
-        assert_eq!(remote.common.remote.as_deref(), Some("127.0.0.1:9090"));
-        let fleet = parse(&argv(&["multi-site", "--remote", "h1:1,h2:2"])).unwrap();
-        assert_eq!(fleet.common.remote.as_deref(), Some("h1:1,h2:2"));
+        // A live server is an `http://` locator; the old flag is gone.
+        let remote = parse(&argv(&["sample", "http://127.0.0.1:9090"])).unwrap();
+        assert!(matches!(
+            remote.command,
+            Command::Sample { site: SiteLocator::Http { ref addr }, .. } if addr == "127.0.0.1:9090"
+        ));
+        for flag in ["--remote", "--reactor", "--chaos", "--source", "--n", "--k"] {
+            assert!(
+                parse(&argv(&["sample", "local:b", flag, "1"])).is_err(),
+                "{flag}"
+            );
+        }
     }
 
     #[test]
     fn walker_flags() {
         let cli = parse(&argv(&[
             "sample",
-            "--remote",
-            "127.0.0.1:9090",
+            "http://127.0.0.1:9090",
             "--walkers",
             "64",
             "--conns",
             "4",
         ]))
         .unwrap();
-        assert_eq!(
+        assert!(matches!(
             cli.command,
             Command::Sample {
-                locator: None,
-                histograms: vec![],
-                record: None,
-                walkers: 64,
-                conns: Some(4),
-                watch: false,
-                trace: None,
-                metrics: None,
-                l2: None,
-            }
-        );
-        // One spelling on both commands, and no wire is needed to run
-        // several walkers.
-        let fleet = parse(&argv(&["multi-site", "--walkers", "16", "--conns", "8"])).unwrap();
-        assert!(matches!(
-            fleet.command,
-            Command::MultiSite {
-                walkers: 16,
-                conns: Some(8),
+                run: RunOpts {
+                    walkers: 64,
+                    conns: Some(4),
+                    ..
+                },
                 ..
             }
         ));
+        let fleet = parse(&argv(&[
+            "multi-site",
+            "--site",
+            "local:b",
+            "--walkers",
+            "16",
+            "--conns",
+            "8",
+        ]))
+        .unwrap();
         assert!(matches!(
-            parse(&argv(&["sample", "--walkers", "4"])).unwrap().command,
-            Command::Sample { walkers: 4, .. }
+            fleet.command,
+            Command::MultiSite {
+                run: RunOpts {
+                    walkers: 16,
+                    conns: Some(8),
+                    ..
+                },
+                ..
+            }
         ));
-        assert!(parse(&argv(&["sample", "--walkers", "0"])).is_err());
-        assert!(parse(&argv(&["sample", "--conns", "0"])).is_err());
-        // Walker flags are never silently ignored by other commands, and
-        // the renamed spellings are gone.
-        assert!(parse(&argv(&["serve", "--walkers", "2"])).is_err());
-        assert!(parse(&argv(&["serve", "--conns", "2"])).is_err());
-        assert!(parse(&argv(&["sample", "--coop-walkers", "4"])).is_err());
-        assert!(parse(&argv(&["multi-site", "--coop-conns", "2"])).is_err());
+        assert!(parse(&argv(&["sample", "local:b", "--walkers", "0"])).is_err());
+        assert!(parse(&argv(&["sample", "local:b", "--conns", "0"])).is_err());
+        assert!(parse(&argv(&["sample", "local:b", "--coop-walkers", "4"])).is_err());
     }
 
     #[test]
@@ -1035,71 +896,52 @@ mod tests {
         let fleet = parse(&argv(&[
             "multi-site",
             "--steal",
-            "--chaos",
-            "seed=7,throttle=0.2,retry_after=250,fail=0.1,drop=0.05",
+            "--site",
+            "local:vehicles-compact?chaos=seed=7,throttle=0.2,retry_after=250&latency=40",
         ]))
         .unwrap();
         match fleet.command {
-            Command::MultiSite { chaos, steal, .. } => {
-                let spec = chaos.expect("--chaos parsed");
-                assert_eq!(spec.seed, 7);
-                assert_eq!(spec.throttle, 0.2);
-                assert_eq!(spec.retry_after_ms, 250);
+            Command::MultiSite { sites, steal, .. } => {
                 assert!(steal);
+                match &sites[0] {
+                    SiteLocator::Local { params, .. } => assert_eq!(
+                        params[0],
+                        ("chaos".into(), "seed=7,throttle=0.2,retry_after=250".into()),
+                        "the spec keeps its `=` and `,`"
+                    ),
+                    other => panic!("wrong locator {other:?}"),
+                }
             }
             other => panic!("wrong command {other:?}"),
         }
-        let served = parse(&argv(&["serve", "--chaos", "latency=30,fail=0.1"])).unwrap();
-        match served.command {
-            Command::Serve { chaos, .. } => {
-                let spec = chaos.expect("--chaos parsed");
-                assert_eq!(spec.latency_ms, 30);
-                assert_eq!(spec.fail, 0.1);
-            }
-            other => panic!("wrong command {other:?}"),
-        }
-        // Strictness: bad grammar, wrong commands, real wire.
-        assert!(parse(&argv(&["serve", "--chaos", "throttle=2.0"])).is_err());
-        assert!(parse(&argv(&["serve", "--chaos", "psychic=1"])).is_err());
-        assert!(parse(&argv(&["sample", "--chaos", "fail=0.1"])).is_err());
-        assert!(parse(&argv(&["serve", "--steal"])).is_err());
-        assert!(parse(&argv(&[
-            "multi-site",
-            "--remote",
-            "h1:1",
-            "--chaos",
-            "fail=0.1"
-        ]))
-        .is_err());
+        // Chaos is a locator parameter now, under serve too.
+        assert!(parse(&argv(&["serve", "local:b?chaos=fail=0.1"])).is_ok());
+        assert!(parse(&argv(&["serve", "local:b", "--chaos", "fail=0.1"])).is_err());
     }
 
     #[test]
     fn watch_flag() {
-        let cli = parse(&argv(&["sample", "--watch"])).unwrap();
-        assert!(matches!(cli.command, Command::Sample { watch: true, .. }));
-        let fleet = parse(&argv(&["multi-site", "--watch"])).unwrap();
-        assert!(matches!(
-            fleet.command,
-            Command::MultiSite { watch: true, .. }
-        ));
-        // --watch is never silently ignored by other commands.
-        assert!(parse(&argv(&["serve", "--watch"])).is_err());
-        assert!(parse(&argv(&["aggregate", "--watch"])).is_err());
+        let cli = parse(&argv(&["sample", "local:b", "--watch"])).unwrap();
+        assert!(matches!(cli.command, Command::Sample { run, .. } if run.watch));
+        let fleet = parse(&argv(&["multi-site", "--site", "local:b", "--watch"])).unwrap();
+        assert!(matches!(fleet.command, Command::MultiSite { run, .. } if run.watch));
     }
 
     #[test]
     fn locator_and_site_flags() {
-        // `sample` takes one positional locator, any scheme.
-        let cli = parse(&argv(&["sample", "local:boolean?n=500", "--samples", "40"])).unwrap();
-        assert!(matches!(
-            cli.command,
-            Command::Sample { locator: Some(ref l), .. } if l == "local:boolean?n=500"
-        ));
-        let cli = parse(&argv(&["sample", "http://127.0.0.1:8080"])).unwrap();
-        assert!(matches!(
-            cli.command,
-            Command::Sample { locator: Some(ref l), .. } if l == "http://127.0.0.1:8080"
-        ));
+        for command in ["describe", "sample", "aggregate"] {
+            for s in [
+                "local:boolean?n=500",
+                "http://127.0.0.1:8080",
+                "replay:t.jsonl",
+            ] {
+                assert!(parse(&argv(&[command, s])).is_ok(), "{command} {s}");
+            }
+        }
+        // validate compares against the simulation's own database.
+        assert!(parse(&argv(&["validate", "local:boolean"])).is_ok());
+        let err = parse(&argv(&["validate", "http://h:1"])).unwrap_err();
+        assert!(err.contains("local:"), "{err}");
         // --record rides along with several walkers.
         let cli = parse(&argv(&[
             "sample",
@@ -1112,11 +954,8 @@ mod tests {
         .unwrap();
         assert!(matches!(
             cli.command,
-            Command::Sample {
-                record: Some(ref r),
-                walkers: 8,
-                ..
-            } if r == "tape.jsonl"
+            Command::Sample { record: Some(ref r), ref run, .. }
+                if r == "tape.jsonl" && run.walkers == 8
         ));
         // Repeatable --site builds a heterogeneous fleet.
         let cli = parse(&argv(&[
@@ -1130,64 +969,115 @@ mod tests {
         ]))
         .unwrap();
         match cli.command {
-            Command::MultiSite { site_locators, .. } => assert_eq!(
-                site_locators,
-                vec!["replay:tape.jsonl", "local:boolean", "http://h:1"]
+            Command::MultiSite { sites, .. } => assert_eq!(
+                sites,
+                vec![
+                    loc("replay:tape.jsonl"),
+                    loc("local:boolean"),
+                    loc("http://h:1")
+                ]
             ),
             other => panic!("wrong command {other:?}"),
         }
-        // Contradictions fail loudly instead of being silently ignored.
-        assert!(parse(&argv(&["sample", "http://h:1", "--remote", "h:2"])).is_err());
-        assert!(parse(&argv(&["sample", "a", "b"])).is_err());
-        assert!(parse(&argv(&["describe", "local:boolean"])).is_err());
-        assert!(parse(&argv(&["serve", "--site", "local:boolean"])).is_err());
-        assert!(parse(&argv(&["multi-site", "--record", "t.jsonl"])).is_err());
-        assert!(parse(&argv(&["multi-site", "--site", "local:b", "--sites", "2"])).is_err());
-        assert!(parse(&argv(&[
-            "multi-site",
-            "--site",
-            "local:b",
-            "--latency",
-            "50"
-        ]))
-        .is_err());
-        assert!(parse(&argv(&[
-            "multi-site",
-            "--site",
-            "local:b",
-            "--remote",
-            "h:1"
-        ]))
-        .is_err());
-        assert!(parse(&argv(&[
-            "multi-site",
-            "--site",
-            "local:b",
-            "--chaos",
-            "fail=0.1"
-        ]))
-        .is_err());
-        assert!(parse(&argv(&["multi-site", "--site", "local:b", "--watch"])).is_err());
+        // One locator per command, and it must parse.
+        assert!(parse(&argv(&["sample", "local:a", "local:b"])).is_err());
+        let err = parse(&argv(&["sample", "boolean"])).unwrap_err();
+        assert!(err.contains("did you mean `local:boolean`?"), "{err}");
+    }
+
+    /// A valid value for each flag that takes one.
+    fn sample_value(flag: &str) -> Option<&'static str> {
+        match flag {
+            "--watch" | "--steal" | "--pool" => None,
+            "--bind" | "--proportion" => Some("make=Toyota"),
+            "--slider" => Some("0.5"),
+            "--site" => Some("local:boolean"),
+            "--histogram" | "--avg" | "--attr" => Some("make"),
+            "--trace" | "--record" => Some("out.jsonl"),
+            "--l2" => Some("hist"),
+            _ => Some("3"),
+        }
+    }
+
+    /// The smallest valid command line for each command.
+    fn base(command: &str) -> Vec<&'static str> {
+        match command {
+            "describe" => vec!["describe", "local:boolean"],
+            "sample" => vec!["sample", "local:boolean"],
+            "aggregate" => vec!["aggregate", "local:boolean"],
+            "validate" => vec!["validate", "local:boolean"],
+            "multi-site" => vec!["multi-site", "--site", "local:boolean"],
+            "serve" => vec!["serve", "local:boolean", "--pool"],
+            "trace" => vec!["trace", "report", "run.jsonl"],
+            "cache" => vec!["cache", "stats", "--l2", "hist"],
+            other => panic!("no base command line for `{other}`"),
+        }
+    }
+
+    #[test]
+    fn every_flag_is_accepted_exactly_where_the_table_says() {
+        assert_eq!(FLAGS.len(), 22, "the CLI's whole flag surface");
+        for command in COMMANDS {
+            assert!(parse(&argv(&base(command))).is_ok(), "base `{command}`");
+            for (flag, takers) in FLAGS {
+                let mut words = base(command);
+                words.push(flag);
+                words.extend(sample_value(flag));
+                let parsed = parse(&argv(&words));
+                if takers.contains(command) {
+                    assert!(parsed.is_ok(), "{words:?}: {parsed:?}");
+                } else {
+                    let err = parsed.unwrap_err();
+                    assert!(
+                        err.contains(&format!("{flag} does not apply to `{command}`")),
+                        "{words:?}: {err}"
+                    );
+                }
+            }
+        }
+        // The flags that used to be accepted and then ignored.
+        for words in [
+            &["describe", "local:b", "--port", "5"][..],
+            &["describe", "local:b", "--samples", "5"],
+            &["describe", "local:b", "--bind", "make=Honda"],
+            &["sample", "local:b", "--attr", "make"],
+            &["describe", "local:b", "--avg", "price_usd"],
+        ] {
+            assert!(parse(&argv(words)).is_err(), "{words:?}");
+        }
     }
 
     #[test]
     fn trace_and_metrics_flags() {
-        let cli = parse(&argv(&["sample", "--trace", "run.jsonl", "--metrics", "0"])).unwrap();
+        let cli = parse(&argv(&[
+            "sample",
+            "local:b",
+            "--trace",
+            "run.jsonl",
+            "--metrics",
+            "0",
+        ]))
+        .unwrap();
         assert!(matches!(
             cli.command,
-            Command::Sample {
-                trace: Some(ref t),
-                metrics: Some(ref m),
-                ..
-            } if t == "run.jsonl" && m == "0"
+            Command::Sample { run: RunOpts { trace: Some(ref t), metrics: Some(ref m), .. }, .. }
+                if t == "run.jsonl" && m == "0"
         ));
-        let fleet = parse(&argv(&["multi-site", "--trace", "fleet.jsonl"])).unwrap();
+        let fleet = parse(&argv(&[
+            "multi-site",
+            "--site",
+            "local:b",
+            "--trace",
+            "fleet.jsonl",
+        ]))
+        .unwrap();
         assert!(matches!(
             fleet.command,
-            Command::MultiSite { trace: Some(ref t), .. } if t == "fleet.jsonl"
+            Command::MultiSite { run: RunOpts { trace: Some(ref t), .. }, .. } if t == "fleet.jsonl"
         ));
         let served = parse(&argv(&[
             "serve",
+            "local:b",
             "--trace",
             "requests.jsonl",
             "--metrics",
@@ -1202,10 +1092,6 @@ mod tests {
                 ..
             } if t == "requests.jsonl" && m == "final.prom"
         ));
-        // Never silently ignored elsewhere.
-        assert!(parse(&argv(&["describe", "--trace", "x.jsonl"])).is_err());
-        assert!(parse(&argv(&["aggregate", "--metrics", "0"])).is_err());
-        assert!(parse(&argv(&["validate", "--trace", "x.jsonl"])).is_err());
     }
 
     #[test]
@@ -1241,14 +1127,14 @@ mod tests {
         let cli = parse(&argv(&["sample", "local:boolean", "--l2", "hist"])).unwrap();
         assert!(matches!(
             cli.command,
-            Command::Sample { l2: Some(ref d), .. } if d == "hist"
+            Command::Sample { run: RunOpts { l2: Some(ref d), .. }, .. } if d == "hist"
         ));
-        let fleet = parse(&argv(&["multi-site", "--l2", "hist"])).unwrap();
+        let fleet = parse(&argv(&["multi-site", "--site", "local:b", "--l2", "hist"])).unwrap();
         assert!(matches!(
             fleet.command,
-            Command::MultiSite { l2: Some(ref d), .. } if d == "hist"
+            Command::MultiSite { run: RunOpts { l2: Some(ref d), .. }, .. } if d == "hist"
         ));
-        let served = parse(&argv(&["serve", "--max-conns", "64"])).unwrap();
+        let served = parse(&argv(&["serve", "local:b", "--max-conns", "64"])).unwrap();
         assert!(matches!(
             served.command,
             Command::Serve { max_conns: 64, .. }
@@ -1267,11 +1153,8 @@ mod tests {
                 }
             );
         }
-        // Never silently ignored or under-specified.
-        assert!(parse(&argv(&["serve", "--l2", "hist"])).is_err());
-        assert!(parse(&argv(&["describe", "--l2", "hist"])).is_err());
-        assert!(parse(&argv(&["sample", "--max-conns", "4"])).is_err());
-        assert!(parse(&argv(&["serve", "--max-conns", "abc"])).is_err());
+        // Never under-specified.
+        assert!(parse(&argv(&["serve", "local:b", "--max-conns", "abc"])).is_err());
         assert!(parse(&argv(&["cache", "--l2", "hist"])).is_err());
         assert!(parse(&argv(&["cache", "stats"])).is_err());
         assert!(parse(&argv(&["cache", "psychic", "--l2", "hist"])).is_err());
@@ -1282,11 +1165,11 @@ mod tests {
     fn rejects_garbage() {
         assert!(parse(&argv(&[])).is_err());
         assert!(parse(&argv(&["frobnicate"])).is_err());
-        assert!(parse(&argv(&["sample", "--n"])).is_err());
-        assert!(parse(&argv(&["sample", "--n", "abc"])).is_err());
-        assert!(parse(&argv(&["sample", "--slider", "1.5"])).is_err());
-        assert!(parse(&argv(&["sample", "--bind", "nokv"])).is_err());
-        assert!(parse(&argv(&["sample", "--counts", "psychic"])).is_err());
-        assert!(parse(&argv(&["sample", "--wat", "1"])).is_err());
+        assert!(parse(&argv(&["sample", "local:b", "--samples"])).is_err());
+        assert!(parse(&argv(&["sample", "local:b", "--samples", "abc"])).is_err());
+        assert!(parse(&argv(&["sample", "local:b", "--slider", "1.5"])).is_err());
+        assert!(parse(&argv(&["sample", "local:b", "--bind", "nokv"])).is_err());
+        assert!(parse(&argv(&["sample", "local:b", "--wat", "1"])).is_err());
+        assert!(parse(&argv(&["sample", "ftp://x"])).is_err());
     }
 }

@@ -1,169 +1,31 @@
 //! Command implementations.
+//!
+//! Every command names its site with a [`SiteLocator`] and reaches it
+//! through the [`ConnectorRegistry`], which discovers the schema off the
+//! site's `/`; every sampling command then runs one [`RunPlan`].
 
 use std::io::Write as _;
 use std::sync::Arc;
 
-use hdsampler_core::{
-    CachingExecutor, HdsSampler, MetricsRegistry, MetricsSink, SampleSet, SamplerConfig,
-    SamplerStats, SamplingSession, SessionEvent, TraceEvent, TraceLog,
-};
+use hdsampler_core::{MetricsRegistry, MetricsSink, SampleSet, SamplerStats, TraceEvent, TraceLog};
 use hdsampler_estimator::{fmt_stat, Estimator, Histogram, MarginalComparison, OnlineFrequencies};
-use hdsampler_hidden_db::{CountMode, HiddenDb};
 use hdsampler_model::{ConjunctiveQuery, FormInterface, Schema};
 use hdsampler_server::{
     render_server_metrics, Adversary, BridgeSink, HttpServer, Response, ServeMode, ServerConfig,
     ServerHandle, SiteBehavior,
 };
 use hdsampler_webform::{
-    read_journal, summarize, watch_events, write_journal, AsyncTransport, BoxTransport, ChaosSpec,
-    ChaosTransport, Clocked, ConnectOptions, ConnectorRegistry, Driver, LatencyTransport,
-    LocalSite, RetryPolicy, RunPlan, RunReport, SiteLocator, SiteReport, SiteTask, Transport,
-    WebForm, WebFormInterface,
+    read_journal, summarize, watch_events, write_journal, BoxTransport, ConnectOptions,
+    ConnectorRegistry, Driver, LocalParams, LocalSite, RunPlan, RunReport, SiteLocator, SiteReport,
+    SiteTask, WebForm,
 };
-use hdsampler_workload::{resolve_dataset, DbConfig, WorkloadSpec};
 
-use crate::args::{CacheAction, Cli, Command, Common, TraceAction};
+use crate::args::{CacheAction, Cli, Command, Common, RunOpts, TraceAction};
 use crate::display::{self, progress_line, ProgressSink, WatchSink};
-
-/// Build one simulated hidden database from the common options with an
-/// explicit seed (multi-site fleets give every site its own data).
-fn build_db(common: &Common, seed: u64) -> Result<HiddenDb, String> {
-    let count_mode = match common.counts.as_str() {
-        "exact" => CountMode::Exact,
-        "noisy" => CountMode::Noisy { sigma: 0.15, seed },
-        _ => CountMode::Absent,
-    };
-    let mut db_cfg = DbConfig {
-        count_mode,
-        ..DbConfig::no_counts().with_k(common.k)
-    };
-    if let Some(b) = common.budget {
-        db_cfg = db_cfg.with_budget(b);
-    }
-    // The registry rejects unknown names early, listing every valid one
-    // (plus a nearest-match hint) — no string-matched dispatch here.
-    let data = resolve_dataset(&common.source)?.data_spec(common.n, seed);
-    Ok(WorkloadSpec {
-        data,
-        db: db_cfg,
-        seed,
-    }
-    .build())
-}
-
-/// Build the simulated site from the common options.
-fn build_site(common: &Common) -> Result<Arc<HiddenDb>, String> {
-    Ok(Arc::new(build_db(common, common.seed)?))
-}
 
 fn scope_query(schema: &Schema, binds: &[(String, String)]) -> Result<ConjunctiveQuery, String> {
     ConjunctiveQuery::from_named(schema, binds.iter().map(|(a, b)| (a.as_str(), b.as_str())))
         .map_err(|e| e.to_string())
-}
-
-/// Run one sampling session over any interface (the in-process database
-/// or a scraped remote site) behind a history cache.
-fn run_session_on<F: FormInterface>(
-    iface: F,
-    schema: &Schema,
-    common: &Common,
-) -> Result<(SampleSet, hdsampler_core::SamplerStats), String> {
-    let scope = scope_query(schema, &common.binds)?;
-    let cfg = SamplerConfig::seeded(common.seed)
-        .with_slider(common.slider)
-        .with_scope(scope);
-    let exec = CachingExecutor::new(iface);
-    let mut sampler = HdsSampler::new(&exec, cfg).map_err(|e| e.to_string())?;
-    let session = SamplingSession::new(common.samples);
-    let mut out = std::io::stdout();
-    let outcome = session.run(&mut sampler, |event| {
-        if let SessionEvent::SampleAccepted {
-            collected, target, ..
-        } = event
-        {
-            if collected % 25 == 0 || *collected == *target {
-                let _ = write!(out, "\r  samples {collected}/{target}   ");
-                let _ = out.flush();
-            }
-        }
-    });
-    println!();
-    println!("{}", display::summary(&outcome.stats));
-    let hist = exec.history_stats();
-    println!(
-        "history cache: {} shards (autotuned), {} hits, {} evictions",
-        hist.shard_count,
-        hist.total_hits(),
-        hist.evictions
-    );
-    match &outcome.reason {
-        hdsampler_core::StopReason::TargetReached => {}
-        // A failed session (e.g. the remote server refused connections) is
-        // a command failure, not a short result — scripts polling
-        // `sample --remote` rely on the exit code.
-        hdsampler_core::StopReason::Failed(e) => {
-            return Err(format!("session failed: {e}"));
-        }
-        early => println!("note: session stopped early ({early:?})"),
-    }
-    Ok((outcome.samples, outcome.stats))
-}
-
-fn run_session(
-    db: &Arc<HiddenDb>,
-    common: &Common,
-) -> Result<(SampleSet, hdsampler_core::SamplerStats), String> {
-    let schema = db.schema().clone();
-    run_session_on(Arc::clone(db), &schema, common)
-}
-
-/// The locator a `sample` invocation means: the positional locator wins,
-/// `--remote <addr>` is sugar for `http://<addr>`, and bare flags name an
-/// in-process `local:` site (so every path goes through the connector
-/// registry and its scrape-based schema discovery).
-fn effective_locator(common: &Common, locator: Option<&str>) -> Result<SiteLocator, String> {
-    if let Some(s) = locator {
-        return SiteLocator::parse(s);
-    }
-    if let Some(addr) = &common.remote {
-        return SiteLocator::parse(&format!("http://{addr}"));
-    }
-    Ok(local_locator_from_flags(common))
-}
-
-/// Translate the classic workload flags into their `local:` locator.
-fn local_locator_from_flags(common: &Common) -> SiteLocator {
-    let mut params = vec![
-        ("n".to_string(), common.n.to_string()),
-        ("k".to_string(), common.k.to_string()),
-        ("seed".to_string(), common.seed.to_string()),
-    ];
-    if common.counts != "absent" {
-        params.push(("counts".into(), common.counts.clone()));
-    }
-    if let Some(b) = common.budget {
-        params.push(("budget".into(), b.to_string()));
-    }
-    SiteLocator::Local {
-        dataset: common.source.clone(),
-        params,
-    }
-}
-
-/// The `--trace` / `--metrics` options a run surface carries.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TelemetryOpts {
-    /// `--trace <path>`: journal the run's trace events to JSONL.
-    pub trace: Option<String>,
-    /// `--metrics <port>`: loopback port for a live telemetry server
-    /// exposing `/metrics` and `/events` over the run.
-    pub metrics: Option<String>,
-}
-
-impl TelemetryOpts {
-    fn new(trace: Option<String>, metrics: Option<String>) -> Self {
-        TelemetryOpts { trace, metrics }
-    }
 }
 
 /// The landing page of the embedded telemetry plane. `/metrics` and
@@ -181,8 +43,8 @@ impl SiteBehavior for TelemetrySite {
     }
 }
 
-/// The live half of a run's observability, resolved from
-/// [`TelemetryOpts`]: a journal accumulator for `--trace`, and (for
+/// The live half of a run's observability, resolved from a run's
+/// [`RunOpts`]: a journal accumulator for `--trace`, and (for
 /// `--metrics <port>`) an embedded telemetry server whose registry
 /// aggregates the same trace stream and whose `/events` hub mirrors
 /// every accepted sample to remote watchers.
@@ -198,7 +60,7 @@ impl PlanTelemetry {
     /// Resolve the flags, booting the telemetry server if one was asked
     /// for (`--metrics 0` picks an ephemeral port; the bound address is
     /// printed so a second terminal can `trace watch` it).
-    fn start(opts: &TelemetryOpts) -> Result<Self, String> {
+    fn start(opts: &RunOpts) -> Result<Self, String> {
         let served = match &opts.metrics {
             Some(port) => {
                 let port: u16 = port.parse().map_err(|_| {
@@ -279,99 +141,41 @@ impl PlanTelemetry {
 
 /// Execute a parsed command.
 pub fn run(cli: Cli) -> Result<(), String> {
+    let common = &cli.common;
     match cli.command {
-        Command::Describe => describe(&cli.common),
+        Command::Describe { site } => describe(&site),
         Command::Sample {
-            locator,
+            site,
             histograms,
             record,
-            walkers,
-            conns,
-            watch,
-            trace,
-            metrics,
-            l2,
-        } => sample(
-            &cli.common,
-            locator.as_deref(),
-            &histograms,
-            record.as_deref(),
-            walkers,
-            conns,
-            watch,
-            &TelemetryOpts::new(trace, metrics),
-            l2.as_deref(),
-        ),
-        Command::Aggregate { proportions, avgs } => aggregate(&cli.common, &proportions, &avgs),
-        Command::Validate { attr } => validate(&cli.common, attr.as_deref()),
-        Command::MultiSite {
-            site_locators,
-            sites,
-            walkers,
-            latencies_ms,
-            jitter_ms,
-            conns,
-            watch,
-            chaos,
-            steal,
-            trace,
-            metrics,
-            l2,
-        } => {
-            let telemetry = TelemetryOpts::new(trace, metrics);
-            if !site_locators.is_empty() {
-                return multi_site_locators(
-                    &cli.common,
-                    &site_locators,
-                    walkers,
-                    conns,
-                    steal,
-                    &telemetry,
-                    l2.as_deref(),
-                );
-            }
-            if l2.is_some() {
-                // The flag-built simulated fleet gives every site the
-                // same schema and k, so a digest-free fingerprint would
-                // collide across sites with different data — facts from
-                // one site would answer another's queries. Locator legs
-                // scrape each site's advertised (data-sensitive)
-                // fingerprint instead.
-                return Err("--l2 needs fingerprinted legs; name the fleet with --site \
-                            locators (e.g. --site local:boolean?seed=1) or bake an \
-                            `l2=` parameter into each locator"
-                    .into());
-            }
-            multi_site(
-                &cli.common,
-                sites,
-                walkers,
-                &latencies_ms,
-                jitter_ms,
-                conns,
-                watch,
-                chaos,
-                steal,
-                &telemetry,
-            )
+            run,
+        } => sample(common, &site, &histograms, record.as_deref(), &run).map(drop),
+        Command::Aggregate {
+            site,
+            proportions,
+            avgs,
+        } => aggregate(common, &site, &proportions, &avgs).map(drop),
+        Command::Validate { site, attr } => validate(common, &site, attr.as_deref()).map(drop),
+        Command::MultiSite { sites, steal, run } => {
+            multi_site(common, &sites, steal, &run).map(drop)
         }
         Command::Serve {
+            site,
             port,
             pool,
             workers,
             serve_for,
-            chaos,
             trace,
             metrics,
             max_conns,
         } => serve(
-            &cli.common,
+            &site,
             port,
             pool,
             workers,
             serve_for,
-            chaos,
-            &TelemetryOpts::new(trace, metrics),
+            trace.as_deref(),
+            metrics.as_deref(),
             max_conns,
         ),
         Command::Trace { action } => match action {
@@ -463,20 +267,33 @@ fn trace_watch(addr: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Put the simulated site behind a real HTTP front door on 127.0.0.1,
-/// optionally hidden behind a fault-injecting [`Adversary`].
+/// Put a `local:` site behind a real HTTP front door on 127.0.0.1,
+/// hidden behind a fault-injecting [`Adversary`] when the locator carries
+/// `chaos=`.
 #[allow(clippy::too_many_arguments)]
 fn serve(
-    common: &Common,
+    loc: &SiteLocator,
     port: u16,
     pool: bool,
     workers: usize,
     serve_for: Option<u64>,
-    chaos: Option<ChaosSpec>,
-    telemetry: &TelemetryOpts,
+    trace: Option<&str>,
+    metrics: Option<&str>,
     max_conns: usize,
 ) -> Result<(), String> {
-    let db = build_db(common, common.seed)?;
+    let params = LocalParams::parse(loc)?;
+    if let SiteLocator::Local { params: pairs, .. } = loc {
+        if let Some((key, _)) = pairs
+            .iter()
+            .find(|(key, _)| matches!(key.as_str(), "latency" | "jitter" | "l2"))
+        {
+            return Err(format!(
+                "{loc}: `{key}=` configures a client's wire or cache; a served \
+                 site answers over real TCP (give it to the client's locator)"
+            ));
+        }
+    }
+    let db = params.build_db().map_err(|e| format!("{loc}: {e}"))?;
     let schema = Arc::new(db.schema().clone());
     let n = db.n_tuples();
     let k = db.result_limit();
@@ -497,7 +314,9 @@ fn serve(
     };
     // The adversary (when any) is kept on this side too, so the shutdown
     // report can print what it injected.
-    let adversary = chaos.map(|spec| Arc::new(Adversary::new(Arc::clone(&site), spec)));
+    let adversary = params
+        .chaos
+        .map(|spec| Arc::new(Adversary::new(Arc::clone(&site), spec)));
     let handle = match &adversary {
         Some(adv) => HttpServer::serve(cfg, Arc::clone(adv)),
         None => HttpServer::serve(cfg, site),
@@ -505,7 +324,7 @@ fn serve(
     .map_err(|e| format!("cannot bind 127.0.0.1:{port}: {e}"))?;
     println!(
         "serving `{}` (n = {n}, top-{k}) on http://{} — form at /, results at {action}",
-        common.source,
+        params.dataset,
         handle.addr()
     );
     println!("telemetry: /metrics exposition and /events live stream on the same port");
@@ -579,12 +398,12 @@ fn serve(
                     stats.open_connections,
                 );
             }
-            if let Some(path) = &telemetry.metrics {
+            if let Some(path) = metrics {
                 std::fs::write(path, render_server_metrics(&stats, None))
                     .map_err(|e| format!("cannot write metrics exposition `{path}`: {e}"))?;
                 println!("metrics: final exposition written to `{path}`");
             }
-            if let Some(path) = &telemetry.trace {
+            if let Some(path) = trace {
                 let events: Vec<TraceEvent> = request_log
                     .iter()
                     .map(|entry| TraceEvent {
@@ -623,183 +442,90 @@ fn serve(
     Ok(())
 }
 
-/// Build one fleet of `sites` scraper stacks, each over its own seeded
-/// data behind a latency-decorated wire. Site `i` gets latency
-/// `latencies_ms[i % len] ± jitter_ms` (heterogeneous fleets: pass a
-/// comma list to `--latency`).
-fn build_fleet(
-    common: &Common,
-    sites: usize,
-    latencies_ms: &[u64],
-    jitter_ms: u64,
-) -> Result<Vec<SiteTask<LatencyTransport<LocalSite<HiddenDb>>>>, String> {
-    (0..sites)
-        .map(|i| {
-            let db = build_db(common, common.seed.wrapping_add(i as u64))?;
-            let schema = Arc::new(db.schema().clone());
-            let k = db.result_limit();
-            let supports_count = db.supports_count();
-            let site = LocalSite::new(db, Arc::clone(&schema));
-            let latency = latencies_ms[i % latencies_ms.len()];
-            let wire = LatencyTransport::with_jitter(
-                site,
-                latency,
-                jitter_ms,
-                common.seed.wrapping_add(i as u64),
-            );
-            Ok(SiteTask::new(
-                format!("site-{i}"),
-                WebFormInterface::new(wire, schema, k, supports_count),
-            ))
-        })
-        .collect()
+/// Pipelined connections per live site when `--conns` is not given: the
+/// reactor server (the `serve` default) multiplexes every connection onto
+/// per-core readiness loops, so a wide fan-out no longer starves a worker
+/// pool — 64 connections keeps per-connection pipelines shallow (better
+/// latency under cancellation) while staying far below fd limits. Against
+/// a `serve --pool` server, cap it by hand (`--conns <= --workers`).
+const DEFAULT_REMOTE_CONNS: usize = 64;
+
+/// Connections per site. On the virtual wire: `--conns`, else one per
+/// walker. With a live server: `--conns` (default
+/// [`DEFAULT_REMOTE_CONNS`]), never more than one per walker.
+fn site_conns(live: bool, run: &RunOpts) -> Option<usize> {
+    if live {
+        Some(run.conns.unwrap_or(DEFAULT_REMOTE_CONNS).min(run.walkers))
+    } else {
+        run.conns
+    }
 }
 
-/// Build an adversarial fleet: the same seeded per-site data, but each
-/// wire is a [`ChaosTransport`] injecting the `--chaos` schedule. Site `i`
-/// faults on its own stream (the spec seed is offset per site, so the
-/// fleet never throttles in lockstep); a spec without `latency=` inherits
-/// the site's `--latency` entry as its base service time.
-fn build_chaos_fleet(
+/// `multi-site --site a --site b …`: one leg per locator — mixed
+/// `local:`, `http://` and `replay:` wires, each discovered off its own
+/// `/` — driven by one [`RunPlan`]. `--bind` and `--watch` resolve against
+/// one fleet-wide schema, so they need every leg to serve the same form.
+fn multi_site(
     common: &Common,
-    sites: usize,
-    latencies_ms: &[u64],
-    spec: &ChaosSpec,
-) -> Result<Vec<SiteTask<ChaosTransport<LocalSite<HiddenDb>>>>, String> {
-    (0..sites)
-        .map(|i| {
-            let db = build_db(common, common.seed.wrapping_add(i as u64))?;
-            let schema = Arc::new(db.schema().clone());
-            let k = db.result_limit();
-            let supports_count = db.supports_count();
-            let site = LocalSite::new(db, Arc::clone(&schema));
-            let mut site_spec = ChaosSpec {
-                seed: spec.seed.wrapping_add(i as u64),
-                ..spec.clone()
-            };
-            if site_spec.latency_ms == 0 {
-                site_spec.latency_ms = latencies_ms[i % latencies_ms.len()];
-            }
-            let wire = ChaosTransport::new(site, site_spec);
-            Ok(SiteTask::new(
-                format!("site-{i}"),
-                WebFormInterface::new(wire, schema, k, supports_count)
-                    .with_retry(CHAOS_RETRY_POLICY),
-            ))
-        })
-        .collect()
-}
-
-/// The retry policy an adversarial fleet runs under: patient enough to
-/// ride out bursts at the default fault rates, still bounded so a dead
-/// site fails instead of spinning.
-const CHAOS_RETRY_POLICY: RetryPolicy = RetryPolicy {
-    max_retries: 12,
-    base_backoff_ms: 25,
-    max_backoff_ms: 2_000,
-};
-
-/// Build a fleet of scraper stacks over live servers, one per address,
-/// each schema discovered by scraping the server's landing page — no
-/// local schema flags needed.
-fn build_remote_fleet(addrs: &[&str]) -> Result<Vec<SiteTask<BoxTransport>>, String> {
-    let registry = ConnectorRegistry::standard();
-    addrs
-        .iter()
-        .map(|addr| {
-            let loc = SiteLocator::parse(&format!("http://{addr}"))?;
-            registry.connect(&loc, &ConnectOptions::default())
-        })
-        .collect()
-}
-
-/// `multi-site --site a --site b …`: a heterogeneous fleet where every
-/// leg is its own locator — mixed `local:`, `http://` and `replay:` wires
-/// with per-site schemas, all resolved through the connector registry and
-/// driven by one [`RunPlan`].
-fn multi_site_locators(
-    common: &Common,
-    locs: &[String],
-    walkers: usize,
-    conns: Option<usize>,
+    legs: &[SiteLocator],
     steal: bool,
-    telemetry: &TelemetryOpts,
-    l2: Option<&str>,
-) -> Result<(), String> {
-    if !common.binds.is_empty() {
-        return Err("--bind does not combine with --site: fleet legs have \
-                    per-site schemas, and the scope is fleet-wide"
-            .into());
+    run: &RunOpts,
+) -> Result<RunReport, String> {
+    let opts = ConnectOptions {
+        record: None,
+        l2: run.l2.clone(),
+    };
+    let mut fleet = Vec::with_capacity(legs.len());
+    for (i, loc) in legs.iter().enumerate() {
+        let mut task = ConnectorRegistry::standard().connect(loc, &opts)?;
+        task.name = format!("site-{i}");
+        fleet.push(task);
     }
-    let locators: Vec<SiteLocator> = locs
-        .iter()
-        .map(|s| SiteLocator::parse(s))
-        .collect::<Result<_, String>>()?;
-    println!(
-        "fleet: {} site(s) by locator, {} samples per site, {walkers} walker(s) per site",
-        locators.len(),
-        common.samples
-    );
-    for loc in &locators {
-        println!("  - {loc}");
-    }
-    print_driver_line(steal);
-    if let Some(root) = l2 {
-        println!("l2 history: persisting learned facts under `{root}/<fingerprint>/`");
-    }
-    let mut observers = PlanTelemetry::start(telemetry)?;
-    let mut plan = RunPlan::target(common.samples)
-        .walkers(walkers)
-        .seed(common.seed)
-        .slider(common.slider)
-        .driver(Driver::Coop { conns })
-        .steal(steal);
-    if let Some(root) = l2 {
-        plan = plan.l2(root);
-    }
-    let (report, fleet) = observers.attach(plan).run_locators(&locators)?;
-    println!("\n{}", display::fleet_report(&report.fleet));
-    if l2.is_some() {
-        for (task, site) in fleet.iter().zip(&report.fleet.sites) {
-            print_l2_block(
-                &site.history,
-                task.l2().map(|log| log.fingerprint().as_str()),
-            );
+    let schema = fleet[0].iface.schema().clone();
+    if run.watch || !common.binds.is_empty() {
+        if let Some(i) = fleet.iter().position(|t| t.iface.schema() != &schema) {
+            return Err(format!(
+                "--watch and --bind need one fleet-wide schema, but leg `{}` serves a \
+                 different form than `{}`",
+                legs[i], legs[0]
+            ));
         }
     }
-    observers.finish()
-}
-
-/// The engine line every simulated or locator-built fleet prints.
-fn print_driver_line(steal: bool) {
+    let scope = scope_query(&schema, &common.binds)?;
+    let adversarial = legs
+        .iter()
+        .filter(|loc| LocalParams::parse(loc).is_ok_and(|p| p.chaos.is_some()))
+        .count();
     println!(
-        "driver: cooperative — one thread multiplexes every site's walkers{}",
+        "fleet: {} site(s) by locator{}, {} samples per site, {} walker(s) per site",
+        legs.len(),
+        if adversarial > 0 {
+            format!(" ({adversarial} behind adversarial wires)")
+        } else {
+            String::new()
+        },
+        common.samples,
+        run.walkers
+    );
+    for (task, loc) in fleet.iter().zip(legs) {
+        println!("  {}: {loc}", task.name);
+    }
+    let live = fleet.iter().any(|task| !task.iface.wire_is_virtual());
+    let conns = site_conns(live, run);
+    println!(
+        "driver: cooperative — one thread multiplexes every site's walkers{}{}",
+        conns
+            .map(|c| format!(" over {c} connection(s) per site"))
+            .unwrap_or_default(),
         if steal { ", stealing enabled" } else { "" }
     );
-}
-
-/// Drive one fleet: the shared back half of `multi-site`, generic over
-/// the wire (virtual, chaos-wrapped, or real).
-fn drive_fleet<T>(
-    common: &Common,
-    mut fleet: Vec<SiteTask<T>>,
-    walkers: usize,
-    conns: Option<usize>,
-    watch: bool,
-    steal: bool,
-    telemetry: &TelemetryOpts,
-) -> Result<(), String>
-where
-    T: Transport + AsyncTransport + Clocked,
-{
-    // The sites share a schema structure, so the --bind scope resolves
-    // fleet-wide against the first one.
-    let schema = fleet[0].iface.schema().clone();
-    let scope = scope_query(&schema, &common.binds)?;
-    let mut watch_sink = watch.then(|| fleet_watch_sink(&schema)).transpose()?;
-    let mut observers = PlanTelemetry::start(telemetry)?;
+    if let Some(root) = &run.l2 {
+        println!("l2 history: persisting learned facts under `{root}/<fingerprint>/`");
+    }
+    let mut watch_sink = run.watch.then(|| fleet_watch_sink(&schema)).transpose()?;
+    let mut observers = PlanTelemetry::start(run)?;
     let mut plan = RunPlan::target(common.samples)
-        .walkers(walkers)
+        .walkers(run.walkers)
         .seed(common.seed)
         .slider(common.slider)
         .scope(scope)
@@ -810,60 +536,14 @@ where
     }
     let report = observers.attach(plan).run(&mut fleet);
     println!("\n{}", display::fleet_report(&report.fleet));
-    observers.finish()
-}
-
-#[allow(clippy::too_many_arguments)]
-fn multi_site(
-    common: &Common,
-    sites: usize,
-    walkers: usize,
-    latencies_ms: &[u64],
-    jitter_ms: u64,
-    conns: Option<usize>,
-    watch: bool,
-    chaos: Option<ChaosSpec>,
-    steal: bool,
-    telemetry: &TelemetryOpts,
-) -> Result<(), String> {
-    if let Some(remote) = &common.remote {
-        return multi_site_remote(common, remote, walkers, conns, watch, steal, telemetry);
+    for (task, site) in fleet.iter().zip(&report.fleet.sites) {
+        print_l2_block(
+            &site.history,
+            task.l2().map(|log| log.fingerprint().as_str()),
+        );
     }
-    let latency_desc = if latencies_ms.len() == 1 {
-        format!("{} ms", latencies_ms[0])
-    } else {
-        format!("{latencies_ms:?} ms (cycling)")
-    };
-    match chaos {
-        Some(spec) => {
-            println!(
-                "fleet: {sites} × `{}` (n = {} each) behind adversarial wires \
-                 (seed {} — throttle {:.0}%, fail {:.0}%, drop {:.0}%, count-noise {:.0}%), \
-                 {} samples per site, {walkers} walker(s) per site",
-                common.source,
-                common.n,
-                spec.seed,
-                spec.throttle * 100.0,
-                spec.fail * 100.0,
-                spec.drop * 100.0,
-                spec.count_noise * 100.0,
-                common.samples
-            );
-            print_driver_line(steal);
-            let fleet = build_chaos_fleet(common, sites, latencies_ms, &spec)?;
-            drive_fleet(common, fleet, walkers, conns, watch, steal, telemetry)
-        }
-        None => {
-            println!(
-                "fleet: {sites} × `{}` (n = {} each) at {latency_desc} ± {jitter_ms} ms \
-                 virtual latency, {} samples per site, {walkers} walker(s) per site",
-                common.source, common.n, common.samples
-            );
-            print_driver_line(steal);
-            let fleet = build_fleet(common, sites, latencies_ms, jitter_ms)?;
-            drive_fleet(common, fleet, walkers, conns, watch, steal, telemetry)
-        }
-    }
+    observers.finish()?;
+    Ok(report)
 }
 
 /// The fleet-wide `--watch` sink: live histograms over the schema's
@@ -876,54 +556,20 @@ fn fleet_watch_sink(schema: &Schema) -> Result<WatchSink, String> {
     Ok(WatchSink::new(vec![Histogram::new(schema, attr)], 25, 40))
 }
 
-/// Pipelined connections per live site when `--conns` is not given: the
-/// reactor server (the `serve` default) multiplexes every connection onto
-/// per-core readiness loops, so a wide fan-out no longer starves a worker
-/// pool — 64 connections keeps per-connection pipelines shallow (better
-/// latency under cancellation) while staying far below fd limits. Against
-/// a `serve --pool` server, cap it by hand (`--conns <= --workers`).
-const DEFAULT_REMOTE_CONNS: usize = 64;
-
-/// `multi-site --remote a,b,c`: one site per live server address, real
-/// wall clock instead of the virtual one.
-fn multi_site_remote(
-    common: &Common,
-    remote: &str,
-    walkers: usize,
-    conns: Option<usize>,
-    watch: bool,
-    steal: bool,
-    telemetry: &TelemetryOpts,
-) -> Result<(), String> {
-    let addrs: Vec<&str> = remote.split(',').map(str::trim).collect();
-    if addrs.iter().any(|a| a.is_empty()) {
-        return Err("--remote: empty address in list".into());
-    }
-    let fleet = build_remote_fleet(&addrs)?;
+/// `describe <locator>`: the form a site serves, as discovery read it
+/// off the site's `/`.
+fn describe(loc: &SiteLocator) -> Result<(), String> {
+    let task = connect_site(loc, &ConnectOptions::default())?;
+    let schema = Arc::new(task.iface.schema().clone());
     println!(
-        "fleet: {} live server(s) over real TCP, {} samples per site, {walkers} walker(s) per site",
-        addrs.len(),
-        common.samples
-    );
-    let conns = conns.unwrap_or(DEFAULT_REMOTE_CONNS).min(walkers);
-    println!(
-        "driver: cooperative — one thread, {walkers} walker(s) pipelined over \
-         {conns} connection(s) per site{}",
-        if steal { ", stealing enabled" } else { "" }
-    );
-    drive_fleet(common, fleet, walkers, Some(conns), watch, steal, telemetry)
-}
-
-fn describe(common: &Common) -> Result<(), String> {
-    let db = build_site(common)?;
-    let schema = Arc::new(db.schema().clone());
-    println!(
-        "source `{}`: {} tuples behind a top-{} conjunctive form ({} attributes, {} measures)",
-        common.source,
-        db.n_tuples(),
-        db.result_limit(),
-        schema.arity(),
+        "top-{} conjunctive form, {} measure(s), count banner {}",
+        task.iface.result_limit(),
         schema.measure_arity(),
+        if task.iface.supports_count() {
+            "shown"
+        } else {
+            "absent"
+        },
     );
     println!("domain product B = {:.3e}\n", schema.domain_product());
     for (_, attr) in schema.iter() {
@@ -950,20 +596,6 @@ fn describe(common: &Common) -> Result<(), String> {
     Ok(())
 }
 
-/// Report a site's stop reason: failure is a command failure (scripts
-/// polling `sample --remote` rely on the exit code), early stops are
-/// noted, the target is silent.
-fn check_site_stopped(site: &SiteReport) -> Result<(), String> {
-    match &site.stopped {
-        hdsampler_core::StopReason::TargetReached => Ok(()),
-        hdsampler_core::StopReason::Failed(e) => Err(format!("session failed: {e}")),
-        early => {
-            println!("note: session stopped early ({early:?})");
-            Ok(())
-        }
-    }
-}
-
 /// Resolve the histogram attribute list (default: the first attribute).
 fn wanted_histograms(schema: &Schema, requested: &[String]) -> Result<Vec<Histogram>, String> {
     let names: Vec<String> = if requested.is_empty() {
@@ -982,30 +614,32 @@ fn wanted_histograms(schema: &Schema, requested: &[String]) -> Result<Vec<Histog
         .collect()
 }
 
-/// Run one `sample` plan over a single site task, streaming progress and
-/// live histograms through attached sinks, and return the report plus
-/// the final (online-built) histograms.
-#[allow(clippy::too_many_arguments)]
-fn run_sample_plan<T>(
+/// Run one site's plan — the one sampling path behind `sample`,
+/// `aggregate` and `validate` — streaming progress and `hists` (built
+/// online, sample by sample) through attached sinks, then print the
+/// session block.
+fn run_site_plan(
     common: &Common,
-    task: &mut SiteTask<T>,
-    schema: &Schema,
-    requested: &[String],
-    walkers: usize,
-    conns: Option<usize>,
-    watch: bool,
-    telemetry: &TelemetryOpts,
-) -> Result<(RunReport, Vec<Histogram>), String>
-where
-    T: Transport + AsyncTransport + Clocked,
-{
-    let scope = scope_query(schema, &common.binds)?;
-    let mut hists = wanted_histograms(schema, requested)?;
+    task: &mut SiteTask<BoxTransport>,
+    hists: &mut [Histogram],
+    run: &RunOpts,
+) -> Result<RunReport, String> {
+    let live = !task.iface.wire_is_virtual();
+    let conns = site_conns(live, run);
+    if live {
+        println!(
+            "sampling live server {} over real TCP: {} walker(s), {} connection(s)",
+            task.name,
+            run.walkers,
+            conns.unwrap_or(run.walkers)
+        );
+    }
+    let scope = scope_query(task.iface.schema(), &common.binds)?;
     let mut progress = ProgressSink::new(25);
-    let mut watch_sink = watch.then(|| WatchSink::new(hists.clone(), 25, 40));
-    let mut observers = PlanTelemetry::start(telemetry)?;
+    let mut watch_sink = run.watch.then(|| WatchSink::new(hists.to_vec(), 25, 40));
+    let mut observers = PlanTelemetry::start(run)?;
     let mut plan = RunPlan::target(common.samples)
-        .walkers(walkers)
+        .walkers(run.walkers)
         .seed(common.seed)
         .slider(common.slider)
         .scope(scope)
@@ -1017,11 +651,39 @@ where
     if let Some(w) = watch_sink.as_mut() {
         plan = plan.attach(w);
     }
-    let plan = observers.attach(plan);
-    let report = plan.run(std::slice::from_mut(task));
+    let report = observers.attach(plan).run(std::slice::from_mut(task));
     println!();
     observers.finish()?;
-    Ok((report, hists))
+    print_session_block(report.site());
+    Ok(report)
+}
+
+/// The sample set of a one-site run. A failed run is a command failure
+/// (scripts polling `sample http://…` rely on the exit code), an early
+/// stop is noted, reaching the target is silent.
+fn site_samples(report: RunReport) -> Result<SampleSet, String> {
+    let site = report.fleet.sites.into_iter().next();
+    let site = site.expect("a one-site plan reports one site");
+    match &site.stopped {
+        hdsampler_core::StopReason::TargetReached => {}
+        hdsampler_core::StopReason::Failed(e) => return Err(format!("session failed: {e}")),
+        early => println!("note: session stopped early ({early:?})"),
+    }
+    Ok(site.samples)
+}
+
+/// Connect a one-site command's locator — build, dial or load its wire —
+/// and say what discovery found off its `/`.
+fn connect_site(
+    loc: &SiteLocator,
+    opts: &ConnectOptions,
+) -> Result<SiteTask<BoxTransport>, String> {
+    let task = ConnectorRegistry::standard().connect(loc, opts)?;
+    println!(
+        "site {loc}: discovered a {}-attribute form off `/`",
+        task.iface.schema().arity()
+    );
+    Ok(task)
 }
 
 /// The per-session summary + history-cache lines shared by every
@@ -1055,61 +717,32 @@ fn print_l2_block(hist: &hdsampler_core::HistoryStats, fingerprint: Option<&str>
     );
 }
 
-#[allow(clippy::too_many_arguments)]
 fn sample(
     common: &Common,
-    locator: Option<&str>,
+    loc: &SiteLocator,
     histograms: &[String],
     record: Option<&str>,
-    walkers: usize,
-    conns: Option<usize>,
-    watch: bool,
-    telemetry: &TelemetryOpts,
-    l2: Option<&str>,
-) -> Result<(), String> {
-    let loc = effective_locator(common, locator)?;
+    run: &RunOpts,
+) -> Result<SampleSet, String> {
     let opts = ConnectOptions {
         record: record.map(str::to_string),
-        l2: l2.map(str::to_string),
+        l2: run.l2.clone(),
     };
-    // Every wire goes through the same connector: the schema, k and count
-    // support are discovered by scraping the site's `/`, never configured.
-    let mut task = ConnectorRegistry::standard().connect(&loc, &opts)?;
-    let schema = task.iface.schema().clone();
-    if locator.is_some() {
-        println!(
-            "site {loc}: discovered a {}-attribute form off `/`",
-            schema.arity()
-        );
-    }
-    let conns = if let SiteLocator::Http { addr } = &loc {
-        // Without an explicit --conns, fan out over a reactor-sized
-        // default: the event-driven server multiplexes them all on epoll,
-        // and `.min(walkers)` keeps small runs at one socket per walker.
-        let conns = conns.unwrap_or(DEFAULT_REMOTE_CONNS).min(walkers);
-        println!(
-            "sampling live server http://{addr} over real TCP: {walkers} walker(s), \
-             {conns} connection(s)"
-        );
-        Some(conns)
-    } else {
-        conns
-    };
-    let (report, hists) = run_sample_plan(
-        common, &mut task, &schema, histograms, walkers, conns, watch, telemetry,
-    )?;
-    let site = report.site();
-    print_session_block(site);
+    let mut task = connect_site(loc, &opts)?;
+    let mut hists = wanted_histograms(task.iface.schema(), histograms)?;
+    let report = run_site_plan(common, &mut task, &mut hists, run)?;
     if let Some(log) = task.l2() {
         println!("l2 history: persisted under `{}`", log.dir().display());
     }
-    if walkers > 1 {
+    if run.walkers > 1 {
         println!(
-            "walkers: {walkers} walk machine(s) over {} pipelined connection(s), {} history hits",
-            report.details[0].connections, site.history_hits
+            "walkers: {} walk machine(s) over {} pipelined connection(s), {} history hits",
+            run.walkers,
+            report.details[0].connections,
+            report.site().history_hits
         );
     }
-    check_site_stopped(site)?;
+    let samples = site_samples(report)?;
     if let Some(path) = record {
         println!(
             "tape: exchanges recorded to `{path}` — replay offline with `sample replay:{path}`"
@@ -1120,17 +753,19 @@ fn sample(
     for hist in &hists {
         println!("\n{}", hist.render(40));
     }
-    Ok(())
+    Ok(samples)
 }
 
 fn aggregate(
     common: &Common,
+    loc: &SiteLocator,
     proportions: &[(String, String)],
     avgs: &[String],
-) -> Result<(), String> {
-    let db = build_site(common)?;
-    let schema = db.schema().clone();
-    let (samples, _) = run_session(&db, common)?;
+) -> Result<SampleSet, String> {
+    let mut task = connect_site(loc, &ConnectOptions::default())?;
+    let schema = task.iface.schema().clone();
+    let report = run_site_plan(common, &mut task, &mut [], &RunOpts::walkers(1))?;
+    let samples = site_samples(report)?;
     let est = Estimator::new(&samples);
     println!();
     for (attr_name, label) in proportions {
@@ -1157,23 +792,35 @@ fn aggregate(
     if proportions.is_empty() && avgs.is_empty() {
         println!("  (nothing requested — pass --proportion attr=label or --avg measure)");
     }
-    Ok(())
+    Ok(samples)
 }
 
-fn validate(common: &Common, attr_name: Option<&str>) -> Result<(), String> {
-    let db = build_site(common)?;
-    let schema = db.schema().clone();
-    let (samples, _) = run_session(&db, common)?;
+/// `validate <local:…>`: sample the site like `sample` does, then compare
+/// the sampled marginal against the truth of the site's own database.
+fn validate(
+    common: &Common,
+    loc: &SiteLocator,
+    attr_name: Option<&str>,
+) -> Result<SampleSet, String> {
+    // The locator is deterministic: building its database again yields
+    // exactly the site the connector serves.
+    let truth = LocalParams::parse(loc)?
+        .build_db()
+        .map_err(|e| format!("{loc}: {e}"))?;
+    let mut task = connect_site(loc, &ConnectOptions::default())?;
+    let schema = task.iface.schema().clone();
     let attr = match attr_name {
         Some(n) => schema.attr_by_name(n).map_err(|e| e.to_string())?,
         None => schema.attr_ids().next().ok_or("schema has no attributes")?,
     };
-    let hist = Histogram::from_rows(&schema, attr, samples.rows());
+    let mut hist = [Histogram::new(&schema, attr)];
+    let report = run_site_plan(common, &mut task, &mut hist, &RunOpts::walkers(1))?;
+    let samples = site_samples(report)?;
     let cmp = MarginalComparison::new(
         &schema,
         attr,
-        hist.proportions(),
-        db.oracle().marginal(attr),
+        hist[0].proportions(),
+        truth.oracle().marginal(attr),
     );
     println!("\n{}", cmp.render(0.01));
     // Per-tuple skew metrics over the same stream (online face). Both can
@@ -1185,97 +832,92 @@ fn validate(common: &Common, attr_name: Option<&str>) -> Result<(), String> {
     }
     println!(
         "skew: chi^2 vs uniform = {} over {} tuples | KL(sampled ‖ truth) = {}",
-        fmt_stat(freq.chi_square_uniform(db.n_tuples()), 1),
-        db.n_tuples(),
+        fmt_stat(freq.chi_square_uniform(truth.n_tuples()), 1),
+        truth.n_tuples(),
         fmt_stat(cmp.kl(), 4),
     );
-    Ok(())
+    Ok(samples)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::args::Common;
 
-    fn quick_common() -> Common {
+    const QUICK: &str = "local:vehicles-compact?n=400&k=50";
+
+    fn loc(s: &str) -> SiteLocator {
+        SiteLocator::parse(s).unwrap()
+    }
+
+    fn with_samples(samples: usize) -> Common {
         Common {
-            n: 400,
-            k: 50,
-            samples: 20,
+            samples,
             ..Common::default()
         }
     }
 
+    /// `sample` with one walker and no extras.
+    fn sample_quick(common: &Common, site: &str) -> Result<SampleSet, String> {
+        sample(common, &loc(site), &[], None, &RunOpts::walkers(1))
+    }
+
+    /// `multi-site` over `legs` with `walkers` per site and no extras.
+    fn fleet(
+        common: &Common,
+        legs: &[String],
+        walkers: usize,
+        steal: bool,
+    ) -> Result<RunReport, String> {
+        let legs: Vec<SiteLocator> = legs.iter().map(|s| loc(s)).collect();
+        multi_site(common, &legs, steal, &RunOpts::walkers(walkers))
+    }
+
+    /// Boot a live server over a `local:` locator's database.
+    fn serve_locator(site: &str) -> ServerHandle {
+        let db = LocalParams::parse(&loc(site)).unwrap().build_db().unwrap();
+        let schema = Arc::new(db.schema().clone());
+        HttpServer::serve(
+            ServerConfig::default(),
+            Arc::new(LocalSite::new(db, schema)),
+        )
+        .unwrap()
+    }
+
     #[test]
-    fn build_site_sources() {
-        assert!(build_site(&quick_common()).is_ok());
-        let full = Common {
-            source: "vehicles-full".into(),
-            ..quick_common()
-        };
-        assert!(build_site(&full).is_ok());
-        let boolean = Common {
-            source: "boolean".into(),
-            ..quick_common()
-        };
-        assert!(build_site(&boolean).is_ok());
-        let bad = Common {
-            source: "nope".into(),
-            ..quick_common()
-        };
-        assert!(build_site(&bad).is_err());
+    fn describe_sources() {
+        for site in [
+            QUICK,
+            "local:vehicles-full?n=400",
+            "local:boolean?n=400&counts=exact",
+        ] {
+            describe(&loc(site)).unwrap();
+        }
+        let err = describe(&loc("local:nope")).unwrap_err();
+        assert!(err.contains("unknown dataset"), "{err}");
+        // A live site describes itself over the wire just the same.
+        let handle = serve_locator(QUICK);
+        describe(&loc(&format!("http://{}", handle.addr()))).unwrap();
+        handle.shutdown();
     }
 
     #[test]
     fn end_to_end_sample_command() {
-        let common = quick_common();
-        sample(
-            &common,
-            None,
-            &["make".into()],
-            None,
-            1,
-            None,
-            false,
-            &TelemetryOpts::default(),
-            None,
-        )
-        .unwrap();
+        let samples = sample_quick(&with_samples(20), QUICK).unwrap();
+        assert_eq!(samples.len(), 20);
     }
 
     #[test]
     fn end_to_end_sample_with_locator() {
-        // The positional-locator path: dataset, n, k and seed all live in
-        // the locator; schema comes off the scraped landing page.
-        let common = Common {
-            samples: 15,
-            ..Common::default()
-        };
-        sample(
-            &common,
-            Some("local:vehicles-compact?n=400&k=50&seed=9"),
-            &["make".into()],
-            None,
-            1,
-            None,
-            false,
-            &TelemetryOpts::default(),
-            None,
+        // Dataset, n, k and seed all live in the locator; the schema comes
+        // off the scraped landing page.
+        let samples = sample_quick(
+            &with_samples(15),
+            "local:vehicles-compact?n=400&k=50&seed=9",
         )
         .unwrap();
+        assert_eq!(samples.len(), 15);
         // Unknown datasets fail early with the registry's hint.
-        let err = sample(
-            &common,
-            Some("local:vehicles-compat?n=400"),
-            &[],
-            None,
-            1,
-            None,
-            false,
-            &TelemetryOpts::default(),
-            None,
-        )
-        .unwrap_err();
+        let err = sample_quick(&with_samples(15), "local:vehicles-compat?n=400").unwrap_err();
         assert!(err.contains("did you mean `vehicles-compact`?"), "{err}");
     }
 
@@ -1285,144 +927,228 @@ mod tests {
         // flags at all: the tape carries discovery and every page.
         let tape = std::env::temp_dir().join(format!("hds_cli_tape_{}.jsonl", std::process::id()));
         let tape_str = tape.to_str().unwrap().to_string();
-        let common = Common {
-            samples: 10,
-            ..Common::default()
-        };
-        sample(
+        let common = with_samples(10);
+        let recorded = sample(
             &common,
-            Some("local:vehicles-compact?n=400&k=50&seed=4"),
+            &loc("local:vehicles-compact?n=400&k=50&seed=4"),
             &["make".into()],
             Some(&tape_str),
-            1,
-            None,
-            false,
-            &TelemetryOpts::default(),
-            None,
+            &RunOpts::walkers(1),
         )
         .unwrap();
-        sample(
-            &common,
-            Some(&format!("replay:{tape_str}")),
-            &["make".into()],
-            None,
-            1,
-            None,
-            false,
-            &TelemetryOpts::default(),
-            None,
-        )
-        .unwrap();
+        let replayed = sample_quick(&common, &format!("replay:{tape_str}")).unwrap();
+        assert_eq!(replayed.keys(), recorded.keys());
         std::fs::remove_file(&tape).ok();
     }
 
     #[test]
     fn end_to_end_aggregate_command() {
-        let common = quick_common();
+        let common = with_samples(20);
         aggregate(
             &common,
+            &loc(QUICK),
             &[("make".to_string(), "Toyota".to_string())],
             &["price_usd".to_string()],
         )
         .unwrap();
         // Unknown label is a user error, not a panic.
-        assert!(aggregate(&common, &[("make".to_string(), "Tesla".to_string())], &[],).is_err());
+        assert!(aggregate(
+            &common,
+            &loc(QUICK),
+            &[("make".to_string(), "Tesla".to_string())],
+            &[]
+        )
+        .is_err());
     }
 
     #[test]
     fn end_to_end_validate_command() {
-        validate(&quick_common(), Some("make")).unwrap();
-        assert!(validate(&quick_common(), Some("bogus")).is_err());
+        validate(&with_samples(20), &loc(QUICK), Some("make")).unwrap();
+        assert!(validate(&with_samples(20), &loc(QUICK), Some("bogus")).is_err());
+    }
+
+    #[test]
+    fn sample_aggregate_and_validate_see_one_key_sequence() {
+        // One sampling path: the same locator and --seed draw the same
+        // sample whichever command asks.
+        let common = Common {
+            seed: 77,
+            ..with_samples(40)
+        };
+        let site = loc("local:vehicles-compact?n=400&k=50&seed=5");
+        let sampled = sample(&common, &site, &[], None, &RunOpts::walkers(1)).unwrap();
+        let aggregated = aggregate(&common, &site, &[], &[]).unwrap();
+        let validated = validate(&common, &site, None).unwrap();
+        assert_eq!(sampled.len(), 40);
+        assert_eq!(aggregated.keys(), sampled.keys());
+        assert_eq!(validated.keys(), sampled.keys());
+    }
+
+    /// FNV-1a over a key sequence: a compact pin for a whole sample.
+    fn fnv(keys: &[u64]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for byte in keys.iter().flat_map(|k| k.to_le_bytes()) {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+        h
+    }
+
+    /// One site's (samples, key digest, charged fetches, retries, steals).
+    type SiteDigest = (usize, u64, u64, u64, u64);
+
+    /// Every site's digest, plus the fleet's virtual milliseconds.
+    fn digest(report: &RunReport) -> (Vec<SiteDigest>, u64) {
+        let sites = report
+            .fleet
+            .sites
+            .iter()
+            .map(|s| {
+                let keys = s.samples.keys();
+                (
+                    keys.len(),
+                    fnv(&keys),
+                    s.queries_issued,
+                    s.retries,
+                    s.steals,
+                )
+            })
+            .collect();
+        (sites, report.fleet.fleet_elapsed_ms)
+    }
+
+    /// The digests below were taken from the flag-built fleets these
+    /// locator legs replace (`multi-site --sites 4 --latency 100,150,250
+    /// --jitter 20 --n 400 --k 50`), which built each site `i` with data
+    /// and jitter seed 2009 + i and latency entry `i % 3`.
+    #[test]
+    fn locator_legs_reproduce_the_simulated_fleet() {
+        let latency = [100, 150, 250, 100];
+        let legs: Vec<String> = (0..4)
+            .map(|i| {
+                format!(
+                    "local:vehicles-compact?n=400&k=50&seed={}&latency={}&jitter=20",
+                    2009 + i,
+                    latency[i]
+                )
+            })
+            .collect();
+        let report = fleet(&with_samples(30), &legs, 16, false).unwrap();
+        assert_eq!(
+            digest(&report),
+            (
+                vec![
+                    (30, 0xf592_fc48_d8fb_4f7f, 221, 0, 0),
+                    (30, 0xa32d_38ef_9093_267d, 209, 0, 0),
+                    (30, 0xd378_0378_8ad7_d2a5, 205, 0, 0),
+                    (30, 0x407f_5a7d_e612_d396, 202, 0, 0),
+                ],
+                3036
+            )
+        );
+        let report = fleet(&with_samples(200), &legs, 2, false).unwrap();
+        assert_eq!(
+            digest(&report),
+            (
+                vec![
+                    (200, 0xfd79_ad47_82ac_41a4, 150, 0, 0),
+                    (200, 0x949a_dbcf_177d_8bbc, 126, 0, 0),
+                    (200, 0x6edf_63e6_9273_b899, 140, 0, 0),
+                    (200, 0xad86_4c51_5d4b_f071, 124, 0, 0),
+                ],
+                17463
+            )
+        );
+    }
+
+    /// Pinned against the flag-built adversarial fleet (`multi-site
+    /// --sites 3 --walkers 4 --samples 30 --n 400 --k 50 --chaos
+    /// seed=7,…`), which offset the spec seed by the site index.
+    #[test]
+    fn chaos_legs_reproduce_the_adversarial_fleet() {
+        let legs: Vec<String> = (0..3)
+            .map(|i| {
+                format!(
+                    "local:vehicles-compact?n=400&k=50&seed={}&chaos=seed={},latency=40,\
+                     throttle=0.3,retry_after=120,fail=0.08,drop=0.04,slow=200x30,jitter=20,\
+                     count_noise=0.3",
+                    2009 + i,
+                    7 + i
+                )
+            })
+            .collect();
+        let still = fleet(&with_samples(30), &legs, 4, false).unwrap();
+        assert_eq!(
+            digest(&still),
+            (
+                vec![
+                    (30, 0x8e38_93f4_b5c2_b27b, 148, 95, 0),
+                    (30, 0x0d7e_bac0_000e_490a, 141, 68, 0),
+                    (30, 0xb1fb_b3f7_071f_5c69, 131, 77, 0),
+                ],
+                6344
+            )
+        );
+        let stealing = fleet(&with_samples(30), &legs, 4, true).unwrap();
+        assert_eq!(
+            digest(&stealing),
+            (
+                vec![
+                    (30, 0x07ad_0ef1_29cc_b7ce, 154, 91, 8),
+                    (30, 0x0d7e_bac0_000e_490a, 141, 68, 0),
+                    (30, 0xb1fb_b3f7_071f_5c69, 131, 77, 0),
+                ],
+                5754
+            )
+        );
     }
 
     #[test]
     fn end_to_end_multi_site_command() {
-        let common = Common {
-            n: 300,
-            k: 50,
-            samples: 15,
-            ..Common::default()
-        };
-        multi_site(
-            &common,
-            3,
-            2,
-            &[100],
-            0,
-            None,
-            false,
-            None,
-            false,
-            &TelemetryOpts::default(),
-        )
-        .unwrap();
+        let legs: Vec<String> = (0..3)
+            .map(|i| format!("local:vehicles-compact?n=300&k=50&seed={i}&latency=100"))
+            .collect();
+        let report = fleet(&with_samples(15), &legs, 2, false).unwrap();
+        assert_eq!(report.total_samples(), 45);
     }
 
     #[test]
     fn end_to_end_multi_site_chaos_command() {
-        let common = Common {
-            n: 300,
-            k: 50,
-            samples: 15,
-            ..Common::default()
-        };
-        let spec =
-            ChaosSpec::parse("seed=3,throttle=0.15,retry_after=80,fail=0.05,drop=0.03").unwrap();
         // The adversarial fleet still converges, with and without
-        // work-stealing.
-        multi_site(
-            &common,
-            3,
-            2,
-            &[40],
-            0,
-            None,
+        // work-stealing; a spec without latency takes the leg's.
+        let legs: Vec<String> = (0..3)
+            .map(|i| {
+                format!(
+                    "local:vehicles-compact?n=300&k=50&latency=40&\
+                     chaos=seed={},throttle=0.15,retry_after=80,fail=0.05,drop=0.03",
+                    3 + i
+                )
+            })
+            .collect();
+        for steal in [false, true] {
+            let report = fleet(&with_samples(15), &legs, 2, steal).unwrap();
+            assert_eq!(report.total_samples(), 45);
+            assert!(report.fleet.total_retries() > 0, "the faults fired");
+        }
+        // A chaos spec brings its own jitter.
+        let err = fleet(
+            &with_samples(5),
+            &["local:boolean?jitter=5&chaos=fail=0.1".to_string()],
+            1,
             false,
-            Some(spec.clone()),
-            false,
-            &TelemetryOpts::default(),
         )
-        .unwrap();
-        multi_site(
-            &common,
-            3,
-            2,
-            &[40],
-            0,
-            None,
-            false,
-            Some(spec),
-            true,
-            &TelemetryOpts::default(),
-        )
-        .unwrap();
+        .unwrap_err();
+        assert!(err.contains("jitter"), "{err}");
     }
 
     #[test]
     fn sample_remote_round_trip() {
-        // Boot a real server on an ephemeral port and point `sample
-        // --remote` at it.
-        let common = quick_common();
-        let db = build_db(&common, common.seed).unwrap();
-        let schema = Arc::new(db.schema().clone());
-        let site = Arc::new(LocalSite::new(db, Arc::clone(&schema)));
-        let handle = HttpServer::serve(ServerConfig::default(), site).unwrap();
-        let remote_common = Common {
-            remote: Some(handle.addr().to_string()),
-            ..common
-        };
-        sample(
-            &remote_common,
-            None,
-            &["make".into()],
-            None,
-            1,
-            None,
-            false,
-            &TelemetryOpts::default(),
-            None,
-        )
-        .unwrap();
+        // Boot a real server on an ephemeral port and sample it by its
+        // http:// locator.
+        let handle = serve_locator(QUICK);
+        let samples =
+            sample_quick(&with_samples(20), &format!("http://{}", handle.addr())).unwrap();
+        assert_eq!(samples.len(), 20);
         let stats = handle.shutdown();
         assert!(stats.requests > 0, "the session must hit the live server");
         assert_eq!(stats.responses_server_error, 0);
@@ -1432,27 +1158,13 @@ mod tests {
     fn sample_remote_coop_round_trip() {
         // The cooperative path against a live server: 16 walker machines
         // pipelined over 2 TCP connections, one client thread.
-        let common = quick_common();
-        let db = build_db(&common, common.seed).unwrap();
-        let schema = Arc::new(db.schema().clone());
-        let site = Arc::new(LocalSite::new(db, Arc::clone(&schema)));
-        let handle = HttpServer::serve(ServerConfig::default(), site).unwrap();
-        let remote_common = Common {
-            remote: Some(handle.addr().to_string()),
-            ..common
+        let handle = serve_locator(QUICK);
+        let run = RunOpts {
+            conns: Some(2),
+            ..RunOpts::walkers(16)
         };
-        sample(
-            &remote_common,
-            None,
-            &["make".into()],
-            None,
-            16,
-            Some(2),
-            false,
-            &TelemetryOpts::default(),
-            None,
-        )
-        .unwrap();
+        let site = loc(&format!("http://{}", handle.addr()));
+        sample(&with_samples(20), &site, &[], None, &run).unwrap();
         let stats = handle.shutdown();
         assert!(stats.requests > 0);
         assert_eq!(stats.responses_server_error, 0);
@@ -1465,32 +1177,18 @@ mod tests {
 
     #[test]
     fn sample_remote_rides_out_a_served_adversary() {
-        // The `serve --chaos` analogue: a live server answering through an
-        // Adversary, sampled over real TCP with the default retry policy.
-        let common = quick_common();
-        let db = build_db(&common, common.seed).unwrap();
+        // What `serve` builds for a `chaos=` locator: a live server
+        // answering through an Adversary, sampled over real TCP with the
+        // default retry policy.
+        let served = loc("local:vehicles-compact?n=400&k=50&\
+             chaos=seed=11,throttle=0.15,retry_after=40,fail=0.05,drop=0.05");
+        let params = LocalParams::parse(&served).unwrap();
+        let db = params.build_db().unwrap();
         let schema = Arc::new(db.schema().clone());
-        let site = Arc::new(LocalSite::new(db, Arc::clone(&schema)));
-        let spec =
-            ChaosSpec::parse("seed=11,throttle=0.15,retry_after=40,fail=0.05,drop=0.05").unwrap();
-        let adversary = Arc::new(Adversary::new(site, spec));
+        let site = Arc::new(LocalSite::new(db, schema));
+        let adversary = Arc::new(Adversary::new(site, params.chaos.unwrap()));
         let handle = HttpServer::serve(ServerConfig::default(), Arc::clone(&adversary)).unwrap();
-        let remote_common = Common {
-            remote: Some(handle.addr().to_string()),
-            ..common
-        };
-        sample(
-            &remote_common,
-            None,
-            &["make".into()],
-            None,
-            1,
-            None,
-            false,
-            &TelemetryOpts::default(),
-            None,
-        )
-        .unwrap();
+        sample_quick(&with_samples(20), &format!("http://{}", handle.addr())).unwrap();
         let stats = handle.shutdown();
         let injected = adversary.counters();
         assert!(
@@ -1501,106 +1199,84 @@ mod tests {
     }
 
     #[test]
+    fn serve_rejects_client_wire_parameters() {
+        for param in ["latency=40", "jitter=5", "l2=hist"] {
+            let site = loc(&format!("local:boolean?{param}"));
+            let err = serve(&site, 0, false, 4, Some(0), None, None, 0).unwrap_err();
+            assert!(err.contains(param.split('=').next().unwrap()), "{err}");
+        }
+    }
+
+    #[test]
     fn end_to_end_multi_site_coop_command() {
-        let common = Common {
-            n: 300,
-            k: 50,
-            samples: 15,
-            ..Common::default()
-        };
-        multi_site(
-            &common,
-            3,
-            4,
-            &[100],
-            0,
-            None,
-            false,
-            None,
-            false,
-            &TelemetryOpts::default(),
-        )
-        .unwrap();
+        let legs: Vec<String> = (0..3)
+            .map(|i| format!("local:vehicles-compact?n=300&k=50&seed={i}&latency=100"))
+            .collect();
+        let report = fleet(&with_samples(15), &legs, 4, false).unwrap();
+        assert_eq!(report.total_samples(), 45);
+        assert!(report.details.iter().all(|d| d.connections == 4));
     }
 
     #[test]
     fn end_to_end_multi_site_heterogeneous_latency() {
-        let common = Common {
-            n: 300,
-            k: 50,
-            samples: 10,
-            ..Common::default()
-        };
-        multi_site(
-            &common,
-            3,
-            2,
-            &[50, 100, 250],
-            20,
-            None,
-            false,
-            None,
-            false,
-            &TelemetryOpts::default(),
-        )
-        .unwrap();
+        let legs: Vec<String> = [50, 100, 250]
+            .iter()
+            .map(|ms| format!("local:vehicles-compact?n=300&k=50&latency={ms}&jitter=20"))
+            .collect();
+        let report = fleet(&with_samples(10), &legs, 2, false).unwrap();
+        let elapsed: Vec<u64> = report.fleet.sites.iter().map(|s| s.elapsed_ms).collect();
+        assert!(
+            elapsed[0] < elapsed[2],
+            "the 50 ms leg finishes before the 250 ms leg: {elapsed:?}"
+        );
     }
 
     #[test]
     fn multi_site_applies_and_validates_binds() {
+        let legs: Vec<SiteLocator> = (0..2)
+            .map(|i| loc(&format!("local:vehicles-compact?n=300&k=50&seed={i}")))
+            .collect();
         let common = Common {
-            n: 300,
-            k: 50,
-            samples: 10,
             binds: vec![("condition".to_string(), "used".to_string())],
-            ..Common::default()
+            ..with_samples(10)
         };
-        multi_site(
-            &common,
-            2,
-            1,
-            &[100],
-            0,
-            None,
-            false,
-            None,
-            false,
-            &TelemetryOpts::default(),
-        )
-        .unwrap();
+        // --bind and --watch resolve against the legs' one schema.
+        let watch = RunOpts {
+            watch: true,
+            ..RunOpts::walkers(1)
+        };
+        let report = multi_site(&common, &legs, false, &watch).unwrap();
+        for site in &report.fleet.sites {
+            assert!(
+                site.samples.rows().all(|r| r.values[3] == 1),
+                "condition=used"
+            );
+        }
         let bad = Common {
             binds: vec![("condition".to_string(), "imaginary".to_string())],
-            ..common
+            ..common.clone()
         };
-        assert!(multi_site(
-            &bad,
-            2,
-            1,
-            &[100],
-            0,
-            None,
-            false,
-            None,
-            false,
-            &TelemetryOpts::default()
-        )
-        .is_err());
+        assert!(multi_site(&bad, &legs, false, &RunOpts::walkers(1)).is_err());
+        // Over legs with different schemas, both fail naming the odd leg.
+        let mixed = vec![legs[0].clone(), loc("local:boolean?n=300&k=50")];
+        let err = multi_site(&common, &mixed, false, &RunOpts::walkers(1)).unwrap_err();
+        assert!(err.contains("local:boolean?n=300&k=50"), "{err}");
+        let err = multi_site(&with_samples(10), &mixed, false, &watch).unwrap_err();
+        assert!(err.contains("--watch"), "{err}");
     }
 
     #[test]
     fn multi_site_fleet_sites_have_distinct_data() {
-        let common = quick_common();
-        let fleet = build_fleet(&common, 2, &[50], 0).unwrap();
-        let a = fleet[0].iface.transport().inner().backend();
-        let b = fleet[1].iface.transport().inner().backend();
-        // Different seeds ⇒ (almost surely) different marginals; check a
-        // cheap fingerprint rather than whole tables.
-        assert_eq!(a.n_tuples(), b.n_tuples());
-        let fp = |db: &HiddenDb| {
-            let attr = db.schema().attr_ids().next().unwrap();
-            db.oracle().marginal(attr)
+        // Legs with different data seeds simulate different databases:
+        // the unconstrained query's top-k differs.
+        let first_page = |seed: u64| {
+            let site = loc(&format!("local:vehicles-compact?n=400&k=50&seed={seed}"));
+            let task = connect_site(&site, &ConnectOptions::default()).unwrap();
+            let rows = task.iface.execute(&ConjunctiveQuery::empty()).unwrap().rows;
+            rows.iter().map(|r| r.values.clone()).collect::<Vec<_>>()
         };
-        assert_ne!(fp(a), fp(b), "sites must simulate distinct databases");
+        assert_ne!(first_page(2009), first_page(2010));
+        assert_eq!(first_page(2009), first_page(2009));
     }
 
     #[test]
@@ -1612,23 +1288,14 @@ mod tests {
         let pid = std::process::id();
         let p1 = dir.join(format!("hds_trace_a_{pid}.jsonl"));
         let p2 = dir.join(format!("hds_trace_b_{pid}.jsonl"));
-        let common = Common {
-            samples: 15,
-            ..Common::default()
-        };
         let run = |path: &std::path::Path| {
-            sample(
-                &common,
-                Some("local:vehicles-compact?n=400&k=50&seed=9&latency=40"),
-                &[],
-                None,
-                4,
-                Some(2),
-                false,
-                &TelemetryOpts::new(Some(path.to_str().unwrap().to_string()), None),
-                None,
-            )
-            .unwrap();
+            let run = RunOpts {
+                conns: Some(2),
+                trace: Some(path.to_str().unwrap().to_string()),
+                ..RunOpts::walkers(4)
+            };
+            let site = loc("local:vehicles-compact?n=400&k=50&seed=9&latency=40");
+            sample(&with_samples(15), &site, &[], None, &run).unwrap();
         };
         run(&p1);
         run(&p2);
@@ -1650,8 +1317,12 @@ mod tests {
     fn telemetry_plane_scrapes_and_retires() {
         // `--metrics 0` boots a live plane on an ephemeral port; its
         // /metrics endpoint parses, and finish() retires it cleanly.
-        let opts = TelemetryOpts::new(None, Some("0".into()));
-        let telem = PlanTelemetry::start(&opts).unwrap();
+        use hdsampler_webform::Transport as _;
+        let plane = |port: &str| RunOpts {
+            metrics: Some(port.into()),
+            ..RunOpts::walkers(1)
+        };
+        let telem = PlanTelemetry::start(&plane("0")).unwrap();
         let addr = telem.plane.as_ref().unwrap().addr().to_string();
         let t = hdsampler_webform::HttpTransport::new(addr);
         let text = t.fetch("/metrics").unwrap();
@@ -1659,18 +1330,20 @@ mod tests {
         assert!(parsed.contains_key("hds_server_requests_total"));
         telem.finish().unwrap();
         // A non-numeric port is a user error, not a panic.
-        assert!(PlanTelemetry::start(&TelemetryOpts::new(None, Some("lots".into()))).is_err());
+        assert!(PlanTelemetry::start(&plane("lots")).is_err());
     }
 
     #[test]
     fn binds_scope_the_session() {
         let common = Common {
             binds: vec![("condition".to_string(), "used".to_string())],
-            ..quick_common()
+            ..with_samples(20)
         };
-        let db = build_site(&common).unwrap();
-        let (samples, _) = run_session(&db, &common).unwrap();
-        let cond = db.schema().attr_by_name("condition").unwrap();
+        let samples = sample_quick(&common, QUICK).unwrap();
+        assert_eq!(samples.len(), 20);
+        let cond = loc(QUICK);
+        let schema = LocalParams::parse(&cond).unwrap().build_db().unwrap();
+        let cond = schema.schema().attr_by_name("condition").unwrap();
         assert!(samples.rows().all(|r| r.values[cond.index()] == 1));
     }
 }

@@ -3,17 +3,21 @@
 //! bindings, set the efficiency ↔ skew slider and a sample target, watch
 //! histograms refresh incrementally, and pose aggregate queries.
 //!
+//! Every command names its site with one locator (`local:…`, `http://…`,
+//! `replay:…`):
+//!
 //! ```text
-//! hdsampler describe  --source vehicles-compact --n 8000
-//! hdsampler sample    --source vehicles-full --n 20000 --samples 300 --slider 0.4 \
+//! hdsampler describe  local:vehicles-compact
+//! hdsampler sample    "local:vehicles-full?n=20000" --samples 300 --slider 0.4 \
 //!                     --bind condition=used --histogram make --histogram year
-//! hdsampler aggregate --source vehicles-compact --n 5000 --samples 400 \
+//! hdsampler aggregate "local:vehicles-compact?n=5000" --samples 400 \
 //!                     --proportion make=Toyota --avg price_usd
-//! hdsampler validate  --source vehicles-compact --n 5000 --samples 400 --attr make
-//! hdsampler multi-site --sites 16 --walkers 4 --latency 50,100,250 --jitter 20 \
-//!                     --samples 100 --steal
-//! hdsampler serve     --port 8000 --workers 4 --n 8000 --k 250
-//! hdsampler sample    --remote 127.0.0.1:8000 --n 8000 --k 250 --samples 200
+//! hdsampler validate  "local:vehicles-compact?n=5000" --samples 400 --attr make
+//! hdsampler multi-site --site "local:vehicles-compact?seed=1&latency=50" \
+//!                     --site "local:vehicles-compact?seed=2&latency=250&chaos=seed=2,throttle=0.2" \
+//!                     --walkers 4 --samples 100 --steal
+//! hdsampler serve     "local:vehicles-compact?n=8000&k=250" --port 8000
+//! hdsampler sample    http://127.0.0.1:8000 --samples 200
 //! ```
 
 mod args;

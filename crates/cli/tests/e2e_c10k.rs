@@ -39,19 +39,16 @@ impl Drop for ServeGuard {
     }
 }
 
-/// Boot `hdsampler serve --port 0` and parse the bound address from its
-/// startup banner; the rest of the child's stdout is drained by a
-/// background thread so the pipe can never block the server.
+/// Boot `hdsampler serve local:… --port 0` and parse the bound address
+/// from its startup banner; the rest of the child's stdout is drained by
+/// a background thread so the pipe can never block the server.
 fn spawn_serve() -> (ServeGuard, String) {
     let child = Command::new(env!("CARGO_BIN_EXE_hdsampler"))
         .args([
             "serve",
+            "local:vehicles-compact?n=500&k=50",
             "--port",
             "0",
-            "--n",
-            "500",
-            "--k",
-            "50",
             "--serve-for",
             "120",
         ])

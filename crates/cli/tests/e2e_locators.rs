@@ -52,8 +52,8 @@ fn discovery_matches_flag_configured_run_sequence_identically() {
     let handle = serve("vehicles-compact", 400, 50, 2009);
     let addr = handle.addr().to_string();
 
-    // Flag-configured baseline: the schema, k and count support are built
-    // locally from workload flags (the pre-locator `--remote` contract).
+    // Hand-configured baseline: the schema, k and count support are built
+    // locally from the dataset's parameters rather than discovered.
     let twin = build_db("vehicles-compact", 400, 50, 2009);
     let schema = Arc::new(twin.schema().clone());
     let (k, counts) = (twin.result_limit(), twin.supports_count());

@@ -22,8 +22,9 @@
 //!   onto `InterfaceError::BudgetExhausted`.
 //!
 //! The unmodified walker/driver/session stack samples a served site
-//! end-to-end over loopback TCP via `HttpTransport`; `hdsampler serve`
-//! plus `hdsampler sample --remote <addr>` is the two-terminal quickstart.
+//! end-to-end over loopback TCP via `HttpTransport`; `hdsampler serve
+//! local:<dataset>` plus `hdsampler sample http://<addr>` is the
+//! two-terminal quickstart.
 //!
 //! * [`http`] — request parsing, response writing, limits;
 //! * [`site`] — [`SiteBehavior`] and the `LocalSite` mounting;

@@ -223,7 +223,7 @@ fn dead_walker_threads_do_not_strand_sockets() {
 fn reactor_and_pool_serves_are_sequence_identical() {
     // The two serve modes share `handle_request` and `write_response`, so
     // a seeded cooperative run must harvest byte-identical pages — the
-    // interchangeability guarantee that makes `--reactor` a safe default.
+    // interchangeability guarantee that makes the reactor a safe default.
     // Checked end-to-end with a schedule that has no timing freedom: a
     // single walker on a single connection steps strictly sequentially
     // (every submit depends on the previous response), so the full sample

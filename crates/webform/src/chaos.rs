@@ -81,8 +81,8 @@ pub struct Decision {
 
 /// A seeded, deterministic fault schedule.
 ///
-/// Parsed from the CLI `--chaos` spec grammar: comma-separated
-/// `key=value` pairs, e.g.
+/// Parsed from the spec grammar a `local:` locator's `chaos=` parameter
+/// carries: comma-separated `key=value` pairs, e.g.
 /// `seed=7,latency=40,throttle=0.2,retry_after=250,fail=0.1,drop=0.05,slow=400x50,jitter=30,count_noise=0.3`.
 /// Every knob defaults to "off"; an empty spec injects nothing.
 #[derive(Debug, Clone, PartialEq)]
@@ -151,7 +151,7 @@ fn unit(seed: u64, salt: u64, n: u64) -> f64 {
 }
 
 impl ChaosSpec {
-    /// Parse the CLI spec grammar (see the type docs). Returns a
+    /// Parse the spec grammar (see the type docs). Returns a
     /// human-readable error naming the offending pair.
     pub fn parse(spec: &str) -> Result<ChaosSpec, String> {
         let mut out = ChaosSpec::default();

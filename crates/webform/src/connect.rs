@@ -9,8 +9,11 @@
 //! zero schema flags, for every scheme:
 //!
 //! * `local:` — resolves the dataset in the workload registry, builds the
-//!   [`HiddenDb`](hdsampler_hidden_db::HiddenDb) from the locator's
-//!   parameters, and serves it in-process behind a virtual-latency wire;
+//!   [`HiddenDb`] from the locator's parameters ([`LocalParams`]: `n`,
+//!   `k`, `seed`, `counts`, `budget`, `latency`, `jitter`, `l2`, `chaos`),
+//!   reads the landing page straight off the in-process site, and serves
+//!   it behind a virtual-latency wire — or, with `chaos=<spec>`, behind a
+//!   seeded fault-injecting [`ChaosTransport`];
 //! * `http://` — dials the address with
 //!   [`HttpTransport`](crate::HttpTransport);
 //! * `replay:` — loads the JSONL tape into a [`ReplaySite`]; since the
@@ -29,13 +32,13 @@ use std::fmt;
 use std::sync::Arc;
 
 use hdsampler_core::{L2Log, SiteFingerprint};
-use hdsampler_hidden_db::CountMode;
+use hdsampler_hidden_db::{CountMode, HiddenDb};
 use hdsampler_model::{FormInterface as _, InterfaceError};
 use hdsampler_workload::{DbConfig, WorkloadSpec};
 
 use crate::adapter::WebFormInterface;
 use crate::aio::{AsyncTransport, ConnId, FetchHandle, FetchPoll};
-use crate::chaos::RetryPolicy;
+use crate::chaos::{ChaosSpec, ChaosTransport, RetryPolicy};
 use crate::driver::SiteTask;
 use crate::form::WebForm;
 use crate::httpc::HttpTransport;
@@ -200,22 +203,31 @@ impl ConnectorRegistry {
     }
 }
 
-/// Erase a built wire, interposing a recorder when asked.
+/// Erase a built wire, interposing a recorder when asked. `landing` is a
+/// discovery page read off the site before the wire existed; it goes on
+/// the tape first, so a later `replay:` discovers the same form.
 fn erase<T: Transport + AsyncTransport + Clocked + fmt::Debug + 'static>(
     transport: T,
     opts: &ConnectOptions,
+    landing: Option<&str>,
 ) -> Result<BoxTransport, String> {
     Ok(match &opts.record {
-        Some(tape) => BoxTransport::new(RecordingTransport::create(transport, tape)?),
+        Some(tape) => {
+            let recorder = RecordingTransport::create(transport, tape)?;
+            if let Some(page) = landing {
+                recorder.record("/", &Ok(page.to_owned()));
+            }
+            BoxTransport::new(recorder)
+        }
         None => BoxTransport::new(transport),
     })
 }
 
-/// Scrape-based schema discovery: fetch `/`, then assemble a scraper
-/// configured entirely from the page — schema, action, k, count support.
-/// The fetch rides out transient faults (throttles, 503s, severed
-/// connections) the way the sampler's own fetches do, so one unlucky
-/// request against an adversarial site does not kill the connect.
+/// Scrape-based schema discovery over the wire: fetch `/`, then assemble
+/// the scraper from the page. The fetch rides out transient faults
+/// (throttles, 503s, severed connections) the way the sampler's own
+/// fetches do, so one unlucky request against an adversarial site does
+/// not kill the connect.
 fn discover(
     transport: BoxTransport,
     who: &str,
@@ -236,7 +248,20 @@ fn discover(
             Err(e) => return Err(format!("{who}: schema discovery failed fetching `/`: {e}")),
         }
     };
-    let found = scrape_form_page(&page)
+    assemble(transport, &page, RetryPolicy::default(), who, opts)
+}
+
+/// Assemble a scraper configured entirely from a landing page — schema,
+/// action, k, count support — retrying under `retry`, and attach the L2
+/// log when asked.
+fn assemble(
+    transport: BoxTransport,
+    page: &str,
+    retry: RetryPolicy,
+    who: &str,
+    opts: &ConnectOptions,
+) -> Result<SiteTask<BoxTransport>, String> {
+    let found = scrape_form_page(page)
         .map_err(|e| format!("{who}: landing page is not a discoverable form: {e}"))?;
     let advertised = found
         .fingerprint
@@ -245,7 +270,8 @@ fn discover(
     let form = WebForm::new(Arc::new(found.schema), found.action);
     let mut task = SiteTask::new(
         who,
-        WebFormInterface::with_form(transport, form, found.k, found.supports_count),
+        WebFormInterface::with_form(transport, form, found.k, found.supports_count)
+            .with_retry(retry),
     );
     if let Some(root) = &opts.l2 {
         // Prefer the fingerprint the site advertised — it folds in the
@@ -267,8 +293,34 @@ fn discover(
     Ok(task)
 }
 
-/// `local:` parameters, with the same defaults the CLI's flags have.
-struct LocalParams {
+/// The retry policy a `chaos=` leg runs under: patient enough to ride out
+/// bursts at the default fault rates, still bounded so a dead site fails
+/// instead of spinning.
+const CHAOS_RETRY_POLICY: RetryPolicy = RetryPolicy {
+    max_retries: 12,
+    base_backoff_ms: 25,
+    max_backoff_ms: 2_000,
+};
+
+/// A `local:` locator's parameters, parsed and checked:
+///
+/// | parameter | meaning | default |
+/// |---|---|---|
+/// | `n` | tuples to simulate | 8000 |
+/// | `k` | top-k display limit (at least 1) | 250 |
+/// | `seed` | data seed (and the virtual wire's jitter seed) | 2009 |
+/// | `counts` | count banner: `absent`, `exact` or `noisy` | absent |
+/// | `budget` | per-session query limit | none |
+/// | `latency` | virtual service time per request, ms | 1 |
+/// | `jitter` | ± uniform jitter around `latency`, ms | 0 |
+/// | `l2` | persistent history root for this leg | none |
+/// | `chaos` | a [`ChaosSpec`] fault schedule for the wire; a spec without `latency` takes the leg's | none |
+#[derive(Debug, Clone)]
+pub struct LocalParams {
+    /// Registry dataset name.
+    pub dataset: String,
+    /// The `chaos=` fault schedule, if any.
+    pub chaos: Option<ChaosSpec>,
     n: usize,
     k: usize,
     seed: u64,
@@ -279,93 +331,137 @@ struct LocalParams {
     l2: Option<String>,
 }
 
-fn parse_local_params(params: &[(String, String)], who: &str) -> Result<LocalParams, String> {
-    let mut out = LocalParams {
-        n: 8_000,
-        k: 250,
-        seed: 2_009,
-        counts: CountMode::Absent,
-        budget: None,
-        latency: 1,
-        jitter: 0,
-        l2: None,
-    };
-    for (key, value) in params {
-        let parse_num = |what: &str| -> Result<u64, String> {
-            value
-                .parse::<u64>()
-                .map_err(|_| format!("{who}: parameter `{key}={value}` is not a valid {what}"))
+impl LocalParams {
+    /// Parse a `local:` locator's parameters.
+    ///
+    /// # Errors
+    /// A message naming the locator and the offending parameter (unknown
+    /// key, unparsable value, `k=0`, `jitter=` beside `chaos=`), or a
+    /// non-`local:` locator.
+    pub fn parse(locator: &SiteLocator) -> Result<LocalParams, String> {
+        let SiteLocator::Local { dataset, params } = locator else {
+            return Err(format!(
+                "{locator}: expected a local: locator, got {}",
+                locator.scheme()
+            ));
         };
-        match key.as_str() {
-            "n" => out.n = parse_num("tuple count")? as usize,
-            "k" => out.k = parse_num("top-k limit")? as usize,
-            "seed" => out.seed = parse_num("seed")?,
-            "budget" => out.budget = Some(parse_num("query budget")?),
-            "latency" => out.latency = parse_num("latency (ms)")?,
-            "jitter" => out.jitter = parse_num("jitter (ms)")?,
-            "l2" => out.l2 = Some(value.clone()),
-            "counts" => {
-                out.counts = match value.as_str() {
-                    "absent" => CountMode::Absent,
-                    "exact" => CountMode::Exact,
-                    "noisy" => CountMode::Noisy {
-                        sigma: 0.15,
-                        seed: out.seed,
-                    },
-                    other => {
+        let who = locator.to_string();
+        let mut out = LocalParams {
+            dataset: dataset.clone(),
+            n: 8_000,
+            k: 250,
+            seed: 2_009,
+            counts: CountMode::Absent,
+            budget: None,
+            latency: 1,
+            jitter: 0,
+            l2: None,
+            chaos: None,
+        };
+        for (key, value) in params {
+            let parse_num = |what: &str| -> Result<u64, String> {
+                value
+                    .parse::<u64>()
+                    .map_err(|_| format!("{who}: parameter `{key}={value}` is not a valid {what}"))
+            };
+            match key.as_str() {
+                "n" => out.n = parse_num("tuple count")? as usize,
+                "k" => {
+                    out.k = parse_num("top-k limit")? as usize;
+                    if out.k == 0 {
                         return Err(format!(
-                            "{who}: counts=`{other}` (valid: absent, exact, noisy)"
-                        ))
+                            "{who}: parameter `k=0`: a form must show at least one result (k >= 1)"
+                        ));
                     }
                 }
-            }
-            other => {
-                return Err(format!(
-                    "{who}: unknown parameter `{other}` \
-                     (valid: n, k, seed, counts, budget, latency, jitter, l2)"
-                ))
+                "seed" => out.seed = parse_num("seed")?,
+                "budget" => out.budget = Some(parse_num("query budget")?),
+                "latency" => out.latency = parse_num("latency (ms)")?,
+                "jitter" => out.jitter = parse_num("jitter (ms)")?,
+                "l2" => out.l2 = Some(value.clone()),
+                "chaos" => {
+                    out.chaos = Some(
+                        ChaosSpec::parse(value)
+                            .map_err(|e| format!("{who}: parameter `chaos`: {e}"))?,
+                    )
+                }
+                "counts" => {
+                    out.counts = match value.as_str() {
+                        "absent" => CountMode::Absent,
+                        "exact" => CountMode::Exact,
+                        "noisy" => CountMode::Noisy {
+                            sigma: 0.15,
+                            seed: out.seed,
+                        },
+                        other => {
+                            return Err(format!(
+                                "{who}: counts=`{other}` (valid: absent, exact, noisy)"
+                            ))
+                        }
+                    }
+                }
+                other => {
+                    return Err(format!(
+                        "{who}: unknown parameter `{other}` \
+                         (valid: n, k, seed, counts, budget, latency, jitter, l2, chaos)"
+                    ))
+                }
             }
         }
+        if out.jitter > 0 && out.chaos.is_some() {
+            return Err(format!(
+                "{who}: parameter `jitter=` shapes the plain wire; a `chaos=` \
+                 spec carries its own `jitter`"
+            ));
+        }
+        // `counts=noisy` before `seed=…` must still use the final seed.
+        if let CountMode::Noisy { sigma, .. } = out.counts {
+            out.counts = CountMode::Noisy {
+                sigma,
+                seed: out.seed,
+            };
+        }
+        Ok(out)
     }
-    // `counts=noisy` before `seed=…` must still use the final seed.
-    if let CountMode::Noisy { sigma, .. } = out.counts {
-        out.counts = CountMode::Noisy {
-            sigma,
-            seed: out.seed,
+
+    /// Build the simulated hidden database these parameters describe.
+    ///
+    /// # Errors
+    /// An unknown dataset, with the registry's nearest-match hint.
+    pub fn build_db(&self) -> Result<HiddenDb, String> {
+        let def = hdsampler_workload::resolve_dataset(&self.dataset)?;
+        let mut db_cfg = DbConfig {
+            count_mode: self.counts,
+            ..DbConfig::no_counts().with_k(self.k)
         };
+        if let Some(b) = self.budget {
+            db_cfg = db_cfg.with_budget(b);
+        }
+        Ok(WorkloadSpec {
+            data: def.data_spec(self.n, self.seed),
+            db: db_cfg,
+            seed: self.seed,
+        }
+        .build())
     }
-    Ok(out)
 }
 
 fn connect_local(
     locator: &SiteLocator,
     opts: &ConnectOptions,
 ) -> Result<SiteTask<BoxTransport>, String> {
-    let SiteLocator::Local { dataset, params } = locator else {
-        return Err(format!(
-            "local connector got a {} locator",
-            locator.scheme()
-        ));
-    };
     let who = locator.to_string();
-    let p = parse_local_params(params, &who)?;
-    let def = hdsampler_workload::resolve_dataset(dataset).map_err(|e| format!("{who}: {e}"))?;
-    let mut db_cfg = DbConfig {
-        count_mode: p.counts,
-        ..DbConfig::no_counts().with_k(p.k)
-    };
-    if let Some(b) = p.budget {
-        db_cfg = db_cfg.with_budget(b);
-    }
-    let db = WorkloadSpec {
-        data: def.data_spec(p.n, p.seed),
-        db: db_cfg,
-        seed: p.seed,
-    }
-    .build();
+    let p = LocalParams::parse(locator)?;
+    let db = p.build_db().map_err(|e| format!("{who}: {e}"))?;
     let schema = Arc::new(db.schema().clone());
     let site = LocalSite::new(db, schema);
-    let wire = LatencyTransport::with_jitter(site, p.latency.max(1), p.jitter, p.seed);
+    // Discovery reads the landing page straight off the in-process site,
+    // before any wire exists: the wire's connection clocks and its seeded
+    // jitter and fault streams start exactly where those of a site wired
+    // up by hand would.
+    let landing = site
+        .fetch("/")
+        .map_err(|e| format!("{who}: schema discovery failed fetching `/`: {e}"))?;
     // A locator-level `l2=` parameter overrides the shared option, so one
     // multi-site run can warm-start only the legs that want it.
     let opts = &match p.l2 {
@@ -375,7 +471,20 @@ fn connect_local(
         },
         None => opts.clone(),
     };
-    discover(erase(wire, opts)?, &who, opts)
+    match p.chaos {
+        Some(mut spec) => {
+            if spec.latency_ms == 0 {
+                spec.latency_ms = p.latency;
+            }
+            let wire = erase(ChaosTransport::new(site, spec), opts, Some(&landing))?;
+            assemble(wire, &landing, CHAOS_RETRY_POLICY, &who, opts)
+        }
+        None => {
+            let wire = LatencyTransport::with_jitter(site, p.latency.max(1), p.jitter, p.seed);
+            let wire = erase(wire, opts, Some(&landing))?;
+            assemble(wire, &landing, RetryPolicy::default(), &who, opts)
+        }
+    }
 }
 
 fn connect_http(
@@ -386,7 +495,7 @@ fn connect_http(
         return Err(format!("http connector got a {} locator", locator.scheme()));
     };
     let who = locator.to_string();
-    discover(erase(HttpTransport::new(addr), opts)?, &who, opts)
+    discover(erase(HttpTransport::new(addr), opts, None)?, &who, opts)
 }
 
 fn connect_replay(
@@ -404,7 +513,7 @@ fn connect_replay(
     // A tape is a blocking-face site; the 1 ms virtual wire grants it the
     // async face and a clock, same as an in-process site.
     let wire = LatencyTransport::new(site, 1);
-    discover(erase(wire, opts)?, &who, opts)
+    discover(erase(wire, opts, None)?, &who, opts)
 }
 
 #[cfg(test)]
@@ -457,7 +566,55 @@ mod tests {
         let err = connect("local:boolean?counts=sometimes").unwrap_err();
         assert!(err.contains("valid: absent, exact, noisy"), "{err}");
 
+        let err = connect("local:vehicles-compact?n=400&k=0").unwrap_err();
+        assert!(err.contains("`k=0`"), "{err}");
+        let err = connect("local:boolean?chaos=throttle=2").unwrap_err();
+        assert!(err.contains("parameter `chaos`"), "{err}");
+        let err = connect("local:boolean?jitter=5&chaos=fail=0.1").unwrap_err();
+        assert!(err.contains("jitter"), "{err}");
+        assert!(LocalParams::parse(&SiteLocator::parse("http://h:1").unwrap()).is_err());
+
         assert!(connect("replay:/nonexistent/tape.jsonl").is_err());
+    }
+
+    #[test]
+    fn local_discovery_leaves_the_wire_untouched() {
+        // Discovery reads `/` off the in-process site, so the wire's
+        // clock starts at zero, as on a site wired up by hand.
+        let task = connect("local:boolean?n=200&k=20&latency=40&jitter=10").unwrap();
+        assert_eq!(task.iface.transport().elapsed_ms(), 0);
+        task.iface
+            .execute(&hdsampler_model::ConjunctiveQuery::empty())
+            .unwrap();
+        assert!((30..=50).contains(&task.iface.transport().elapsed_ms()));
+    }
+
+    #[test]
+    fn chaos_parameter_wraps_the_wire_and_takes_the_leg_latency() {
+        // A spec without latency bills the leg's; the leg rides out faults
+        // under the patient chaos retry policy.
+        let quiet = connect("local:boolean?n=200&k=20&latency=40&chaos=seed=3").unwrap();
+        assert_eq!(quiet.iface.retry_policy(), CHAOS_RETRY_POLICY);
+        quiet
+            .iface
+            .execute(&hdsampler_model::ConjunctiveQuery::empty())
+            .unwrap();
+        assert_eq!(quiet.iface.transport().elapsed_ms(), 40);
+
+        let faulty = connect("local:boolean?n=200&k=20&chaos=seed=3,latency=7,fail=0.5").unwrap();
+        for _ in 0..4 {
+            faulty
+                .iface
+                .execute(&hdsampler_model::ConjunctiveQuery::empty())
+                .unwrap();
+        }
+        assert!(
+            faulty.iface.retries() > 0,
+            "the faults fired and were retried"
+        );
+        // Without chaos the wire keeps the default policy.
+        let plain = connect("local:boolean?n=200&k=20").unwrap();
+        assert_eq!(plain.iface.retry_policy(), RetryPolicy::default());
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub mod urlenc;
 pub use adapter::{QueryHandle, QueryPoll, WebFormInterface};
 pub use aio::{AsyncTransport, ConnId, FetchHandle, FetchPoll};
 pub use chaos::{ChaosCounters, ChaosSpec, ChaosTransport, Decision, Fault, RetryPolicy};
-pub use connect::{BoxTransport, ConnectOptions, Connector, ConnectorRegistry};
+pub use connect::{BoxTransport, ConnectOptions, Connector, ConnectorRegistry, LocalParams};
 pub use coop::{CoopDriver, CoopSiteDetail};
 pub use driver::{FleetConfig, FleetReport, SiteReport, SiteTask};
 pub use form::WebForm;

@@ -4,16 +4,19 @@
 //!
 //! | scheme | example | resolves to |
 //! |---|---|---|
-//! | `local:` | `local:vehicles?n=8000&k=250&seed=7` | an in-process [`LocalSite`](crate::LocalSite) built from the named dataset |
+//! | `local:` | `local:vehicles-compact?n=8000&k=250&seed=7` | an in-process [`LocalSite`](crate::LocalSite) built from the named dataset |
 //! | `http://` | `http://127.0.0.1:8080` | a live front door over [`HttpTransport`](crate::HttpTransport) |
 //! | `replay:` | `replay:runs/tape.jsonl` | a recorded tape served offline by [`ReplaySite`](crate::ReplaySite) |
 //!
 //! The grammar is deliberately tiny: `scheme : rest`, where `local:` takes
 //! a registry dataset name plus an optional query string of build
 //! parameters, `http://` takes a host:port, and `replay:` takes a file
-//! path verbatim. Parsing and [`Display`](std::fmt::Display) are exact
-//! inverses (property-tested), so locators survive being printed into
-//! reports, shell history and CI logs and pasted back.
+//! path verbatim. A `local:` value may itself hold `=` and `,` — e.g.
+//! `local:boolean?chaos=seed=7,throttle=0.2&latency=40` — since only `&`
+//! separates parameters and only the first `=` splits one. Parsing and
+//! [`Display`](std::fmt::Display) are exact inverses (property-tested),
+//! so locators survive being printed into reports, shell history and CI
+//! logs and pasted back.
 //!
 //! A locator only *names* a site; connecting it — building the database,
 //! scraping the schema off `/`, loading the tape — is the
@@ -28,8 +31,9 @@ use crate::urlenc;
 pub enum SiteLocator {
     /// `local:<dataset>[?key=value&…]` — an in-process site over a named
     /// dataset from the workload registry. Parameters are kept as ordered
-    /// pairs; the connector interprets them (`n`, `k`, `seed`, `counts`,
-    /// `budget`, `latency`, `jitter`).
+    /// pairs; [`LocalParams`](crate::connect::LocalParams) interprets them
+    /// (`n`, `k`, `seed`, `counts`, `budget`, `latency`, `jitter`, `l2`,
+    /// `chaos`).
     Local {
         /// Registry dataset name (restricted charset: `[A-Za-z0-9._-]`).
         dataset: String,
@@ -141,8 +145,14 @@ impl fmt::Display for SiteLocator {
         match self {
             SiteLocator::Local { dataset, params } => {
                 write!(f, "local:{dataset}")?;
-                if !params.is_empty() {
-                    write!(f, "?{}", urlenc::build_query(params))?;
+                for (i, (key, value)) in params.iter().enumerate() {
+                    // `=` and `,` in a value are unambiguous, so a
+                    // `chaos=seed=7,fail=0.1` spec prints as written.
+                    let value = urlenc::encode(value)
+                        .replace("%3D", "=")
+                        .replace("%2C", ",");
+                    let sep = if i == 0 { '?' } else { '&' };
+                    write!(f, "{sep}{}={value}", urlenc::encode(key))?;
                 }
                 Ok(())
             }
@@ -224,6 +234,8 @@ mod tests {
         for s in [
             "local:vehicles-compact?n=8000&k=250&seed=7",
             "local:boolean",
+            "local:boolean?latency=40&chaos=seed=7,fail=0.1,slow=400x50",
+            "local:boolean?l2=runs%2Fhist%26more",
             "http://127.0.0.1:8080",
             "replay:runs/tape.jsonl",
             "replay:C%3A/odd path.jsonl",
@@ -232,12 +244,12 @@ mod tests {
             let printed = loc.to_string();
             assert_eq!(SiteLocator::parse(&printed).unwrap(), loc, "{s}");
         }
-        // Canonical forms print verbatim.
-        assert_eq!(
-            SiteLocator::parse("local:boolean?n=100")
-                .unwrap()
-                .to_string(),
-            "local:boolean?n=100"
-        );
+        // Canonical forms print verbatim, a chaos spec included.
+        for s in [
+            "local:boolean?n=100",
+            "local:boolean?chaos=seed=7,throttle=0.2&latency=40",
+        ] {
+            assert_eq!(SiteLocator::parse(s).unwrap().to_string(), s);
+        }
     }
 }

@@ -21,17 +21,13 @@
 //!     .run(&mut fleet);
 //! ```
 
-use std::sync::Arc;
-
 use hdsampler_core::{SampleSink, TraceSink};
-use hdsampler_model::{ConjunctiveQuery, Schema};
+use hdsampler_model::ConjunctiveQuery;
 
-use crate::adapter::WebFormInterface;
 use crate::aio::AsyncTransport;
 use crate::connect::{BoxTransport, ConnectOptions, ConnectorRegistry};
 use crate::coop::{CoopDriver, CoopSiteDetail};
 use crate::driver::{FleetConfig, FleetReport, SiteReport, SiteTask};
-use crate::httpc::HttpTransport;
 use crate::locator::SiteLocator;
 use crate::transport::{Clocked, Transport};
 
@@ -101,7 +97,6 @@ pub struct RunPlan<'a> {
     scope: ConjunctiveQuery,
     driver: Driver,
     steal: bool,
-    l2: Option<String>,
     sinks: Vec<&'a mut dyn SampleSink>,
     trace_sinks: Vec<&'a mut dyn TraceSink>,
 }
@@ -117,7 +112,6 @@ impl<'a> RunPlan<'a> {
             scope: ConjunctiveQuery::empty(),
             driver: Driver::default(),
             steal: false,
-            l2: None,
             sinks: Vec::new(),
             trace_sinks: Vec::new(),
         }
@@ -160,19 +154,6 @@ impl<'a> RunPlan<'a> {
     /// ([`CoopDriver::with_stealing`]).
     pub fn steal(mut self, steal: bool) -> Self {
         self.steal = steal;
-        self
-    }
-
-    /// Root directory for the persistent L2 fact log. Every site the
-    /// plan connects keeps its history under
-    /// `<root>/<site fingerprint>/`, so a later run against the same
-    /// site version warm-starts from disk instead of the wire. Only
-    /// takes effect through the locator paths
-    /// ([`run_locators`](RunPlan::run_locators) /
-    /// [`run_locators_with`](RunPlan::run_locators_with)); a per-site
-    /// `l2=` locator parameter still wins.
-    pub fn l2(mut self, root: impl Into<String>) -> Self {
-        self.l2 = Some(root.into());
         self
     }
 
@@ -245,7 +226,8 @@ impl<'a> RunPlan<'a> {
     }
 
     /// [`run_locators`](RunPlan::run_locators) with explicit
-    /// [`ConnectOptions`] (e.g. recording the session to a tape).
+    /// [`ConnectOptions`] (e.g. recording the session to a tape, or a
+    /// shared L2 root every leg persists its facts under).
     pub fn run_locators_with(
         self,
         locators: &[SiteLocator],
@@ -254,17 +236,6 @@ impl<'a> RunPlan<'a> {
         if locators.is_empty() {
             return Err("run_locators: empty locator list".into());
         }
-        let merged;
-        let opts = match &self.l2 {
-            Some(root) => {
-                merged = ConnectOptions {
-                    l2: Some(root.clone()),
-                    ..opts.clone()
-                };
-                &merged
-            }
-            None => opts,
-        };
         let registry = ConnectorRegistry::standard();
         let mut tasks = locators
             .iter()
@@ -273,44 +244,14 @@ impl<'a> RunPlan<'a> {
         let report = self.run(&mut tasks);
         Ok((report, tasks))
     }
-
-    /// Build one [`SiteTask`] per live server address over real TCP and
-    /// execute the plan against them. `schema`/`k`/`supports_count`
-    /// describe the served form (the scraper "reads the site's
-    /// documentation"). Returns the report and the tasks, so wire
-    /// statistics and per-site sinks remain inspectable.
-    pub fn run_remote(
-        self,
-        addrs: &[&str],
-        schema: Arc<Schema>,
-        k: usize,
-        supports_count: bool,
-    ) -> Result<(RunReport, Vec<SiteTask<HttpTransport>>), String> {
-        if addrs.is_empty() || addrs.iter().any(|a| a.trim().is_empty()) {
-            return Err("run_remote: empty address list or blank address".into());
-        }
-        let mut tasks: Vec<SiteTask<HttpTransport>> = addrs
-            .iter()
-            .map(|addr| {
-                SiteTask::new(
-                    addr.to_string(),
-                    WebFormInterface::new(
-                        HttpTransport::new(*addr),
-                        Arc::clone(&schema),
-                        k,
-                        supports_count,
-                    ),
-                )
-            })
-            .collect();
-        let report = self.run(&mut tasks);
-        Ok((report, tasks))
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+    use crate::adapter::WebFormInterface;
     use crate::transport::{LatencyTransport, LocalSite};
     use hdsampler_core::{SampleSetSink, StopReason};
     use hdsampler_hidden_db::HiddenDb;
@@ -445,16 +386,5 @@ mod tests {
             "the traced run journaled wire events"
         );
         assert!(log.events().iter().any(|e| e.kind == "sample"));
-    }
-
-    #[test]
-    fn run_remote_rejects_blank_addresses() {
-        let schema = Arc::new(figure1_db(1).schema().clone());
-        assert!(RunPlan::target(1)
-            .run_remote(&[], schema.clone(), 1, false)
-            .is_err());
-        assert!(RunPlan::target(1)
-            .run_remote(&["a:1", " "], schema, 1, false)
-            .is_err());
     }
 }

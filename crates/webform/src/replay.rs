@@ -123,7 +123,7 @@ impl<T> RecordingTransport<T> {
         &self.inner
     }
 
-    fn record(&self, path: &str, outcome: &Result<String, InterfaceError>) {
+    pub(crate) fn record(&self, path: &str, outcome: &Result<String, InterfaceError>) {
         let entry = TapeEntry::from_outcome(path, outcome);
         let line = serde_json::to_string(&entry).expect("tape entries always serialize");
         let mut tape = self.tape.lock();

@@ -10,7 +10,7 @@
 //!   virtual-wire run journals bit-identically across repetitions.
 //! * [`WireSampleEvent`] — the owned, serializable snapshot of an
 //!   accepted-sample event that the server's `/events` SSE stream
-//!   carries, and that `--watch --remote` consumes.
+//!   carries, and that `trace watch <host:port>` consumes.
 //! * [`watch_events`] — a dependency-free chunked-transfer SSE client
 //!   (the consumer half of the server's `/events` plane).
 //! * [`TraceReport`] / [`summarize`] — the per-stage latency breakdown

@@ -1,7 +1,7 @@
 //! The named dataset registry.
 //!
-//! Every surface that accepts a dataset name — the CLI's `--source` /
-//! `--dataset` flags, `local:` site locators, serve — resolves it here, so
+//! Every surface that accepts a dataset name — `local:` site locators, on
+//! every CLI command and under `serve` — resolves it here, so
 //! the set of valid names lives in exactly one table and an unknown name
 //! fails *early* with the full list (plus a nearest-match hint) instead of
 //! deep inside dispatch.
@@ -12,7 +12,7 @@ use crate::vehicles::VehiclesSpec;
 /// One named dataset: a recipe turning `(n, seed)` into a [`DataSpec`].
 #[derive(Debug, Clone, Copy)]
 pub struct DatasetDef {
-    /// The registry name (what `--source` / `local:<name>` accept).
+    /// The registry name (what `local:<name>` accepts).
     pub name: &'static str,
     /// One-line description for listings and error messages.
     pub summary: &'static str,
