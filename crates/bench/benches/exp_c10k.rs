@@ -2,14 +2,13 @@
 //! a parked horde imposes on foreground request service, and the
 //! reactor's own bookkeeping counters.
 //!
-//! The pool front door caps concurrency at `workers + queue_depth`; the
-//! epoll reactor's claim is that a connection costs a slab slot, so one
-//! process can hold thousands of keep-alive connections *and keep
-//! serving at full speed*. This experiment checks both halves of that
+//! The reactor's claim is that a connection costs a slab slot, not a
+//! thread, so one process can hold thousands of keep-alive connections
+//! *and keep serving at full speed*. This experiment checks both halves of that
 //! claim in-process: a horde of keep-alive connections is dialed and
 //! parked (each having completed a real HTTP exchange), the server's own
 //! open-connection gauge is read back, and a foreground prober measures
-//! req/s with and without the horde on the books.
+//! req/s on the empty reactor and again with the horde on the books.
 //!
 //! Everything runs in one process, so the fd budget splits between the
 //! two ends of every loopback connection: 8 000 held connections ≈
@@ -24,7 +23,7 @@ use std::time::{Duration, Instant};
 use hdsampler_bench::{f, section, table};
 use hdsampler_hidden_db::HiddenDb;
 use hdsampler_model::FormInterface as _;
-use hdsampler_server::{HttpServer, ServeMode, ServerConfig, ServerHandle};
+use hdsampler_server::{HttpServer, ServerConfig, ServerHandle};
 use hdsampler_webform::{HttpTransport, LocalSite, Transport};
 use hdsampler_workload::{DbConfig, VehiclesSpec, WorkloadSpec};
 
@@ -47,13 +46,12 @@ fn build_db() -> HiddenDb {
     .build()
 }
 
-fn serve(mode: ServeMode) -> ServerHandle {
+fn serve() -> ServerHandle {
     let db = build_db();
     let schema = Arc::new(db.schema().clone());
     let site = Arc::new(LocalSite::new(db, schema));
     HttpServer::serve(
         ServerConfig {
-            mode,
             // The horde sits idle while probes run; don't let the
             // slowloris reaper dissolve the experiment mid-measurement.
             keep_alive_timeout: Duration::from_secs(120),
@@ -104,13 +102,8 @@ fn main() {
          connections, single-threaded foreground prober"
     );
 
-    // Baselines: foreground service rate with an empty house.
-    let pool = serve(ServeMode::Pool);
-    let pool_rps = probe_req_per_sec(&pool.addr().to_string());
-    let pool_stats = pool.shutdown();
-    assert_eq!(pool_stats.responses_server_error, 0);
-
-    let server = serve(ServeMode::Reactor);
+    // Baseline: foreground service rate with an empty house.
+    let server = serve();
     let addr = server.addr().to_string();
     let reactor_rps = probe_req_per_sec(&addr);
 
@@ -133,18 +126,13 @@ fn main() {
     let loaded_rps = probe_req_per_sec(&addr);
 
     table(
-        &["configuration", "req/s", "vs pool"],
+        &["configuration", "req/s", "vs empty"],
         &[
-            vec!["pool, empty".into(), f(pool_rps, 0), "1.00".into()],
-            vec![
-                "reactor, empty".into(),
-                f(reactor_rps, 0),
-                f(reactor_rps / pool_rps, 2),
-            ],
+            vec!["reactor, empty".into(), f(reactor_rps, 0), "1.00".into()],
             vec![
                 format!("reactor, {HORDE} parked"),
                 f(loaded_rps, 0),
-                f(loaded_rps / pool_rps, 2),
+                f(loaded_rps / reactor_rps, 2),
             ],
         ],
     );

@@ -109,10 +109,6 @@ multi-site:
 
 serve:
   --port <P>           TCP port on 127.0.0.1 (default 8000; 0 = ephemeral)
-  --pool               thread-per-connection serve mode: a bounded worker
-                       pool instead of the default epoll reactor (one
-                       readiness loop per core multiplexing every connection)
-  --workers <W>        worker threads of the --pool mode       (default 4)
   --serve-for <SECS>   shut down gracefully after SECS (default: run until
                        killed)
   --max-conns <N>      admission cap: connections past N concurrently open
@@ -171,8 +167,6 @@ const FLAGS: &[(&str, &[&str])] = &[
     ("--site", &["multi-site"]),
     ("--steal", &["multi-site"]),
     ("--port", &["serve"]),
-    ("--pool", &["serve"]),
-    ("--workers", &["serve"]),
     ("--serve-for", &["serve"]),
     ("--max-conns", &["serve"]),
 ];
@@ -239,11 +233,6 @@ pub enum Command {
         site: SiteLocator,
         /// Port on 127.0.0.1 (0 picks an ephemeral port).
         port: u16,
-        /// Serve through the bounded thread-per-connection pool instead
-        /// of the default epoll reactor (`--pool`).
-        pool: bool,
-        /// Connection worker threads (pool mode).
-        workers: usize,
         /// Graceful shutdown after this many seconds (None: run until
         /// killed).
         serve_for: Option<u64>,
@@ -418,9 +407,7 @@ pub fn parse(argv: &[String]) -> Result<Cli, String> {
     let mut walkers = None;
     let mut run = RunOpts::walkers(1);
     let mut port = 8000u16;
-    let mut serve_workers = None;
     let mut serve_for = None;
-    let mut serve_pool = false;
     let mut steal = false;
     let mut sites: Vec<SiteLocator> = Vec::new();
     let mut record = None;
@@ -469,8 +456,6 @@ pub fn parse(argv: &[String]) -> Result<Cli, String> {
             "--site" => sites.push(SiteLocator::parse(value()?)?),
             "--steal" => steal = true,
             "--port" => port = value()?.parse().map_err(|_| "--port: not a port number")?,
-            "--pool" => serve_pool = true,
-            "--workers" => serve_workers = Some(at_least_one(flag, value()?)?),
             "--serve-for" => serve_for = Some(number(flag, value()?)?),
             "--max-conns" => max_conns = number(flag, value()?)?,
             other => unreachable!("`{other}` is in FLAGS but has no parser"),
@@ -519,25 +504,14 @@ pub fn parse(argv: &[String]) -> Result<Cli, String> {
                 },
             }
         }
-        "serve" => {
-            if serve_workers.is_some() && !serve_pool {
-                return Err(
-                    "--workers sizes the --pool worker pool; the default reactor \
-                            serve has no worker threads to size"
-                        .into(),
-                );
-            }
-            Command::Serve {
-                site: one_locator(command_word, words)?,
-                port,
-                pool: serve_pool,
-                workers: serve_workers.unwrap_or(4),
-                serve_for,
-                trace: run.trace,
-                metrics: run.metrics,
-                max_conns,
-            }
-        }
+        "serve" => Command::Serve {
+            site: one_locator(command_word, words)?,
+            port,
+            serve_for,
+            trace: run.trace,
+            metrics: run.metrics,
+            max_conns,
+        },
         "trace" => {
             let mut words = words.into_iter();
             let action = match (words.next(), words.next(), words.next()) {
@@ -788,9 +762,6 @@ mod tests {
             "local:boolean?n=500",
             "--port",
             "9090",
-            "--pool",
-            "--workers",
-            "8",
             "--serve-for",
             "30",
         ]))
@@ -800,8 +771,6 @@ mod tests {
             Command::Serve {
                 site: loc("local:boolean?n=500"),
                 port: 9090,
-                pool: true,
-                workers: 8,
                 serve_for: Some(30),
                 trace: None,
                 metrics: None,
@@ -814,17 +783,11 @@ mod tests {
             defaults.command,
             Command::Serve {
                 port: 8000,
-                pool: false,
-                workers: 4,
                 serve_for: None,
                 ..
             }
         ));
-        assert!(parse(&argv(&["serve", "local:b", "--pool", "--workers", "0"])).is_err());
         assert!(parse(&argv(&["serve", "local:b", "--port", "99999"])).is_err());
-        // The reactor is the default and has no workers to size.
-        let err = parse(&argv(&["serve", "local:b", "--workers", "2"])).unwrap_err();
-        assert!(err.contains("--pool"), "{err}");
         // serve needs a simulated site to serve.
         assert!(parse(&argv(&["serve", "http://h:1"])).is_err());
         assert!(parse(&argv(&["serve", "replay:t.jsonl"])).is_err());
@@ -988,7 +951,7 @@ mod tests {
     /// A valid value for each flag that takes one.
     fn sample_value(flag: &str) -> Option<&'static str> {
         match flag {
-            "--watch" | "--steal" | "--pool" => None,
+            "--watch" | "--steal" => None,
             "--bind" | "--proportion" => Some("make=Toyota"),
             "--slider" => Some("0.5"),
             "--site" => Some("local:boolean"),
@@ -1007,7 +970,7 @@ mod tests {
             "aggregate" => vec!["aggregate", "local:boolean"],
             "validate" => vec!["validate", "local:boolean"],
             "multi-site" => vec!["multi-site", "--site", "local:boolean"],
-            "serve" => vec!["serve", "local:boolean", "--pool"],
+            "serve" => vec!["serve", "local:boolean"],
             "trace" => vec!["trace", "report", "run.jsonl"],
             "cache" => vec!["cache", "stats", "--l2", "hist"],
             other => panic!("no base command line for `{other}`"),
@@ -1016,7 +979,7 @@ mod tests {
 
     #[test]
     fn every_flag_is_accepted_exactly_where_the_table_says() {
-        assert_eq!(FLAGS.len(), 22, "the CLI's whole flag surface");
+        assert_eq!(FLAGS.len(), 20, "the CLI's whole flag surface");
         for command in COMMANDS {
             assert!(parse(&argv(&base(command))).is_ok(), "base `{command}`");
             for (flag, takers) in FLAGS {

@@ -11,8 +11,8 @@ use hdsampler_core::{MetricsRegistry, MetricsSink, SampleSet, SamplerStats, Trac
 use hdsampler_estimator::{fmt_stat, Estimator, Histogram, MarginalComparison, OnlineFrequencies};
 use hdsampler_model::{ConjunctiveQuery, FormInterface, Schema};
 use hdsampler_server::{
-    render_server_metrics, Adversary, BridgeSink, HttpServer, Response, ServeMode, ServerConfig,
-    ServerHandle, SiteBehavior,
+    render_server_metrics, Adversary, BridgeSink, HttpServer, Response, ServerConfig, ServerHandle,
+    SiteBehavior,
 };
 use hdsampler_webform::{
     read_journal, summarize, watch_events, write_journal, BoxTransport, ConnectOptions,
@@ -72,7 +72,6 @@ impl PlanTelemetry {
                 let registry = MetricsRegistry::new();
                 let cfg = ServerConfig {
                     addr: format!("127.0.0.1:{port}"),
-                    workers: 2,
                     metrics: Some(registry.clone()),
                     ..ServerConfig::default()
                 };
@@ -162,8 +161,6 @@ pub fn run(cli: Cli) -> Result<(), String> {
         Command::Serve {
             site,
             port,
-            pool,
-            workers,
             serve_for,
             trace,
             metrics,
@@ -171,8 +168,6 @@ pub fn run(cli: Cli) -> Result<(), String> {
         } => serve(
             &site,
             port,
-            pool,
-            workers,
             serve_for,
             trace.as_deref(),
             metrics.as_deref(),
@@ -270,12 +265,9 @@ fn trace_watch(addr: &str) -> Result<(), String> {
 /// Put a `local:` site behind a real HTTP front door on 127.0.0.1,
 /// hidden behind a fault-injecting [`Adversary`] when the locator carries
 /// `chaos=`.
-#[allow(clippy::too_many_arguments)]
 fn serve(
     loc: &SiteLocator,
     port: u16,
-    pool: bool,
-    workers: usize,
     serve_for: Option<u64>,
     trace: Option<&str>,
     metrics: Option<&str>,
@@ -299,16 +291,8 @@ fn serve(
     let k = db.result_limit();
     let site = Arc::new(LocalSite::new(db, Arc::clone(&schema)));
     let action = site.form().action().to_string();
-    let mode = if pool {
-        ServeMode::Pool
-    } else {
-        ServeMode::Reactor
-    };
-    let reactor_live = mode == ServeMode::Reactor && cfg!(target_os = "linux");
     let cfg = ServerConfig {
         addr: format!("127.0.0.1:{port}"),
-        workers,
-        mode,
         max_conns,
         ..ServerConfig::default()
     };
@@ -328,13 +312,6 @@ fn serve(
         handle.addr()
     );
     println!("telemetry: /metrics exposition and /events live stream on the same port");
-    if reactor_live {
-        println!("mode: epoll reactor — one readiness loop per core multiplexing every connection");
-    } else if mode == ServeMode::Reactor {
-        println!("mode: bounded pool, {workers} worker thread(s) (the epoll reactor needs Linux)");
-    } else {
-        println!("mode: bounded pool, {workers} worker thread(s) (--pool)");
-    }
     if max_conns > 0 {
         println!(
             "admission: at most {max_conns} open connection(s); extras get \
@@ -387,17 +364,15 @@ fn serve(
                 stats.requests_events,
                 stats.requests_other,
             );
-            if reactor_live {
-                println!(
-                    "reactor: {} wakeups, {} ready events, {} accepts, {} timers fired, \
-                     {} connection(s) still open",
-                    stats.reactor_wakeups,
-                    stats.reactor_ready_events,
-                    stats.reactor_accepts,
-                    stats.timers_fired,
-                    stats.open_connections,
-                );
-            }
+            println!(
+                "reactor: {} wakeups, {} ready events, {} accepts, {} timers fired, \
+                 {} connection(s) still open",
+                stats.reactor_wakeups,
+                stats.reactor_ready_events,
+                stats.reactor_accepts,
+                stats.timers_fired,
+                stats.open_connections,
+            );
             if let Some(path) = metrics {
                 std::fs::write(path, render_server_metrics(&stats, None))
                     .map_err(|e| format!("cannot write metrics exposition `{path}`: {e}"))?;
@@ -442,12 +417,11 @@ fn serve(
     Ok(())
 }
 
-/// Pipelined connections per live site when `--conns` is not given: the
-/// reactor server (the `serve` default) multiplexes every connection onto
-/// per-core readiness loops, so a wide fan-out no longer starves a worker
-/// pool — 64 connections keeps per-connection pipelines shallow (better
-/// latency under cancellation) while staying far below fd limits. Against
-/// a `serve --pool` server, cap it by hand (`--conns <= --workers`).
+/// Pipelined connections per live site when `--conns` is not given:
+/// `serve` multiplexes every connection onto per-core readiness loops, so
+/// a wide fan-out costs it slab slots, not threads — 64 connections keeps
+/// per-connection pipelines shallow (better latency under cancellation)
+/// while staying far below fd limits.
 const DEFAULT_REMOTE_CONNS: usize = 64;
 
 /// Connections per site. On the virtual wire: `--conns`, else one per
@@ -1202,7 +1176,7 @@ mod tests {
     fn serve_rejects_client_wire_parameters() {
         for param in ["latency=40", "jitter=5", "l2=hist"] {
             let site = loc(&format!("local:boolean?{param}"));
-            let err = serve(&site, 0, false, 4, Some(0), None, None, 0).unwrap_err();
+            let err = serve(&site, 0, Some(0), None, None, 0).unwrap_err();
             assert!(err.contains(param.split('=').next().unwrap()), "{err}");
         }
     }

@@ -1,7 +1,7 @@
-//! C10K smoke: a real `hdsampler serve` process under the epoll reactor
-//! holding ten thousand concurrent keep-alive connections, every one of
-//! them doing pipelined HTTP exchanges — the load that motivated
-//! replacing the bounded pool as the default serve mode.
+//! C10K smoke: a real `hdsampler serve` process holding ten thousand
+//! concurrent keep-alive connections on its readiness loops, every one of
+//! them doing pipelined HTTP exchanges — the load a thread-per-connection
+//! server cannot carry.
 //!
 //! Two processes on purpose: the server is the released binary
 //! (`CARGO_BIN_EXE_hdsampler`), so the file-descriptor budget splits

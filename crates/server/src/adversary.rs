@@ -11,7 +11,9 @@
 //!   and `x-hds-retry-after-ms` (exact), *without* the `x-hds-issued`
 //!   budget header — so clients can tell "back off" from "go away";
 //! * **transient** — `503 Service Unavailable`;
-//! * **slow-start / jitter** — real (capped) sleeps before answering;
+//! * **slow-start / jitter** — real (capped) waits before the answer
+//!   reaches the wire, carried as [`Response::delay`] so the server parks
+//!   the connection on its timer heap instead of sleeping a serve loop;
 //! * **count-noise** — successful pages get their "About N results"
 //!   banner rewritten by the episode's factor.
 //!
@@ -31,8 +33,8 @@ use hdsampler_webform::{ChaosCounters, ChaosSpec, Fault};
 use crate::http::Response;
 use crate::site::{SiteBehavior, ERROR_HEADER};
 
-/// Longest single injected sleep: chaos must slow a request down, not
-/// wedge a worker for the whole keep-alive window.
+/// Longest single injected delay: chaos must slow a request down, not
+/// hold a connection for the whole keep-alive window.
 const MAX_INJECT_SLEEP: Duration = Duration::from_millis(2_000);
 
 /// Fault-injecting decorator over any [`SiteBehavior`].
@@ -90,15 +92,13 @@ impl<S: SiteBehavior> SiteBehavior for Adversary<S> {
     fn get(&self, target: &str) -> Response {
         let n = self.requests.fetch_add(1, Ordering::Relaxed);
         let d = self.spec.decide(n);
-        let delay = self.spec.latency_ms + d.extra_delay_ms;
-        if delay > 0 {
-            self.extra_delay_ms
-                .fetch_add(d.extra_delay_ms, Ordering::Relaxed);
-            // Real wire, real wait — but capped, so a generous virtual
-            // spec cannot wedge a worker thread.
-            std::thread::sleep(Duration::from_millis(delay).min(MAX_INJECT_SLEEP));
-        }
-        match d.fault {
+        self.extra_delay_ms
+            .fetch_add(d.extra_delay_ms, Ordering::Relaxed);
+        // Real wire, real wait — but capped, so a generous virtual spec
+        // cannot hold a connection past the keep-alive window.
+        let delay =
+            Duration::from_millis(self.spec.latency_ms + d.extra_delay_ms).min(MAX_INJECT_SLEEP);
+        let mut resp = match d.fault {
             Fault::Drop => {
                 self.drops.fetch_add(1, Ordering::Relaxed);
                 Response::sever()
@@ -148,7 +148,9 @@ impl<S: SiteBehavior> SiteBehavior for Adversary<S> {
                 }
                 resp
             }
-        }
+        };
+        resp.delay = delay;
+        resp
     }
 }
 
@@ -271,6 +273,26 @@ mod tests {
         // Error pages pass through untouched.
         let err = adv.get("/nosuchpage");
         assert_eq!(err.status, 404);
+    }
+
+    #[test]
+    fn delays_ride_on_the_response_without_blocking() {
+        let adv = Adversary::new(
+            site(),
+            ChaosSpec {
+                latency_ms: 60_000,
+                drop: 1.0,
+                ..ChaosSpec::default()
+            },
+        );
+        let start = std::time::Instant::now();
+        let resp = adv.get("/search?make=Honda");
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "the server holds the delay; nothing sleeps here"
+        );
+        assert!(resp.drop_connection, "a sever is held like any answer");
+        assert_eq!(resp.delay, MAX_INJECT_SLEEP, "capped");
     }
 
     #[test]

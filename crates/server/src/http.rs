@@ -7,6 +7,7 @@
 //! peer controls: request-line length, header-section size, header count.
 
 use std::io::{self, Write};
+use std::time::Duration;
 
 /// Longest accepted request line (method + target + version).
 pub const MAX_REQUEST_LINE_BYTES: usize = 8 * 1024;
@@ -206,6 +207,10 @@ pub struct Response {
     /// the peer sees an abrupt close mid-exchange (fault injection; see
     /// the `Adversary` site decorator). Status/body are ignored.
     pub drop_connection: bool,
+    /// Hold the response (or the sever) this long before it reaches the
+    /// wire. The server parks the connection on its timer heap meanwhile,
+    /// so a delayed answer never blocks a serve loop.
+    pub delay: Duration,
 }
 
 impl Response {
@@ -218,6 +223,7 @@ impl Response {
             extra_headers: Vec::new(),
             body: body.into_bytes(),
             drop_connection: false,
+            delay: Duration::ZERO,
         }
     }
 
@@ -230,6 +236,7 @@ impl Response {
             extra_headers: Vec::new(),
             body: body.into_bytes(),
             drop_connection: false,
+            delay: Duration::ZERO,
         }
     }
 

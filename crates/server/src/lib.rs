@@ -8,8 +8,8 @@
 //! function call and `LatencyTransport` billed virtual clocks. This crate
 //! puts the form behind a real socket: a hand-rolled HTTP/1.1 server
 //! (request parsing with hard limits, keep-alive, `Content-Length` and
-//! chunked responses, a bounded thread-per-connection pool with graceful
-//! shutdown) that mounts any [`SiteBehavior`] — in particular any
+//! chunked responses, a readiness-loop front door with graceful shutdown)
+//! that mounts any [`SiteBehavior`] — in particular any
 //! [`LocalSite`](hdsampler_webform::LocalSite) — as real GET endpoints:
 //!
 //! * `/` — the rendered form (the demo's Figure 3 landing page);
@@ -31,24 +31,22 @@
 //! * [`adversary`] — [`Adversary`], seeded fault injection (throttles,
 //!   transient 5xx, dropped connections, slow starts, count noise) in
 //!   front of any mounted site;
-//! * [`pool`] — the bounded worker pool (backpressure via a bounded
-//!   queue, not unbounded thread growth);
 //! * [`events`] — the [`EventHub`] broadcast behind `GET /events`
 //!   (chunked SSE) and the [`BridgeSink`] that mirrors a local sampling
 //!   run's accepted samples onto it;
-//! * [`reactor`] — the event-driven serve mode: epoll readiness loops
-//!   (one per core) multiplexing resumable per-connection
-//!   [`ConnMachine`]s, the C10K front half and the default
-//!   [`ServeMode`];
-//! * [`server`] — the accept loop, keep-alive connection handling,
-//!   graceful shutdown, live [`ServerStats`] (per-route counters,
+//! * [`reactor`] — the one front door: readiness loops (one per core;
+//!   epoll on Linux, `poll(2)` on other unix hosts) multiplexing
+//!   resumable per-connection [`ConnMachine`]s, with every wait —
+//!   idle and slowloris deadlines, held (delayed) responses, admission
+//!   rejects — a deadline on one timer heap;
+//! * [`server`] — configuration, request semantics, graceful shutdown,
+//!   live [`ServerStats`] (per-route counters,
 //!   bytes in/out, a per-request ring log with echoed `x-hds-trace`
 //!   ids), and the built-in `GET /metrics` Prometheus exposition.
 
 pub mod adversary;
 pub mod events;
 pub mod http;
-pub mod pool;
 pub mod reactor;
 pub mod server;
 pub mod site;
@@ -56,10 +54,9 @@ pub mod site;
 pub use adversary::Adversary;
 pub use events::{BridgeSink, EventHub};
 pub use http::{parse_request, write_response, HttpVersion, Request, RequestError, Response};
-pub use pool::ThreadPool;
 pub use reactor::{ConnMachine, WriteProgress};
 pub use server::{
-    render_server_metrics, HttpServer, RequestLogEntry, ServeMode, ServerConfig, ServerHandle,
-    ServerStats, REQUEST_LOG_CAP,
+    render_server_metrics, HttpServer, RequestLogEntry, ServerConfig, ServerHandle, ServerStats,
+    REQUEST_LOG_CAP,
 };
 pub use site::{SiteBehavior, ERROR_HEADER, ISSUED_HEADER};

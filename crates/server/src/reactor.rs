@@ -1,35 +1,36 @@
-//! Event-driven serve mode: an epoll readiness loop per core, each
-//! multiplexing thousands of keep-alive connections through resumable
-//! [`ConnMachine`]s — the server-side mirror of the client's
-//! `WalkMachine` trick (state machines instead of stacks).
+//! The server's one front door: a readiness loop per core (epoll on
+//! Linux, `poll(2)` on other unix hosts — see
+//! [`hdsampler_webform::reactor`]), each multiplexing thousands of
+//! keep-alive connections through resumable [`ConnMachine`]s — the
+//! server-side mirror of the client's `WalkMachine` trick (state machines
+//! instead of stacks). A connection costs one slab slot (a few KiB), not
+//! a thread, so one process holds 10k+ concurrent keep-alive connections
+//! — the C10K shape the cooperative client drives.
 //!
-//! The bounded worker pool ([`crate::pool`]) caps concurrency at
-//! `workers + queue_depth` connections; everything beyond that waits in
-//! the accept backlog. This module replaces the thread-per-connection
-//! model with per-core loops over
-//! [`Epoll`](hdsampler_webform::reactor::Epoll): a connection costs one
-//! slab slot (a few KiB) instead of a stack, so one process holds 10k+
-//! concurrent keep-alive connections — the C10K shape the cooperative
-//! client drives.
+//! Nothing on a loop sleeps or blocks; every wait is a deadline the
+//! poller's timeout honours, per connection on one generation-stamped
+//! timer heap:
 //!
-//! Semantics match the pool path by construction: both feed parsed
-//! requests through the same [`handle_request`](crate::server) helper
-//! and serialize responses with the same `write_response`, so a seeded
-//! sampling run against either serve mode sees byte-identical pages in
-//! identical order. The differences are purely mechanical:
-//!
-//! * slowloris/idle deadlines are reactor timers (a generation-stamped
-//!   binary heap) instead of per-read timeouts;
+//! * slowloris/idle deadlines close or answer `408`;
 //! * short writes park the connection with residual output in its
 //!   machine and resume on the next writable event;
+//! * a delayed response ([`Response::delay`], e.g. an
+//!   [`Adversary`](crate::Adversary)'s injected latency) is queued and
+//!   its connection *held* — out of the poller, nothing written, parsed
+//!   or answered — until the delay's deadline; pipelined requests wait
+//!   behind it, and a graceful drain still delivers it;
+//! * a connection over the admission cap becomes a short-lived slot that
+//!   flushes `503` + `Retry-After`, half-closes, and discards input until
+//!   EOF or a fixed linger deadline;
+//! * a failed accept (e.g. fd exhaustion) takes the listener out of the
+//!   poller for 10 ms instead of spinning on its readiness;
 //! * `/events` watchers — blocking, long-lived — are handed off to a
-//!   dedicated thread, exactly one per watcher, matching the pool mode's
-//!   dedicate-a-worker behavior.
+//!   dedicated thread, exactly one per watcher.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::io::{self, ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -73,9 +74,9 @@ impl ConnMachine {
         Self::default()
     }
 
-    /// Serialize `resp` onto the output queue with exactly the framing
-    /// the blocking path uses (`write_response` into the buffer), and
-    /// arm close-after-flush when the exchange ends the connection.
+    /// Serialize `resp` onto the output queue with [`write_response`]'s
+    /// framing, and arm close-after-flush when the exchange ends the
+    /// connection.
     /// Returns the number of bytes queued.
     pub fn queue_response(
         &mut self,
@@ -131,515 +132,583 @@ impl ConnMachine {
         self.close_after_flush
     }
 
-    /// Arm close-after-flush (terminal responses queued externally).
+    /// Arm close-after-flush: the connection ends once what is queued is
+    /// out (e.g. an injected sever behind earlier answers).
     pub fn set_close_after_flush(&mut self) {
         self.close_after_flush = true;
     }
 }
 
-/// Spawn the reactor serve threads. The returned handle is the
-/// supervisor: joining it joins every per-core loop, giving
-/// [`ServerHandle::shutdown`](crate::server::ServerHandle::shutdown) the
-/// same single-join semantics as the pool acceptor.
-#[cfg(target_os = "linux")]
+#[cfg(unix)]
+pub(crate) use serve_loop::spawn;
+
+/// Windows has never been built or tested: there is no serve loop to run.
+#[cfg(not(unix))]
 pub(crate) fn spawn<S: SiteBehavior + 'static>(
-    listener: TcpListener,
-    site: Arc<S>,
-    stats: Arc<StatsInner>,
-    stop: Arc<AtomicBool>,
-    hub: Arc<EventHub>,
-    cfg: ServerConfig,
+    _listener: TcpListener,
+    _site: Arc<S>,
+    _stats: Arc<StatsInner>,
+    _stop: Arc<AtomicBool>,
+    _hub: Arc<EventHub>,
+    _cfg: ServerConfig,
 ) -> io::Result<JoinHandle<()>> {
-    listener.set_nonblocking(true)?;
-    let threads = if cfg.reactor_threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        cfg.reactor_threads
-    };
-    std::thread::Builder::new()
-        .name("hds-reactor".into())
-        .spawn(move || {
-            let mut loops = Vec::with_capacity(threads);
-            for i in 0..threads {
-                // Every loop shares the listener's file description: the
-                // kernel wakes all of them on a pending accept
-                // (level-triggered) and the losers harvest `WouldBlock`.
-                let Ok(listener) = listener.try_clone() else {
-                    continue;
-                };
-                let site = Arc::clone(&site);
-                let stats = Arc::clone(&stats);
-                let stop = Arc::clone(&stop);
-                let hub = Arc::clone(&hub);
-                let cfg = cfg.clone();
-                let handle = std::thread::Builder::new()
-                    .name(format!("hds-reactor-{i}"))
-                    .spawn(move || reactor_loop(listener, &*site, &stats, &stop, &hub, &cfg));
-                if let Ok(handle) = handle {
-                    loops.push(handle);
-                }
-            }
-            for handle in loops {
-                let _ = handle.join();
-            }
-        })
+    Err(io::Error::new(
+        ErrorKind::Unsupported,
+        "hdsampler-server needs a unix host (epoll or poll(2))",
+    ))
 }
 
-#[cfg(target_os = "linux")]
-struct ConnSlot {
-    stream: TcpStream,
-    machine: ConnMachine,
-    /// Bumped whenever the deadline re-arms; timers stamped with an older
-    /// generation are stale and skipped.
-    gen: u64,
-    /// The client half-closed; close once the output drains.
-    eof: bool,
-    /// Interest currently registered with the epoll set.
-    wants_write: bool,
-}
-
-/// The reserved epoll token for the listener; connection slots map to
-/// `token - 1`.
-#[cfg(target_os = "linux")]
-const LISTENER_TOKEN: u64 = 0;
-
-#[cfg(target_os = "linux")]
-fn reactor_loop(
-    listener: TcpListener,
-    site: &dyn SiteBehavior,
-    stats: &Arc<StatsInner>,
-    stop: &Arc<AtomicBool>,
-    hub: &Arc<EventHub>,
-    cfg: &ServerConfig,
-) {
+/// The serve loop proper (unix only: it needs the fd-based poller).
+#[cfg(unix)]
+mod serve_loop {
+    use super::*;
     use hdsampler_webform::reactor::{Epoll, Interest};
     use std::os::fd::AsRawFd;
 
-    let Ok(ep) = Epoll::new() else { return };
-    if ep
-        .register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::Read)
-        .is_err()
-    {
-        return;
+    /// Spawn the serve loops. The returned handle is the supervisor: joining
+    /// it joins every per-core loop, which is what
+    /// [`ServerHandle::shutdown`](crate::server::ServerHandle::shutdown)
+    /// waits on.
+    pub(crate) fn spawn<S: SiteBehavior + 'static>(
+        listener: TcpListener,
+        site: Arc<S>,
+        stats: Arc<StatsInner>,
+        stop: Arc<AtomicBool>,
+        hub: Arc<EventHub>,
+        cfg: ServerConfig,
+    ) -> io::Result<JoinHandle<()>> {
+        listener.set_nonblocking(true)?;
+        let threads = if cfg.reactor_threads == 0 {
+            std::thread::available_parallelism().map_or(1, |n| n.get())
+        } else {
+            cfg.reactor_threads
+        };
+        std::thread::Builder::new()
+            .name("hds-reactor".into())
+            .spawn(move || {
+                std::thread::scope(|scope| {
+                    for i in 0..threads {
+                        // Every loop shares the listener's file description:
+                        // the kernel wakes all of them on a pending accept
+                        // (level-triggered) and the losers harvest
+                        // `WouldBlock`.
+                        let Ok(listener) = listener.try_clone() else {
+                            continue;
+                        };
+                        let (site, stats, stop, hub, cfg) = (&*site, &stats, &stop, &hub, &cfg);
+                        let _ = std::thread::Builder::new()
+                            .name(format!("hds-reactor-{i}"))
+                            .spawn_scoped(scope, move || {
+                                reactor_loop(listener, site, stats, stop, hub, cfg)
+                            });
+                    }
+                });
+            })
     }
 
-    let mut slots: Vec<Option<ConnSlot>> = Vec::new();
-    let mut free: Vec<usize> = Vec::new();
-    let mut live = 0usize;
-    // Min-heap of (fire-at, slot, generation) deadlines.
-    let mut timers: BinaryHeap<Reverse<(Instant, usize, u64)>> = BinaryHeap::new();
-    let mut events = Vec::new();
-    let mut draining = false;
-    let mut grace: Option<Instant> = None;
+    /// How long a connection turned away at the admission cap may keep
+    /// sending after its `503`: long enough for the request bytes already in
+    /// flight to land (closing over unread input would reset the `503` away),
+    /// and fixed, so a peer trickling bytes cannot stretch it.
+    const REJECT_LINGER: Duration = Duration::from_millis(500);
 
-    let close_slot = |slots: &mut Vec<Option<ConnSlot>>,
-                      free: &mut Vec<usize>,
-                      live: &mut usize,
-                      ep: &Epoll,
-                      ix: usize| {
-        if let Some(slot) = slots[ix].take() {
-            // Deregister before the stream drops (and its fd closes):
-            // see `Epoll::deregister` on fd-number reuse.
-            let _ = ep.deregister(slot.stream.as_raw_fd());
-            free.push(ix);
-            *live -= 1;
-            stats.open_connections.fetch_sub(1, Ordering::Relaxed);
-        }
-    };
+    struct ConnSlot {
+        stream: TcpStream,
+        machine: ConnMachine,
+        /// Bumped whenever the deadline re-arms; timers stamped with an older
+        /// generation are stale and skipped.
+        gen: u64,
+        /// The client half-closed; close once the output drains.
+        eof: bool,
+        /// Interest currently registered with the poller.
+        wants_write: bool,
+        /// A delayed response is queued and its deadline has not fired: the
+        /// fd is out of the poller and nothing moves on the connection.
+        held: bool,
+        /// Turned away at the admission cap: flush the queued `503`,
+        /// half-close, discard input until EOF or [`REJECT_LINGER`]. Not
+        /// counted in `open_connections`.
+        rejected: bool,
+    }
 
-    loop {
-        if stop.load(Ordering::SeqCst) && !draining {
-            draining = true;
-            grace = Some(Instant::now() + cfg.keep_alive_timeout);
-            let _ = ep.deregister(listener.as_raw_fd());
-            // Quiet shutdown point, as in the pool path: connections with
-            // no buffered request and nothing left to flush close now;
-            // the rest finish their in-flight exchange.
-            for ix in 0..slots.len() {
-                let idle = slots[ix]
-                    .as_ref()
-                    .is_some_and(|s| s.machine.buf.is_empty() && !s.machine.has_pending_out());
-                if idle {
-                    close_slot(&mut slots, &mut free, &mut live, &ep, ix);
-                }
-            }
-        }
-        if draining {
-            let expired = grace.is_some_and(|g| Instant::now() >= g);
-            if live == 0 || expired {
-                for ix in 0..slots.len() {
-                    close_slot(&mut slots, &mut free, &mut live, &ep, ix);
-                }
-                return;
-            }
-        }
+    /// The reserved poller token for the listener; connection slots map to
+    /// `token - 1`.
+    const LISTENER_TOKEN: u64 = 0;
 
-        let now = Instant::now();
-        let mut timeout = IDLE_POLL;
-        if let Some(Reverse((at, _, _))) = timers.peek() {
-            timeout = timeout.min(at.saturating_duration_since(now));
+    /// Min-heap of `(fire-at, slot, generation)` deadlines.
+    type Timers = BinaryHeap<Reverse<(Instant, usize, u64)>>;
+
+    /// Re-arm `slot`'s one live deadline `after` from now; older timers for it
+    /// go stale.
+    fn arm(timers: &mut Timers, slot: &mut ConnSlot, ix: usize, after: Duration) {
+        slot.gen += 1;
+        timers.push(Reverse((Instant::now() + after, ix, slot.gen)));
+    }
+
+    /// One serve loop's state: its poller, the connection slab, the timers.
+    struct Reactor<'a> {
+        ep: Epoll,
+        site: &'a dyn SiteBehavior,
+        stats: &'a Arc<StatsInner>,
+        stop: &'a Arc<AtomicBool>,
+        hub: &'a Arc<EventHub>,
+        cfg: &'a ServerConfig,
+        slots: Vec<Option<ConnSlot>>,
+        free: Vec<usize>,
+        live: usize,
+        timers: Timers,
+    }
+
+    enum Driven {
+        Keep,
+        Close,
+        /// `/events`: the stream left the slab for a dedicated thread.
+        Detached,
+    }
+
+    fn reactor_loop(
+        listener: TcpListener,
+        site: &dyn SiteBehavior,
+        stats: &Arc<StatsInner>,
+        stop: &Arc<AtomicBool>,
+        hub: &Arc<EventHub>,
+        cfg: &ServerConfig,
+    ) {
+        let Ok(ep) = Epoll::new() else { return };
+        if ep
+            .register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::Read)
+            .is_err()
+        {
+            return;
         }
-        // Round sub-millisecond waits *up*: epoll's granularity is 1 ms,
-        // and truncating to 0 turns the last millisecond before every
-        // pending deadline into a busy poll. Deadlines only need to fire
-        // eventually, never early, so late-by-a-tick is fine.
-        let timeout_ms = if timeout.is_zero() {
-            0
-        } else {
-            timeout.as_millis().max(1) as i32
+        let mut r = Reactor {
+            ep,
+            site,
+            stats,
+            stop,
+            hub,
+            cfg,
+            slots: Vec::new(),
+            free: Vec::new(),
+            live: 0,
+            timers: Timers::new(),
         };
-        let n = ep.wait(&mut events, timeout_ms).unwrap_or(0);
-        stats.reactor_wakeups.fetch_add(1, Ordering::Relaxed);
-        stats
-            .reactor_ready_events
-            .fetch_add(n as u64, Ordering::Relaxed);
+        let mut events = Vec::new();
+        let mut grace: Option<Instant> = None;
+        // A failed accept takes the listener out of the poller until then.
+        let mut accept_paused: Option<Instant> = None;
 
-        let ready: Vec<_> = events.iter().take(n).copied().collect();
-        for ev in ready {
-            if ev.token == LISTENER_TOKEN {
-                if draining {
+        loop {
+            if grace.is_none() && stop.load(Ordering::SeqCst) {
+                grace = Some(Instant::now() + cfg.keep_alive_timeout);
+                let _ = r.ep.deregister(listener.as_raw_fd());
+            }
+            if let Some(grace) = grace {
+                // Draining: connections close at their quiet points (nothing
+                // buffered, queued or held); the rest finish their in-flight
+                // exchange within the grace window.
+                for ix in 0..r.slots.len() {
+                    let idle = r.slots[ix].as_ref().is_some_and(|s| {
+                        !s.held && s.machine.buf.is_empty() && !s.machine.has_pending_out()
+                    });
+                    if idle {
+                        r.close(ix);
+                    }
+                }
+                if r.live == 0 || Instant::now() >= grace {
+                    for ix in 0..r.slots.len() {
+                        r.close(ix);
+                    }
+                    return;
+                }
+            }
+
+            if grace.is_none() && accept_paused.is_some_and(|at| Instant::now() >= at) {
+                accept_paused = None;
+                let _ =
+                    r.ep.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::Read);
+            }
+            let mut timeout = IDLE_POLL;
+            let next_timer = r.timers.peek().map(|Reverse((at, _, _))| *at);
+            if let Some(at) = next_timer.into_iter().chain(accept_paused).min() {
+                timeout = timeout.min(at.saturating_duration_since(Instant::now()));
+            }
+            // Round up to the poller's 1 ms granularity: truncating would
+            // wake before the deadline and busy-poll its last millisecond.
+            // Deadlines only need to fire eventually, never early.
+            let timeout_ms = timeout.as_nanos().div_ceil(1_000_000) as i32;
+            let n = r.ep.wait(&mut events, timeout_ms).unwrap_or(0);
+            stats.reactor_wakeups.fetch_add(1, Ordering::Relaxed);
+            stats
+                .reactor_ready_events
+                .fetch_add(n as u64, Ordering::Relaxed);
+
+            for ev in events.iter().take(n) {
+                if ev.token == LISTENER_TOKEN {
+                    if grace.is_none() && !r.accept_ready(&listener) {
+                        // Transient accept failure (e.g. fd exhaustion):
+                        // pause the listener for a tick instead of
+                        // spinning on its level-triggered readiness.
+                        let _ = r.ep.deregister(listener.as_raw_fd());
+                        accept_paused = Some(Instant::now() + Duration::from_millis(10));
+                    }
                     continue;
                 }
-                accept_ready(
-                    &listener,
-                    &ep,
-                    &mut slots,
-                    &mut free,
-                    &mut live,
-                    &mut timers,
-                    stats,
-                    stop,
-                    cfg,
-                );
-                continue;
+                r.drive((ev.token - 1) as usize, ev.readable);
             }
-            let ix = (ev.token - 1) as usize;
-            if slots.get(ix).is_none_or(|s| s.is_none()) {
-                continue;
+            r.fire_timers();
+        }
+    }
+
+    impl Reactor<'_> {
+        /// Accept every pending connection: admit it into a slot, or turn it
+        /// away at the admission cap. `false` when an accept failed.
+        fn accept_ready(&mut self, listener: &TcpListener) -> bool {
+            loop {
+                // Re-checked per accept: `ServerHandle::shutdown` stores the
+                // stop flag and then dials a wake-up connection; that dial
+                // (and anything racing it) must not be counted or served.
+                if self.stop.load(Ordering::SeqCst) {
+                    return true;
+                }
+                let stream = match listener.accept() {
+                    Ok((stream, _)) => stream,
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
+                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                    Err(_) => return false,
+                };
+                if stream.set_nonblocking(true).is_err() {
+                    continue;
+                }
+                let _ = stream.set_nodelay(true);
+                self.stats.connections.fetch_add(1, Ordering::Relaxed);
+                let mut slot = ConnSlot {
+                    stream,
+                    machine: ConnMachine::new(),
+                    gen: 0,
+                    eof: false,
+                    wants_write: false,
+                    held: false,
+                    rejected: false,
+                };
+                let deadline = if self.cfg.max_conns > 0
+                    && self.stats.open_connections.load(Ordering::Relaxed)
+                        >= self.cfg.max_conns as u64
+                {
+                    // Admission cap: the peer gets a short-lived slot that
+                    // answers 503 and lingers, never a served connection.
+                    self.stats.admission_rejects.fetch_add(1, Ordering::Relaxed);
+                    let mut resp =
+                        Response::text(503, "Service Unavailable", "503 server at capacity".into());
+                    resp.extra_headers.push(("Retry-After".into(), "1".into()));
+                    answer(self.stats, self.cfg, &mut slot, &resp, false, false);
+                    slot.rejected = true;
+                    if let Driven::Close = drive_reject(&mut slot) {
+                        continue;
+                    }
+                    REJECT_LINGER
+                } else {
+                    self.stats.reactor_accepts.fetch_add(1, Ordering::Relaxed);
+                    self.stats.open_connections.fetch_add(1, Ordering::Relaxed);
+                    self.cfg.keep_alive_timeout
+                };
+                let ix = self.free.pop().unwrap_or_else(|| {
+                    self.slots.push(None);
+                    self.slots.len() - 1
+                });
+                if self
+                    .ep
+                    .register(slot.stream.as_raw_fd(), ix as u64 + 1, Interest::Read)
+                    .is_err()
+                {
+                    self.free.push(ix);
+                    if !slot.rejected {
+                        self.stats.open_connections.fetch_sub(1, Ordering::Relaxed);
+                    }
+                    continue;
+                }
+                update_interest(&self.ep, &mut slot, ix);
+                arm(&mut self.timers, &mut slot, ix, deadline);
+                self.slots[ix] = Some(slot);
+                self.live += 1;
             }
-            let keep = drive_conn(
-                &ep,
-                slots[ix].as_mut().expect("slot checked live"),
-                ix,
-                &mut timers,
-                ev.readable,
-                site,
-                stats,
-                stop,
-                hub,
-                cfg,
-            );
-            match keep {
-                Driven::Keep => {}
-                Driven::Close => close_slot(&mut slots, &mut free, &mut live, &ep, ix),
+        }
+
+        /// Resume slot `ix` and settle the outcome.
+        fn drive(&mut self, ix: usize, readable: bool) {
+            let Some(mut slot) = self.slots.get_mut(ix).and_then(Option::take) else {
+                return;
+            };
+            let driven = if slot.rejected {
+                drive_reject(&mut slot)
+            } else {
+                self.drive_conn(&mut slot, ix, readable)
+            };
+            match driven {
+                Driven::Keep => {
+                    update_interest(&self.ep, &mut slot, ix);
+                    self.slots[ix] = Some(slot);
+                }
+                Driven::Close => {
+                    self.slots[ix] = Some(slot);
+                    self.close(ix);
+                }
                 Driven::Detached => {
-                    // The slot's stream moved to a dedicated thread; the
-                    // fd was already deregistered and the gauge is now
-                    // that thread's to decrement.
-                    slots[ix] = None;
-                    free.push(ix);
-                    live -= 1;
+                    // The stream moved to a dedicated thread; the fd was
+                    // already deregistered and the gauge is now that
+                    // thread's to decrement.
+                    self.free.push(ix);
+                    self.live -= 1;
                 }
             }
         }
 
-        // Fire due deadlines: idle keep-alive connections close, partial
-        // requests get the slowloris 408, unflushed terminal responses
-        // get a bounded flush window and then a hard close.
-        let now = Instant::now();
-        while let Some(&Reverse((at, ix, gen))) = timers.peek() {
-            if at > now {
-                break;
+        fn close(&mut self, ix: usize) {
+            let Some(slot) = self.slots[ix].take() else {
+                return;
+            };
+            // Deregister before the stream drops (and its fd closes): see
+            // `Epoll::deregister` on fd-number reuse. (A held slot is already
+            // out of the set; the failed call is harmless.)
+            let _ = self.ep.deregister(slot.stream.as_raw_fd());
+            self.free.push(ix);
+            self.live -= 1;
+            if !slot.rejected {
+                self.stats.open_connections.fetch_sub(1, Ordering::Relaxed);
             }
-            timers.pop();
-            let must_close = {
-                let Some(slot) = slots.get_mut(ix).and_then(|s| s.as_mut()) else {
+        }
+
+        /// Fire due deadlines: held responses go out, idle keep-alive
+        /// connections and lingering rejects close, partial requests get the
+        /// slowloris 408, unflushed terminal responses get a bounded flush
+        /// window and then a hard close.
+        fn fire_timers(&mut self) {
+            let now = Instant::now();
+            while let Some(&Reverse((at, ix, gen))) = self.timers.peek() {
+                if at > now {
+                    break;
+                }
+                self.timers.pop();
+                let Some(slot) = self.slots.get_mut(ix).and_then(Option::as_mut) else {
                     continue;
                 };
                 if slot.gen != gen {
                     continue;
                 }
-                stats.timers_fired.fetch_add(1, Ordering::Relaxed);
+                self.stats.timers_fired.fetch_add(1, Ordering::Relaxed);
+                if slot.held {
+                    // The delay is over: back into the poller, then deliver
+                    // (and answer whatever was pipelined behind it).
+                    slot.held = false;
+                    slot.wants_write = false;
+                    if self
+                        .ep
+                        .register(slot.stream.as_raw_fd(), ix as u64 + 1, Interest::Read)
+                        .is_err()
+                    {
+                        self.close(ix);
+                        continue;
+                    }
+                    arm(&mut self.timers, slot, ix, self.cfg.keep_alive_timeout);
+                    self.drive(ix, true);
+                    continue;
+                }
                 if slot.machine.close_after_flush() || slot.machine.buf.is_empty() {
-                    // Flush window exhausted, or a clean idle timeout.
-                    true
-                } else {
-                    // A partial request sat past the deadline: slowloris.
-                    // Answer 408 and give the flush one more window.
-                    let resp = Response::text(408, "Request Timeout", "408 request timeout".into());
-                    let queued =
-                        slot.machine
-                            .queue_response(&resp, false, false, cfg.chunk_threshold);
-                    stats.responses_client_error.fetch_add(1, Ordering::Relaxed);
-                    stats.bytes_out.fetch_add(queued as u64, Ordering::Relaxed);
-                    slot.gen += 1;
-                    timers.push(Reverse((now + cfg.keep_alive_timeout, ix, slot.gen)));
-                    match slot.machine.write_some(&mut slot.stream) {
-                        Ok(WriteProgress::Done) | Err(_) => true,
-                        Ok(WriteProgress::Blocked) => {
-                            update_interest(&ep, slot, ix);
-                            false
+                    // Flush window exhausted, linger over, or a clean idle
+                    // timeout.
+                    self.close(ix);
+                    continue;
+                }
+                // A partial request sat past the deadline: slowloris. Answer
+                // 408 and give the flush one more window.
+                let resp = Response::text(408, "Request Timeout", "408 request timeout".into());
+                answer(self.stats, self.cfg, slot, &resp, false, false);
+                arm(&mut self.timers, slot, ix, self.cfg.keep_alive_timeout);
+                match slot.machine.write_some(&mut slot.stream) {
+                    Ok(WriteProgress::Done) | Err(_) => self.close(ix),
+                    Ok(WriteProgress::Blocked) => update_interest(&self.ep, slot, ix),
+                }
+            }
+        }
+
+        /// Resume one admitted connection: flush pending output, drain the
+        /// socket, parse and answer every complete request (holding the
+        /// connection at the first delayed answer), decide whether the
+        /// connection lives on.
+        fn drive_conn(&mut self, slot: &mut ConnSlot, ix: usize, readable: bool) -> Driven {
+            if slot.held {
+                return Driven::Keep;
+            }
+            // Short-write resumption first: a writable event (or any wakeup
+            // with queued output) continues the interrupted response.
+            if slot.machine.has_pending_out() && slot.machine.write_some(&mut slot.stream).is_err()
+            {
+                return Driven::Close;
+            }
+
+            if readable {
+                let mut tmp = [0u8; 16 * 1024];
+                loop {
+                    match slot.stream.read(&mut tmp) {
+                        Ok(0) => {
+                            slot.eof = true;
+                            break;
                         }
+                        Ok(n) => {
+                            slot.machine.buf.extend_from_slice(&tmp[..n]);
+                            self.stats.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
+                        }
+                        Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                        Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                        Err(_) => return Driven::Close,
                     }
                 }
-            };
-            if must_close {
-                close_slot(&mut slots, &mut free, &mut live, &ep, ix);
             }
-        }
-    }
-}
 
-#[cfg(target_os = "linux")]
-#[allow(clippy::too_many_arguments)]
-fn accept_ready(
-    listener: &TcpListener,
-    ep: &hdsampler_webform::reactor::Epoll,
-    slots: &mut Vec<Option<ConnSlot>>,
-    free: &mut Vec<usize>,
-    live: &mut usize,
-    timers: &mut BinaryHeap<Reverse<(Instant, usize, u64)>>,
-    stats: &StatsInner,
-    stop: &AtomicBool,
-    cfg: &ServerConfig,
-) {
-    use hdsampler_webform::reactor::Interest;
-    use std::os::fd::AsRawFd;
-
-    loop {
-        // Re-checked per accept: `ServerHandle::shutdown` stores the stop
-        // flag and then dials a wake-up connection; like the pool's
-        // post-accept stop check, that dial (and anything racing it) must
-        // not be counted or served.
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => {
-                // Transient accept failure (e.g. fd exhaustion): back off
-                // one tick instead of spinning on the level-triggered
-                // listener readiness.
-                std::thread::sleep(Duration::from_millis(10));
-                return;
-            }
-        };
-        // Admission cap: turn the connection away before it costs a
-        // slot. The socket is still blocking here (nonblocking is set
-        // below), so the tiny 503 writes synchronously.
-        if cfg.max_conns > 0
-            && stats.open_connections.load(Ordering::Relaxed) >= cfg.max_conns as u64
-        {
-            let mut stream = stream;
-            stats.connections.fetch_add(1, Ordering::Relaxed);
-            stats.admission_rejects.fetch_add(1, Ordering::Relaxed);
-            stats.responses_server_error.fetch_add(1, Ordering::Relaxed);
-            let mut resp = crate::http::Response::text(
-                503,
-                "Service Unavailable",
-                "503 server at capacity".into(),
-            );
-            resp.extra_headers.push(("Retry-After".into(), "1".into()));
-            if let Ok(n) = crate::http::write_response(&mut stream, &resp, false, usize::MAX) {
-                stats.bytes_out.fetch_add(n as u64, Ordering::Relaxed);
-            }
-            crate::server::lingering_close(stream);
-            continue;
-        }
-        if stream.set_nonblocking(true).is_err() {
-            continue;
-        }
-        let _ = stream.set_nodelay(true);
-        stats.connections.fetch_add(1, Ordering::Relaxed);
-        stats.reactor_accepts.fetch_add(1, Ordering::Relaxed);
-        stats.open_connections.fetch_add(1, Ordering::Relaxed);
-        let ix = free.pop().unwrap_or_else(|| {
-            slots.push(None);
-            slots.len() - 1
-        });
-        let fd = stream.as_raw_fd();
-        let slot = ConnSlot {
-            stream,
-            machine: ConnMachine::new(),
-            gen: 0,
-            eof: false,
-            wants_write: false,
-        };
-        if ep.register(fd, ix as u64 + 1, Interest::Read).is_err() {
-            free.push(ix);
-            stats.open_connections.fetch_sub(1, Ordering::Relaxed);
-            continue;
-        }
-        timers.push(Reverse((
-            Instant::now() + cfg.keep_alive_timeout,
-            ix,
-            slot.gen,
-        )));
-        slots[ix] = Some(slot);
-        *live += 1;
-    }
-}
-
-#[cfg(target_os = "linux")]
-enum Driven {
-    Keep,
-    Close,
-    /// `/events`: the stream left the slab for a dedicated thread.
-    Detached,
-}
-
-/// Resume one connection on a readiness event: flush pending output,
-/// drain the socket, parse and answer every complete request, decide
-/// whether the connection lives on.
-#[cfg(target_os = "linux")]
-#[allow(clippy::too_many_arguments)]
-fn drive_conn(
-    ep: &hdsampler_webform::reactor::Epoll,
-    slot: &mut ConnSlot,
-    ix: usize,
-    timers: &mut BinaryHeap<Reverse<(Instant, usize, u64)>>,
-    readable: bool,
-    site: &dyn SiteBehavior,
-    stats: &Arc<StatsInner>,
-    stop: &Arc<AtomicBool>,
-    hub: &Arc<EventHub>,
-    cfg: &ServerConfig,
-) -> Driven {
-    use std::os::fd::AsRawFd;
-
-    // Short-write resumption first: a writable event (or any wakeup with
-    // queued output) continues the interrupted response.
-    if slot.machine.has_pending_out() && slot.machine.write_some(&mut slot.stream).is_err() {
-        return Driven::Close;
-    }
-
-    if readable {
-        let mut tmp = [0u8; 16 * 1024];
-        loop {
-            match slot.stream.read(&mut tmp) {
-                Ok(0) => {
-                    slot.eof = true;
-                    break;
+            // Answer every complete request already buffered (pipelining).
+            while !slot.machine.close_after_flush() {
+                match parse_request(&slot.machine.buf) {
+                    Ok(None) => break,
+                    Ok(Some((req, consumed))) => {
+                        slot.machine.buf.drain(..consumed);
+                        match handle_request(
+                            &req, self.site, self.stats, self.stop, self.hub, self.cfg,
+                        ) {
+                            Handled::Response {
+                                resp,
+                                keep_alive,
+                                allow_chunked,
+                            } => {
+                                if resp.drop_connection {
+                                    // Injected drop: nothing is written for this
+                                    // exchange; the connection closes once the
+                                    // answers before it are out.
+                                    slot.machine.set_close_after_flush();
+                                } else {
+                                    answer(
+                                        self.stats,
+                                        self.cfg,
+                                        slot,
+                                        &resp,
+                                        keep_alive,
+                                        allow_chunked,
+                                    );
+                                }
+                                if !resp.delay.is_zero() {
+                                    // Hold the answer: out of the poller until
+                                    // the delay's deadline, so nothing on this
+                                    // connection moves and the loop serves on.
+                                    let _ = self.ep.deregister(slot.stream.as_raw_fd());
+                                    slot.held = true;
+                                    slot.wants_write = false;
+                                    arm(&mut self.timers, slot, ix, resp.delay);
+                                    return Driven::Keep;
+                                }
+                                // Keep-alive reset: the idle clock restarts
+                                // once a request is answered.
+                                arm(&mut self.timers, slot, ix, self.cfg.keep_alive_timeout);
+                            }
+                            Handled::EventStream => {
+                                // Hand the connection to a dedicated blocking
+                                // thread — the SSE stream outlives any
+                                // readiness loop iteration. Deregister before
+                                // anything else so the fd leaves this poller
+                                // while we still own it.
+                                let _ = self.ep.deregister(slot.stream.as_raw_fd());
+                                let Ok(stream) = slot.stream.try_clone() else {
+                                    return Driven::Close;
+                                };
+                                let _ = stream.set_nonblocking(false);
+                                let stats = Arc::clone(self.stats);
+                                let stop = Arc::clone(self.stop);
+                                let hub = Arc::clone(self.hub);
+                                let spawned = std::thread::Builder::new()
+                                    .name("hds-events".into())
+                                    .spawn(move || {
+                                        let mut stream = stream;
+                                        stream_events(&mut stream, &hub, &stop, &stats);
+                                        stats.open_connections.fetch_sub(1, Ordering::Relaxed);
+                                    });
+                                if spawned.is_err() {
+                                    return Driven::Close;
+                                }
+                                return Driven::Detached;
+                            }
+                        }
+                    }
+                    Err(e) => {
+                        let (status, reason) = e.status();
+                        let resp = Response::text(status, reason, format!("{status} {e}"));
+                        answer(self.stats, self.cfg, slot, &resp, false, false);
+                        break;
+                    }
                 }
-                Ok(n) => {
-                    slot.machine.buf.extend_from_slice(&tmp[..n]);
-                    stats.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
+            }
+
+            match slot.machine.write_some(&mut slot.stream) {
+                Ok(WriteProgress::Done) => {
+                    if slot.machine.close_after_flush() || slot.eof {
+                        return Driven::Close;
+                    }
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Ok(WriteProgress::Blocked) => {
+                    if slot.eof && !slot.machine.has_pending_out() {
+                        return Driven::Close;
+                    }
+                }
+                Err(_) => return Driven::Close,
+            }
+            Driven::Keep
+        }
+    }
+
+    /// Queue `resp` on `slot`, counting its status class and bytes.
+    fn answer(
+        stats: &StatsInner,
+        cfg: &ServerConfig,
+        slot: &mut ConnSlot,
+        resp: &Response,
+        keep_alive: bool,
+        allow_chunked: bool,
+    ) {
+        stats.count_status(resp.status);
+        let queued =
+            slot.machine
+                .queue_response(resp, keep_alive, allow_chunked, cfg.chunk_threshold);
+        stats.bytes_out.fetch_add(queued as u64, Ordering::Relaxed);
+    }
+
+    /// Resume a turned-away connection: flush its `503`, half-close once it
+    /// is out, and discard one read of whatever the peer still sends (the
+    /// poller reports again while more is pending). EOF or an error ends it.
+    fn drive_reject(slot: &mut ConnSlot) -> Driven {
+        if slot.machine.has_pending_out() {
+            match slot.machine.write_some(&mut slot.stream) {
+                Ok(WriteProgress::Done) => {
+                    let _ = slot.stream.shutdown(Shutdown::Write);
+                }
+                Ok(WriteProgress::Blocked) => {}
                 Err(_) => return Driven::Close,
             }
         }
-    }
-
-    // Answer every complete request already buffered (pipelining).
-    while !slot.machine.close_after_flush() {
-        match parse_request(&slot.machine.buf) {
-            Ok(None) => break,
-            Ok(Some((req, consumed))) => {
-                slot.machine.buf.drain(..consumed);
-                match handle_request(&req, site, stats, stop, hub, cfg) {
-                    Handled::Response {
-                        resp,
-                        keep_alive,
-                        allow_chunked,
-                    } => {
-                        let counter = match resp.status {
-                            200..=299 => &stats.responses_ok,
-                            400..=499 => &stats.responses_client_error,
-                            _ => &stats.responses_server_error,
-                        };
-                        counter.fetch_add(1, Ordering::Relaxed);
-                        let queued = slot.machine.queue_response(
-                            &resp,
-                            keep_alive,
-                            allow_chunked,
-                            cfg.chunk_threshold,
-                        );
-                        stats.bytes_out.fetch_add(queued as u64, Ordering::Relaxed);
-                        // Keep-alive reset: the idle clock restarts once
-                        // a request is answered.
-                        slot.gen += 1;
-                        timers.push(Reverse((
-                            Instant::now() + cfg.keep_alive_timeout,
-                            ix,
-                            slot.gen,
-                        )));
-                    }
-                    Handled::EventStream => {
-                        // Hand the connection to a dedicated blocking
-                        // thread — the SSE stream outlives any readiness
-                        // loop iteration. Deregister before anything
-                        // else so the fd leaves this epoll set while we
-                        // still own it.
-                        let _ = ep.deregister(slot.stream.as_raw_fd());
-                        let Ok(stream) = slot.stream.try_clone() else {
-                            return Driven::Close;
-                        };
-                        let _ = stream.set_nonblocking(false);
-                        let stats = Arc::clone(stats);
-                        let stop = Arc::clone(stop);
-                        let hub = Arc::clone(hub);
-                        let spawned = std::thread::Builder::new().name("hds-events".into()).spawn(
-                            move || {
-                                let mut stream = stream;
-                                stream_events(&mut stream, &hub, &stop, &stats);
-                                stats.open_connections.fetch_sub(1, Ordering::Relaxed);
-                            },
-                        );
-                        if spawned.is_err() {
-                            return Driven::Close;
-                        }
-                        return Driven::Detached;
-                    }
-                    Handled::Sever => return Driven::Close,
-                }
+        match slot.stream.read(&mut [0u8; 4096]) {
+            Ok(0) => Driven::Close,
+            Ok(_) => Driven::Keep,
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {
+                Driven::Keep
             }
-            Err(e) => {
-                let (status, reason) = e.status();
-                let resp = Response::text(status, reason, format!("{status} {e}"));
-                let counter = match status {
-                    400..=499 => &stats.responses_client_error,
-                    _ => &stats.responses_server_error,
-                };
-                counter.fetch_add(1, Ordering::Relaxed);
-                let queued = slot
-                    .machine
-                    .queue_response(&resp, false, false, cfg.chunk_threshold);
-                stats.bytes_out.fetch_add(queued as u64, Ordering::Relaxed);
-                break;
-            }
+            Err(_) => Driven::Close,
         }
     }
 
-    match slot.machine.write_some(&mut slot.stream) {
-        Ok(WriteProgress::Done) => {
-            if slot.machine.close_after_flush() || slot.eof {
-                return Driven::Close;
-            }
+    /// Keep the poller registration's interest in step with whether the
+    /// connection has output waiting for a writable event. A held slot stays
+    /// out of the poller until its deadline.
+    fn update_interest(ep: &Epoll, slot: &mut ConnSlot, ix: usize) {
+        let wants_write = slot.machine.has_pending_out();
+        if slot.held || wants_write == slot.wants_write {
+            return;
         }
-        Ok(WriteProgress::Blocked) => {
-            if slot.eof && !slot.machine.has_pending_out() {
-                return Driven::Close;
-            }
-        }
-        Err(_) => return Driven::Close,
-    }
-    update_interest(ep, slot, ix);
-    Driven::Keep
-}
-
-/// Keep the epoll registration's interest in step with whether the
-/// connection has output waiting for a writable event.
-#[cfg(target_os = "linux")]
-fn update_interest(ep: &hdsampler_webform::reactor::Epoll, slot: &mut ConnSlot, ix: usize) {
-    use hdsampler_webform::reactor::Interest;
-    use std::os::fd::AsRawFd;
-
-    let wants_write = slot.machine.has_pending_out();
-    if wants_write != slot.wants_write {
         let interest = if wants_write {
             Interest::ReadWrite
         } else {
@@ -668,7 +737,7 @@ mod tests {
         assert!(!machine.has_pending_out());
         assert!(!machine.close_after_flush());
 
-        // The queued bytes are exactly what the blocking path writes.
+        // The queued bytes are exactly what `write_response` writes.
         let mut direct = Vec::new();
         write_response(&mut direct, &resp, true, 1024).unwrap();
         assert_eq!(sink, direct);

@@ -1,38 +1,23 @@
-//! The TCP front door: accept loop, keep-alive connection handling,
-//! bounded worker pool, graceful shutdown — plus the built-in telemetry
-//! plane every served site gets for free: `GET /metrics` (Prometheus
-//! text exposition of [`ServerStats`] and an optional attached
-//! [`MetricsRegistry`]) and `GET /events` (a chunked SSE stream of the
-//! server's [`EventHub`]).
+//! The TCP front door: configuration, request semantics, live stats and
+//! graceful shutdown around the readiness loops of [`crate::reactor`] —
+//! plus the built-in telemetry plane every served site gets for free:
+//! `GET /metrics` (Prometheus text exposition of [`ServerStats`] and an
+//! optional attached [`MetricsRegistry`]) and `GET /events` (a chunked
+//! SSE stream of the server's [`EventHub`]).
 
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use hdsampler_core::{MetricsRegistry, TraceEvent};
 
 use crate::events::EventHub;
-use crate::http::{parse_request, write_response, Request, Response, DEFAULT_CHUNK_THRESHOLD};
+use crate::http::{Request, Response, DEFAULT_CHUNK_THRESHOLD};
 use crate::site::SiteBehavior;
-
-/// How a server multiplexes its connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServeMode {
-    /// Event-driven epoll reactor, one readiness loop per core: a
-    /// connection costs a slab slot, not a thread, so one process holds
-    /// 10k+ concurrent keep-alive connections. The default; falls back
-    /// to [`ServeMode::Pool`] on platforms without epoll.
-    #[default]
-    Reactor,
-    /// The original bounded worker pool: thread-per-in-flight-connection,
-    /// concurrency capped at `workers + queue_depth`. Simpler blocking
-    /// I/O; useful as a comparison baseline and on non-Linux hosts.
-    Pool,
-}
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -40,22 +25,14 @@ pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port (see
     /// [`ServerHandle::addr`] for the chosen one).
     pub addr: String,
-    /// Connection multiplexing strategy.
-    pub mode: ServeMode,
-    /// Reactor loops to run under [`ServeMode::Reactor`]; 0 means one
-    /// per available core.
+    /// Readiness loops to run; 0 means one per available core.
     pub reactor_threads: usize,
-    /// Worker threads handling connections ([`ServeMode::Pool`]).
-    pub workers: usize,
-    /// Accepted connections that may wait for a free worker before the
-    /// acceptor itself blocks (backpressure; [`ServeMode::Pool`]).
-    pub queue_depth: usize,
     /// Idle time after which a keep-alive connection is closed; also the
     /// per-request read deadline (slowloris guard).
     pub keep_alive_timeout: Duration,
     /// Admission cap: connections past this many concurrently open are
-    /// answered `503` + `Retry-After` and closed instead of served
-    /// (both serve modes). `0` disables the cap.
+    /// answered `503` + `Retry-After` and closed instead of served.
+    /// `0` disables the cap.
     pub max_conns: usize,
     /// Bodies above this size are sent chunked instead of Content-Length.
     pub chunk_threshold: usize,
@@ -70,10 +47,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:0".into(),
-            mode: ServeMode::default(),
             reactor_threads: 0,
-            workers: 4,
-            queue_depth: 8,
             keep_alive_timeout: Duration::from_secs(5),
             max_conns: 0,
             chunk_threshold: DEFAULT_CHUNK_THRESHOLD,
@@ -100,8 +74,7 @@ pub struct RequestLogEntry {
 }
 
 /// Monotonic counters kept by a running server (plus the one gauge,
-/// `open_connections`). Shared with the reactor module, which drives the
-/// same counters from its readiness loops.
+/// `open_connections`), driven by the reactor's readiness loops.
 #[derive(Debug, Default)]
 pub(crate) struct StatsInner {
     pub(crate) connections: AtomicU64,
@@ -117,24 +90,34 @@ pub(crate) struct StatsInner {
     pub(crate) requests_metrics: AtomicU64,
     pub(crate) requests_events: AtomicU64,
     pub(crate) requests_other: AtomicU64,
-    /// `epoll_wait` returns across all reactor loops.
+    /// Poller wait returns across all reactor loops.
     pub(crate) reactor_wakeups: AtomicU64,
     /// Readiness events those wakeups delivered (ready-set sizes summed).
     pub(crate) reactor_ready_events: AtomicU64,
-    /// Connections accepted by reactor loops (0 in pool mode).
+    /// Connections admitted by reactor loops.
     pub(crate) reactor_accepts: AtomicU64,
     /// Connections turned away at the admission cap (`503`).
     pub(crate) admission_rejects: AtomicU64,
     /// Reactor deadline timers that fired (idle close, slowloris 408,
-    /// flush-window expiry).
+    /// flush-window expiry, held-response release, reject linger).
     pub(crate) timers_fired: AtomicU64,
-    /// Connections currently open (gauge: incremented on accept,
-    /// decremented on close — both serve modes).
+    /// Admitted connections currently open (gauge: incremented on
+    /// accept, decremented on close).
     pub(crate) open_connections: AtomicU64,
     log: Mutex<VecDeque<RequestLogEntry>>,
 }
 
 impl StatsInner {
+    /// Count one written response under its status class.
+    pub(crate) fn count_status(&self, status: u16) {
+        let counter = match status {
+            200..=299 => &self.responses_ok,
+            400..=499 => &self.responses_client_error,
+            _ => &self.responses_server_error,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
     fn record_request(&self, seq: u64, target: &str, trace: &str, status: u16) {
         let mut log = self.log.lock().expect("request log lock");
         if log.len() >= REQUEST_LOG_CAP {
@@ -178,18 +161,19 @@ pub struct ServerStats {
     pub requests_events: u64,
     /// Requests for any other target.
     pub requests_other: u64,
-    /// `epoll_wait` returns across all reactor loops (0 in pool mode).
+    /// Poller wait returns across all reactor loops.
     pub reactor_wakeups: u64,
     /// Readiness events delivered by those wakeups.
     pub reactor_ready_events: u64,
-    /// Connections accepted by reactor loops.
+    /// Connections admitted by reactor loops (rejects excluded).
     pub reactor_accepts: u64,
     /// Connections turned away at the admission cap (`503` +
     /// `Retry-After`; see [`ServerConfig::max_conns`]).
     pub admission_rejects: u64,
-    /// Reactor deadline timers fired (idle close / slowloris / flush cap).
+    /// Reactor deadline timers fired (idle close / slowloris / flush cap /
+    /// held-response release / reject linger).
     pub timers_fired: u64,
-    /// Connections open right now (gauge, both serve modes).
+    /// Admitted connections open right now (gauge).
     pub open_connections: u64,
 }
 
@@ -306,59 +290,14 @@ impl HttpServer {
         let stats = Arc::new(StatsInner::default());
         let hub = Arc::new(EventHub::new());
 
-        // The reactor is the default front half wherever epoll exists;
-        // elsewhere (and on request) the bounded pool serves.
-        #[cfg(target_os = "linux")]
-        if cfg.mode == ServeMode::Reactor {
-            let acceptor = crate::reactor::spawn(
-                listener,
-                site,
-                Arc::clone(&stats),
-                Arc::clone(&stop),
-                Arc::clone(&hub),
-                cfg,
-            )?;
-            return Ok(ServerHandle {
-                addr,
-                stop,
-                stats,
-                hub,
-                acceptor: Some(acceptor),
-            });
-        }
-
-        let acceptor = {
-            let stop = Arc::clone(&stop);
-            let stats = Arc::clone(&stats);
-            let hub = Arc::clone(&hub);
-            let cfg = cfg.clone();
-            std::thread::Builder::new()
-                .name("hds-http-accept".into())
-                .spawn(move || {
-                    let mut pool = crate::pool::ThreadPool::new(cfg.workers, cfg.queue_depth);
-                    for conn in listener.incoming() {
-                        if stop.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let Ok(stream) = conn else { continue };
-                        let site = Arc::clone(&site);
-                        let stats = Arc::clone(&stats);
-                        let stop = Arc::clone(&stop);
-                        let hub = Arc::clone(&hub);
-                        let cfg = cfg.clone();
-                        if !pool.execute(move || {
-                            serve_connection(stream, &*site, &stats, &stop, &hub, &cfg);
-                        }) {
-                            break;
-                        }
-                    }
-                    // Joining here lets in-flight (and queued) connections
-                    // finish their current requests before shutdown
-                    // completes.
-                    pool.shutdown();
-                })?
-        };
-
+        let acceptor = crate::reactor::spawn(
+            listener,
+            site,
+            Arc::clone(&stats),
+            Arc::clone(&stop),
+            Arc::clone(&hub),
+            cfg,
+        )?;
         Ok(ServerHandle {
             addr,
             stop,
@@ -408,45 +347,40 @@ impl ServerHandle {
             .collect()
     }
 
-    /// Graceful shutdown: stop accepting, let every worker finish its
-    /// in-flight request, close idle keep-alive connections, join all
-    /// threads. Returns the final stats.
+    /// Graceful shutdown: stop accepting, finish every in-flight exchange
+    /// (held responses included), close idle keep-alive connections,
+    /// join all threads. Returns the final stats.
     pub fn shutdown(mut self) -> ServerStats {
-        self.begin_shutdown();
-        if let Some(handle) = self.acceptor.take() {
-            let _ = handle.join();
-        }
+        self.stop_and_join();
         self.stats()
     }
 
-    fn begin_shutdown(&self) {
+    fn stop_and_join(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        // The acceptor blocks in `accept`; a throwaway connection wakes it
-        // so it can observe the flag.
+        // The loops notice the flag within `IDLE_POLL`; a throwaway
+        // connection wakes one of them at once.
         let _ = TcpStream::connect(self.addr);
+        if let Some(handle) = self.acceptor.take() {
+            let _ = handle.join();
+        }
     }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        self.begin_shutdown();
-        if let Some(handle) = self.acceptor.take() {
-            let _ = handle.join();
-        }
+        self.stop_and_join();
     }
 }
 
-/// How often an idle keep-alive connection re-checks the stop flag; also
-/// the reactor loops' maximum sleep between wakeups.
+/// The reactor loops' longest sleep between wakeups (how soon they see
+/// the stop flag); also the `/events` stream's poll interval.
 pub(crate) const IDLE_POLL: Duration = Duration::from_millis(100);
 
-/// What one parsed request resolved to. Both serve modes feed requests
-/// through [`handle_request`] and act on this — the pool by blocking
-/// writes, the reactor by queueing bytes into the connection's machine —
-/// which is what makes a sampling run against either mode
-/// sequence-identical.
+/// What one parsed request resolved to; the reactor acts on it by
+/// queueing bytes into the connection's machine.
 pub(crate) enum Handled {
-    /// Write this response, then keep or close the connection.
+    /// Write this response — after `resp.delay`, or sever instead when
+    /// `resp.drop_connection` — then keep or close the connection.
     Response {
         resp: Response,
         keep_alive: bool,
@@ -454,14 +388,12 @@ pub(crate) enum Handled {
     },
     /// `/events`: the connection becomes a dedicated SSE stream.
     EventStream,
-    /// Injected drop: sever without writing a byte.
-    Sever,
 }
 
-/// Count, route, and answer one parsed request: the serve-mode-agnostic
-/// request semantics (sequence counters, per-route counters, the
-/// body-bearing 400-and-close anti-smuggling rule, telemetry routes,
-/// trace-id echo, request log and event publication).
+/// Count, route, and answer one parsed request: the request semantics
+/// (sequence counters, per-route counters, the body-bearing
+/// 400-and-close anti-smuggling rule, telemetry routes, trace-id echo,
+/// request log and event publication).
 pub(crate) fn handle_request(
     req: &Request,
     site: &dyn SiteBehavior,
@@ -529,7 +461,11 @@ pub(crate) fn handle_request(
         // the close as a reset/EOF mid-exchange and must classify it
         // as transient.
         stats.connections_dropped.fetch_add(1, Ordering::Relaxed);
-        return Handled::Sever;
+        return Handled::Response {
+            resp,
+            keep_alive: false,
+            allow_chunked,
+        };
     }
     // Echo the client's span id so both sides of the wire agree on
     // the request's identity, then log and broadcast the exchange.
@@ -546,118 +482,6 @@ pub(crate) fn handle_request(
     }
 }
 
-/// Decrements the open-connection gauge when a pool-mode connection's
-/// serve function returns, however it exits.
-struct OpenConnGuard<'a>(&'a AtomicU64);
-
-impl Drop for OpenConnGuard<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// Close a rejected connection without risking an RST: half-close the
-/// write side first, then drain whatever request bytes the peer already
-/// sent (briefly), so the kernel never discards our in-flight response
-/// over unread input. Shared by both serve modes' admission-cap paths.
-pub(crate) fn lingering_close(stream: TcpStream) {
-    let mut stream = stream;
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let mut tmp = [0u8; 1024];
-    while matches!(stream.read(&mut tmp), Ok(n) if n > 0) {}
-}
-
-/// Serve one connection until it closes, errs, times out idle, or the
-/// server shuts down.
-fn serve_connection(
-    stream: TcpStream,
-    site: &dyn SiteBehavior,
-    stats: &StatsInner,
-    stop: &AtomicBool,
-    hub: &EventHub,
-    cfg: &ServerConfig,
-) {
-    stats.connections.fetch_add(1, Ordering::Relaxed);
-    stats.open_connections.fetch_add(1, Ordering::Relaxed);
-    let _open = OpenConnGuard(&stats.open_connections);
-    let mut stream = stream;
-    if stream.set_nodelay(true).is_err() || stream.set_read_timeout(Some(IDLE_POLL)).is_err() {
-        return;
-    }
-    // Admission cap: this connection's own increment is included in the
-    // load, so strict `>` admits exactly `max_conns` concurrent peers.
-    if cfg.max_conns > 0 && stats.open_connections.load(Ordering::Relaxed) > cfg.max_conns as u64 {
-        stats.admission_rejects.fetch_add(1, Ordering::Relaxed);
-        let mut resp = Response::text(503, "Service Unavailable", "503 server at capacity".into());
-        resp.extra_headers.push(("Retry-After".into(), "1".into()));
-        write_and_count(&mut stream, &resp, false, false, cfg, stats);
-        lingering_close(stream);
-        return;
-    }
-    let mut buf: Vec<u8> = Vec::new();
-    let mut tmp = [0u8; 16 * 1024];
-    'conn: loop {
-        // Phase 1: wait for one complete request.
-        let deadline = Instant::now() + cfg.keep_alive_timeout;
-        let (req, consumed) = loop {
-            match parse_request(&buf) {
-                Ok(Some(rc)) => break rc,
-                Ok(None) => {}
-                Err(e) => {
-                    let (status, reason) = e.status();
-                    let resp = Response::text(status, reason, format!("{status} {e}"));
-                    write_and_count(&mut stream, &resp, false, false, cfg, stats);
-                    break 'conn;
-                }
-            }
-            // A quiet shutdown point: nothing (or only a partial request)
-            // buffered and the server is stopping.
-            if stop.load(Ordering::SeqCst) && buf.is_empty() {
-                break 'conn;
-            }
-            if Instant::now() >= deadline {
-                if !buf.is_empty() {
-                    let resp = Response::text(408, "Request Timeout", "408 request timeout".into());
-                    write_and_count(&mut stream, &resp, false, false, cfg, stats);
-                }
-                break 'conn;
-            }
-            match stream.read(&mut tmp) {
-                Ok(0) => break 'conn,
-                Ok(n) => {
-                    buf.extend_from_slice(&tmp[..n]);
-                    stats.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => break 'conn,
-            }
-        };
-        buf.drain(..consumed);
-
-        // Phase 2: answer it.
-        match handle_request(&req, site, stats, stop, hub, cfg) {
-            Handled::Response {
-                resp,
-                keep_alive,
-                allow_chunked,
-            } => {
-                if !write_and_count(&mut stream, &resp, keep_alive, allow_chunked, cfg, stats)
-                    || !keep_alive
-                {
-                    break;
-                }
-            }
-            Handled::EventStream => {
-                stream_events(&mut stream, hub, stop, stats);
-                break;
-            }
-            Handled::Sever => break,
-        }
-    }
-}
-
 /// Coarse route class of a request target (for per-route counters).
 fn route_label(target: &str) -> &'static str {
     let path = target.split('?').next().unwrap_or("");
@@ -671,7 +495,7 @@ fn route_label(target: &str) -> &'static str {
 }
 
 /// Read the counters without a [`ServerHandle`] (the `/metrics` route
-/// runs inside a worker).
+/// runs inside a serve loop).
 fn snapshot_stats(stats: &StatsInner) -> ServerStats {
     ServerStats {
         connections: stats.connections.load(Ordering::Relaxed),
@@ -862,34 +686,4 @@ fn route(site: &dyn SiteBehavior, req: &Request) -> Response {
         return resp;
     }
     site.get(&req.target)
-}
-
-/// Write a response, bump the status-class and byte counters; `false` when
-/// the connection is no longer writable.
-fn write_and_count(
-    stream: &mut TcpStream,
-    resp: &Response,
-    keep_alive: bool,
-    allow_chunked: bool,
-    cfg: &ServerConfig,
-    stats: &StatsInner,
-) -> bool {
-    let counter = match resp.status {
-        200..=299 => &stats.responses_ok,
-        400..=499 => &stats.responses_client_error,
-        _ => &stats.responses_server_error,
-    };
-    counter.fetch_add(1, Ordering::Relaxed);
-    let chunk_threshold = if allow_chunked {
-        cfg.chunk_threshold
-    } else {
-        usize::MAX
-    };
-    match write_response(stream, resp, keep_alive, chunk_threshold) {
-        Ok(n) => {
-            stats.bytes_out.fetch_add(n as u64, Ordering::Relaxed);
-            true
-        }
-        Err(_) => false,
-    }
 }

@@ -1,24 +1,26 @@
 //! Admission cap (`ServerConfig::max_conns`): connections past the cap
 //! are answered `503 Service Unavailable` + `Retry-After` and closed,
-//! in both serve modes, while admitted connections keep working.
+//! while admitted connections keep working — and keep their latency: a
+//! reject never blocks the serve loop. One loop (`reactor_threads: 1`),
+//! so anything that did would show up on the admitted connection.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use hdsampler_model::FormInterface;
-use hdsampler_server::{HttpServer, ServeMode, ServerConfig, ServerHandle};
+use hdsampler_server::{HttpServer, ServerConfig, ServerHandle};
 use hdsampler_webform::LocalSite;
 use hdsampler_workload::figure1_db;
 
-fn capped(mode: ServeMode, max_conns: usize) -> ServerHandle {
+fn capped(max_conns: usize) -> ServerHandle {
     let db = figure1_db(2);
     let schema = Arc::new(db.schema().clone());
     let site = Arc::new(LocalSite::new(db, schema));
     HttpServer::serve(
         ServerConfig {
-            mode,
+            reactor_threads: 1,
             max_conns,
             ..ServerConfig::default()
         },
@@ -56,18 +58,35 @@ fn get_keep_alive(stream: &mut TcpStream, target: &str) -> String {
     String::from_utf8_lossy(&buf).into_owned()
 }
 
-/// Read to EOF (the rejection path closes the connection).
+/// Everything the peer can read before EOF or a reset (the rejection path
+/// closes the connection).
 fn read_to_close(stream: &mut TcpStream) -> String {
-    let mut out = String::new();
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
         .expect("timeout");
-    stream.read_to_string(&mut out).expect("read to close");
-    out
+    let mut out = Vec::new();
+    let mut tmp = [0u8; 4096];
+    while let Ok(n @ 1..) = stream.read(&mut tmp) {
+        out.extend_from_slice(&tmp[..n]);
+    }
+    String::from_utf8_lossy(&out).into_owned()
 }
 
-fn over_cap_gets_503(mode: ServeMode) {
-    let server = capped(mode, 1);
+fn assert_rejected(reply: &str) {
+    assert!(
+        reply.starts_with("HTTP/1.1 503"),
+        "over-cap conn rejected: {reply}"
+    );
+    let lower = reply.to_lowercase();
+    assert!(
+        lower.contains("retry-after: 1"),
+        "advertises retry: {reply}"
+    );
+}
+
+#[test]
+fn reactor_over_cap_connection_gets_503_retry_after() {
+    let server = capped(1);
     let addr = server.addr();
 
     // First connection: admitted, serves the landing page, stays open.
@@ -81,13 +100,7 @@ fn over_cap_gets_503(mode: ServeMode) {
     // Second connection while the first is open: turned away.
     let mut extra = TcpStream::connect(addr).expect("dial extra");
     let _ = extra.write_all(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n");
-    let reply = read_to_close(&mut extra);
-    assert!(
-        reply.starts_with("HTTP/1.1 503"),
-        "over-cap conn rejected: {reply}"
-    );
-    let lower = reply.to_lowercase();
-    assert!(lower.contains("retry-after:"), "advertises retry: {reply}");
+    assert_rejected(&read_to_close(&mut extra));
 
     // The held connection still works after the rejection.
     let again = get_keep_alive(&mut held, "/");
@@ -101,20 +114,9 @@ fn over_cap_gets_503(mode: ServeMode) {
     assert!(stats.admission_rejects >= 1, "rejects counted: {stats:?}");
 }
 
-#[cfg(target_os = "linux")]
-#[test]
-fn reactor_over_cap_connection_gets_503_retry_after() {
-    over_cap_gets_503(ServeMode::Reactor);
-}
-
-#[test]
-fn pool_over_cap_connection_gets_503_retry_after() {
-    over_cap_gets_503(ServeMode::Pool);
-}
-
 #[test]
 fn uncapped_default_admits_concurrent_connections() {
-    let server = capped(ServeMode::Pool, 0);
+    let server = capped(0);
     let addr = server.addr();
     let mut a = TcpStream::connect(addr).expect("dial a");
     let mut b = TcpStream::connect(addr).expect("dial b");
@@ -123,4 +125,48 @@ fn uncapped_default_admits_concurrent_connections() {
     drop((a, b));
     let stats = server.shutdown();
     assert_eq!(stats.admission_rejects, 0);
+}
+
+#[test]
+fn over_cap_peers_cannot_stall_the_admitted_connection() {
+    let server = capped(1);
+    let addr = server.addr();
+    let mut held = TcpStream::connect(addr).expect("dial admitted");
+    held.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    assert!(get_keep_alive(&mut held, "/").starts_with("HTTP/1.1 200"));
+
+    // One over-cap peer trickles a byte every 20 ms for 2 s, then reads
+    // what it was answered; 200 more dial in and stay silent.
+    let trickler = std::thread::spawn(move || {
+        let mut peer = TcpStream::connect(addr).expect("dial trickler");
+        let until = Instant::now() + Duration::from_secs(2);
+        while Instant::now() < until && peer.write_all(b"G").is_ok() {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        read_to_close(&mut peer)
+    });
+    let mut silent: Vec<TcpStream> = (0..200)
+        .map(|_| TcpStream::connect(addr).expect("dial silent peer"))
+        .collect();
+
+    for _ in 0..20 {
+        let start = Instant::now();
+        assert!(get_keep_alive(&mut held, "/").starts_with("HTTP/1.1 200"));
+        let took = start.elapsed();
+        assert!(
+            took < Duration::from_millis(50),
+            "over-cap peers stalled the admitted connection: a GET took {took:?}"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    }
+
+    for peer in &mut silent {
+        assert_rejected(&read_to_close(peer));
+    }
+    assert_rejected(&trickler.join().expect("trickler"));
+    drop(held);
+    let stats = server.shutdown();
+    assert_eq!(stats.admission_rejects, 201, "{stats:?}");
+    assert_eq!(stats.open_connections, 0, "rejects never touch the gauge");
 }

@@ -97,12 +97,10 @@ fn coop_sequences_over_tcp_match_per_walker_seeds() {
 #[test]
 fn hundreds_of_pipelined_walkers_on_many_connections() {
     // 256 walker machines, 64 TCP connections, one client thread: up to
-    // 256 requests in flight, pipelined 4-deep per connection. Before the
-    // epoll reactor this test was capped at 4 connections — one per
-    // default pool worker; 64 keep-alive sockets would have starved the
-    // thread-per-connection pool. The reactor (the default serve mode)
-    // multiplexes them all on per-core readiness loops, so the wide
-    // fan-out must sail through with zero server errors.
+    // 256 requests in flight, pipelined 4-deep per connection. The
+    // reactor multiplexes all 64 keep-alive sockets on per-core readiness
+    // loops (a thread-per-connection server would need 64 workers), so
+    // the wide fan-out must sail through with zero server errors.
     let (server, schema, k) = serve(vehicles_db(99));
     let cfg = FleetConfig {
         walkers_per_site: 256,
@@ -220,59 +218,63 @@ fn dead_walker_threads_do_not_strand_sockets() {
 }
 
 #[test]
-fn reactor_and_pool_serves_are_sequence_identical() {
-    // The two serve modes share `handle_request` and `write_response`, so
-    // a seeded cooperative run must harvest byte-identical pages — the
-    // interchangeability guarantee that makes the reactor a safe default.
-    // Checked end-to-end with a schedule that has no timing freedom: a
-    // single walker on a single connection steps strictly sequentially
-    // (every submit depends on the previous response), so the full sample
-    // sequence is a pure function of the seeds and the server's bytes.
-    // Any reactor/pool divergence in what goes on the wire shows up as a
-    // diverged key sequence. (Racing walkers would reintroduce
-    // client-side scheduling nondeterminism and test nothing extra.)
-    let run = |mode: hdsampler_server::ServeMode| {
-        let db = vehicles_db(77);
-        let schema = Arc::new(db.schema().clone());
-        let k = db.result_limit();
-        let site = Arc::new(LocalSite::new(db, Arc::clone(&schema)));
-        let server = HttpServer::serve(
-            ServerConfig {
-                mode,
-                ..ServerConfig::default()
-            },
-            site,
-        )
-        .expect("bind loopback");
-        let cfg = FleetConfig {
-            walkers_per_site: 1,
-            target_per_site: 32,
-            seed: 31,
-            slider: 0.5,
-            ..FleetConfig::default()
-        };
-        let mut task = remote_task(&server, &schema, k);
-        let (report, details) = CoopDriver::new(cfg)
-            .with_connections(1)
-            .run_with_details(std::slice::from_mut(&mut task));
-        assert_eq!(report.sites[0].stopped, StopReason::TargetReached);
-        let stats = server.shutdown();
-        assert_eq!(stats.responses_server_error, 0);
-        (
-            report.sites[0].samples.keys(),
-            details[0].per_walker_keys.clone(),
-        )
+fn chaos_serve_sequence_is_pinned() {
+    // One walker on one connection steps strictly sequentially (every
+    // submit depends on the previous response), so against a seeded
+    // adversary the whole exchange — sample keys, fault schedule, retries
+    // — is a pure function of the seeds and the server's bytes. The
+    // figures below were recorded while `Adversary` still slept inside
+    // the serve loop; carrying the delay as `Response::delay` onto the
+    // reactor's timer heap must not move a single one of them.
+    let db = vehicles_db(77);
+    let schema = Arc::new(db.schema().clone());
+    let k = db.result_limit();
+    let site = LocalSite::new(db, Arc::clone(&schema));
+    let spec = ChaosSpec::parse(
+        "seed=5,latency=3,throttle=0.1,retry_after=20,fail=0.1,drop=0.06,slow=40x12",
+    )
+    .expect("chaos spec");
+    let server = HttpServer::serve(
+        ServerConfig {
+            reactor_threads: 1,
+            ..ServerConfig::default()
+        },
+        Arc::new(Adversary::new(site, spec)),
+    )
+    .expect("bind loopback");
+    let cfg = FleetConfig {
+        walkers_per_site: 1,
+        target_per_site: 32,
+        seed: 31,
+        slider: 0.5,
+        ..FleetConfig::default()
     };
-
-    let (reactor_keys, reactor_walkers) = run(hdsampler_server::ServeMode::Reactor);
-    let (pool_keys, pool_walkers) = run(hdsampler_server::ServeMode::Pool);
+    let mut task = remote_task(&server, &schema, k);
+    let (report, _) = CoopDriver::new(cfg)
+        .with_connections(1)
+        .run_with_details(std::slice::from_mut(&mut task));
+    let site = &report.sites[0];
+    assert_eq!(site.stopped, StopReason::TargetReached);
+    // FNV-1a over the fleet-order sample keys.
+    let digest = site
+        .samples
+        .keys()
+        .iter()
+        .flat_map(|key| key.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        });
+    let stats = server.shutdown();
     assert_eq!(
-        reactor_keys, pool_keys,
-        "fleet-order sample sequence diverged between serve modes"
-    );
-    assert_eq!(
-        reactor_walkers, pool_walkers,
-        "per-walker sequences diverged between serve modes"
+        (
+            digest,
+            stats.requests,
+            stats.connections_dropped,
+            stats.responses_server_error,
+            site.retries,
+        ),
+        (0x6778_d464_fe71_0762, 77, 5, 3, 20),
+        "(key digest, requests, drops, 5xx, client retries)"
     );
 }
 
