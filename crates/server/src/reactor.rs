@@ -15,10 +15,11 @@
 //! * short writes park the connection with residual output in its
 //!   machine and resume on the next writable event;
 //! * a delayed response ([`Response::delay`], e.g. an
-//!   [`Adversary`](crate::Adversary)'s injected latency) is queued and
-//!   its connection *held* — out of the poller, nothing written, parsed
-//!   or answered — until the delay's deadline; pipelined requests wait
-//!   behind it, and a graceful drain still delivers it;
+//!   [`Adversary`](crate::Adversary)'s injected latency) *holds* its
+//!   connection until the delay's deadline: the answers queued before it
+//!   still flush, but nothing more is read, parsed or answered, and the
+//!   delayed answer is queued only when the deadline fires; pipelined
+//!   requests wait behind it, and a graceful drain still delivers it;
 //! * a connection over the admission cap becomes a short-lived slot that
 //!   flushes `503` + `Retry-After`, half-closes, and discards input until
 //!   EOF or a fixed linger deadline;
@@ -38,7 +39,9 @@ use std::time::{Duration, Instant};
 
 use crate::events::EventHub;
 use crate::http::{parse_request, write_response, Response};
-use crate::server::{handle_request, stream_events, Handled, ServerConfig, StatsInner, IDLE_POLL};
+use crate::server::{
+    handle_request, stream_events, Handled, Reply, ServerConfig, StatsInner, IDLE_POLL,
+};
 use crate::site::SiteBehavior;
 
 /// One connection's resumable serve state: accumulated request bytes in,
@@ -220,11 +223,13 @@ mod serve_loop {
         gen: u64,
         /// The client half-closed; close once the output drains.
         eof: bool,
-        /// Interest currently registered with the poller.
-        wants_write: bool,
-        /// A delayed response is queued and its deadline has not fired: the
-        /// fd is out of the poller and nothing moves on the connection.
-        held: bool,
+        /// Interest currently registered with the poller; `None` while the
+        /// fd is out of it.
+        registered: Option<Interest>,
+        /// A delayed answer whose deadline has not fired. Until then the
+        /// slot only flushes the answers queued before it: nothing is read,
+        /// parsed or answered.
+        held: Option<Reply>,
         /// Turned away at the admission cap: flush the queued `503`,
         /// half-close, discard input until EOF or [`REJECT_LINGER`]. Not
         /// counted in `open_connections`.
@@ -309,7 +314,7 @@ mod serve_loop {
                 // exchange within the grace window.
                 for ix in 0..r.slots.len() {
                     let idle = r.slots[ix].as_ref().is_some_and(|s| {
-                        !s.held && s.machine.buf.is_empty() && !s.machine.has_pending_out()
+                        s.held.is_none() && s.machine.buf.is_empty() && !s.machine.has_pending_out()
                     });
                     if idle {
                         r.close(ix);
@@ -387,8 +392,8 @@ mod serve_loop {
                     machine: ConnMachine::new(),
                     gen: 0,
                     eof: false,
-                    wants_write: false,
-                    held: false,
+                    registered: None,
+                    held: None,
                     rejected: false,
                 };
                 let deadline = if self.cfg.max_conns > 0
@@ -416,18 +421,13 @@ mod serve_loop {
                     self.slots.push(None);
                     self.slots.len() - 1
                 });
-                if self
-                    .ep
-                    .register(slot.stream.as_raw_fd(), ix as u64 + 1, Interest::Read)
-                    .is_err()
-                {
+                if update_interest(&self.ep, &mut slot, ix).is_err() {
                     self.free.push(ix);
                     if !slot.rejected {
                         self.stats.open_connections.fetch_sub(1, Ordering::Relaxed);
                     }
                     continue;
                 }
-                update_interest(&self.ep, &mut slot, ix);
                 arm(&mut self.timers, &mut slot, ix, deadline);
                 self.slots[ix] = Some(slot);
                 self.live += 1;
@@ -446,8 +446,11 @@ mod serve_loop {
             };
             match driven {
                 Driven::Keep => {
-                    update_interest(&self.ep, &mut slot, ix);
+                    let registered = update_interest(&self.ep, &mut slot, ix);
                     self.slots[ix] = Some(slot);
+                    if registered.is_err() {
+                        self.close(ix);
+                    }
                 }
                 Driven::Close => {
                     self.slots[ix] = Some(slot);
@@ -468,9 +471,10 @@ mod serve_loop {
                 return;
             };
             // Deregister before the stream drops (and its fd closes): see
-            // `Epoll::deregister` on fd-number reuse. (A held slot is already
-            // out of the set; the failed call is harmless.)
-            let _ = self.ep.deregister(slot.stream.as_raw_fd());
+            // `Epoll::deregister` on fd-number reuse.
+            if slot.registered.is_some() {
+                let _ = self.ep.deregister(slot.stream.as_raw_fd());
+            }
             self.free.push(ix);
             self.live -= 1;
             if !slot.rejected {
@@ -496,19 +500,10 @@ mod serve_loop {
                     continue;
                 }
                 self.stats.timers_fired.fetch_add(1, Ordering::Relaxed);
-                if slot.held {
-                    // The delay is over: back into the poller, then deliver
+                if let Some(held) = slot.held.take() {
+                    // The delay is over: queue the answer, then deliver it
                     // (and answer whatever was pipelined behind it).
-                    slot.held = false;
-                    slot.wants_write = false;
-                    if self
-                        .ep
-                        .register(slot.stream.as_raw_fd(), ix as u64 + 1, Interest::Read)
-                        .is_err()
-                    {
-                        self.close(ix);
-                        continue;
-                    }
+                    respond(self.stats, self.cfg, slot, &held);
                     arm(&mut self.timers, slot, ix, self.cfg.keep_alive_timeout);
                     self.drive(ix, true);
                     continue;
@@ -525,8 +520,8 @@ mod serve_loop {
                 answer(self.stats, self.cfg, slot, &resp, false, false);
                 arm(&mut self.timers, slot, ix, self.cfg.keep_alive_timeout);
                 match slot.machine.write_some(&mut slot.stream) {
-                    Ok(WriteProgress::Done) | Err(_) => self.close(ix),
-                    Ok(WriteProgress::Blocked) => update_interest(&self.ep, slot, ix),
+                    Ok(WriteProgress::Blocked) if update_interest(&self.ep, slot, ix).is_ok() => {}
+                    _ => self.close(ix),
                 }
             }
         }
@@ -536,8 +531,12 @@ mod serve_loop {
         /// connection at the first delayed answer), decide whether the
         /// connection lives on.
         fn drive_conn(&mut self, slot: &mut ConnSlot, ix: usize, readable: bool) -> Driven {
-            if slot.held {
-                return Driven::Keep;
+            if slot.held.is_some() {
+                // Only the answers queued before the held one move.
+                return match slot.machine.write_some(&mut slot.stream) {
+                    Ok(_) => Driven::Keep,
+                    Err(_) => Driven::Close,
+                };
             }
             // Short-write resumption first: a writable event (or any wakeup
             // with queued output) continues the interrupted response.
@@ -566,7 +565,7 @@ mod serve_loop {
             }
 
             // Answer every complete request already buffered (pipelining).
-            while !slot.machine.close_after_flush() {
+            while slot.held.is_none() && !slot.machine.close_after_flush() {
                 match parse_request(&slot.machine.buf) {
                     Ok(None) => break,
                     Ok(Some((req, consumed))) => {
@@ -574,36 +573,15 @@ mod serve_loop {
                         match handle_request(
                             &req, self.site, self.stats, self.stop, self.hub, self.cfg,
                         ) {
-                            Handled::Response {
-                                resp,
-                                keep_alive,
-                                allow_chunked,
-                            } => {
-                                if resp.drop_connection {
-                                    // Injected drop: nothing is written for this
-                                    // exchange; the connection closes once the
-                                    // answers before it are out.
-                                    slot.machine.set_close_after_flush();
-                                } else {
-                                    answer(
-                                        self.stats,
-                                        self.cfg,
-                                        slot,
-                                        &resp,
-                                        keep_alive,
-                                        allow_chunked,
-                                    );
+                            Handled::Response(reply) => {
+                                if !reply.resp.delay.is_zero() {
+                                    // Hold the answer until the delay's
+                                    // deadline; the loop serves on.
+                                    arm(&mut self.timers, slot, ix, reply.resp.delay);
+                                    slot.held = Some(reply);
+                                    break;
                                 }
-                                if !resp.delay.is_zero() {
-                                    // Hold the answer: out of the poller until
-                                    // the delay's deadline, so nothing on this
-                                    // connection moves and the loop serves on.
-                                    let _ = self.ep.deregister(slot.stream.as_raw_fd());
-                                    slot.held = true;
-                                    slot.wants_write = false;
-                                    arm(&mut self.timers, slot, ix, resp.delay);
-                                    return Driven::Keep;
-                                }
+                                respond(self.stats, self.cfg, slot, &reply);
                                 // Keep-alive reset: the idle clock restarts
                                 // once a request is answered.
                                 arm(&mut self.timers, slot, ix, self.cfg.keep_alive_timeout);
@@ -647,7 +625,7 @@ mod serve_loop {
 
             match slot.machine.write_some(&mut slot.stream) {
                 Ok(WriteProgress::Done) => {
-                    if slot.machine.close_after_flush() || slot.eof {
+                    if slot.held.is_none() && (slot.machine.close_after_flush() || slot.eof) {
                         return Driven::Close;
                     }
                 }
@@ -659,6 +637,24 @@ mod serve_loop {
                 Err(_) => return Driven::Close,
             }
             Driven::Keep
+        }
+    }
+
+    /// Queue a handler's answer on `slot`. An injected drop writes nothing
+    /// for its exchange: the connection closes once the answers before it
+    /// are out.
+    fn respond(stats: &StatsInner, cfg: &ServerConfig, slot: &mut ConnSlot, reply: &Reply) {
+        if reply.resp.drop_connection {
+            slot.machine.set_close_after_flush();
+        } else {
+            answer(
+                stats,
+                cfg,
+                slot,
+                &reply.resp,
+                reply.keep_alive,
+                reply.allow_chunked,
+            );
         }
     }
 
@@ -701,22 +697,29 @@ mod serve_loop {
         }
     }
 
-    /// Keep the poller registration's interest in step with whether the
-    /// connection has output waiting for a writable event. A held slot stays
-    /// out of the poller until its deadline.
-    fn update_interest(ep: &Epoll, slot: &mut ConnSlot, ix: usize) {
-        let wants_write = slot.machine.has_pending_out();
-        if slot.held || wants_write == slot.wants_write {
-            return;
-        }
-        let interest = if wants_write {
-            Interest::ReadWrite
-        } else {
-            Interest::Read
+    /// Keep the poller registration in step with the slot: read interest,
+    /// plus write while output waits for a writable event. A held slot
+    /// reads nothing: it asks only to flush the answers queued before the
+    /// held one, and leaves the poller once they are out.
+    fn update_interest(ep: &Epoll, slot: &mut ConnSlot, ix: usize) -> io::Result<()> {
+        let pending = slot.machine.has_pending_out();
+        let want = match (&slot.held, pending) {
+            (None, false) => Some(Interest::Read),
+            (None, true) => Some(Interest::ReadWrite),
+            (Some(_), true) => Some(Interest::Write),
+            (Some(_), false) => None,
         };
-        // Token is positional and unchanged; only the mask moves.
-        let _ = ep.modify(slot.stream.as_raw_fd(), ix as u64 + 1, interest);
-        slot.wants_write = wants_write;
+        if want == slot.registered {
+            return Ok(());
+        }
+        let (fd, token) = (slot.stream.as_raw_fd(), ix as u64 + 1);
+        match (slot.registered, want) {
+            (_, None) => ep.deregister(fd)?,
+            (None, Some(interest)) => ep.register(fd, token, interest)?,
+            (Some(_), Some(interest)) => ep.modify(fd, token, interest)?,
+        }
+        slot.registered = want;
+        Ok(())
     }
 }
 

@@ -376,16 +376,19 @@ impl Drop for ServerHandle {
 /// the stop flag); also the `/events` stream's poll interval.
 pub(crate) const IDLE_POLL: Duration = Duration::from_millis(100);
 
+/// A routed answer and how to frame it.
+pub(crate) struct Reply {
+    pub(crate) resp: Response,
+    pub(crate) keep_alive: bool,
+    pub(crate) allow_chunked: bool,
+}
+
 /// What one parsed request resolved to; the reactor acts on it by
 /// queueing bytes into the connection's machine.
 pub(crate) enum Handled {
-    /// Write this response — after `resp.delay`, or sever instead when
+    /// Write this reply — after `resp.delay`, or sever instead when
     /// `resp.drop_connection` — then keep or close the connection.
-    Response {
-        resp: Response,
-        keep_alive: bool,
-        allow_chunked: bool,
-    },
+    Response(Reply),
     /// `/events`: the connection becomes a dedicated SSE stream.
     EventStream,
 }
@@ -422,7 +425,7 @@ pub(crate) fn handle_request(
         .is_some_and(|v| v.trim() != "0")
         || req.header("transfer-encoding").is_some();
     if has_body {
-        return Handled::Response {
+        return Handled::Response(Reply {
             resp: Response::text(
                 400,
                 "Bad Request",
@@ -430,7 +433,7 @@ pub(crate) fn handle_request(
             ),
             keep_alive: false,
             allow_chunked: false,
-        };
+        });
     }
 
     // Chunked framing is HTTP/1.1-only; a 1.0 client gets Content-Length
@@ -461,11 +464,11 @@ pub(crate) fn handle_request(
         // the close as a reset/EOF mid-exchange and must classify it
         // as transient.
         stats.connections_dropped.fetch_add(1, Ordering::Relaxed);
-        return Handled::Response {
+        return Handled::Response(Reply {
             resp,
             keep_alive: false,
             allow_chunked,
-        };
+        });
     }
     // Echo the client's span id so both sides of the wire agree on
     // the request's identity, then log and broadcast the exchange.
@@ -475,11 +478,11 @@ pub(crate) fn handle_request(
     }
     stats.record_request(seq, &req.target, &trace, resp.status);
     publish_request_event(hub, seq, &req.target, &trace, resp.status);
-    Handled::Response {
+    Handled::Response(Reply {
         resp,
         keep_alive,
         allow_chunked,
-    }
+    })
 }
 
 /// Coarse route class of a request target (for per-route counters).

@@ -20,20 +20,35 @@ fn one_loop(site: Arc<impl SiteBehavior + 'static>) -> ServerHandle {
     HttpServer::serve(cfg, site).expect("bind loopback")
 }
 
-/// Write `requests` on a fresh connection; the whole reply up to EOF and
-/// when its first byte arrived.
-fn exchange(addr: SocketAddr, requests: &str) -> (String, Duration) {
+/// Write `requests` on a fresh connection and read the whole reply up to
+/// EOF, noting the reply's length and the time after every read.
+fn exchange(addr: SocketAddr, requests: &str) -> (String, Vec<(usize, Duration)>) {
     let start = Instant::now();
     let mut stream = TcpStream::connect(addr).expect("dial");
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .expect("timeout");
     stream.write_all(requests.as_bytes()).expect("write");
-    stream.peek(&mut [0u8; 1]).expect("first byte");
-    let at = start.elapsed();
-    let mut reply = String::new();
-    stream.read_to_string(&mut reply).expect("read to close");
-    (reply, at)
+    let (mut reply, mut arrivals) = (Vec::new(), Vec::new());
+    let mut tmp = [0u8; 16 * 1024];
+    loop {
+        let n = stream.read(&mut tmp).expect("read to close");
+        if n == 0 {
+            break;
+        }
+        reply.extend_from_slice(&tmp[..n]);
+        arrivals.push((reply.len(), start.elapsed()));
+    }
+    (String::from_utf8_lossy(&reply).into_owned(), arrivals)
+}
+
+/// When the reply first held `len` bytes.
+fn arrived(arrivals: &[(usize, Duration)], len: usize) -> Duration {
+    arrivals
+        .iter()
+        .find(|a| a.0 >= len)
+        .expect("reply that long")
+        .1
 }
 
 #[test]
@@ -101,7 +116,8 @@ fn held_response_blocks_its_pipeline_and_survives_shutdown() {
     // Stop while `/slow` is still held (and `/fast` waits behind it).
     std::thread::sleep(Duration::from_millis(100));
     let stats = server.shutdown();
-    let (reply, first_byte) = reader.join().expect("reader");
+    let (reply, arrivals) = reader.join().expect("reader");
+    let first_byte = arrived(&arrivals, 1);
 
     assert!(
         first_byte >= Duration::from_millis(300),
@@ -117,4 +133,29 @@ fn held_response_blocks_its_pipeline_and_survives_shutdown() {
     );
     assert_eq!(stats.responses_ok, 2);
     assert_eq!(stats.open_connections, 0);
+}
+
+#[test]
+fn answers_queued_before_a_held_one_are_not_held_with_it() {
+    // `/fast` is answered at once and `/slow` 300 ms later: all of `/fast`
+    // reaches the peer without waiting out `/slow`'s delay.
+    let server = one_loop(Arc::new(Delayed));
+    let (reply, arrivals) = exchange(
+        server.addr(),
+        "GET /fast HTTP/1.1\r\nHost: x\r\n\r\n\
+         GET /slow HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+    );
+    let fast_end = reply.find("/fast:").expect("fast") + "/fast:".len() + 100_000;
+    let fast_done = arrived(&arrivals, fast_end);
+    assert!(
+        fast_done < Duration::from_millis(200),
+        "the undelayed answer waited for the held one: {fast_done:?}"
+    );
+    assert!(reply.find("/slow:").expect("held response delivered") > fast_end);
+    let all_done = arrivals.last().expect("reply").1;
+    assert!(
+        all_done >= Duration::from_millis(300),
+        "delay honoured: {all_done:?}"
+    );
+    assert_eq!(server.shutdown().responses_ok, 2);
 }

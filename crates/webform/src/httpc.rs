@@ -100,7 +100,7 @@ pub struct HttpTransport {
     /// Milliseconds from `start` to the most recent completion.
     last_done_ms: AtomicU64,
     /// Lazily-created epoll set behind [`AsyncTransport::wait_ready`]
-    /// (`None` once initialization fails — non-Linux, or fd exhaustion).
+    /// (`None` once initialization fails — Windows, or fd exhaustion).
     poller: OnceLock<Option<Epoll>>,
 }
 
@@ -176,7 +176,7 @@ impl HttpTransport {
     }
 
     /// The shared epoll set, created on first use. `None` means this
-    /// process has no reactor (non-Linux, or epoll creation failed) and
+    /// process has no reactor (Windows, or poller creation failed) and
     /// every caller falls back to blocking reads.
     fn poller(&self) -> Option<&Epoll> {
         self.poller.get_or_init(|| Epoll::new().ok()).as_ref()

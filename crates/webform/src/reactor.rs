@@ -46,6 +46,9 @@ pub enum Interest {
     Read,
     /// Wake when the fd is readable or writable.
     ReadWrite,
+    /// Wake only when the fd is writable (or in error): pending input and a
+    /// peer's half-close stay unreported.
+    Write,
 }
 
 /// One readiness event out of [`Epoll::wait`].
@@ -154,6 +157,7 @@ mod epoll {
                 events: match interest {
                     Interest::Read => EPOLLIN | EPOLLRDHUP,
                     Interest::ReadWrite => EPOLLIN | EPOLLOUT | EPOLLRDHUP,
+                    Interest::Write => EPOLLOUT,
                 },
                 data: token,
             };
@@ -315,11 +319,11 @@ mod poll {
                 .iter()
                 .map(|&(fd, _, interest)| PollFd {
                     fd,
-                    events: POLLRDHUP
-                        | match interest {
-                            Interest::Read => POLLIN,
-                            Interest::ReadWrite => POLLIN | POLLOUT,
-                        },
+                    events: match interest {
+                        Interest::Read => POLLIN | POLLRDHUP,
+                        Interest::ReadWrite => POLLIN | POLLOUT | POLLRDHUP,
+                        Interest::Write => POLLOUT,
+                    },
                     revents: 0,
                 })
                 .collect();
@@ -449,7 +453,7 @@ mod tests {
             #[test]
             fn modify_switches_interest() {
                 let ep = Backend::new().unwrap();
-                let (_a, b) = pair();
+                let (mut a, b) = pair();
                 // A fresh socket with an empty send buffer is writable, not
                 // readable.
                 ep.register(b.as_raw_fd(), 3, Interest::Read).unwrap();
@@ -460,6 +464,14 @@ mod tests {
                 assert_eq!(events[0].token, 4, "modify rebinds the token");
                 assert!(events[0].writable);
                 assert!(!events[0].hangup);
+
+                // Write-only interest: pending input no longer wakes it.
+                a.write_all(b"x").unwrap();
+                ep.modify(b.as_raw_fd(), 5, Interest::Write).unwrap();
+                assert_eq!(ep.wait(&mut events, 1000).unwrap(), 1);
+                assert_eq!(events[0].token, 5);
+                assert!(events[0].writable);
+                assert!(!events[0].readable, "read interest dropped");
             }
         };
     }
