@@ -118,6 +118,6 @@ fn main() {
     );
     println!(
         "\n  PASS: the distinct-tuples assumption matters — dense duplicates bias C=1\n  \
-         sampling downward on popular values (documented limitation, DESIGN.md)"
+         sampling downward on popular values (documented limitation, README \"Limitations\")"
     );
 }

@@ -1,10 +1,8 @@
 //! Criterion micro-benchmarks for the substrate (§3.5 "Implementation
 //! Platform" analogue): query-engine classification throughput at three
 //! depths of the drill-down tree, the zero-materialization fast path
-//! against the full-materialization baseline, history-cache lookup cost,
-//! and parallel-walker contention on the sharded history cache.
-
-use std::sync::Arc;
+//! against the full-materialization baseline, and history-cache lookup
+//! cost.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
@@ -152,56 +150,9 @@ fn cache_lookup(c: &mut Criterion) {
     });
 }
 
-/// Parallel-walker contention: 8 walkers drawing from one shared,
-/// pre-warmed cache — sharded (default 16) vs. the single-lock baseline
-/// (`shards = 1`). Warming happens once, outside the measured region, so
-/// every iteration measures the steady-state regime a long sampling run
-/// lives in: a high inference-hit rate with a trickle of new entries,
-/// where a single global lock makes every hit serialize on one lock word.
-fn parallel_contention(c: &mut Criterion) {
-    const WORKERS: usize = 8;
-    const TARGET: usize = 600;
-    let db = WorkloadSpec::vehicles(
-        VehiclesSpec::compact(20_000, 2),
-        DbConfig::no_counts().with_k(250),
-    )
-    .build();
-
-    let mut group = c.benchmark_group("parallel_walkers");
-    group.sample_size(10);
-    for (name, shards) in [("sharded_x16", 16usize), ("single_lock_baseline", 1)] {
-        let exec = Arc::new(CachingExecutor::with_shards(&db, 250_000, shards));
-        {
-            let mut s = HdsSampler::new(Arc::clone(&exec), SamplerConfig::seeded(11)).unwrap();
-            for _ in 0..1_000 {
-                s.next_sample().unwrap();
-            }
-        }
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                // Each walker thread draws its share of the target.
-                std::thread::scope(|scope| {
-                    for w in 0..WORKERS {
-                        let exec = Arc::clone(&exec);
-                        scope.spawn(move || {
-                            let mut s =
-                                HdsSampler::new(exec, SamplerConfig::seeded(1000 + w as u64))
-                                    .expect("valid config");
-                            for _ in 0..TARGET / WORKERS {
-                                s.next_sample().expect("healthy site");
-                            }
-                        });
-                    }
-                });
-            })
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = engine_classification, sampler_walks, cache_lookup, parallel_contention
+    targets = engine_classification, sampler_walks, cache_lookup
 );
 criterion_main!(benches);

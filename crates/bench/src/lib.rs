@@ -1,7 +1,7 @@
 //! Shared infrastructure for the experiment harness.
 //!
 //! Every table/figure of the paper is regenerated by one `harness = false`
-//! bench target in `benches/` (see `DESIGN.md` §3 for the index). This
+//! bench target in `benches/` (the crate's `Cargo.toml` lists them). This
 //! library provides the common pieces: aligned table printing, sampler
 //! drivers, and oracle-side skew measurement.
 

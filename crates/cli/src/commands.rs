@@ -247,15 +247,14 @@ fn trace_report(journal: &str) -> Result<(), String> {
 /// for every accepted-sample event until the server closes the stream.
 fn trace_watch(addr: &str) -> Result<(), String> {
     println!("watching http://{addr}/events — ends when the server closes the stream");
-    let mut out = std::io::stdout();
     let delivered = watch_events(addr, |ev| {
         let stats = SamplerStats {
             queries_issued: ev.queries,
             requests: ev.requests,
             ..SamplerStats::default()
         };
-        let _ = write!(out, "{}", progress_line(ev.collected, ev.target, &stats));
-        let _ = out.flush();
+        print!("{}", progress_line(ev.collected, ev.target, &stats));
+        let _ = std::io::stdout().flush();
         true
     })?;
     println!("\nstream closed after {delivered} accepted-sample event(s)");
@@ -665,8 +664,7 @@ fn connect_site(
 fn print_session_block(site: &SiteReport) {
     println!("{}", display::summary(&site.stats));
     println!(
-        "history cache: {} shards (autotuned), {} hits, {} evictions",
-        site.history.shard_count,
+        "history cache: {} hits, {} evictions",
         site.history.total_hits(),
         site.history.evictions
     );

@@ -38,13 +38,10 @@ impl SampleSink for ProgressSink {
                 requests: event.requests,
                 ..SamplerStats::default()
             };
-            let mut out = std::io::stdout();
-            let _ = write!(
-                out,
-                "{}",
-                progress_line(event.collected, event.target, &stats)
-            );
-            let _ = out.flush();
+            // `print!`, not a raw stdout handle: the test harness captures
+            // it, so the `\r` line cannot splice into its result lines.
+            print!("{}", progress_line(event.collected, event.target, &stats));
+            let _ = std::io::stdout().flush();
         }
     }
 

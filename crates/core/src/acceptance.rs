@@ -19,18 +19,21 @@
 //! ```
 //!
 //! gives output probability `p(t)·a(t) = min(p(t), C/B)`: **uniform** at
-//! `C = 1` (every tuple emitted with probability `1/B` per walk — slow but
-//! skewless), progressively clipped for the hardest-to-reach tuples as `C`
-//! grows (fast but skewed). That is precisely the trade-off the demo's
-//! slider exposes: "one end having the highest efficiency and the other
-//! having the lowest skew" (§3.1).
+//! `C = 1` on data without duplicate tuples (every tuple emitted with
+//! probability `1/B` per walk — slow but skewless; see
+//! [`AcceptancePolicy::Uniform`] for duplicates), progressively clipped
+//! for the hardest-to-reach tuples as `C` grows (fast but skewed). That
+//! is precisely the trade-off the demo's slider exposes: "one end having
+//! the highest efficiency and the other having the lowest skew" (§3.1).
 
 use serde::{Deserialize, Serialize};
 
 /// Acceptance policy of the Sample Processor.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum AcceptancePolicy {
-    /// `C = 1`: provably uniform output, maximum rejections.
+    /// `C = 1`: maximum rejections. The output is uniform only when no
+    /// two tuples share their full value assignment; a tuple with `j − 1`
+    /// duplicates is under-sampled `j`-fold (README, "Limitations").
     Uniform,
     /// Explicit scaling factor `C ≥ 1`.
     ScaleC {

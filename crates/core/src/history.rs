@@ -27,26 +27,27 @@
 //!
 //! ## Tiers and learn-time stamps
 //!
-//! The sharded in-memory state above is the **L1** tier. An optional
-//! **L2** tier ([`CachingExecutor::with_l2`]) sits behind it: a persistent
-//! fact log ([`crate::l2::L2Log`]) loaded into its own containment index
-//! at attach time. L1 misses consult L2 before reporting a miss; L2 hits
-//! are promoted into L1 and counted per tier, and newly wire-learned
-//! facts are written behind to the log, so the next run against the same
-//! site starts warm.
+//! The in-memory index above is the **L1** tier. An optional **L2** tier
+//! ([`CachingExecutor::with_l2`]) sits behind it: a persistent fact log
+//! ([`crate::l2::L2Log`]) loaded into an index of its own at attach time.
+//! Both tiers are the same `HistoryInner` type and answer through the same
+//! rule code; both sit behind one lock with the hit counters. L1 misses
+//! consult L2 before reporting a miss; L2 hits are promoted into L1 and
+//! counted per tier, and newly wire-learned facts are written behind to the
+//! log, so the next run against the same site starts warm.
 //!
 //! Every fact carries the site-clock time it was learned at
 //! ([`CachingExecutor::record_response_at`]). A history hit reports the
-//! *answering* fact's stamp ([`HistoryHit::learned_at`]), which is the
-//! exact causal floor for a cooperative walker resuming on that hit —
-//! facts loaded from L2 were known before the run began and stamp `0`.
+//! stamp of the witness the index finds for it ([`HistoryHit::learned_at`]):
+//! a sound causal floor for a cooperative walker resuming on that hit, since
+//! the answer was known by then. Which witness answers depends on the
+//! history alone, never on the host. Facts loaded from L2 were known before
+//! the run began and stamp `0`.
 
 use std::collections::HashMap;
-use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::Mutex;
 
 use hdsampler_model::{
     Classification, ConjunctiveQuery, FormInterface, InterfaceError, Predicate, Row, Schema,
@@ -58,10 +59,6 @@ use crate::l2::{FactRecord, L2Log};
 /// Cache-hit counters, by rule.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HistoryStats {
-    /// Number of shards the cache state is split into (autotuned from the
-    /// host topology unless overridden via
-    /// [`CachingExecutor::with_shards`]).
-    pub shard_count: usize,
     /// Rule 1 hits (exact memo).
     pub memo_hits: u64,
     /// Rule 2 hits (empty-subset).
@@ -76,7 +73,7 @@ pub struct HistoryStats {
     pub misses: u64,
     /// Capacity-bound eviction passes (any layer).
     pub evictions: u64,
-    /// Eviction passes that had to cold-restart a whole shard —
+    /// Eviction passes that had to cold-restart the whole L1 index —
     /// containment facts alone busted the bound, so even the protected
     /// empty/overflow sets were dropped.
     pub cold_restarts: u64,
@@ -102,11 +99,22 @@ impl HistoryStats {
             + self.count_memo_hits
             + self.l2_hits
     }
+
+    /// Credit one L1 hit to the rule that answered it.
+    fn credit(&mut self, rule: Rule) {
+        *match rule {
+            Rule::Memo => &mut self.memo_hits,
+            Rule::CountMemo => &mut self.count_memo_hits,
+            Rule::Empty => &mut self.empty_rule_hits,
+            Rule::Overflow => &mut self.overflow_rule_hits,
+            Rule::Filter => &mut self.filter_rule_hits,
+        } += 1;
+    }
 }
 
-/// FNV-1a: the hash for shard selection and the per-shard maps. Cheap on
-/// the short structured keys this cache stores; DoS resistance is not a
-/// concern because every key comes from our own walkers.
+/// FNV-1a: the hash of the index's maps. Cheap on the short structured
+/// keys this cache stores; DoS resistance is not a concern because every
+/// key comes from our own walkers.
 struct FnvHasher(u64);
 
 impl Default for FnvHasher {
@@ -245,15 +253,33 @@ enum Eviction {
     /// Rederivable layers (memo, rule-4 rows, oldest counts) made room;
     /// the empty/overflow containment facts survived.
     Layered,
-    /// Containment facts alone busted the bound: whole-shard cold restart.
+    /// Containment facts alone busted the bound: cold restart of the index.
     ColdRestart,
 }
 
-/// Interior cache state. Memo and count values carry the learn-time
-/// stamp of the fact that produced them.
+/// Which inference rule answered a lookup.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Rule {
+    /// Rule 1: the exact classification was memoized.
+    Memo,
+    /// The exact count was memoized.
+    CountMemo,
+    /// Rule 2: empty-subset.
+    Empty,
+    /// Rule 3: overflow-superset.
+    Overflow,
+    /// Rule 4: valid-ancestor filtering.
+    Filter,
+}
+
+/// One containment index: the L1 tier, or the L2 tier's loaded facts.
+/// Memo and count values carry the learn-time stamp of the fact that
+/// produced them.
 #[derive(Debug, Default)]
 struct HistoryInner {
     /// Rule 1: exact memo of classifications (+ rows for valid), stamped.
+    /// Only L1 fills it; L2's exact repeats are caught by rules 2–4, which
+    /// include equality.
     memo: FnvMap<ConjunctiveQuery, (Classified, u64)>,
     /// Rule 2 support: known-empty predicate sets (kept minimal-ish).
     empties: ContainmentSet,
@@ -266,7 +292,7 @@ struct HistoryInner {
     /// responses are inserted here too).
     counts: FnvMap<ConjunctiveQuery, (u64, u64)>,
     /// Insertion order of `counts` keys (oldest first), so count pressure
-    /// evicts the stalest memoized counts instead of the whole shard.
+    /// evicts the stalest memoized counts instead of the whole index.
     count_order: std::collections::VecDeque<ConjunctiveQuery>,
 }
 
@@ -290,75 +316,90 @@ impl HistoryInner {
         }
     }
 
-    /// Absorb one persisted fact (building the L2 tier's index).
-    fn absorb(&mut self, rec: &FactRecord) {
-        match rec.kind.as_str() {
-            "count" => {
-                if let Some(c) = rec.count {
-                    self.learn_count(&rec.query, c, rec.learned_at);
+    /// Learn one fact: `query` classified as `fact`, known at site-clock
+    /// `at`. Feeds the containment sets of rules 2–4 and the count memo.
+    fn learn(&mut self, query: &ConjunctiveQuery, fact: &Classified, at: u64) {
+        match fact.class {
+            Classification::Empty => {
+                // Keep the set minimal-ish: skip a fact already implied.
+                if !self.empties.any_subset_of(query) {
+                    self.empties.insert(query, at);
+                }
+                self.learn_count(query, 0, at);
+            }
+            Classification::Overflow => {
+                if !self.overflows.any_superset_of(query) {
+                    self.overflows.insert(query, at);
                 }
             }
-            "empty" => {
-                if !self.empties.any_subset_of(&rec.query) {
-                    self.empties.insert(&rec.query, rec.learned_at);
-                }
-                self.learn_count(&rec.query, 0, rec.learned_at);
-            }
-            "overflow" if !self.overflows.any_superset_of(&rec.query) => {
-                self.overflows.insert(&rec.query, rec.learned_at);
-            }
-            "valid" => {
-                if let Some(rows) = &rec.rows {
-                    self.learn_count(&rec.query, rows.len() as u64, rec.learned_at);
-                    if !self.valid_rows.contains_key(&rec.query) {
-                        self.valids.insert(&rec.query, rec.learned_at);
-                        self.valid_rows
-                            .insert(rec.query.clone(), Arc::from(rows.clone()));
-                    }
+            Classification::Valid => {
+                let rows = fact.rows.as_ref().expect("valid carries rows");
+                self.learn_count(query, rows.len() as u64, at);
+                if !self.valid_rows.contains_key(query) {
+                    self.valids.insert(query, at);
+                    self.valid_rows.insert(query.clone(), Arc::clone(rows));
                 }
             }
-            _ => {}
         }
     }
 
-    /// Run the containment rules (2–4) against this one index — the L2
-    /// tier's lookup, where all facts live in a single `HistoryInner`
-    /// rather than L1's shards. The memo layer is skipped: an L2 index
-    /// never fills it (exact repeats are caught by the subset/superset
-    /// rules, which include equality).
-    fn infer_local(&self, query: &ConjunctiveQuery) -> Option<Classified> {
-        if self.empties.any_subset_of(query) {
-            return Some(Classified {
+    /// Absorb one persisted fact (building the L2 tier's index).
+    fn absorb(&mut self, rec: FactRecord) {
+        let (class, rows) = match (rec.kind.as_str(), rec.count, rec.rows) {
+            ("count", Some(c), _) => return self.learn_count(&rec.query, c, rec.learned_at),
+            ("empty", ..) => (Classification::Empty, None),
+            ("overflow", ..) => (Classification::Overflow, None),
+            ("valid", _, Some(rows)) => (Classification::Valid, Some(Arc::from(rows))),
+            _ => return,
+        };
+        self.learn(&rec.query, &Classified { class, rows }, rec.learned_at);
+    }
+
+    /// Rules 2–4 against this index, in rule order: the answer, the stamp
+    /// of the witness that gave it, and the rule that fired.
+    fn infer(&self, query: &ConjunctiveQuery) -> Option<(Classified, u64, Rule)> {
+        if let Some((_, at)) = self.empties.find_subset_of(query) {
+            let empty = Classified {
                 class: Classification::Empty,
                 rows: None,
-            });
+            };
+            return Some((empty, at, Rule::Empty));
         }
-        if self.overflows.any_superset_of(query) {
-            return Some(Classified {
+        if let Some((_, at)) = self.overflows.find_superset_of(query) {
+            let overflow = Classified {
                 class: Classification::Overflow,
                 rows: None,
-            });
-        }
-        if let Some((ancestor, _)) = self.valids.find_subset_of(query) {
-            let rows = self.valid_rows.get(ancestor).expect("valids have rows");
-            let filtered: Vec<Row> = rows
-                .iter()
-                .filter(|r| query.matches(&r.values))
-                .cloned()
-                .collect();
-            let class = if filtered.is_empty() {
-                Classification::Empty
-            } else {
-                Classification::Valid
             };
-            let rows = if filtered.is_empty() {
-                None
-            } else {
-                Some(Arc::<[Row]>::from(filtered))
-            };
-            return Some(Classified { class, rows });
+            return Some((overflow, at, Rule::Overflow));
         }
-        None
+        let (ancestor, at) = self.valids.find_subset_of(query)?;
+        let rows = self.valid_rows.get(ancestor).expect("valids have rows");
+        let filtered: Vec<Row> = rows
+            .iter()
+            .filter(|r| query.matches(&r.values))
+            .cloned()
+            .collect();
+        let answer = if filtered.is_empty() {
+            Classified {
+                class: Classification::Empty,
+                rows: None,
+            }
+        } else {
+            Classified {
+                class: Classification::Valid,
+                rows: Some(Arc::from(filtered)),
+            }
+        };
+        Some((answer, at, Rule::Filter))
+    }
+
+    /// The count lookup: the count memo, then the empty-subset rule.
+    fn count_of(&self, query: &ConjunctiveQuery) -> Option<(u64, u64, Rule)> {
+        if let Some(&(c, at)) = self.counts.get(query) {
+            return Some((c, at, Rule::CountMemo));
+        }
+        let (_, at) = self.empties.find_subset_of(query)?;
+        Some((0, at, Rule::Empty))
     }
 
     /// Make room for one charged insert, shedding state in layers of
@@ -404,75 +445,80 @@ impl HistoryInner {
     }
 }
 
+/// Everything the executor's one lock guards: both tiers' indexes and the
+/// counters they feed.
+#[derive(Debug)]
+struct History {
+    /// Entry bound of the L1 index.
+    capacity: usize,
+    l1: HistoryInner,
+    /// The L2 tier's facts, loaded from its log at attach time. It is
+    /// read-mostly and never evicted; only L1 misses consult it.
+    l2: Option<HistoryInner>,
+    stats: HistoryStats,
+    requests: u64,
+}
+
+impl History {
+    /// Make room in L1 for one charged insert, counting the pass.
+    fn make_room(&mut self) {
+        match self.l1.evict_for_insert(self.capacity) {
+            Eviction::None => {}
+            Eviction::Layered => self.stats.evictions += 1,
+            Eviction::ColdRestart => {
+                self.stats.evictions += 1;
+                self.stats.cold_restarts += 1;
+            }
+        }
+    }
+
+    /// Learn a fact into L1, memo included, stamped `at`.
+    fn learn_l1(&mut self, query: &ConjunctiveQuery, fact: &Classified, at: u64) {
+        self.make_room();
+        self.l1.learn(query, fact, at);
+        self.l1.memo.insert(query.clone(), (fact.clone(), at));
+    }
+}
+
 /// A [`QueryExecutor`] that answers from history whenever inference allows.
 ///
 /// Thread-safe: concurrent walkers share one cache (`&CachingExecutor`
-/// implements `QueryExecutor` via the blanket impl). The state is split
-/// into [`autotuned_shard_count`] signature-keyed shards, each behind its own
-/// `RwLock`: the exact-match structures (memo, counts) of a query live in
-/// the shard its hash selects, so the common warm-cache path — a memo hit —
-/// touches exactly one lock, and concurrent walkers' *writes* land on
-/// different shards instead of serializing on a single global lock. The
-/// containment rules (2–4) scan all shards under brief read locks, in the
-/// same rule order as a single-lock cache, so inference outcomes and
-/// hit/miss counters are identical to the unsharded semantics.
+/// implements `QueryExecutor` via the blanket impl). The L1 index, the L2
+/// index and the hit counters live behind one lock, held for a whole
+/// lookup and released while a miss is fetched from the interface. Every
+/// run has one driver thread, so the lock is uncontended in practice, and
+/// a single index makes every answer, stamp and counter a function of the
+/// query history alone.
 #[derive(Debug)]
 pub struct CachingExecutor<F> {
     interface: F,
-    shards: Box<[RwLock<HistoryInner>]>,
-    /// `shards.len() - 1`; the shard count is a power of two.
-    shard_mask: usize,
-    /// Per-shard entry bound (total capacity / shard count).
-    capacity_per_shard: usize,
     /// Interface charges that predate this executor (see
     /// `DirectExecutor` — sequential samplers report only their own cost).
     charge_baseline: u64,
-    /// The persistent tier, when attached ([`CachingExecutor::with_l2`]).
-    l2: Option<L2Tier>,
-    requests: AtomicU64,
-    memo_hits: AtomicU64,
-    empty_rule_hits: AtomicU64,
-    overflow_rule_hits: AtomicU64,
-    filter_rule_hits: AtomicU64,
-    count_memo_hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    cold_restarts: AtomicU64,
-    l2_hits: AtomicU64,
-    l2_misses: AtomicU64,
-    l2_puts: AtomicU64,
-    l2_loads: AtomicU64,
-    l2_skipped: AtomicU64,
-}
-
-/// The attached persistent tier: the log (write-behind target) plus its
-/// facts loaded into one containment index. A single lock suffices — the
-/// index is read-mostly after load, and it is only consulted on L1
-/// misses, off the memo fast path.
-#[derive(Debug)]
-struct L2Tier {
-    log: Arc<L2Log>,
-    index: RwLock<HistoryInner>,
+    /// The persistent tier's log — the write-behind target — when attached
+    /// ([`CachingExecutor::with_l2`]).
+    l2_log: Option<Arc<L2Log>>,
+    history: Mutex<History>,
 }
 
 /// Which tier answered a history hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HitTier {
-    /// The sharded in-memory tier.
+    /// The in-memory tier.
     L1,
     /// The persistent disk-backed tier.
     L2,
 }
 
-/// A history hit with its exact causal provenance: the answer, the
-/// site-clock time the answering fact was learned at (`0` for facts that
+/// A history hit with its causal provenance: the answer, the site-clock
+/// time the witness that answered it was learned at (`0` for facts that
 /// predate the run — i.e. everything loaded from L2), and the tier that
 /// answered.
 #[derive(Debug, Clone)]
 pub struct HistoryHit {
     /// The classification answered from history.
     pub answer: Classified,
-    /// Learn time of the answering fact on the run's site clock (ms).
+    /// Learn time of the answering witness on the run's site clock (ms).
     pub learned_at: u64,
     /// Tier that answered.
     pub tier: HitTier,
@@ -481,71 +527,33 @@ pub struct HistoryHit {
 /// Default cache capacity (entries across memo + counts).
 pub const DEFAULT_CACHE_CAPACITY: usize = 250_000;
 
-/// Upper bound on the autotuned shard count: past this, the all-shard
-/// scans of the containment rules (2–4) cost more than the extra write
-/// spread buys, even on very wide hosts.
-pub const MAX_AUTOTUNED_SHARDS: usize = 64;
-
-/// Shard count derived from the host: twice the available parallelism
-/// (walkers outnumbering cores still spread their writes), rounded up to a
-/// power of two and capped at [`MAX_AUTOTUNED_SHARDS`]. Falls back to 16 —
-/// the old fixed `DEFAULT_SHARD_COUNT` — when the topology is unreadable.
-/// Override per cache via [`CachingExecutor::with_shards`]; the chosen
-/// count is reported in [`HistoryStats::shard_count`].
-pub fn autotuned_shard_count() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get().saturating_mul(2).next_power_of_two())
-        .unwrap_or(16)
-        .clamp(1, MAX_AUTOTUNED_SHARDS)
-}
-
 impl<F: FormInterface> CachingExecutor<F> {
     /// Wrap an interface with an inference cache of default capacity.
     pub fn new(interface: F) -> Self {
         Self::with_capacity(interface, DEFAULT_CACHE_CAPACITY)
     }
 
-    /// Wrap with an explicit entry capacity and the autotuned shard count.
-    pub fn with_capacity(interface: F, capacity: usize) -> Self {
-        Self::with_shards(interface, capacity, autotuned_shard_count())
-    }
-
-    /// Wrap with explicit capacity and shard count (rounded up to a power
-    /// of two). `shards = 1` reproduces the old single-lock layout, which
-    /// the contention benchmark uses as its baseline.
+    /// Wrap with an explicit entry capacity.
     ///
-    /// When a shard exceeds its share of `capacity`, it sheds state in
-    /// layers of increasing preciousness — memo, then rule-4 rows, then
-    /// the oldest memoized counts — and cold-restarts the whole shard only
-    /// when the empty/overflow containment facts alone bust the bound
-    /// (each of those cost a budgeted page fetch to learn). The eviction
-    /// counters record both kinds of pass.
-    pub fn with_shards(interface: F, capacity: usize, shards: usize) -> Self {
-        let shard_count = shards.max(1).next_power_of_two();
+    /// When the L1 index reaches `capacity`, it sheds state in layers of
+    /// increasing preciousness — memo, then rule-4 rows, then the oldest
+    /// memoized counts — and cold-restarts only when the empty/overflow
+    /// containment facts alone bust the bound (each of those cost a
+    /// budgeted page fetch to learn). The eviction counters record both
+    /// kinds of pass.
+    pub fn with_capacity(interface: F, capacity: usize) -> Self {
         let charge_baseline = interface.queries_issued();
         CachingExecutor {
             interface,
             charge_baseline,
-            shards: (0..shard_count)
-                .map(|_| RwLock::new(HistoryInner::default()))
-                .collect(),
-            shard_mask: shard_count - 1,
-            capacity_per_shard: (capacity / shard_count).max(2),
-            l2: None,
-            requests: AtomicU64::new(0),
-            memo_hits: AtomicU64::new(0),
-            empty_rule_hits: AtomicU64::new(0),
-            overflow_rule_hits: AtomicU64::new(0),
-            filter_rule_hits: AtomicU64::new(0),
-            count_memo_hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            cold_restarts: AtomicU64::new(0),
-            l2_hits: AtomicU64::new(0),
-            l2_misses: AtomicU64::new(0),
-            l2_puts: AtomicU64::new(0),
-            l2_loads: AtomicU64::new(0),
-            l2_skipped: AtomicU64::new(0),
+            l2_log: None,
+            history: Mutex::new(History {
+                capacity,
+                l1: HistoryInner::default(),
+                l2: None,
+                stats: HistoryStats::default(),
+                requests: 0,
+            }),
         }
     }
 
@@ -556,32 +564,26 @@ impl<F: FormInterface> CachingExecutor<F> {
     /// Facts loaded here were learned before this run began, so history
     /// hits they answer carry a causal floor of `0`.
     pub fn with_l2(mut self, log: Arc<L2Log>) -> Self {
+        let history = self.history.get_mut();
         let mut index = HistoryInner::default();
         let before_skipped = log.skipped();
-        match log.load() {
-            Ok(records) => {
-                self.l2_loads.store(records.len() as u64, Ordering::Relaxed);
-                for rec in &records {
-                    index.absorb(rec);
-                }
-            }
-            Err(_) => {
-                // An unreadable log directory warm-starts nothing; the
-                // executor still works (and still tries to write behind).
+        // An unreadable log directory warm-starts nothing; the executor
+        // still works (and still tries to write behind).
+        if let Ok(records) = log.load() {
+            history.stats.l2_loads = records.len() as u64;
+            for rec in records {
+                index.absorb(rec);
             }
         }
-        self.l2_skipped
-            .store(log.skipped() - before_skipped, Ordering::Relaxed);
-        self.l2 = Some(L2Tier {
-            log,
-            index: RwLock::new(index),
-        });
+        history.stats.l2_skipped = log.skipped() - before_skipped;
+        history.l2 = Some(index);
+        self.l2_log = Some(log);
         self
     }
 
     /// The attached L2 log, if any.
     pub fn l2_log(&self) -> Option<&Arc<L2Log>> {
-        self.l2.as_ref().map(|t| &t.log)
+        self.l2_log.as_ref()
     }
 
     /// The wrapped interface.
@@ -589,289 +591,105 @@ impl<F: FormInterface> CachingExecutor<F> {
         &self.interface
     }
 
-    /// Number of shards the cache state is split into.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard owning `query`'s exact-match state.
-    ///
-    /// Uses the same cheap FNV-1a hash as the per-shard maps: shard
-    /// selection sits on the memo-hit fast path and needs no DoS
-    /// resistance, because every query comes from our own walkers.
-    fn shard_of(&self, query: &ConjunctiveQuery) -> &RwLock<HistoryInner> {
-        if self.shard_mask == 0 {
-            return &self.shards[0];
-        }
-        let mut h = FnvHasher::default();
-        query.hash(&mut h);
-        use std::hash::Hasher as _;
-        // Select the shard from high hash bits (48..): the per-shard maps
-        // reuse this same FNV value, and hashbrown derives bucket indices
-        // from the low bits and control bytes from the top 7 — taking the
-        // shard from either range would make all of a shard's keys collide
-        // inside its own map.
-        &self.shards[((h.finish() >> 48) as usize) & self.shard_mask]
-    }
-
     /// Hit/miss counters.
     pub fn history_stats(&self) -> HistoryStats {
-        HistoryStats {
-            shard_count: self.shards.len(),
-            memo_hits: self.memo_hits.load(Ordering::Relaxed),
-            empty_rule_hits: self.empty_rule_hits.load(Ordering::Relaxed),
-            overflow_rule_hits: self.overflow_rule_hits.load(Ordering::Relaxed),
-            filter_rule_hits: self.filter_rule_hits.load(Ordering::Relaxed),
-            count_memo_hits: self.count_memo_hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            cold_restarts: self.cold_restarts.load(Ordering::Relaxed),
-            l2_hits: self.l2_hits.load(Ordering::Relaxed),
-            l2_misses: self.l2_misses.load(Ordering::Relaxed),
-            l2_puts: self.l2_puts.load(Ordering::Relaxed),
-            l2_loads: self.l2_loads.load(Ordering::Relaxed),
-            l2_skipped: self.l2_skipped.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Bump the eviction counters for one eviction pass.
-    fn record_eviction(&self, outcome: Eviction) {
-        match outcome {
-            Eviction::None => {}
-            Eviction::Layered => {
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-            Eviction::ColdRestart => {
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                self.cold_restarts.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Try to answer `query` purely from the in-memory (L1) history,
-    /// reporting the learn-time stamp of the answering witness.
-    ///
-    /// Rule order matches the unsharded cache exactly: memo (own shard
-    /// only — that is where the exact query lives), then each containment
-    /// rule across every shard before the next rule is considered.
-    fn infer(&self, query: &ConjunctiveQuery) -> Option<(Classified, u64)> {
-        // Rule 1: memo.
-        if let Some((hit, at)) = self.shard_of(query).read().memo.get(query) {
-            self.memo_hits.fetch_add(1, Ordering::Relaxed);
-            return Some((hit.clone(), *at));
-        }
-        // Rules 2–4 in one pass: each shard's lock is taken exactly once,
-        // with all three containment rules checked under it. Rule-major
-        // precedence is restored afterwards from the collected flags, which
-        // is sound because on a history fed by one consistent interface the
-        // rules cannot contradict each other across shards:
-        //
-        // * rule 2 (⇒ count = 0) and rule 3 (⇒ count > k) are mutually
-        //   exclusive, so their relative order is immaterial;
-        // * rule 3 and rule 4 (valid ancestor ⇒ count ≤ k) are likewise
-        //   exclusive;
-        // * when rules 2 and 4 both apply, the rule-4 filter necessarily
-        //   comes up empty and yields the same `Classified` — only the
-        //   counter attribution differs, and the flags below attribute it
-        //   to rule 2 exactly as the rule-major (unsharded) order does.
-        let mut empty_at: Option<u64> = None;
-        let mut overflow_at: Option<u64> = None;
-        let mut filtered: Option<(Vec<Row>, u64)> = None;
-        for shard in self.shards.iter() {
-            let inner = shard.read();
-            if let Some((_, at)) = inner.empties.find_subset_of(query) {
-                empty_at = Some(at);
-                // Rule 2 dominates every later finding; stop scanning.
-                break;
-            }
-            if overflow_at.is_none() {
-                if let Some((_, at)) = inner.overflows.find_superset_of(query) {
-                    overflow_at = Some(at);
-                    continue;
-                }
-            }
-            if overflow_at.is_none() && filtered.is_none() {
-                if let Some((ancestor, at)) = inner.valids.find_subset_of(query) {
-                    let rows = inner.valid_rows.get(ancestor).expect("valids have rows");
-                    filtered = Some((
-                        rows.iter()
-                            .filter(|r| query.matches(&r.values))
-                            .cloned()
-                            .collect(),
-                        at,
-                    ));
-                }
-            }
-        }
-        let (derived, at) = if let Some(at) = empty_at {
-            self.empty_rule_hits.fetch_add(1, Ordering::Relaxed);
-            (
-                Classified {
-                    class: Classification::Empty,
-                    rows: None,
-                },
-                at,
-            )
-        } else if let Some(at) = overflow_at {
-            self.overflow_rule_hits.fetch_add(1, Ordering::Relaxed);
-            (
-                Classified {
-                    class: Classification::Overflow,
-                    rows: None,
-                },
-                at,
-            )
-        } else if let Some((filtered, at)) = filtered {
-            self.filter_rule_hits.fetch_add(1, Ordering::Relaxed);
-            let class = if filtered.is_empty() {
-                Classification::Empty
-            } else {
-                Classification::Valid
-            };
-            let rows = if filtered.is_empty() {
-                None
-            } else {
-                Some(Arc::<[Row]>::from(filtered))
-            };
-            (Classified { class, rows }, at)
-        } else {
-            return None;
-        };
-        // Memoize the derived answer: re-asking the same query becomes a
-        // single-shard memo hit instead of another cross-shard containment
-        // scan. Containment sets are left untouched (this result adds no
-        // inference power, it only caches one), and a full shard must never
-        // be *evicted* for a derived entry — that would trade learned facts
-        // for a convenience cache. At capacity we simply skip caching;
-        // inference stays correct, merely un-memoized, exactly like the
-        // pre-memoization behavior.
-        let mut inner = self.shard_of(query).write();
-        if inner.entries() < self.capacity_per_shard {
-            inner.memo.insert(query.clone(), (derived.clone(), at));
-        }
-        drop(inner);
-        Some((derived, at))
+        self.history.lock().stats
     }
 
     /// Non-blocking half of [`QueryExecutor::classify`] for cooperative
     /// drivers: count the request and answer from history when inference
-    /// allows. `None` means the query must be fetched over the wire — the
-    /// miss is already counted, and the wire result must be fed back
-    /// through [`CachingExecutor::record_response`] so the history keeps
-    /// learning. `try_classify` + `record_response` is
-    /// counter-for-counter equivalent to one `classify` call; the only
-    /// difference is that the wire fetch happens outside the cache, where
-    /// a single-threaded driver can keep hundreds of them in flight.
-    pub fn try_classify(&self, query: &ConjunctiveQuery) -> Option<Classified> {
-        self.try_classify_stamped(query).map(|h| h.answer)
-    }
-
-    /// [`try_classify`](CachingExecutor::try_classify) with exact causal
-    /// provenance: which tier answered and the site-clock time the
-    /// answering fact was learned at. A cooperative driver resuming a
-    /// walker on this hit may floor the walker's clock at
-    /// [`HistoryHit::learned_at`] instead of the conservative
-    /// run-knowledge floor — an L2-answered fact was known before the run
-    /// began and floors at `0`.
+    /// allows, with causal provenance — which tier answered, and the
+    /// site-clock time the answering witness was learned at. A cooperative
+    /// driver resuming a walker on this hit may floor the walker's clock at
+    /// [`HistoryHit::learned_at`] instead of the conservative run-knowledge
+    /// floor; an L2-answered fact was known before the run began and floors
+    /// at `0`.
+    ///
+    /// `None` means the query must be fetched over the wire — the miss is
+    /// already counted, and the wire result must be fed back through
+    /// [`record_response_at`](Self::record_response_at) so the history
+    /// keeps learning. The pair is counter-for-counter equivalent to one
+    /// `classify` call; the only difference is that the wire fetch happens
+    /// outside the cache, where a single-threaded driver can keep hundreds
+    /// of them in flight.
     pub fn try_classify_stamped(&self, query: &ConjunctiveQuery) -> Option<HistoryHit> {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        if let Some((answer, learned_at)) = self.infer(query) {
+        let mut guard = self.history.lock();
+        let h = &mut *guard;
+        h.requests += 1;
+        if let Some((answer, learned_at)) = h.l1.memo.get(query) {
+            h.stats.credit(Rule::Memo);
+            return Some(HistoryHit {
+                answer: answer.clone(),
+                learned_at: *learned_at,
+                tier: HitTier::L1,
+            });
+        }
+        if let Some((answer, learned_at, rule)) = h.l1.infer(query) {
+            h.stats.credit(rule);
+            // Memoize the derived answer, so re-asking is a memo hit
+            // instead of another containment search. Containment sets are
+            // left untouched (this result adds no inference power), and a
+            // full index is never *evicted* for a derived entry — that would
+            // trade learned facts for a convenience cache. At capacity the
+            // answer simply stays un-memoized.
+            if h.l1.entries() < h.capacity {
+                h.l1.memo
+                    .insert(query.clone(), (answer.clone(), learned_at));
+            }
             return Some(HistoryHit {
                 answer,
                 learned_at,
                 tier: HitTier::L1,
             });
         }
-        if let Some(tier) = &self.l2 {
-            let answer = tier.index.read().infer_local(query);
-            if let Some(answer) = answer {
-                self.l2_hits.fetch_add(1, Ordering::Relaxed);
+        match h.l2.as_ref().map(|l2| l2.infer(query)) {
+            Some(Some((answer, _, _))) => {
+                h.stats.l2_hits += 1;
                 // Promote into L1 — at floor 0 (the fact predates the run)
                 // and without re-appending to the log (the fact is already
                 // persisted; a write-behind here would duplicate it on
                 // every warm run).
-                self.remember(query, &answer, 0, false);
+                h.learn_l1(query, &answer, 0);
                 return Some(HistoryHit {
                     answer,
                     learned_at: 0,
                     tier: HitTier::L2,
                 });
             }
-            self.l2_misses.fetch_add(1, Ordering::Relaxed);
+            Some(None) => h.stats.l2_misses += 1,
+            None => {}
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        h.stats.misses += 1;
         None
     }
 
-    /// Feed back a wire-fetched response for a query
-    /// [`try_classify`](CachingExecutor::try_classify) missed on.
-    /// Equivalent to [`record_response_at`](Self::record_response_at) at
-    /// site-clock 0 — blocking samplers carry no virtual clock.
-    pub fn record_response(&self, query: &ConjunctiveQuery, result: &Classified) {
-        self.remember(query, result, 0, true);
-    }
-
     /// Feed back a wire-fetched response learned at `at_ms` on the run's
-    /// site clock. The stamp travels with the fact: later history hits it
-    /// answers report it as their causal floor, and it is persisted with
-    /// the fact when an L2 log is attached.
+    /// site clock, for a query
+    /// [`try_classify_stamped`](Self::try_classify_stamped) missed on. The
+    /// stamp travels with the fact: later history hits it answers report it
+    /// as their causal floor, and it is persisted with the fact when an L2
+    /// log is attached.
     pub fn record_response_at(&self, query: &ConjunctiveQuery, result: &Classified, at_ms: u64) {
-        self.remember(query, result, at_ms, true);
-    }
-
-    /// Record a charged response in `query`'s shard, stamped `at`; when
-    /// `persist` is set and an L2 log is attached, write the fact behind.
-    fn remember(&self, query: &ConjunctiveQuery, result: &Classified, at: u64, persist: bool) {
-        let mut inner = self.shard_of(query).write();
-        self.record_eviction(inner.evict_for_insert(self.capacity_per_shard));
-        match result.class {
-            Classification::Empty => {
-                // Keep the set minimal-ish: skip if already implied within
-                // this shard. (Cross-shard redundancy costs memory, never
-                // correctness: the rules scan every shard.)
-                if !inner.empties.any_subset_of(query) {
-                    inner.empties.insert(query, at);
-                }
-                inner.learn_count(query, 0, at);
-            }
-            Classification::Overflow => {
-                if !inner.overflows.any_superset_of(query) {
-                    inner.overflows.insert(query, at);
-                }
-            }
+        let mut h = self.history.lock();
+        h.learn_l1(query, result, at_ms);
+        self.write_behind(&mut h.stats, || match result.class {
+            Classification::Empty => FactRecord::empty(query.clone(), at_ms),
+            Classification::Overflow => FactRecord::overflow(query.clone(), at_ms),
             Classification::Valid => {
-                let rows = result.rows.clone().expect("valid carries rows");
-                inner.learn_count(query, rows.len() as u64, at);
-                if !inner.valid_rows.contains_key(query) {
-                    inner.valids.insert(query, at);
-                    inner.valid_rows.insert(query.clone(), rows);
-                }
+                let rows = result.rows.as_ref().expect("valid carries rows");
+                FactRecord::valid(query.clone(), rows.to_vec(), at_ms)
             }
-        }
-        inner.memo.insert(query.clone(), (result.clone(), at));
-        drop(inner);
-        if persist {
-            self.put_l2(query, result, at);
-        }
+        });
     }
 
     /// Write one wire-learned fact behind to the attached L2 log, if any.
     /// Log I/O errors are swallowed — persistence is an optimization, and
     /// a full disk must never fail a sampling run.
-    fn put_l2(&self, query: &ConjunctiveQuery, result: &Classified, at: u64) {
-        let Some(tier) = &self.l2 else {
-            return;
-        };
-        let rec = match result.class {
-            Classification::Empty => FactRecord::empty(query.clone(), at),
-            Classification::Overflow => FactRecord::overflow(query.clone(), at),
-            Classification::Valid => {
-                let rows = result.rows.as_ref().expect("valid carries rows");
-                FactRecord::valid(query.clone(), rows.to_vec(), at)
+    fn write_behind(&self, stats: &mut HistoryStats, record: impl FnOnce() -> FactRecord) {
+        if let Some(log) = &self.l2_log {
+            if log.append(&record()).is_ok() {
+                stats.l2_puts += 1;
             }
-        };
-        if tier.log.append(&rec).is_ok() {
-            self.l2_puts.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -882,68 +700,43 @@ impl<F: FormInterface> QueryExecutor for CachingExecutor<F> {
             return Ok(hit.answer);
         }
         let result = Classified::from_response(self.interface.execute(query)?);
-        self.remember(query, &result, 0, true);
+        self.record_response_at(query, &result, 0);
         Ok(result)
     }
 
     fn count(&self, query: &ConjunctiveQuery) -> Result<u64, InterfaceError> {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        if let Some(&(c, _)) = self.shard_of(query).read().counts.get(query) {
-            self.count_memo_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(c);
-        }
-        // An inferable empty has count 0 without a probe. Memoize the
-        // derived zero (when the shard has room) so repeat probes become
-        // single-shard count-memo hits instead of cross-shard rescans.
-        if let Some(at) = self
-            .shards
-            .iter()
-            .find_map(|s| s.read().empties.find_subset_of(query).map(|(_, at)| at))
         {
-            self.empty_rule_hits.fetch_add(1, Ordering::Relaxed);
-            let mut inner = self.shard_of(query).write();
-            if inner.entries() < self.capacity_per_shard {
-                inner.learn_count(query, 0, at);
-            }
-            return Ok(0);
-        }
-        // L2: a persisted count (or empty fact) answers without a probe;
-        // promote it into L1 at floor 0.
-        if let Some(tier) = &self.l2 {
-            let found = {
-                let idx = tier.index.read();
-                if let Some(&(c, _)) = idx.counts.get(query) {
-                    Some(c)
-                } else if idx.empties.any_subset_of(query) {
-                    Some(0)
-                } else {
-                    None
+            let mut guard = self.history.lock();
+            let h = &mut *guard;
+            h.requests += 1;
+            if let Some((c, at, rule)) = h.l1.count_of(query) {
+                h.stats.credit(rule);
+                // Memoize a derived zero (when there is room) so repeat
+                // probes become count-memo hits.
+                if rule == Rule::Empty && h.l1.entries() < h.capacity {
+                    h.l1.learn_count(query, 0, at);
                 }
-            };
-            if let Some(c) = found {
-                self.l2_hits.fetch_add(1, Ordering::Relaxed);
-                let mut inner = self.shard_of(query).write();
-                self.record_eviction(inner.evict_for_insert(self.capacity_per_shard));
-                inner.learn_count(query, c, 0);
                 return Ok(c);
             }
-            self.l2_misses.fetch_add(1, Ordering::Relaxed);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let c = self.interface.count(query)?;
-        let mut inner = self.shard_of(query).write();
-        self.record_eviction(inner.evict_for_insert(self.capacity_per_shard));
-        inner.learn_count(query, c, 0);
-        drop(inner);
-        if let Some(tier) = &self.l2 {
-            if tier
-                .log
-                .append(&FactRecord::count(query.clone(), c, 0))
-                .is_ok()
-            {
-                self.l2_puts.fetch_add(1, Ordering::Relaxed);
+            // L2: a persisted count (or empty fact) answers without a
+            // probe; promote it into L1 at floor 0.
+            match h.l2.as_ref().map(|l2| l2.count_of(query)) {
+                Some(Some((c, _, _))) => {
+                    h.stats.l2_hits += 1;
+                    h.make_room();
+                    h.l1.learn_count(query, c, 0);
+                    return Ok(c);
+                }
+                Some(None) => h.stats.l2_misses += 1,
+                None => {}
             }
+            h.stats.misses += 1;
         }
+        let c = self.interface.count(query)?;
+        let mut h = self.history.lock();
+        h.make_room();
+        h.l1.learn_count(query, c, 0);
+        self.write_behind(&mut h.stats, || FactRecord::count(query.clone(), c, 0));
         Ok(c)
     }
 
@@ -966,7 +759,7 @@ impl<F: FormInterface> QueryExecutor for CachingExecutor<F> {
     }
 
     fn requests(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
+        self.history.lock().requests
     }
 }
 
@@ -978,21 +771,6 @@ mod tests {
 
     fn q(pairs: &[(u16, u16)]) -> ConjunctiveQuery {
         ConjunctiveQuery::from_pairs(pairs.iter().map(|&(a, v)| (AttrId(a), v))).unwrap()
-    }
-
-    #[test]
-    fn autotune_picks_a_bounded_power_of_two() {
-        let n = autotuned_shard_count();
-        assert!(n.is_power_of_two(), "{n} must be a power of two");
-        assert!((1..=MAX_AUTOTUNED_SHARDS).contains(&n));
-        // The default constructors adopt it and report it in stats.
-        let db = figure1_db(1);
-        let exec = CachingExecutor::new(&db);
-        assert_eq!(exec.shard_count(), n);
-        assert_eq!(exec.history_stats().shard_count, n);
-        // An explicit override wins.
-        let pinned = CachingExecutor::with_shards(&db, 1_000, 4);
-        assert_eq!(pinned.history_stats().shard_count, 4);
     }
 
     #[test]
@@ -1157,9 +935,8 @@ mod tests {
     #[test]
     fn capacity_bound_evicts() {
         let db = figure1_db(1);
-        // Single shard so every charged insert lands in the same capacity
-        // bucket and the bound must trip.
-        let exec = CachingExecutor::with_shards(&db, 4, 1);
+        // A tiny bound, so the charged inserts below must trip it.
+        let exec = CachingExecutor::with_capacity(&db, 4);
         // 3 attrs × 2 values of depth-1 queries + deeper ones: generate
         // more than 16 distinct queries.
         let mut issued = Vec::new();
@@ -1207,8 +984,8 @@ mod tests {
                 .unwrap();
         }
         let db = b.finish();
-        // Single shard with a bound the count flood below must bust.
-        let exec = CachingExecutor::with_shards(&db, 8, 1);
+        // A bound the count flood below must bust.
+        let exec = CachingExecutor::with_capacity(&db, 8);
 
         // Two charged containment facts: x=1 is empty, y=1 overflows.
         assert_eq!(
@@ -1221,7 +998,7 @@ mod tests {
         );
 
         // Count flood over z/w: 8 distinct memoized counts on a capacity-8
-        // shard force layered eviction passes.
+        // index force layered eviction passes.
         for &(a, v) in &[(2u16, 0u16), (2, 1), (3, 0), (3, 1)] {
             exec.count(&q(&[(a, v)])).unwrap();
         }
@@ -1260,19 +1037,19 @@ mod tests {
 
     #[test]
     fn derived_inferences_never_evict_learned_facts() {
-        // A shard at capacity skips memoizing derived answers instead of
-        // clearing the shard: a flood of inferable queries must not wipe
-        // the charged facts the inferences derive from.
+        // An index at capacity skips memoizing derived answers instead of
+        // clearing itself: a flood of inferable queries must not wipe the
+        // charged facts the inferences derive from.
         let db = figure1_db(1);
-        // Capacity 2 with a single shard: the one charged classification
-        // below (memo + learned count) fills the shard exactly.
-        let exec = CachingExecutor::with_shards(&db, 2, 1);
+        // Capacity 2: the one charged classification below (memo +
+        // learned count) fills the index exactly.
+        let exec = CachingExecutor::with_capacity(&db, 2);
         // Charge the empty fact a1=1 ∧ a2=0; every refinement of it is
         // thereafter inferable by the empty-subset rule.
         let parent = exec.classify(&q(&[(0, 1), (1, 0)])).unwrap();
         assert_eq!(parent.class, Classification::Empty);
         let charged = exec.queries_issued();
-        // Distinct inferable refinements, repeated — the full shard must
+        // Distinct inferable refinements, repeated — the full index must
         // neither evict nor re-charge.
         for _pass in 0..2 {
             for v in 0..2u16 {
@@ -1298,13 +1075,14 @@ mod tests {
         let db = figure1_db(1);
         let exec = CachingExecutor::new(&db);
         // Wire-learn three facts at distinct site-clock times.
-        exec.record_response(
+        exec.record_response_at(
             &q(&[(0, 1), (1, 0)]),
             &Classified {
                 class: Classification::Empty,
                 rows: None,
             },
-        ); // at 0
+            0,
+        );
         let overflow_q = q(&[(0, 0), (1, 1)]);
         let wired = Classified::from_response(db.execute(&overflow_q).unwrap());
         assert_eq!(wired.class, Classification::Overflow);

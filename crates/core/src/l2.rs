@@ -39,9 +39,9 @@ pub const FINGERPRINT_VERSION: &str = "hds1";
 const SEGMENT_PREFIX: &str = "seg-";
 const SEGMENT_SUFFIX: &str = ".jsonl";
 
-/// FNV-1a over a byte stream (same constants as the history cache's
-/// sharding hash; stability across builds is what matters here, since
-/// fingerprints live on disk).
+/// FNV-1a over a byte stream (same constants as the history cache's map
+/// hash; stability across builds is what matters here, since fingerprints
+/// live on disk).
 fn fnv1a(acc: u64, bytes: &[u8]) -> u64 {
     let mut h = acc;
     for &b in bytes {

@@ -49,10 +49,7 @@ pub use config::SamplerConfig;
 pub use count::CountWalkSampler;
 pub use executor::{Classified, DirectExecutor, QueryExecutor};
 pub use hds::HdsSampler;
-pub use history::{
-    autotuned_shard_count, CachingExecutor, HistoryHit, HistoryStats, HitTier,
-    DEFAULT_CACHE_CAPACITY, MAX_AUTOTUNED_SHARDS,
-};
+pub use history::{CachingExecutor, HistoryHit, HistoryStats, HitTier, DEFAULT_CACHE_CAPACITY};
 pub use l2::{
     CompactReport, FactRecord, L2Config, L2DirStats, L2Log, SiteFingerprint, FINGERPRINT_VERSION,
 };

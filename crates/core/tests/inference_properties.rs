@@ -8,10 +8,12 @@ use std::sync::Arc;
 use hdsampler_core::sample::Sampler;
 use hdsampler_core::{
     acceptance::acceptance_probability, CachingExecutor, Classified, DirectExecutor, HdsSampler,
-    QueryExecutor, SamplerConfig,
+    L2Log, QueryExecutor, SamplerConfig, SiteFingerprint,
 };
 use hdsampler_hidden_db::{CountMode, HiddenDb};
-use hdsampler_model::{AttrId, Attribute, ConjunctiveQuery, DomIx, Schema, SchemaBuilder, Tuple};
+use hdsampler_model::{
+    AttrId, Attribute, ConjunctiveQuery, DomIx, FormInterface, Schema, SchemaBuilder, Tuple,
+};
 use proptest::prelude::*;
 
 fn boolean_schema(m: usize) -> Arc<Schema> {
@@ -145,10 +147,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Layered eviction protects learned containment facts: whatever mix
-    /// of classify/count traffic floods a capacity-bounded shard, the
+    /// of classify/count traffic floods a capacity-bounded cache, the
     /// charged empty/overflow facts (each one a budgeted page fetch) keep
     /// answering for free — only the rederivable layers (memo, rule-4
-    /// rows, memoized counts) are sacrificed, and the shard never
+    /// rows, memoized counts) are sacrificed, and the cache never
     /// cold-restarts unless containment facts alone bust the bound.
     #[test]
     fn containment_facts_survive_memo_and_count_pressure(
@@ -158,10 +160,10 @@ proptest! {
         let m = 6;
         // Rows use only the low four attributes: a4 = a5 = 0 everywhere.
         let db = build_db(m, &rows, 1, CountMode::Exact);
-        // Single shard, capacity 80: the flood below stores at most ~32
-        // containment facts, so a cold restart is structurally impossible
-        // while the count flood guarantees capacity pressure.
-        let exec = CachingExecutor::with_shards(&db, 80, 1);
+        // Capacity 80: the flood below stores at most ~32 containment
+        // facts, so a cold restart is structurally impossible while the
+        // count flood guarantees capacity pressure.
+        let exec = CachingExecutor::with_capacity(&db, 80);
 
         // Two charged facts worth one page fetch each.
         let empty_fact = decode_query(m, 0b10_0000, 0b10_0000); // a5 = 1
@@ -213,49 +215,68 @@ proptest! {
         );
     }
 
-    /// Sharding is an implementation detail: for any database and query
-    /// mix, a 16-shard cache answers identically to a single-lock cache
-    /// and reports identical hit/miss counters per rule — the observable
-    /// definition of "same semantics as the unsharded cache".
+    /// The L2 arm of `inference_equals_direct_evaluation`: a fact log
+    /// warmed by one run over any query mix answers the same mix for a
+    /// fresh executor over a fresh database exactly as direct evaluation
+    /// does — class, row keys and count — without a single charged query.
+    /// Both tiers run the same rule code, so this covers it over random
+    /// data from the L2 side.
     #[test]
-    fn sharded_counters_match_unsharded_semantics(
+    fn l2_inference_equals_direct_evaluation(
         rows in prop::collection::vec(0u32..32, 1..80),
         k in 1usize..5,
         qs in queries(5),
     ) {
         let m = 5;
-        let db_one = build_db(m, &rows, k, CountMode::Exact);
-        let db_many = build_db(m, &rows, k, CountMode::Exact);
-        let single = CachingExecutor::with_shards(&db_one, 250_000, 1);
-        let sharded = CachingExecutor::with_shards(&db_many, 250_000, 16);
-        prop_assert_eq!(single.shard_count(), 1);
-        prop_assert_eq!(sharded.shard_count(), 16);
-
-        for &(mask, values) in &qs {
-            let q = decode_query(m, mask, values);
-            let a = single.classify(&q).unwrap();
-            let b = sharded.classify(&q).unwrap();
-            prop_assert_eq!(a.class, b.class, "query {:?}", q);
-            prop_assert_eq!(row_keys(&a), row_keys(&b), "query {:?}", q);
-            prop_assert_eq!(single.count(&q).unwrap(), sharded.count(&q).unwrap());
+        let root = l2_root();
+        let open_log = |db: &HiddenDb| {
+            let fp = SiteFingerprint::derive(db.schema(), k, db.supports_count(), None);
+            Arc::new(L2Log::open(&root, fp).unwrap())
+        };
+        let mix: Vec<ConjunctiveQuery> =
+            qs.iter().map(|&(mask, values)| decode_query(m, mask, values)).collect();
+        {
+            let db = build_db(m, &rows, k, CountMode::Exact);
+            let warm = CachingExecutor::new(&db).with_l2(open_log(&db));
+            for q in &mix {
+                warm.classify(q).unwrap();
+                warm.count(q).unwrap();
+            }
         }
-        // Counters match rule for rule; only the reported shard count —
-        // deliberately pinned by `with_shards` above — may differ.
-        let mut one = single.history_stats();
-        let sixteen = sharded.history_stats();
-        prop_assert_eq!(one.shard_count, 1);
-        prop_assert_eq!(sixteen.shard_count, 16);
-        one.shard_count = sixteen.shard_count;
-        prop_assert_eq!(one, sixteen);
-        prop_assert_eq!(single.queries_issued(), sharded.queries_issued());
-        prop_assert_eq!(single.requests(), sharded.requests());
+        let db_direct = build_db(m, &rows, k, CountMode::Exact);
+        let db_cached = build_db(m, &rows, k, CountMode::Exact);
+        let direct = DirectExecutor::new(&db_direct);
+        let cached = CachingExecutor::new(&db_cached).with_l2(open_log(&db_cached));
+        for q in &mix {
+            let d = direct.classify(q).unwrap();
+            let c = cached.classify(q).unwrap();
+            prop_assert_eq!(d.class, c.class, "query {:?}", q);
+            prop_assert_eq!(row_keys(&d), row_keys(&c), "query {:?}", q);
+            prop_assert_eq!(direct.count(q).unwrap(), cached.count(q).unwrap());
+        }
+        prop_assert_eq!(cached.queries_issued(), 0, "the warmed log answers every query");
+        prop_assert!(cached.history_stats().l2_hits > 0);
+        std::fs::remove_dir_all(&root).unwrap();
     }
 }
 
+/// A fresh, empty L2 root per proptest case.
+fn l2_root() -> std::path::PathBuf {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static CASE: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "hds-l2-props-{}-{}",
+        std::process::id(),
+        CASE.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
 #[test]
-fn parallel_walkers_on_sharded_cache_agree_with_direct() {
-    // 8 walkers hammer one sharded cache; every distinct answer the cache
-    // ever gave must match direct evaluation.
+fn parallel_walkers_on_one_cache_agree_with_direct() {
+    // 8 walker threads hammer one shared cache; every distinct answer the
+    // cache ever gave must match direct evaluation.
     let rows: Vec<u32> = (0..200u32)
         .map(|i| (i.wrapping_mul(2_654_435_761)) % 64)
         .collect();

@@ -13,7 +13,7 @@
 //! on the wire:
 //!
 //! * a machine yields `NeedCount(query)`; the site's shared history cache
-//!   is consulted first ([`CachingExecutor::try_classify`]) — a hit
+//!   is consulted first ([`CachingExecutor::try_classify_stamped`]) — a hit
 //!   resumes the machine immediately without touching the wire;
 //! * on a miss the query is submitted on the walker's [`ConnId`] of the
 //!   site's [`AsyncTransport`] and the machine parks;

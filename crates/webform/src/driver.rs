@@ -174,7 +174,7 @@ pub struct SiteReport {
     pub stopped: StopReason,
     /// The site's merged sampler counters (walks, acceptance, …).
     pub stats: SamplerStats,
-    /// The site's history-cache statistics (shards, hits by rule,
+    /// The site's history-cache statistics (hits by rule and tier,
     /// evictions).
     pub history: HistoryStats,
 }
