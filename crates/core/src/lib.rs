@@ -60,6 +60,6 @@ pub use session::{SamplingSession, SessionEvent, SessionOutcome, StopReason};
 pub use sink::{merged, observe_all, NullSink, SampleEvent, SampleSetSink, SampleSink};
 pub use stats::SamplerStats;
 pub use trace::{
-    merged_trace, parse_exposition, trace_all, MetricsRegistry, MetricsSink, NullTraceSink,
-    TraceEvent, TraceLog, TraceSink, Tracer, LATENCY_BUCKETS_MS,
+    parse_exposition, trace_all, MetricsRegistry, MetricsSink, NullTraceSink, TraceEvent, TraceLog,
+    TraceSink, Tracer, LATENCY_BUCKETS_MS,
 };

@@ -4,9 +4,9 @@
 //! observations, so the reproduction observes *itself* with the same
 //! rigor: the fleet driver emits typed [`TraceEvent`]s (walk steps, cache
 //! hits, wire submits/completions, backoff sleeps, steals and stalls)
-//! into attached [`TraceSink`]s, mirroring the
-//! [`SampleSink`](crate::sink::SampleSink) fork/merge design so the same
-//! plumbing carries both sample streams and their latency attribution.
+//! into attached [`TraceSink`]s, which a run attaches beside its
+//! [`SampleSink`](crate::sink::SampleSink)s, so one plan carries both the
+//! sample stream and its latency attribution.
 //!
 //! Determinism contract: on virtual wires every timestamp in a
 //! [`TraceEvent`] is a virtual-clock reading, never wall time, so a
@@ -74,31 +74,16 @@ pub struct TraceEvent {
     pub queue_ms: u64,
 }
 
-/// A streaming observer of trace events — the sibling of
-/// [`SampleSink`](crate::sink::SampleSink), with the identical fork/merge
-/// contract: forks observe one worker's (or site's) stream, merges fold
-/// them back in worker order, so parallel observation is deterministic
-/// for order-insensitive sinks and the single-threaded paths are
-/// bit-exact.
+/// A streaming observer of trace events, the sibling of
+/// [`SampleSink`](crate::sink::SampleSink). One driver thread emits every
+/// event of a run into each attached sink in emission order, so a seeded
+/// run observes the same sequence every time.
 pub trait TraceSink: Send + 'static {
     /// Observe one event.
     fn observe(&mut self, event: &TraceEvent);
 
-    /// A sink for a parallel worker (fresh empty for accumulators,
-    /// another handle for shared-state sinks).
-    fn fork(&self) -> Box<dyn TraceSink>;
-
-    /// Fold a [`fork`](TraceSink::fork)ed sink back in.
-    ///
-    /// # Panics
-    /// Panics if `other` is not the same concrete type as `self`.
-    fn merge(&mut self, other: Box<dyn TraceSink>);
-
     /// The sink as [`Any`], for snapshot retrieval through a trait object.
     fn as_any(&self) -> &dyn Any;
-
-    /// Consume the boxed sink as [`Any`] (the `merge` down-casting hook).
-    fn into_any(self: Box<Self>) -> Box<dyn Any>;
 }
 
 /// Deliver one event to every sink in a set.
@@ -108,15 +93,6 @@ pub fn trace_all(sinks: &mut [&mut dyn TraceSink], event: &TraceEvent) {
     }
 }
 
-/// Down-cast a merged-in trace sink to the expected concrete type, with a
-/// uniform panic message (helper for `merge` implementations).
-pub fn merged_trace<T: TraceSink>(other: Box<dyn TraceSink>) -> Box<T> {
-    other
-        .into_any()
-        .downcast::<T>()
-        .expect("TraceSink::merge: forked sink has a different concrete type")
-}
-
 /// A trace sink that discards everything.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullTraceSink;
@@ -124,26 +100,12 @@ pub struct NullTraceSink;
 impl TraceSink for NullTraceSink {
     fn observe(&mut self, _: &TraceEvent) {}
 
-    fn fork(&self) -> Box<dyn TraceSink> {
-        Box::new(NullTraceSink)
-    }
-
-    fn merge(&mut self, other: Box<dyn TraceSink>) {
-        let _ = merged_trace::<NullTraceSink>(other);
-    }
-
     fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
         self
     }
 }
 
 /// An accumulating trace sink: the in-memory face of the JSONL journal.
-/// Forks start empty and merges concatenate, so a fork-per-worker run
-/// journals in worker order.
 #[derive(Debug, Clone, Default)]
 pub struct TraceLog {
     events: Vec<TraceEvent>,
@@ -171,20 +133,7 @@ impl TraceSink for TraceLog {
         self.events.push(event.clone());
     }
 
-    fn fork(&self) -> Box<dyn TraceSink> {
-        Box::new(TraceLog::new())
-    }
-
-    fn merge(&mut self, other: Box<dyn TraceSink>) {
-        let other = merged_trace::<TraceLog>(other);
-        self.events.extend(other.events);
-    }
-
     fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
         self
     }
 }
@@ -256,7 +205,7 @@ struct RegistryInner {
 
 /// A shared registry of named counters, gauges and fixed-bucket latency
 /// histograms. Cloning shares the underlying storage (the registry is a
-/// handle), so forked sinks and a serving thread all see one state.
+/// handle), so a run's sink and a serving thread all see one state.
 ///
 /// Names may carry baked-in Prometheus labels (`name{conn="0"}`);
 /// [`MetricsRegistry::render`] splices histogram suffixes and the `le`
@@ -423,7 +372,7 @@ pub fn parse_exposition(text: &str) -> Result<BTreeMap<String, f64>, String> {
 
 /// A [`TraceSink`] that aggregates events into a shared
 /// [`MetricsRegistry`] — the cheap always-on path when full journaling
-/// is off. Forks share the registry; merge is a no-op.
+/// is off.
 #[derive(Debug, Clone)]
 pub struct MetricsSink {
     registry: MetricsRegistry,
@@ -481,19 +430,7 @@ impl TraceSink for MetricsSink {
         }
     }
 
-    fn fork(&self) -> Box<dyn TraceSink> {
-        Box::new(self.clone())
-    }
-
-    fn merge(&mut self, other: Box<dyn TraceSink>) {
-        let _ = merged_trace::<MetricsSink>(other);
-    }
-
     fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
         self
     }
 }
@@ -512,27 +449,6 @@ mod tests {
             queue_ms,
             ..TraceEvent::default()
         }
-    }
-
-    #[test]
-    fn trace_log_fork_merge_concatenates() {
-        let mut log = TraceLog::new();
-        log.observe(&wire_complete(0, 10, 10, 0));
-        let mut f0 = log.fork();
-        let mut f1 = log.fork();
-        f0.observe(&wire_complete(1, 20, 10, 5));
-        f1.observe(&wire_complete(2, 30, 10, 5));
-        log.merge(f0);
-        log.merge(f1);
-        let conns: Vec<u64> = log.events().iter().map(|e| e.conn).collect();
-        assert_eq!(conns, vec![0, 1, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "different concrete type")]
-    fn merging_a_mismatched_trace_sink_panics() {
-        let mut log = TraceLog::new();
-        log.merge(Box::new(NullTraceSink));
     }
 
     #[test]
@@ -608,9 +524,7 @@ mod tests {
             detail: "hit".into(),
             ..TraceEvent::default()
         });
-        let mut fork = sink.fork();
-        fork.observe(&wire_complete(2, 200, 5, 0));
-        sink.merge(fork);
+        sink.observe(&wire_complete(2, 200, 5, 0));
         let text = r.render();
         assert!(text.contains("hds_wire_service_ms_count 2"), "{text}");
         assert!(text.contains("hds_wire_queue_ms_sum 10"));

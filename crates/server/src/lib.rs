@@ -38,7 +38,7 @@
 //!   epoll on Linux, `poll(2)` on other unix hosts) multiplexing
 //!   resumable per-connection [`ConnMachine`]s, with every wait —
 //!   idle and slowloris deadlines, held (delayed) responses, admission
-//!   rejects — a deadline on one timer heap;
+//!   rejects, `/events` watcher ticks — a deadline on one timer heap;
 //! * [`server`] — configuration, request semantics, graceful shutdown,
 //!   live [`ServerStats`] (per-route counters,
 //!   bytes in/out, a per-request ring log with echoed `x-hds-trace`

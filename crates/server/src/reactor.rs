@@ -25,24 +25,43 @@
 //!   EOF or a fixed linger deadline;
 //! * a failed accept (e.g. fd exhaustion) takes the listener out of the
 //!   poller for 10 ms instead of spinning on its readiness;
-//! * `/events` watchers — blocking, long-lived — are handed off to a
-//!   dedicated thread, exactly one per watcher.
+//! * an `/events` watcher stays a slot that keeps its [`EventHub`]
+//!   receiver: every 100 ms tick of its timer moves the frames published
+//!   since the last tick onto its output as chunks, up to a backlog of
+//!   `EVENTS_BACKLOG_CAP` (4 MiB), with a heartbeat comment after 25
+//!   quiet ticks; a watcher that leaves more than the cap unwritten for a
+//!   whole tick is not reading and is shed; on stop every stream gets the
+//!   frames published before the stop and the chunk terminator, then
+//!   closes like any other slot.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::events::EventHub;
 use crate::http::{parse_request, write_response, Response};
-use crate::server::{
-    handle_request, stream_events, Handled, Reply, ServerConfig, StatsInner, IDLE_POLL,
-};
+use crate::server::{handle_request, Handled, Reply, ServerConfig, StatsInner, IDLE_POLL};
 use crate::site::SiteBehavior;
+
+/// Unwritten `/events` output past which a watcher is shed: it has
+/// stopped reading, and the stream must not buffer without bound.
+pub(crate) const EVENTS_BACKLOG_CAP: usize = 4 << 20;
+
+/// Quiet ticks of a watcher's timer before a heartbeat comment goes out
+/// (keeps dead watchers detectable and the stream warm).
+const EVENTS_HEARTBEAT_EVERY: u32 = 25;
+
+/// The `/events` response head: a chunked `text/event-stream` that ends
+/// with the connection.
+const EVENTS_HEAD: &str = "HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\n\
+                           Cache-Control: no-cache\r\nConnection: close\r\n\
+                           Transfer-Encoding: chunked\r\n\r\n";
 
 /// One connection's resumable serve state: accumulated request bytes in,
 /// queued response bytes out, and whether the connection closes once the
@@ -100,6 +119,20 @@ impl ConnMachine {
             self.close_after_flush = true;
         }
         self.out.len() - before
+    }
+
+    /// Queue raw bytes behind whatever is unwritten, first dropping the
+    /// already-written prefix so a long-lived stream's buffer holds only
+    /// what is still to go out.
+    pub(crate) fn queue_bytes(&mut self, bytes: &[u8]) {
+        self.out.drain(..self.out_pos);
+        self.out_pos = 0;
+        self.out.extend_from_slice(bytes);
+    }
+
+    /// Bytes queued but not yet written.
+    pub(crate) fn pending_len(&self) -> usize {
+        self.out.len() - self.out_pos
     }
 
     /// Push queued output into `w` until done or it would block.
@@ -198,7 +231,7 @@ mod serve_loop {
                         let Ok(listener) = listener.try_clone() else {
                             continue;
                         };
-                        let (site, stats, stop, hub, cfg) = (&*site, &stats, &stop, &hub, &cfg);
+                        let (site, stats, stop, hub, cfg) = (&*site, &*stats, &*stop, &*hub, &cfg);
                         let _ = std::thread::Builder::new()
                             .name(format!("hds-reactor-{i}"))
                             .spawn_scoped(scope, move || {
@@ -234,6 +267,11 @@ mod serve_loop {
         /// half-close, discard input until EOF or [`REJECT_LINGER`]. Not
         /// counted in `open_connections`.
         rejected: bool,
+        /// An `/events` watcher's subscription; its timer ticks every
+        /// [`IDLE_POLL`] to move frames onto the output.
+        events: Option<Receiver<String>>,
+        /// Ticks since the watcher last got a frame or heartbeat.
+        quiet_ticks: u32,
     }
 
     /// The reserved poller token for the listener; connection slots map to
@@ -254,9 +292,9 @@ mod serve_loop {
     struct Reactor<'a> {
         ep: Epoll,
         site: &'a dyn SiteBehavior,
-        stats: &'a Arc<StatsInner>,
-        stop: &'a Arc<AtomicBool>,
-        hub: &'a Arc<EventHub>,
+        stats: &'a StatsInner,
+        stop: &'a AtomicBool,
+        hub: &'a EventHub,
         cfg: &'a ServerConfig,
         slots: Vec<Option<ConnSlot>>,
         free: Vec<usize>,
@@ -267,16 +305,14 @@ mod serve_loop {
     enum Driven {
         Keep,
         Close,
-        /// `/events`: the stream left the slab for a dedicated thread.
-        Detached,
     }
 
     fn reactor_loop(
         listener: TcpListener,
         site: &dyn SiteBehavior,
-        stats: &Arc<StatsInner>,
-        stop: &Arc<AtomicBool>,
-        hub: &Arc<EventHub>,
+        stats: &StatsInner,
+        stop: &AtomicBool,
+        hub: &EventHub,
         cfg: &ServerConfig,
     ) {
         let Ok(ep) = Epoll::new() else { return };
@@ -307,6 +343,7 @@ mod serve_loop {
             if grace.is_none() && stop.load(Ordering::SeqCst) {
                 grace = Some(Instant::now() + cfg.keep_alive_timeout);
                 let _ = r.ep.deregister(listener.as_raw_fd());
+                r.end_streams();
             }
             if let Some(grace) = grace {
                 // Draining: connections close at their quiet points (nothing
@@ -395,6 +432,8 @@ mod serve_loop {
                     registered: None,
                     held: None,
                     rejected: false,
+                    events: None,
+                    quiet_ticks: 0,
                 };
                 let deadline = if self.cfg.max_conns > 0
                     && self.stats.open_connections.load(Ordering::Relaxed)
@@ -408,7 +447,7 @@ mod serve_loop {
                     resp.extra_headers.push(("Retry-After".into(), "1".into()));
                     answer(self.stats, self.cfg, &mut slot, &resp, false, false);
                     slot.rejected = true;
-                    if let Driven::Close = drive_reject(&mut slot) {
+                    if let Driven::Close = drive_sender(&mut slot) {
                         continue;
                     }
                     REJECT_LINGER
@@ -439,8 +478,8 @@ mod serve_loop {
             let Some(mut slot) = self.slots.get_mut(ix).and_then(Option::take) else {
                 return;
             };
-            let driven = if slot.rejected {
-                drive_reject(&mut slot)
+            let driven = if slot.rejected || slot.events.is_some() {
+                drive_sender(&mut slot)
             } else {
                 self.drive_conn(&mut slot, ix, readable)
             };
@@ -456,12 +495,21 @@ mod serve_loop {
                     self.slots[ix] = Some(slot);
                     self.close(ix);
                 }
-                Driven::Detached => {
-                    // The stream moved to a dedicated thread; the fd was
-                    // already deregistered and the gauge is now that
-                    // thread's to decrement.
-                    self.free.push(ix);
-                    self.live -= 1;
+            }
+        }
+
+        /// On stop, end every `/events` stream: the frames published
+        /// before the stop and the chunk terminator go out, then the slot
+        /// closes once they are flushed, like any other.
+        fn end_streams(&mut self) {
+            for ix in 0..self.slots.len() {
+                let Some(slot) = self.slots[ix].as_mut() else {
+                    continue;
+                };
+                if slot.events.is_some() {
+                    end_stream(self.stats, slot);
+                    arm(&mut self.timers, slot, ix, self.cfg.keep_alive_timeout);
+                    self.drive(ix, false);
                 }
             }
         }
@@ -500,6 +548,16 @@ mod serve_loop {
                     continue;
                 }
                 self.stats.timers_fired.fetch_add(1, Ordering::Relaxed);
+                if slot.events.is_some() {
+                    // A watcher's tick: move the hub's new frames out.
+                    arm(&mut self.timers, slot, ix, IDLE_POLL);
+                    let live = matches!(pump_events(self.stats, slot), Driven::Keep)
+                        && update_interest(&self.ep, slot, ix).is_ok();
+                    if !live {
+                        self.close(ix);
+                    }
+                    continue;
+                }
                 if let Some(held) = slot.held.take() {
                     // The delay is over: queue the answer, then deliver it
                     // (and answer whatever was pipelined behind it).
@@ -587,30 +645,26 @@ mod serve_loop {
                                 arm(&mut self.timers, slot, ix, self.cfg.keep_alive_timeout);
                             }
                             Handled::EventStream => {
-                                // Hand the connection to a dedicated blocking
-                                // thread — the SSE stream outlives any
-                                // readiness loop iteration. Deregister before
-                                // anything else so the fd leaves this poller
-                                // while we still own it.
-                                let _ = self.ep.deregister(slot.stream.as_raw_fd());
-                                let Ok(stream) = slot.stream.try_clone() else {
-                                    return Driven::Close;
-                                };
-                                let _ = stream.set_nonblocking(false);
-                                let stats = Arc::clone(self.stats);
-                                let stop = Arc::clone(self.stop);
-                                let hub = Arc::clone(self.hub);
-                                let spawned = std::thread::Builder::new()
-                                    .name("hds-events".into())
-                                    .spawn(move || {
-                                        let mut stream = stream;
-                                        stream_events(&mut stream, &hub, &stop, &stats);
-                                        stats.open_connections.fetch_sub(1, Ordering::Relaxed);
-                                    });
-                                if spawned.is_err() {
-                                    return Driven::Close;
+                                // The connection becomes a watcher: its head
+                                // and an opening comment (which tells the
+                                // watcher the stream is live) go out now,
+                                // the hub's frames on every tick.
+                                slot.machine.buf.clear();
+                                slot.events = Some(self.hub.subscribe());
+                                queue_stream(self.stats, &mut slot.machine, EVENTS_HEAD.as_bytes());
+                                queue_chunk(
+                                    self.stats,
+                                    &mut slot.machine,
+                                    ": hds event stream\n\n",
+                                );
+                                if self.stop.load(Ordering::SeqCst) {
+                                    // Subscribed while draining: the stream
+                                    // ends at once, like every other.
+                                    end_stream(self.stats, slot);
+                                    break;
                                 }
-                                return Driven::Detached;
+                                arm(&mut self.timers, slot, ix, IDLE_POLL);
+                                return drive_sender(slot);
                             }
                         }
                     }
@@ -674,16 +728,80 @@ mod serve_loop {
         stats.bytes_out.fetch_add(queued as u64, Ordering::Relaxed);
     }
 
-    /// Resume a turned-away connection: flush its `503`, half-close once it
-    /// is out, and discard one read of whatever the peer still sends (the
-    /// poller reports again while more is pending). EOF or an error ends it.
-    fn drive_reject(slot: &mut ConnSlot) -> Driven {
+    /// A watcher's tick. A watcher that left more than
+    /// [`EVENTS_BACKLOG_CAP`] unwritten for a whole tick is not reading: it
+    /// is shed and counted. Otherwise the frames published since the last
+    /// tick (a heartbeat after [`EVENTS_HEARTBEAT_EVERY`] quiet ticks) are
+    /// queued until the backlog passes the cap, and flushed; the rest wait
+    /// in the hub's queue for the next tick.
+    fn pump_events(stats: &StatsInner, slot: &mut ConnSlot) -> Driven {
+        let Some(rx) = slot.events.as_ref() else {
+            return Driven::Keep;
+        };
+        if slot.machine.write_some(&mut slot.stream).is_err() {
+            return Driven::Close;
+        }
+        if slot.machine.pending_len() > EVENTS_BACKLOG_CAP {
+            stats.events_shed.fetch_add(1, Ordering::Relaxed);
+            return Driven::Close;
+        }
+        slot.quiet_ticks += 1;
+        for frame in rx.try_iter() {
+            slot.quiet_ticks = 0;
+            queue_chunk(stats, &mut slot.machine, &frame);
+            if slot.machine.pending_len() > EVENTS_BACKLOG_CAP {
+                break;
+            }
+        }
+        if slot.quiet_ticks == EVENTS_HEARTBEAT_EVERY {
+            slot.quiet_ticks = 0;
+            queue_chunk(stats, &mut slot.machine, ": hb\n\n");
+        }
+        match slot.machine.write_some(&mut slot.stream) {
+            Ok(_) => Driven::Keep,
+            Err(_) => Driven::Close,
+        }
+    }
+
+    /// End a watcher's stream: queue the frames published so far and the
+    /// chunk terminator, then let the slot close once they are out.
+    fn end_stream(stats: &StatsInner, slot: &mut ConnSlot) {
+        let Some(rx) = slot.events.take() else {
+            return;
+        };
+        for frame in rx.try_iter() {
+            queue_chunk(stats, &mut slot.machine, &frame);
+        }
+        queue_stream(stats, &mut slot.machine, b"0\r\n\r\n");
+        slot.machine.set_close_after_flush();
+    }
+
+    /// Queue one chunked-transfer chunk carrying `text` on a stream.
+    fn queue_chunk(stats: &StatsInner, machine: &mut ConnMachine, text: &str) {
+        let frame = format!("{:X}\r\n{text}\r\n", text.len());
+        queue_stream(stats, machine, frame.as_bytes());
+    }
+
+    /// Queue raw stream bytes, counting them.
+    fn queue_stream(stats: &StatsInner, machine: &mut ConnMachine, bytes: &[u8]) {
+        machine.queue_bytes(bytes);
+        stats
+            .bytes_out
+            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+    }
+
+    /// Resume a slot that only sends — a turned-away connection or an
+    /// `/events` watcher: flush its output (a reject half-closes once its
+    /// `503` is out), and discard one read of whatever the peer still sends
+    /// (the poller reports again while more is pending). EOF or an error
+    /// ends it, so a watcher that hangs up closes at once.
+    fn drive_sender(slot: &mut ConnSlot) -> Driven {
         if slot.machine.has_pending_out() {
             match slot.machine.write_some(&mut slot.stream) {
-                Ok(WriteProgress::Done) => {
+                Ok(WriteProgress::Done) if slot.rejected => {
                     let _ = slot.stream.shutdown(Shutdown::Write);
                 }
-                Ok(WriteProgress::Blocked) => {}
+                Ok(_) => {}
                 Err(_) => return Driven::Close,
             }
         }

@@ -6,7 +6,6 @@
 //! SSE stream of the server's [`EventHub`]).
 
 use std::collections::VecDeque;
-use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -99,11 +98,14 @@ pub(crate) struct StatsInner {
     /// Connections turned away at the admission cap (`503`).
     pub(crate) admission_rejects: AtomicU64,
     /// Reactor deadline timers that fired (idle close, slowloris 408,
-    /// flush-window expiry, held-response release, reject linger).
+    /// flush-window expiry, held-response release, reject linger,
+    /// `/events` watcher ticks).
     pub(crate) timers_fired: AtomicU64,
     /// Admitted connections currently open (gauge: incremented on
     /// accept, decremented on close).
     pub(crate) open_connections: AtomicU64,
+    /// `/events` watchers shed for not reading.
+    pub(crate) events_shed: AtomicU64,
     log: Mutex<VecDeque<RequestLogEntry>>,
 }
 
@@ -171,10 +173,13 @@ pub struct ServerStats {
     /// `Retry-After`; see [`ServerConfig::max_conns`]).
     pub admission_rejects: u64,
     /// Reactor deadline timers fired (idle close / slowloris / flush cap /
-    /// held-response release / reject linger).
+    /// held-response release / reject linger / `/events` watcher ticks).
     pub timers_fired: u64,
     /// Admitted connections open right now (gauge).
     pub open_connections: u64,
+    /// `/events` watchers shed for leaving more than 4 MiB unwritten for
+    /// a whole 100 ms tick: they had stopped reading.
+    pub events_shed: u64,
 }
 
 /// The HTTP/1.1 server: binds a listener and serves a mounted site.
@@ -373,7 +378,7 @@ impl Drop for ServerHandle {
 }
 
 /// The reactor loops' longest sleep between wakeups (how soon they see
-/// the stop flag); also the `/events` stream's poll interval.
+/// the stop flag); also the tick at which `/events` watchers get frames.
 pub(crate) const IDLE_POLL: Duration = Duration::from_millis(100);
 
 /// A routed answer and how to frame it.
@@ -389,7 +394,7 @@ pub(crate) enum Handled {
     /// Write this reply — after `resp.delay`, or sever instead when
     /// `resp.drop_connection` — then keep or close the connection.
     Response(Reply),
-    /// `/events`: the connection becomes a dedicated SSE stream.
+    /// `/events`: the connection becomes a watcher of the event hub.
     EventStream,
 }
 
@@ -443,7 +448,8 @@ pub(crate) fn handle_request(
 
     // The telemetry plane answers before the mounted site sees the
     // request. `/events` takes over the whole connection: it streams
-    // the hub until the server stops or the watcher hangs up.
+    // the hub until the server stops, the watcher hangs up, or the
+    // watcher stops reading and is shed.
     if req.method == "GET" && route_label(&req.target) == "events" {
         stats.responses_ok.fetch_add(1, Ordering::Relaxed);
         stats.record_request(seq, &req.target, &trace, 200);
@@ -520,6 +526,7 @@ fn snapshot_stats(stats: &StatsInner) -> ServerStats {
         admission_rejects: stats.admission_rejects.load(Ordering::Relaxed),
         timers_fired: stats.timers_fired.load(Ordering::Relaxed),
         open_connections: stats.open_connections.load(Ordering::Relaxed),
+        events_shed: stats.events_shed.load(Ordering::Relaxed),
     }
 }
 
@@ -569,6 +576,7 @@ pub fn render_server_metrics(stats: &ServerStats, registry: Option<&MetricsRegis
         stats.admission_rejects,
     );
     counter("hds_server_timers_fired_total", stats.timers_fired);
+    counter("hds_server_events_shed_total", stats.events_shed);
     out.push_str(&format!(
         "# TYPE hds_server_open_connections gauge\nhds_server_open_connections {}\n",
         stats.open_connections
@@ -602,79 +610,6 @@ pub fn render_server_metrics(stats: &ServerStats, registry: Option<&MetricsRegis
         out.push_str(&registry.render());
     }
     out
-}
-
-/// How often the `/events` stream emits a heartbeat comment while the
-/// hub is quiet (keeps dead watchers detectable and the stream warm).
-const EVENTS_HEARTBEAT_EVERY: u32 = 25;
-
-/// Stream the hub over `stream` as chunked `text/event-stream` until the
-/// server stops or the watcher hangs up.
-pub(crate) fn stream_events(
-    stream: &mut TcpStream,
-    hub: &EventHub,
-    stop: &AtomicBool,
-    stats: &StatsInner,
-) {
-    let head = "HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\n\
-                Cache-Control: no-cache\r\nConnection: close\r\n\
-                Transfer-Encoding: chunked\r\n\r\n";
-    let mut written = 0u64;
-    if stream.write_all(head.as_bytes()).is_err() {
-        return;
-    }
-    written += head.len() as u64;
-    let rx = hub.subscribe();
-    // An opening comment flushes the headers through any buffering and
-    // tells the watcher the stream is live.
-    written += write_chunk(stream, ": hds event stream\n\n").unwrap_or(0);
-    let mut quiet = 0u32;
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        match rx.recv_timeout(IDLE_POLL) {
-            Ok(frame) => match write_chunk(stream, &frame) {
-                Ok(n) => {
-                    written += n;
-                    quiet = 0;
-                }
-                Err(_) => break,
-            },
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                quiet += 1;
-                if quiet >= EVENTS_HEARTBEAT_EVERY {
-                    quiet = 0;
-                    match write_chunk(stream, ": hb\n\n") {
-                        Ok(n) => written += n,
-                        Err(_) => break,
-                    }
-                }
-            }
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    // Deliver everything published before the stop landed: a watcher
-    // must see every event a local sink saw, shutdown races included.
-    while let Ok(frame) = rx.try_recv() {
-        match write_chunk(stream, &frame) {
-            Ok(n) => written += n,
-            Err(_) => break,
-        }
-    }
-    if stream.write_all(b"0\r\n\r\n").is_ok() {
-        written += 5;
-    }
-    stats.bytes_out.fetch_add(written, Ordering::Relaxed);
-}
-
-/// Write one chunked-transfer chunk carrying `text`; returns its framed
-/// size in bytes.
-fn write_chunk(stream: &mut TcpStream, text: &str) -> std::io::Result<u64> {
-    let frame = format!("{:X}\r\n{text}\r\n", text.len());
-    stream.write_all(frame.as_bytes())?;
-    stream.flush()?;
-    Ok(frame.len() as u64)
 }
 
 /// Method gate in front of the site.

@@ -10,6 +10,7 @@ use hdsampler_core::{DirectExecutor, HdsSampler, Sampler, StopReason, TraceLog};
 use hdsampler_hidden_db::HiddenDb;
 use hdsampler_model::{FormInterface, Schema};
 use hdsampler_server::{Adversary, HttpServer, ServerConfig, ServerHandle};
+use hdsampler_webform::urlenc::encode;
 use hdsampler_webform::{
     AsyncTransport as _, ChaosSpec, CoopDriver, FetchPoll, FleetConfig, HttpTransport, LocalSite,
     SiteTask, Transport as _, WebFormInterface,
@@ -174,47 +175,52 @@ fn hundreds_of_pipelined_walkers_on_many_connections() {
 }
 
 #[test]
-fn dead_walker_threads_do_not_strand_sockets() {
-    // Regression (connection leak): the blocking face binds one
-    // connection per ThreadId forever; dead walker threads used to strand
-    // open keep-alive sockets and map entries for the life of the
-    // transport. `close_idle` reaps both.
-    let (server, schema, k) = serve(vehicles_db(5));
-    let iface = Arc::new(WebFormInterface::new(
-        HttpTransport::new(server.addr().to_string()),
-        Arc::clone(&schema),
-        k,
-        false,
-    ));
+fn concurrent_blocking_fetches_share_one_connection() {
+    // The blocking face rides one connection whatever thread calls it:
+    // eight threads fetching different pages at once pipeline on it, and
+    // each gets its own page back. `close_idle` closes the socket, and
+    // the next fetch reopens that same connection.
+    let (server, schema, _k) = serve(vehicles_db(5));
+    let local = LocalSite::new(vehicles_db(5), Arc::clone(&schema));
+    let t = HttpTransport::new(server.addr().to_string());
+    let makes = &schema.attributes()[0];
+    let paths: Vec<String> = (0..8)
+        .map(|i| {
+            let label = makes.label((i % makes.domain_size()) as u16);
+            format!("/search?{}={}", makes.name(), encode(&label))
+        })
+        .collect();
 
-    // Eight short-lived walker threads, each doing one blocking fetch.
-    std::thread::scope(|s| {
-        for _ in 0..8 {
-            let iface = Arc::clone(&iface);
-            s.spawn(move || {
-                iface.transport().fetch("/search").expect("page served");
-            });
-        }
+    let start = std::sync::Barrier::new(paths.len());
+    let pages: Vec<String> = std::thread::scope(|s| {
+        let workers: Vec<_> = paths
+            .iter()
+            .map(|path| {
+                let (t, start) = (&t, &start);
+                s.spawn(move || {
+                    start.wait();
+                    t.fetch(path).expect("page served")
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
     });
-    let t = iface.transport();
-    assert_eq!(t.connections(), 8, "one connection per walker thread");
-    assert_eq!(t.open_connections(), 8, "all 8 sockets stranded open");
-    assert_eq!(t.thread_bindings(), 8, "all 8 dead threads still bound");
+    for (path, page) in paths.iter().zip(&pages) {
+        assert_eq!(page, &local.fetch(path).unwrap(), "{path} got its own page");
+    }
+    assert_eq!(t.connections(), 1, "one connection for every thread");
+    assert_eq!(t.open_connections(), 1);
 
-    // The fix: reap between sites.
-    assert_eq!(t.close_idle(), 8);
+    assert_eq!(t.close_idle(), 1);
     assert_eq!(t.open_connections(), 0);
-    assert_eq!(t.thread_bindings(), 0);
-
-    // The transport stays usable: the next fetch simply rebinds.
-    t.fetch("/search").expect("page served after reap");
-    assert_eq!(t.thread_bindings(), 1);
+    t.fetch(&paths[0]).expect("page served after close_idle");
+    assert_eq!(t.connections(), 1, "the same connection reopened");
     assert_eq!(t.open_connections(), 1);
     t.close_idle();
 
     let stats = server.shutdown();
     assert_eq!(stats.responses_server_error, 0);
-    assert_eq!(stats.connections, 9, "8 walker sockets + 1 rebind");
+    assert_eq!(stats.connections, 2, "one socket, reopened once");
 }
 
 #[test]

@@ -177,6 +177,56 @@ fn events_stream_delivers_bridged_samples_to_a_watcher() {
     );
 }
 
+#[test]
+fn a_reading_watcher_keeps_up_with_a_burst() {
+    // A burst sixteen times the 4 MiB backlog cap, published faster than
+    // the loop ticks: a watcher that keeps reading is paced, not shed, and
+    // gets every frame and then the terminator.
+    use std::io::{Read as _, Write as _};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    const FRAMES: usize = 1024;
+    let (server, _schema) = serve(vehicles_db(37));
+    let hub = server.events();
+    let mut s = std::net::TcpStream::connect(server.addr()).unwrap();
+    s.write_all(b"GET /events HTTP/1.1\r\nHost: x\r\n\r\n")
+        .unwrap();
+    let received = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&received);
+    let reader = std::thread::spawn(move || {
+        let (mut buf, mut tail) = (vec![0u8; 1 << 16], Vec::new());
+        loop {
+            match s.read(&mut buf) {
+                Ok(0) | Err(_) => return tail,
+                Ok(n) => {
+                    counter.fetch_add(n, Ordering::Relaxed);
+                    tail.extend_from_slice(&buf[..n]);
+                    tail.drain(..tail.len().saturating_sub(16));
+                }
+            }
+        }
+    });
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while hub.subscribers() == 0 && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    let frame = "x".repeat(64 << 10);
+    for _ in 0..FRAMES {
+        hub.publish_frame("blob", &frame);
+    }
+    let burst = FRAMES * frame.len();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    while received.load(Ordering::Relaxed) < burst && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    assert!(
+        received.load(Ordering::Relaxed) >= burst,
+        "the reading watcher got the whole burst"
+    );
+    let stats = server.shutdown();
+    assert_eq!(stats.events_shed, 0, "a reading watcher is never shed");
+    assert!(reader.join().unwrap().ends_with(b"\r\n0\r\n\r\n"));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -203,6 +253,7 @@ proptest! {
         timers in 0u64..1_000_000,
         open in 0u64..1_000_000,
         admission_rejects in 0u64..1_000_000,
+        events_shed in 0u64..1_000_000,
     ) {
         let stats = hdsampler_server::ServerStats {
             connections,
@@ -224,6 +275,7 @@ proptest! {
             timers_fired: timers,
             open_connections: open,
             admission_rejects,
+            events_shed,
         };
         let text = hdsampler_server::render_server_metrics(&stats, None);
         let parsed = parse_exposition(&text).expect("every line parses");
@@ -241,6 +293,7 @@ proptest! {
             parsed["hds_server_admission_rejects_total"] as u64,
             admission_rejects
         );
-        prop_assert_eq!(parsed.len(), 19, "one series per counter (plus the gauge)");
+        prop_assert_eq!(parsed["hds_server_events_shed_total"] as u64, events_shed);
+        prop_assert_eq!(parsed.len(), 20, "one series per counter (plus the gauge)");
     }
 }

@@ -13,12 +13,15 @@
 //! Two faces share this machinery (see
 //! [`LatencyTransport`](crate::transport::LatencyTransport)):
 //!
-//! * the blocking [`Transport`](crate::transport::Transport) face binds one
-//!   connection per OS thread, so an unmodified sampler stack running on W
-//!   walker threads gets W overlapping connections for free;
+//! * the blocking [`Transport`](crate::transport::Transport) face rides
+//!   one connection, opened on first use, whatever thread calls it;
 //! * the [`AsyncTransport`] face hands out explicit [`ConnId`]s, letting a
 //!   single thread pipeline several requests and harvest completions in
 //!   any order.
+
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use hdsampler_model::InterfaceError;
 use parking_lot::Mutex;
@@ -226,24 +229,96 @@ struct ConnState {
     busy_until: u64,
 }
 
-/// The per-connection virtual clocks behind a transport.
+/// The one virtual wire behind every simulated transport
+/// ([`LatencyTransport`](crate::transport::LatencyTransport),
+/// [`ChaosTransport`](crate::chaos::ChaosTransport)): per-connection
+/// clocks, the results of submitted fetches awaiting poll/complete, the
+/// fetch-id counter, and the single connection the blocking face rides
+/// (opened on first use). A decorator decides what a request costs and
+/// what it returns; the wire decides when it completes.
 ///
 /// Each connection carries two marks: `busy_until` (when its last
 /// submitted request will complete — submissions serialize behind it) and
 /// `clock` (the latest completion it has *observed*). The fleet's elapsed
 /// time is the maximum observed clock.
 #[derive(Debug, Default)]
-pub(crate) struct ConnClocks {
+pub(crate) struct VirtualWire {
     conns: Mutex<Vec<ConnState>>,
+    in_flight: Mutex<HashMap<u64, Result<String, InterfaceError>>>,
+    next_fetch: AtomicU64,
+    blocking: OnceLock<ConnId>,
 }
 
-impl ConnClocks {
+impl VirtualWire {
     /// Open a new connection with both marks at zero.
     pub(crate) fn connect(&self) -> ConnId {
         let mut conns = self.conns.lock();
         let id = u32::try_from(conns.len()).expect("connection count fits u32");
         conns.push(ConnState::default());
         ConnId(id)
+    }
+
+    /// The connection the blocking face rides, opened on first use.
+    pub(crate) fn blocking_conn(&self) -> ConnId {
+        *self.blocking.get_or_init(|| self.connect())
+    }
+
+    /// Put a request on `conn` that occupies it for `service_ms` and
+    /// answers `result` once the connection's clock reaches its
+    /// completion time.
+    pub(crate) fn submit(
+        &self,
+        conn: ConnId,
+        service_ms: u64,
+        result: Result<String, InterfaceError>,
+    ) -> FetchHandle {
+        let (ready_at, queued_ms) = self.schedule_split(conn, service_ms);
+        let id = self.next_fetch.fetch_add(1, Ordering::Relaxed);
+        self.in_flight.lock().insert(id, result);
+        FetchHandle {
+            conn,
+            id,
+            ready_at,
+            queued_ms,
+            service_ms,
+        }
+    }
+
+    /// [`AsyncTransport::poll`]: ready once `conn`'s observed clock has
+    /// reached the completion time.
+    pub(crate) fn poll(&self, handle: FetchHandle) -> FetchPoll {
+        if self.observed(handle.conn) >= handle.ready_at {
+            FetchPoll::Ready(self.take(&handle))
+        } else {
+            FetchPoll::Pending(handle)
+        }
+    }
+
+    /// [`AsyncTransport::complete`]: advance the clock, take the result.
+    pub(crate) fn complete(&self, handle: FetchHandle) -> Result<String, InterfaceError> {
+        self.advance_to(handle.conn, handle.ready_at);
+        self.take(&handle)
+    }
+
+    /// [`AsyncTransport::cancel`]: drop the result; the connection time
+    /// stays occupied.
+    pub(crate) fn cancel(&self, handle: FetchHandle) {
+        self.in_flight.lock().remove(&handle.id);
+    }
+
+    fn take(&self, handle: &FetchHandle) -> Result<String, InterfaceError> {
+        self.in_flight
+            .lock()
+            .remove(&handle.id)
+            .expect("pending fetch has a stored result")
+    }
+
+    /// Bill a retry backoff on the blocking face's connection: its clock
+    /// moves `ms` forward instead of anyone sleeping.
+    pub(crate) fn backoff(&self, ms: u64) {
+        let conn = self.blocking_conn();
+        let now = self.observed(conn);
+        self.advance_to(conn, now + ms);
     }
 
     /// Occupy `conn` for `service_ms` of virtual time; returns the
@@ -261,7 +336,7 @@ impl ConnClocks {
     /// long the request sat behind the connection's earlier traffic
     /// between the submitter's observed "now" and its actual departure
     /// (the queue/service split wire trace spans report).
-    pub(crate) fn schedule_split(&self, conn: ConnId, service_ms: u64) -> (u64, u64) {
+    fn schedule_split(&self, conn: ConnId, service_ms: u64) -> (u64, u64) {
         let mut conns = self.conns.lock();
         let state = &mut conns[conn.index()];
         let departs = state.busy_until.max(state.clock);
@@ -277,7 +352,7 @@ impl ConnClocks {
     }
 
     /// `conn`'s observed clock.
-    pub(crate) fn observed(&self, conn: ConnId) -> u64 {
+    fn observed(&self, conn: ConnId) -> u64 {
         self.conns.lock()[conn.index()].clock
     }
 
@@ -290,6 +365,11 @@ impl ConnClocks {
     pub(crate) fn connections(&self) -> usize {
         self.conns.lock().len()
     }
+
+    /// Submitted fetches whose results have not yet been taken.
+    pub(crate) fn pending(&self) -> usize {
+        self.in_flight.lock().len()
+    }
 }
 
 #[cfg(test)]
@@ -298,7 +378,7 @@ mod tests {
 
     #[test]
     fn clocks_serialize_per_connection_and_overlap_across() {
-        let clocks = ConnClocks::default();
+        let clocks = VirtualWire::default();
         let a = clocks.connect();
         let b = clocks.connect();
         assert_eq!(clocks.connections(), 2);
@@ -323,7 +403,7 @@ mod tests {
     fn departures_are_floored_at_the_observed_clock() {
         // Regression (causality): a connection whose submitter has
         // observed t = 200 must not depart a new request at t = 0.
-        let clocks = ConnClocks::default();
+        let clocks = VirtualWire::default();
         let a = clocks.connect();
         let b = clocks.connect();
 
@@ -353,7 +433,7 @@ mod tests {
 
     #[test]
     fn empty_fleet_has_zero_elapsed() {
-        let clocks = ConnClocks::default();
+        let clocks = VirtualWire::default();
         assert_eq!(clocks.elapsed(), 0);
         assert_eq!(clocks.connections(), 0);
     }

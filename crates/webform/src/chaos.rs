@@ -7,9 +7,8 @@
 //! a fault schedule that is a *pure function of (seed, request index)* —
 //! replaying a run with the same seed replays byte-identical faults — and
 //! a [`ChaosTransport`] decorator that injects those faults over any
-//! blocking [`Transport`] while billing service time on the same
-//! per-connection virtual clocks as
-//! [`LatencyTransport`](crate::transport::LatencyTransport).
+//! blocking [`Transport`] while billing service time on the same virtual
+//! wire as [`LatencyTransport`](crate::transport::LatencyTransport).
 //!
 //! Fault classes (each independently configurable, all off by default):
 //!
@@ -34,17 +33,12 @@
 //! by the cooperative driver's parked-walker backoff.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::ThreadId;
 
 use hdsampler_model::InterfaceError;
-use parking_lot::Mutex;
 
-use crate::aio::{AsyncTransport, ConnClocks, ConnId, FetchHandle, FetchPoll};
+use crate::aio::{AsyncTransport, ConnId, FetchHandle, FetchPoll, VirtualWire};
 use crate::render::format_thousands;
 use crate::transport::{Clocked, Transport};
-
-use std::collections::HashMap;
 
 /// Requests per count-noise episode: the banner multiplier holds for a
 /// stretch of requests (drifting index snapshots), not per request.
@@ -337,16 +331,17 @@ pub fn rewrite_count_banner(page: &str, factor: f64) -> (String, bool) {
 /// Fault-injecting decorator over any blocking [`Transport`].
 ///
 /// The wire-free mirror of the server-side `Adversary`: requests are
-/// billed on per-connection virtual clocks exactly like
-/// [`LatencyTransport`](crate::transport::LatencyTransport) (base latency
-/// plus slow-start plus jitter, elapsed = max over connections), and each
+/// billed on the virtual wire
+/// [`LatencyTransport`](crate::transport::LatencyTransport) rides (base
+/// latency plus slow-start plus jitter, at least 1 ms; elapsed = max over
+/// connections), and each
 /// request consumes one position of the seeded fault schedule. Faulted
 /// requests never reach the inner transport — a dropped or throttled
 /// request costs wire time and an error, not a backend query, so the
 /// site's query budget is only charged for requests actually served.
 ///
 /// Both transport faces are implemented: blocking [`Transport::fetch`]
-/// (one connection per OS thread) and the poll/completion
+/// (one connection, opened on first use) and the poll/completion
 /// [`AsyncTransport`] for the cooperative driver.
 #[derive(Debug)]
 pub struct ChaosTransport<T> {
@@ -354,10 +349,7 @@ pub struct ChaosTransport<T> {
     spec: ChaosSpec,
     /// Global request index: position in the fault schedule.
     requests: AtomicU64,
-    clocks: ConnClocks,
-    by_thread: Mutex<HashMap<ThreadId, ConnId>>,
-    in_flight: Mutex<HashMap<u64, Result<String, InterfaceError>>>,
-    next_fetch: AtomicU64,
+    wire: VirtualWire,
     throttles: AtomicU64,
     transient_fails: AtomicU64,
     drops: AtomicU64,
@@ -372,10 +364,7 @@ impl<T: Transport> ChaosTransport<T> {
             inner,
             spec,
             requests: AtomicU64::new(0),
-            clocks: ConnClocks::default(),
-            by_thread: Mutex::new(HashMap::new()),
-            in_flight: Mutex::new(HashMap::new()),
-            next_fetch: AtomicU64::new(0),
+            wire: VirtualWire::default(),
             throttles: AtomicU64::new(0),
             transient_fails: AtomicU64::new(0),
             drops: AtomicU64::new(0),
@@ -407,18 +396,12 @@ impl<T: Transport> ChaosTransport<T> {
 
     /// Virtual wall clock so far (max over connections).
     pub fn virtual_elapsed_ms(&self) -> u64 {
-        self.clocks.elapsed()
+        self.wire.elapsed()
     }
 
     /// Number of virtual connections opened.
     pub fn connections(&self) -> usize {
-        self.clocks.connections()
-    }
-
-    fn thread_conn(&self) -> ConnId {
-        let tid = std::thread::current().id();
-        let mut map = self.by_thread.lock();
-        *map.entry(tid).or_insert_with(|| self.clocks.connect())
+        self.wire.connections()
     }
 
     /// Serve (or fault) one request and record its chaos accounting.
@@ -463,17 +446,12 @@ impl<T: Transport> ChaosTransport<T> {
 
 impl<T: Transport> Transport for ChaosTransport<T> {
     fn fetch(&self, path: &str) -> Result<String, InterfaceError> {
-        let conn = self.thread_conn();
-        let handle = AsyncTransport::submit(self, conn, path);
-        AsyncTransport::complete(self, handle)
+        let handle = AsyncTransport::submit(self, self.wire.blocking_conn(), path);
+        self.wire.complete(handle)
     }
 
     fn backoff(&self, ms: u64) {
-        // The wire is virtual: waiting out a backoff advances the calling
-        // thread's connection clock instead of sleeping.
-        let conn = self.thread_conn();
-        let now = self.clocks.observed(conn);
-        self.clocks.advance_to(conn, now + ms);
+        self.wire.backoff(ms);
     }
 }
 
@@ -485,72 +463,42 @@ impl<T: Transport> Clocked for ChaosTransport<T> {
 
 impl<T: Transport> AsyncTransport for ChaosTransport<T> {
     fn connect(&self) -> ConnId {
-        self.clocks.connect()
+        self.wire.connect()
     }
 
     fn submit(&self, conn: ConnId, path: &str) -> FetchHandle {
         let (result, service_ms) = self.serve(path);
-        let service_ms = service_ms.max(1);
-        let (ready_at, queued_ms) = self.clocks.schedule_split(conn, service_ms);
-        let id = self.next_fetch.fetch_add(1, Ordering::Relaxed);
-        self.in_flight.lock().insert(id, result);
-        FetchHandle {
-            conn,
-            id,
-            ready_at,
-            queued_ms,
-            service_ms,
-        }
+        self.wire.submit(conn, service_ms.max(1), result)
     }
 
     fn poll(&self, handle: FetchHandle) -> FetchPoll {
-        if self.clocks.observed(handle.conn) >= handle.ready_at {
-            let result = self
-                .in_flight
-                .lock()
-                .remove(&handle.id)
-                .expect("pending fetch has a stored result");
-            FetchPoll::Ready(result)
-        } else {
-            FetchPoll::Pending(handle)
-        }
+        self.wire.poll(handle)
     }
 
     fn complete(&self, handle: FetchHandle) -> Result<String, InterfaceError> {
-        self.clocks.advance_to(handle.conn, handle.ready_at);
-        self.in_flight
-            .lock()
-            .remove(&handle.id)
-            .expect("pending fetch has a stored result")
+        self.wire.complete(handle)
     }
 
     fn cancel(&self, handle: FetchHandle) {
-        self.in_flight.lock().remove(&handle.id);
+        self.wire.cancel(handle);
     }
 
     fn observe_now(&self, conn: ConnId, now_ms: u64) {
-        self.clocks.advance_to(conn, now_ms);
+        self.wire.advance_to(conn, now_ms);
     }
 
     fn virtual_elapsed_ms(&self) -> u64 {
-        self.clocks.elapsed()
-    }
-}
-
-impl<T> ChaosTransport<Arc<T>> {
-    /// Share the inner transport (e.g. to read backend counters while the
-    /// chaos wrapper is owned by an interface).
-    pub fn inner_arc(&self) -> Arc<T> {
-        Arc::clone(&self.inner)
+        self.wire.elapsed()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::LocalSite;
+    use crate::transport::{LatencyTransport, LocalSite};
     use hdsampler_hidden_db::{CountMode, HiddenDb};
     use hdsampler_model::{Attribute, FormInterface, SchemaBuilder, Tuple};
+    use std::sync::Arc;
 
     fn site(count_mode: CountMode) -> LocalSite<HiddenDb> {
         let schema = SchemaBuilder::new()
@@ -771,6 +719,77 @@ mod tests {
 
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(32))]
+
+        /// One virtual wire: a quiet `ChaosTransport` at latency L and a
+        /// `LatencyTransport` at L are the same wire. Any interleaving of
+        /// connects, submits, polls, completions, cancels, causal floors,
+        /// blocking fetches and backoffs gives identical handles, results,
+        /// connection counts and elapsed time.
+        #[test]
+        fn quiet_chaos_and_latency_share_one_wire(
+            latency in 1u64..200,
+            ops in proptest::collection::vec((0u8..8, 0usize..64, 0u64..2_000), 1..120),
+        ) {
+            const PATHS: [&str; 4] =
+                ["/search?make=Honda", "/search?make=Toyota", "/search", "/nosuchpage"];
+            let chaos = ChaosTransport::new(
+                site(CountMode::Exact),
+                ChaosSpec { latency_ms: latency, ..ChaosSpec::default() },
+            );
+            let plain = LatencyTransport::new(site(CountMode::Exact), latency);
+            let mut conns: Vec<(ConnId, ConnId)> = Vec::new();
+            let mut handles: Vec<(FetchHandle, FetchHandle)> = Vec::new();
+            for (op, ix, arg) in ops {
+                match op {
+                    0 => conns.push((chaos.connect(), plain.connect())),
+                    1 if !conns.is_empty() => {
+                        let (a, b) = conns[ix % conns.len()];
+                        let path = PATHS[arg as usize % PATHS.len()];
+                        let pair = (chaos.submit(a, path), plain.submit(b, path));
+                        let key = |h: &FetchHandle| {
+                            (h.conn().index(), h.ready_at_ms(), h.queued_ms(), h.service_ms())
+                        };
+                        proptest::prop_assert_eq!(key(&pair.0), key(&pair.1));
+                        handles.push(pair);
+                    }
+                    2 if !handles.is_empty() => {
+                        let (a, b) = handles.swap_remove(ix % handles.len());
+                        match (chaos.poll(a), plain.poll(b)) {
+                            (FetchPoll::Pending(a), FetchPoll::Pending(b)) => handles.push((a, b)),
+                            (FetchPoll::Ready(a), FetchPoll::Ready(b)) => {
+                                proptest::prop_assert_eq!(a, b)
+                            }
+                            (a, b) => proptest::prop_assert!(false, "poll split: {a:?} vs {b:?}"),
+                        }
+                    }
+                    3 if !handles.is_empty() => {
+                        let (a, b) = handles.swap_remove(ix % handles.len());
+                        proptest::prop_assert_eq!(chaos.complete(a), plain.complete(b));
+                    }
+                    4 if !handles.is_empty() => {
+                        let (a, b) = handles.swap_remove(ix % handles.len());
+                        chaos.cancel(a);
+                        plain.cancel(b);
+                    }
+                    5 if !conns.is_empty() => {
+                        let (a, b) = conns[ix % conns.len()];
+                        chaos.observe_now(a, arg);
+                        plain.observe_now(b, arg);
+                    }
+                    6 => {
+                        let path = PATHS[arg as usize % PATHS.len()];
+                        proptest::prop_assert_eq!(chaos.fetch(path), plain.fetch(path));
+                    }
+                    7 => {
+                        Transport::backoff(&chaos, arg);
+                        Transport::backoff(&plain, arg);
+                    }
+                    _ => {}
+                }
+                proptest::prop_assert_eq!(chaos.connections(), plain.connections());
+                proptest::prop_assert_eq!(chaos.virtual_elapsed_ms(), plain.virtual_elapsed_ms());
+            }
+        }
 
         /// Satellite: any seeded fault schedule is replay-deterministic —
         /// the same seed yields a byte-identical fault sequence, and the

@@ -2,11 +2,11 @@
 //!
 //! [`HttpTransport`] is the live-wire counterpart of
 //! [`LatencyTransport`](crate::transport::LatencyTransport): it implements
-//! the blocking [`Transport`] face (one keep-alive TCP connection per
-//! calling OS thread) *and* the explicit-connection [`AsyncTransport`]
-//! face (one TCP connection per [`ConnId`], requests pipelined in FIFO
-//! order, completions harvested by non-blocking polls) — so the unmodified
-//! walker/driver/session stack samples a live
+//! the blocking [`Transport`] face (one keep-alive TCP connection, which
+//! concurrent callers pipeline on) *and* the explicit-connection
+//! [`AsyncTransport`] face (one TCP connection per [`ConnId`], requests
+//! pipelined in FIFO order, completions harvested by non-blocking polls) —
+//! so the unmodified walker/driver/session stack samples a live
 //! [`hdsampler-server`](https://docs.rs/hdsampler-server) end-to-end over
 //! loopback or a real network.
 //!
@@ -30,7 +30,6 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 use hdsampler_model::InterfaceError;
@@ -90,8 +89,9 @@ pub struct HttpTransport {
     /// `host:port` of the server.
     addr: String,
     conns: Mutex<Vec<Arc<Mutex<HttpConn>>>>,
-    /// Blocking-face binding: one connection per calling thread.
-    by_thread: Mutex<HashMap<ThreadId, ConnId>>,
+    /// The one connection the blocking face rides, opened on first use;
+    /// concurrent callers pipeline on it.
+    blocking: OnceLock<ConnId>,
     next_fetch: AtomicU64,
     requests: AtomicU64,
     bytes_received: AtomicU64,
@@ -115,13 +115,13 @@ impl std::fmt::Debug for HttpTransport {
 
 impl HttpTransport {
     /// A transport that will fetch pages from `addr` (`host:port`).
-    /// Connections are opened lazily, one per thread (blocking face) or
-    /// per [`AsyncTransport::connect`] call.
+    /// Connections are opened lazily: one for the blocking face, one per
+    /// [`AsyncTransport::connect`] call.
     pub fn new(addr: impl Into<String>) -> Self {
         HttpTransport {
             addr: addr.into(),
             conns: Mutex::new(Vec::new()),
-            by_thread: Mutex::new(HashMap::new()),
+            blocking: OnceLock::new(),
             next_fetch: AtomicU64::new(0),
             requests: AtomicU64::new(0),
             bytes_received: AtomicU64::new(0),
@@ -158,11 +158,6 @@ impl HttpTransport {
             .iter()
             .filter(|cell| cell.lock().stream.is_some())
             .count()
-    }
-
-    /// Live `ThreadId → ConnId` bindings held by the blocking face.
-    pub fn thread_bindings(&self) -> usize {
-        self.by_thread.lock().len()
     }
 
     /// Connections currently registered with the reactor's epoll set
@@ -203,24 +198,17 @@ impl HttpTransport {
         c.stream = None;
     }
 
-    /// Close every connection with no outstanding fetch and drop all
-    /// per-thread bindings; returns the number of sockets closed.
+    /// Close the socket of every connection with no outstanding fetch;
+    /// returns the number of sockets closed. The connections stay: the
+    /// next request on one reopens its socket.
     ///
-    /// The blocking face binds one connection per calling `ThreadId` and
-    /// — threads being unobservable once gone — used to keep both the
-    /// binding and its open keep-alive socket for the life of the
-    /// transport, so every dead walker thread stranded a TCP connection.
-    /// Drivers call this between sites (and at the end of a run): sockets
-    /// close, the map empties, and a thread that fetches again simply
-    /// rebinds to a fresh connection on first use. Connections with an
+    /// Drivers call this when a site finishes, so its keep-alive sockets
+    /// do not stay open for the rest of the run. Connections with an
     /// *awaited* in-flight request are left untouched; outstanding
     /// fetches that were all cancelled hold nothing anyone will take, so
     /// their connection closes too (the unread responses die with the
     /// socket).
     pub fn close_idle(&self) -> usize {
-        // Take the binding map first so no new fetch can ride a connection
-        // this sweep is about to close.
-        self.by_thread.lock().clear();
         let conns = self.conns.lock();
         let mut closed = 0;
         for cell in conns.iter() {
@@ -239,13 +227,6 @@ impl HttpTransport {
 
     fn conn(&self, id: ConnId) -> Arc<Mutex<HttpConn>> {
         Arc::clone(&self.conns.lock()[id.index()])
-    }
-
-    /// The connection bound to the calling thread (opened on first use).
-    fn thread_conn(&self) -> ConnId {
-        let tid = std::thread::current().id();
-        let mut map = self.by_thread.lock();
-        *map.entry(tid).or_insert_with(|| self.connect())
     }
 
     fn note_start(&self) {
@@ -589,7 +570,7 @@ impl Transport for HttpTransport {
     }
 
     fn fetch(&self, path: &str) -> Result<String, InterfaceError> {
-        let conn = self.thread_conn();
+        let conn = *self.blocking.get_or_init(|| self.connect());
         let handle = self.submit_on(conn, path);
         let result = self.complete(handle);
         match result {

@@ -12,15 +12,12 @@
 //! numbers without actually sleeping — and so overlapping requests are
 //! billed like overlapping requests.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::ThreadId;
 
 use hdsampler_model::{FormInterface, InterfaceError, Schema};
-use parking_lot::Mutex;
 
-use crate::aio::{AsyncTransport, ConnClocks, ConnId, FetchHandle, FetchPoll};
+use crate::aio::{AsyncTransport, ConnId, FetchHandle, FetchPoll, VirtualWire};
 use crate::form::WebForm;
 use crate::render::render_results_page;
 
@@ -30,18 +27,18 @@ pub trait Transport: Send + Sync {
     fn fetch(&self, path: &str) -> Result<String, InterfaceError>;
 
     /// Close idle keep-alive connections (those with no outstanding work),
-    /// releasing their sockets and any per-thread bindings; returns how
-    /// many were closed. Drivers call this between sites so a transport
-    /// whose walker threads have exited does not strand open sockets for
-    /// its whole lifetime. Virtual and in-process wires hold no OS
-    /// resources per connection, so the default closes nothing.
+    /// releasing their sockets; returns how many were closed. The
+    /// connections themselves stay: the next request on one reopens its
+    /// socket. Drivers call this when a site finishes so its sockets do
+    /// not stay open for the rest of the run. Virtual and in-process wires
+    /// hold no OS resources per connection, so the default closes nothing.
     fn close_idle(&self) -> usize {
         0
     }
 
     /// Wait out a retry backoff of `ms` milliseconds on whatever clock
     /// this wire runs on. Real wires sleep; virtual wires advance the
-    /// calling thread's connection clock instead, so backoff is *billed*
+    /// blocking face's connection clock instead, so backoff is *billed*
     /// (it delays later departures and raises the site's elapsed figure)
     /// without slowing the experiment down.
     fn backoff(&self, ms: u64) {
@@ -156,8 +153,8 @@ impl<F: FormInterface> Transport for LocalSite<F> {
 ///
 /// Two ways to ride a connection:
 ///
-/// * blocking [`Transport::fetch`] binds one connection per calling OS
-///   thread — a multi-threaded walker pool overlaps automatically;
+/// * blocking [`Transport::fetch`] rides one connection, opened on first
+///   use, so its fetches serialize;
 /// * the [`AsyncTransport`] face hands out explicit [`ConnId`]s with
 ///   non-blocking submit/poll/complete, so one thread can keep several
 ///   requests in flight.
@@ -169,12 +166,7 @@ pub struct LatencyTransport<T> {
     jitter_ms: u64,
     /// State of the jitter RNG (a splitmix64 stream keyed off the seed).
     jitter_state: AtomicU64,
-    clocks: ConnClocks,
-    /// Blocking-face binding: one connection per calling thread.
-    by_thread: Mutex<HashMap<ThreadId, ConnId>>,
-    /// Results of submitted fetches awaiting poll/complete.
-    in_flight: Mutex<HashMap<u64, Result<String, InterfaceError>>>,
-    next_fetch: AtomicU64,
+    wire: VirtualWire,
     charged_ms: AtomicU64,
 }
 
@@ -195,10 +187,7 @@ impl<T: Transport> LatencyTransport<T> {
             latency_ms,
             jitter_ms,
             jitter_state: AtomicU64::new(seed),
-            clocks: ConnClocks::default(),
-            by_thread: Mutex::new(HashMap::new()),
-            in_flight: Mutex::new(HashMap::new()),
-            next_fetch: AtomicU64::new(0),
+            wire: VirtualWire::default(),
             charged_ms: AtomicU64::new(0),
         }
     }
@@ -225,7 +214,7 @@ impl<T: Transport> LatencyTransport<T> {
     /// Virtual wall-clock consumed so far: the maximum over all
     /// connections' clocks (overlapping requests overlap).
     pub fn virtual_elapsed_ms(&self) -> u64 {
-        self.clocks.elapsed()
+        self.wire.elapsed()
     }
 
     /// Total latency charged across all fetches (the old serial
@@ -235,45 +224,33 @@ impl<T: Transport> LatencyTransport<T> {
         self.charged_ms.load(Ordering::Relaxed)
     }
 
-    /// Number of virtual connections opened (threads and explicit
-    /// [`AsyncTransport::connect`] calls).
+    /// Number of virtual connections opened (the blocking face's one and
+    /// explicit [`AsyncTransport::connect`] calls).
     pub fn connections(&self) -> usize {
-        self.clocks.connections()
+        self.wire.connections()
     }
 
     /// Submitted fetches whose results have not yet been taken
     /// (completed or cancelled). A figure that grows without bound means
     /// some caller drops handles instead of cancelling them.
     pub fn pending_fetches(&self) -> usize {
-        self.in_flight.lock().len()
+        self.wire.pending()
     }
 
     /// The wrapped transport.
     pub fn inner(&self) -> &T {
         &self.inner
     }
-
-    /// The connection bound to the calling thread (opened on first use).
-    fn thread_conn(&self) -> ConnId {
-        let tid = std::thread::current().id();
-        let mut map = self.by_thread.lock();
-        *map.entry(tid).or_insert_with(|| self.clocks.connect())
-    }
 }
 
 impl<T: Transport> Transport for LatencyTransport<T> {
     fn fetch(&self, path: &str) -> Result<String, InterfaceError> {
-        let conn = self.thread_conn();
-        let handle = self.submit(conn, path);
-        self.complete(handle)
+        let handle = self.submit(self.wire.blocking_conn(), path);
+        self.wire.complete(handle)
     }
 
     fn backoff(&self, ms: u64) {
-        // Virtual wire: bill the wait on the calling thread's connection
-        // clock instead of sleeping.
-        let conn = self.thread_conn();
-        let now = self.clocks.observed(conn);
-        self.clocks.advance_to(conn, now + ms);
+        self.wire.backoff(ms);
     }
 }
 
@@ -285,59 +262,36 @@ impl<T: Transport> Clocked for LatencyTransport<T> {
 
 impl<T: Transport> AsyncTransport for LatencyTransport<T> {
     fn connect(&self) -> ConnId {
-        self.clocks.connect()
+        self.wire.connect()
     }
 
     fn submit(&self, conn: ConnId, path: &str) -> FetchHandle {
         let latency_ms = self.draw_latency_ms();
-        let (ready_at, queued_ms) = self.clocks.schedule_split(conn, latency_ms);
         self.charged_ms.fetch_add(latency_ms, Ordering::Relaxed);
         // The inner fetch is CPU work; only the wire is virtual. Executing
         // it eagerly keeps submit non-blocking in virtual time while the
         // result waits for the clock to catch up.
-        let result = self.inner.fetch(path);
-        let id = self.next_fetch.fetch_add(1, Ordering::Relaxed);
-        self.in_flight.lock().insert(id, result);
-        FetchHandle {
-            conn,
-            id,
-            ready_at,
-            queued_ms,
-            service_ms: latency_ms,
-        }
+        self.wire.submit(conn, latency_ms, self.inner.fetch(path))
     }
 
     fn poll(&self, handle: FetchHandle) -> FetchPoll {
-        if self.clocks.observed(handle.conn) >= handle.ready_at {
-            let result = self
-                .in_flight
-                .lock()
-                .remove(&handle.id)
-                .expect("pending fetch has a stored result");
-            FetchPoll::Ready(result)
-        } else {
-            FetchPoll::Pending(handle)
-        }
+        self.wire.poll(handle)
     }
 
     fn complete(&self, handle: FetchHandle) -> Result<String, InterfaceError> {
-        self.clocks.advance_to(handle.conn, handle.ready_at);
-        self.in_flight
-            .lock()
-            .remove(&handle.id)
-            .expect("pending fetch has a stored result")
+        self.wire.complete(handle)
     }
 
     fn cancel(&self, handle: FetchHandle) {
-        self.in_flight.lock().remove(&handle.id);
+        self.wire.cancel(handle);
     }
 
     fn observe_now(&self, conn: ConnId, now_ms: u64) {
-        self.clocks.advance_to(conn, now_ms);
+        self.wire.advance_to(conn, now_ms);
     }
 
     fn virtual_elapsed_ms(&self) -> u64 {
-        self.clocks.elapsed()
+        self.wire.elapsed()
     }
 }
 
@@ -447,7 +401,7 @@ mod tests {
         for _ in 0..10 {
             t.fetch("/search?make=Honda").unwrap();
         }
-        // One thread = one connection: sequential fetches serialize.
+        // The blocking face rides one connection: fetches serialize.
         assert_eq!(t.virtual_elapsed_ms(), 1_500);
         assert_eq!(t.total_charged_ms(), 1_500);
         assert_eq!(t.connections(), 1);
@@ -455,22 +409,6 @@ mod tests {
             before.elapsed().as_millis() < 1_000,
             "must not actually sleep"
         );
-    }
-
-    #[test]
-    fn overlapping_fetches_cost_max_not_sum() {
-        // Regression for the serial accounting bug: 10 concurrent fetches
-        // at 150 ms must report ~150 ms of virtual wall clock, not 1500 ms.
-        let site = site();
-        let t = LatencyTransport::new(&site, 150);
-        std::thread::scope(|s| {
-            for _ in 0..10 {
-                s.spawn(|| t.fetch("/search?make=Honda").unwrap());
-            }
-        });
-        assert_eq!(t.virtual_elapsed_ms(), 150, "overlap bills the max");
-        assert_eq!(t.total_charged_ms(), 1_500, "total cost still sums");
-        assert_eq!(t.connections(), 10, "one connection per thread");
     }
 
     #[test]

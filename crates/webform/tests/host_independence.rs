@@ -10,7 +10,6 @@
 
 use std::any::Any;
 
-use hdsampler_core::trace::merged_trace;
 use hdsampler_core::{TraceEvent, TraceSink};
 use hdsampler_webform::{Driver, RunPlan, SiteLocator};
 
@@ -45,21 +44,7 @@ impl TraceSink for DigestSink {
         self.events += 1;
     }
 
-    fn fork(&self) -> Box<dyn TraceSink> {
-        Box::new(DigestSink::default())
-    }
-
-    fn merge(&mut self, other: Box<dyn TraceSink>) {
-        let other = merged_trace::<DigestSink>(other);
-        self.absorb(&other.hash.to_le_bytes());
-        self.events += other.events;
-    }
-
     fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
         self
     }
 }
