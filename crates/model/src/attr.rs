@@ -244,21 +244,43 @@ impl Attribute {
     }
 
     /// Resolve a display label back to its domain index (the inverse of
-    /// [`Attribute::label`]); used when scraping result pages.
+    /// [`Attribute::label`]); a linear scan of
+    /// [`accepted_labels`](Attribute::accepted_labels).
     pub fn parse_label(&self, s: &str) -> Option<DomIx> {
+        self.accepted_labels()
+            .find(|&(l, _)| l == s)
+            .map(|(_, v)| v)
+    }
+
+    /// Every string [`parse_label`](Attribute::parse_label) resolves, with
+    /// its domain index, in resolution order: a label listed twice resolves
+    /// to its first index. Boolean attributes also accept `false`/`0` and
+    /// `true`/`1`. Scrapers build their label maps from this list.
+    pub fn accepted_labels(&self) -> Box<dyn Iterator<Item = (&str, DomIx)> + '_> {
         match &self.kind {
-            AttrKind::Boolean => match s {
-                "no" | "false" | "0" => Some(0),
-                "yes" | "true" | "1" => Some(1),
-                _ => None,
-            },
-            AttrKind::Categorical { labels } => {
-                labels.iter().position(|l| l == s).map(|i| i as DomIx)
-            }
-            AttrKind::Numeric { buckets } => buckets
-                .iter()
-                .position(|b| b.label == s)
-                .map(|i| i as DomIx),
+            AttrKind::Boolean => Box::new(
+                [
+                    ("no", 0),
+                    ("false", 0),
+                    ("0", 0),
+                    ("yes", 1),
+                    ("true", 1),
+                    ("1", 1),
+                ]
+                .into_iter(),
+            ),
+            AttrKind::Categorical { labels } => Box::new(
+                labels
+                    .iter()
+                    .enumerate()
+                    .map(|(i, l)| (l.as_str(), i as DomIx)),
+            ),
+            AttrKind::Numeric { buckets } => Box::new(
+                buckets
+                    .iter()
+                    .enumerate()
+                    .map(|(i, b)| (b.label.as_str(), i as DomIx)),
+            ),
         }
     }
 

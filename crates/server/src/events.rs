@@ -2,8 +2,9 @@
 //! onto a chunked SSE stream, plus the [`SampleSink`] that feeds it.
 //!
 //! [`EventHub`] is deliberately dumb: a fan-out of pre-framed SSE
-//! payload strings over `std::sync::mpsc` channels, pruned lazily on
-//! publish. Two producers feed it — [`BridgeSink`] mirrors every
+//! payloads over `std::sync::mpsc` channels, pruned lazily on publish.
+//! Each frame is built once and shared (`Arc<str>`): a burst sits in
+//! memory once however many watchers it reaches. Two producers feed it — [`BridgeSink`] mirrors every
 //! accepted sample a local [`SampleSink`] sees (so a remote
 //! `--watch` over `/events` observes exactly what a local progress
 //! display would), and the server's connection loop publishes
@@ -23,7 +24,7 @@ use hdsampler_webform::telemetry::{event_json, sample_event_json};
 /// the hub can sit permanently in the request path.
 #[derive(Debug, Default)]
 pub struct EventHub {
-    subs: Mutex<Vec<Sender<String>>>,
+    subs: Mutex<Vec<Sender<Arc<str>>>>,
 }
 
 impl EventHub {
@@ -33,7 +34,11 @@ impl EventHub {
     }
 
     /// Open a subscription receiving every frame published from now on.
-    pub fn subscribe(&self) -> Receiver<String> {
+    ///
+    /// The queue is unbounded on purpose: a watcher that reads keeps up
+    /// with any burst, and the reactor sheds one that stops reading by the
+    /// backlog of its own output, not by the hub's queue.
+    pub fn subscribe(&self) -> Receiver<Arc<str>> {
         let (tx, rx) = channel();
         self.subs.lock().expect("hub lock").push(tx);
         rx
@@ -51,8 +56,8 @@ impl EventHub {
         if subs.is_empty() {
             return;
         }
-        let frame = format!("event: {event}\ndata: {data}\n\n");
-        subs.retain(|tx| tx.send(frame.clone()).is_ok());
+        let frame: Arc<str> = format!("event: {event}\ndata: {data}\n\n").into();
+        subs.retain(|tx| tx.send(Arc::clone(&frame)).is_ok());
     }
 
     /// Broadcast an accepted-sample event in its wire form.
@@ -125,12 +130,21 @@ mod tests {
         let a = hub.subscribe();
         let b = hub.subscribe();
         hub.publish_frame("sample", "{}");
-        assert_eq!(a.try_recv().unwrap(), "event: sample\ndata: {}\n\n");
-        assert_eq!(b.try_recv().unwrap(), "event: sample\ndata: {}\n\n");
+        assert_eq!(&*a.try_recv().unwrap(), "event: sample\ndata: {}\n\n");
+        assert_eq!(&*b.try_recv().unwrap(), "event: sample\ndata: {}\n\n");
         drop(a);
         hub.publish_frame("trace", "x");
         assert_eq!(hub.subscribers(), 1, "dead subscriber pruned on publish");
         assert!(b.try_recv().unwrap().starts_with("event: trace\n"));
+    }
+
+    #[test]
+    fn subscribers_share_one_copy_of_each_frame() {
+        let hub = EventHub::new();
+        let (a, b) = (hub.subscribe(), hub.subscribe());
+        hub.publish_frame("blob", &"x".repeat(1 << 16));
+        let (fa, fb) = (a.try_recv().unwrap(), b.try_recv().unwrap());
+        assert!(Arc::ptr_eq(&fa, &fb), "a frame reaches memory once");
     }
 
     #[test]
@@ -152,7 +166,7 @@ mod tests {
         forked.observe(&ev);
         sink.merge(forked);
         sink.observe(&ev);
-        let frames: Vec<String> = rx.try_iter().collect();
+        let frames: Vec<Arc<str>> = rx.try_iter().collect();
         assert_eq!(frames.len(), 2, "fork and parent share the hub");
         assert!(frames[0].contains("\"collected\":1"));
     }

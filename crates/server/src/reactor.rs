@@ -269,7 +269,7 @@ mod serve_loop {
         rejected: bool,
         /// An `/events` watcher's subscription; its timer ticks every
         /// [`IDLE_POLL`] to move frames onto the output.
-        events: Option<Receiver<String>>,
+        events: Option<Receiver<Arc<str>>>,
         /// Ticks since the watcher last got a frame or heartbeat.
         quiet_ticks: u32,
     }
@@ -776,10 +776,12 @@ mod serve_loop {
         slot.machine.set_close_after_flush();
     }
 
-    /// Queue one chunked-transfer chunk carrying `text` on a stream.
+    /// Queue one chunked-transfer chunk carrying `text` on a stream,
+    /// copying `text` only into the output.
     fn queue_chunk(stats: &StatsInner, machine: &mut ConnMachine, text: &str) {
-        let frame = format!("{:X}\r\n{text}\r\n", text.len());
-        queue_stream(stats, machine, frame.as_bytes());
+        queue_stream(stats, machine, format!("{:X}\r\n", text.len()).as_bytes());
+        queue_stream(stats, machine, text.as_bytes());
+        queue_stream(stats, machine, b"\r\n");
     }
 
     /// Queue raw stream bytes, counting them.

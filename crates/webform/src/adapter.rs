@@ -11,6 +11,12 @@
 //! ```
 //!
 //! Every value a sampler ever sees has survived the string round trip.
+//! The request path is percent-encoded straight into one buffer, and the
+//! page comes back through the form's
+//! [`PageCodec`](crate::form::PageCodec) and its one-pass scraper, on the
+//! blocking path ([`FormInterface::execute`]) and the non-blocking one
+//! ([`WebFormInterface::poll_query`], [`WebFormInterface::complete_query`])
+//! alike.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -20,7 +26,6 @@ use hdsampler_model::{ConjunctiveQuery, FormInterface, InterfaceError, QueryResp
 use crate::aio::{AsyncTransport, ConnId, FetchHandle, FetchPoll};
 use crate::chaos::RetryPolicy;
 use crate::form::WebForm;
-use crate::scrape::scrape_results_page;
 use crate::transport::Transport;
 
 /// Token for one in-flight query on the non-blocking execute path.
@@ -197,9 +202,9 @@ impl<T: AsyncTransport> WebFormInterface<T> {
     pub fn poll_query(&self, handle: QueryHandle) -> QueryPoll {
         match self.transport.poll(handle.fetch) {
             FetchPoll::Pending(fetch) => QueryPoll::Pending(QueryHandle { fetch }),
-            FetchPoll::Ready(page) => QueryPoll::Ready(
-                page.and_then(|html| scrape_results_page(self.form.schema(), &html)),
-            ),
+            FetchPoll::Ready(page) => {
+                QueryPoll::Ready(page.and_then(|html| self.form.codec().scrape_page(&html)))
+            }
         }
     }
 
@@ -207,7 +212,7 @@ impl<T: AsyncTransport> WebFormInterface<T> {
     /// the page.
     pub fn complete_query(&self, handle: QueryHandle) -> Result<QueryResponse, InterfaceError> {
         let page = self.transport.complete(handle.fetch)?;
-        scrape_results_page(self.form.schema(), &page)
+        self.form.codec().scrape_page(&page)
     }
 
     /// Abandon a submitted query, releasing its buffered page. The fetch
@@ -232,7 +237,7 @@ impl<T: Transport> FormInterface for WebFormInterface<T> {
         let mut attempt = 0u32;
         loop {
             match self.transport.fetch(&path) {
-                Ok(page) => return scrape_results_page(self.form.schema(), &page),
+                Ok(page) => return self.form.codec().scrape_page(&page),
                 Err(e) if e.is_transient() && attempt < self.retry.max_retries => {
                     let wait = self.retry.backoff_ms(attempt, e.retry_after_ms());
                     self.note_retry(wait);

@@ -1,11 +1,15 @@
 //! The web form a site derives from its schema — the machine-readable
-//! counterpart of the demo's Figure 3 attribute-settings page.
+//! counterpart of the demo's Figure 3 attribute-settings page — and the
+//! [`PageCodec`] both sides of the wire share: request paths, results
+//! pages and their scraping, all from tables built once per schema.
 
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use hdsampler_model::{AttrKind, ConjunctiveQuery, ModelError, Schema};
+use hdsampler_model::{AttrKind, ConjunctiveQuery, DomIx, ModelError, Schema};
 
-use crate::render::escape_html;
+use crate::render::{escape_html, MEASURE_CELL_MIN, ROW_FIXED_MIN};
 use crate::urlenc;
 
 /// A conjunctive web form: one select field per attribute, each with an
@@ -14,12 +18,110 @@ use crate::urlenc;
 pub struct WebForm {
     schema: Arc<Schema>,
     action: String,
+    codec: PageCodec,
+}
+
+/// The codec of one schema's request paths and results pages, built once
+/// per [`WebForm`]: every attribute's label → [`DomIx`] map (Boolean
+/// aliases included), every label's escaped results-table cell and the
+/// escaped header row, so decoding a request, rendering a page
+/// ([`PageCodec::render_page`]) and scraping one
+/// ([`PageCodec::scrape_page`]) never format, escape or scan a vocabulary
+/// per cell.
+#[derive(Debug, Clone)]
+pub struct PageCodec {
+    pub(crate) attrs: Vec<AttrCodec>,
+    /// `<tr><th>id</th><th>NAME</th>…</tr>\n`, names escaped.
+    pub(crate) header_row: String,
+    /// The header's cell texts as rendered: `id`, then every escaped
+    /// attribute and measure name.
+    pub(crate) header_cells: Vec<Box<str>>,
+    /// The fewest bytes one rendered row can take.
+    pub(crate) row_min: usize,
+}
+
+/// One attribute's share of a [`PageCodec`].
+#[derive(Debug, Clone)]
+pub(crate) struct AttrCodec {
+    /// The attribute's name, as error messages quote it.
+    pub(crate) name: Box<str>,
+    /// Per domain value: its whole results-table cell, `<td>LABEL</td>`
+    /// with the label escaped.
+    pub(crate) cells: Vec<Box<str>>,
+    /// Every label [`Attribute::parse_label`](hdsampler_model::Attribute::parse_label)
+    /// accepts, mapped to its index (first listing wins).
+    pub(crate) by_label: HashMap<Box<str>, DomIx>,
+}
+
+impl AttrCodec {
+    /// The index of a raw (unescaped, percent-decoded) label.
+    pub(crate) fn lookup(&self, label: &str) -> Option<DomIx> {
+        self.by_label.get(label).copied()
+    }
+}
+
+impl PageCodec {
+    /// Build the codec of `schema`.
+    pub fn new(schema: &Schema) -> Self {
+        let attrs: Vec<AttrCodec> = schema
+            .attributes()
+            .iter()
+            .map(|attr| {
+                let mut by_label = HashMap::new();
+                for (label, v) in attr.accepted_labels() {
+                    by_label.entry(label.into()).or_insert(v);
+                }
+                AttrCodec {
+                    name: attr.name().into(),
+                    cells: attr
+                        .domain()
+                        .map(|v| format!("<td>{}</td>", escape_html(&attr.label(v))).into())
+                        .collect(),
+                    by_label,
+                }
+            })
+            .collect();
+        let header_cells: Vec<Box<str>> = std::iter::once("id".into())
+            .chain(
+                schema
+                    .attributes()
+                    .iter()
+                    .map(|a| escape_html(a.name()).into()),
+            )
+            .chain(
+                schema
+                    .measures()
+                    .iter()
+                    .map(|m| escape_html(m.name()).into()),
+            )
+            .collect();
+        let mut header_row = String::from("<tr>");
+        for cell in &header_cells {
+            header_row.push_str("<th>");
+            header_row.push_str(cell);
+            header_row.push_str("</th>");
+        }
+        header_row.push_str("</tr>\n");
+        let row_min = ROW_FIXED_MIN
+            + attrs
+                .iter()
+                .map(|a: &AttrCodec| a.cells.iter().map(|c| c.len()).min().unwrap_or(0))
+                .sum::<usize>()
+            + MEASURE_CELL_MIN * schema.measure_arity();
+        PageCodec {
+            attrs,
+            header_row,
+            header_cells,
+            row_min,
+        }
+    }
 }
 
 impl WebForm {
     /// Form for `schema`, submitting to `action` (e.g. `/search`).
     pub fn new(schema: Arc<Schema>, action: impl Into<String>) -> Self {
         WebForm {
+            codec: PageCodec::new(&schema),
             schema,
             action: action.into(),
         }
@@ -35,21 +137,27 @@ impl WebForm {
         &self.action
     }
 
-    /// Encode a query as the GET request path this form would submit.
+    /// The codec of this form's request paths and results pages.
+    pub fn codec(&self) -> &PageCodec {
+        &self.codec
+    }
+
+    /// Encode a query as the GET request path this form would submit:
+    /// `ACTION?name=label&…`, both sides percent-encoded, predicates in
+    /// attribute order.
     pub fn request_path(&self, query: &ConjunctiveQuery) -> String {
-        let pairs: Vec<(String, String)> = query
-            .predicates()
-            .iter()
-            .map(|p| {
-                let attr = self.schema.attr_unchecked(p.attr);
-                (attr.name().to_owned(), attr.label(p.value).into_owned())
-            })
-            .collect();
-        if pairs.is_empty() {
-            self.action.clone()
-        } else {
-            format!("{}?{}", self.action, urlenc::build_query(&pairs))
+        let mut out = String::with_capacity(self.action.len() + 32 * query.len());
+        out.push_str(&self.action);
+        let mut sep = '?';
+        for p in query.predicates() {
+            let attr = self.schema.attr_unchecked(p.attr);
+            out.push(sep);
+            urlenc::encode_into(&mut out, attr.name());
+            out.push('=');
+            urlenc::encode_into(&mut out, &attr.label(p.value));
+            sep = '&';
         }
+        out
     }
 
     /// Decode a GET request path back into a query (server side).
@@ -70,9 +178,20 @@ impl WebForm {
             None => return Ok(ConjunctiveQuery::empty()),
             Some((_, qs)) => qs,
         };
-        let pairs = urlenc::parse_query(qs).ok_or_else(|| ModelError::UnknownAttribute {
+        let malformed = || ModelError::UnknownAttribute {
             name: format!("<malformed: {qs}>"),
-        })?;
+        };
+        // Every pair decodes before any resolves, so a malformed pair
+        // anywhere outranks an unknown field before it.
+        let mut pairs: Vec<(Cow<'_, str>, Cow<'_, str>)> = Vec::new();
+        if !qs.is_empty() {
+            for part in qs.split('&') {
+                let (name, label) = part.split_once('=').ok_or_else(malformed)?;
+                let name = urlenc::decode_cow(name).ok_or_else(malformed)?;
+                let label = urlenc::decode_cow(label).ok_or_else(malformed)?;
+                pairs.push((name, label));
+            }
+        }
         let mut query = ConjunctiveQuery::empty();
         for (name, label) in &pairs {
             // The field must exist even when left at "any" — a field the
@@ -81,12 +200,10 @@ impl WebForm {
             if label.is_empty() {
                 continue;
             }
-            let value = self
-                .schema
-                .attr_unchecked(attr)
-                .parse_label(label)
+            let value = self.codec.attrs[attr.index()]
+                .lookup(label)
                 .ok_or_else(|| ModelError::ValueOutOfRange {
-                    attr: name.clone(),
+                    attr: name.to_string(),
                     value: u16::MAX,
                     domain_size: self.schema.domain_size(attr),
                 })?;

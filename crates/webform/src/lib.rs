@@ -12,10 +12,13 @@
 //! string-typed round trip exactly as a real scraper's would.
 //!
 //! * [`form`] — the `<form>` definition a site derives from its schema
-//!   (the demo's Figure 3 attribute-settings page);
+//!   (the demo's Figure 3 attribute-settings page), and its
+//!   [`PageCodec`]: the request-path, page-render and page-scrape tables
+//!   built once per schema;
 //! * [`urlenc`] — percent/query-string encoding (hand-rolled, no deps);
-//! * [`render`] — server-side page rendering;
-//! * [`scrape`] — client-side page scraping;
+//! * [`render`] — server-side page rendering ([`PageCodec::render_page`]);
+//! * [`scrape`] — client-side page scraping ([`PageCodec::scrape_page`],
+//!   one forward pass) and schema discovery off a form page;
 //! * [`transport`] — the wire: a [`Transport`] trait, the in-process
 //!   [`LocalSite`] server, and a virtual-latency decorator for
 //!   time-to-insight experiments;
@@ -66,6 +69,8 @@ pub mod driver;
 pub mod form;
 pub mod httpc;
 pub mod locator;
+#[cfg(test)]
+mod oracle;
 pub mod plan;
 pub mod reactor;
 pub mod render;
@@ -81,7 +86,7 @@ pub use chaos::{ChaosCounters, ChaosSpec, ChaosTransport, Decision, Fault, Retry
 pub use connect::{BoxTransport, ConnectOptions, Connector, ConnectorRegistry, LocalParams};
 pub use coop::{CoopDriver, CoopSiteDetail};
 pub use driver::{FleetConfig, FleetReport, SiteReport, SiteTask};
-pub use form::WebForm;
+pub use form::{PageCodec, WebForm};
 pub use httpc::HttpTransport;
 pub use locator::SiteLocator;
 pub use plan::{Driver, RunPlan, RunReport};

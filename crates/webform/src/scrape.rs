@@ -1,123 +1,323 @@
-//! Client-side scraping of result pages.
+//! Client-side scraping of result pages and form pages.
 //!
-//! A small, purpose-built extractor (no external parser): it locates the
-//! count banner, the overflow notice, and the `<table class="results">`,
-//! then walks `<tr>`/`<td>` pairs, mapping display labels back to domain
-//! indices through the schema. Malformed pages surface as
-//! [`InterfaceError::Parse`] — the error a real scraper must handle when a
-//! site changes its markup.
+//! A small, purpose-built extractor (no external parser). Results pages
+//! are read by [`PageCodec::scrape_page`] in one forward pass: it finds
+//! `<table class="results">`, reads the count banner and the overflow
+//! notice from the head of the page before the table only, then walks the
+//! table's `<` bytes once with plain byte scans, collecting each row's
+//! cells as borrowed `&str`s into one buffer reused for the whole page. Labels map back to domain indices through the codec's
+//! label maps; only cells containing `&` are unescaped, into one reused
+//! string. The header row must name the schema's columns in order, so a
+//! site that reorders its columns is a parse error, not a silent
+//! mis-scrape. Every other page — truncated, with cells dropped or
+//! doubled, bad keys, labels or measures — gives exactly the result or
+//! [`InterfaceError::Parse`] message of the straightforward nested-search
+//! scraper kept as the test oracle (`oracle.rs`).
 
 use hdsampler_model::{
     Attribute, Bucket, DomIx, InterfaceError, Measure, QueryResponse, Row, Schema, SchemaBuilder,
 };
 
-use crate::render::unescape_html;
+use crate::form::PageCodec;
+use crate::render::{unescape_html, unescape_into};
 
-/// Extract the inner text of the first `<div class="CLASS">…</div>`.
-fn div_text<'a>(html: &'a str, class: &str) -> Option<&'a str> {
-    let marker = format!("<div class=\"{class}\">");
-    let start = html.find(&marker)? + marker.len();
-    let end = html[start..].find("</div>")? + start;
-    Some(&html[start..end])
+const TABLE_OPEN: &str = "<table class=\"results\">";
+const TABLE_CLOSE: &str = "</table>";
+const ROW_OPEN: &str = "<tr";
+const ROW_CLOSE: &str = "</tr>";
+const COUNT_OPEN: &str = "<div class=\"count\">";
+const OVERFLOW_OPEN: &str = "<div class=\"overflow\">";
+
+/// Whether `html` holds `pat` at byte `at`.
+fn is_at(html: &str, at: usize, pat: &str) -> bool {
+    html.as_bytes()[at..].starts_with(pat.as_bytes())
 }
 
-/// All inner texts of `tag` within `fragment` (non-nested, as rendered).
-fn cell_texts<'a>(fragment: &'a str, tag: &str) -> Vec<&'a str> {
-    let open_prefix = format!("<{tag}");
-    let close = format!("</{tag}>");
-    let mut cells = Vec::new();
-    let mut pos = 0;
-    while let Some(rel) = fragment[pos..].find(&open_prefix) {
-        let tag_start = pos + rel;
-        let Some(gt) = fragment[tag_start..].find('>') else {
-            break;
-        };
-        let content_start = tag_start + gt + 1;
-        let Some(rel_end) = fragment[content_start..].find(&close) else {
-            break;
-        };
-        cells.push(&fragment[content_start..content_start + rel_end]);
-        pos = content_start + rel_end + close.len();
+/// The first `byte` at or after `from`. A plain byte loop: the spans
+/// between a page's tags are a few bytes long, shorter than the set-up
+/// of a `memchr`.
+fn next_byte(html: &str, from: usize, byte: u8) -> Option<usize> {
+    html.as_bytes()
+        .get(from..)?
+        .iter()
+        .position(|&b| b == byte)
+        .map(|rel| from + rel)
+}
+
+/// The first `<` at or after `from`.
+fn next_lt(html: &str, from: usize) -> Option<usize> {
+    next_byte(html, from, b'<')
+}
+
+/// The first `>` at or after `from`.
+fn next_gt(html: &str, from: usize) -> Option<usize> {
+    next_byte(html, from, b'>')
+}
+
+/// The first occurrence of `pat` (which starts with `<`) at or after
+/// `from`.
+fn find_tag(html: &str, from: usize, pat: &str) -> Option<usize> {
+    let mut at = from;
+    while let Some(i) = next_lt(html, at) {
+        if is_at(html, i, pat) {
+            return Some(i);
+        }
+        at = i + 1;
     }
-    cells
+    None
 }
 
-/// Parse a count banner "About 12,000 results" into the number.
+/// The inner text of the first `OPEN…</div>` within `head`.
+fn div_text<'a>(head: &'a str, open: &str) -> Option<&'a str> {
+    let start = find_tag(head, 0, open)? + open.len();
+    let end = find_tag(head, start, "</div>")?;
+    Some(&head[start..end])
+}
+
+/// Parse a count banner "About 12,000 results" into the number: its
+/// digits, read as one `u64` (`None` with no digit, or past `u64::MAX`).
 fn parse_count_banner(text: &str) -> Option<u64> {
-    let digits: String = text.chars().filter(char::is_ascii_digit).collect();
-    digits.parse().ok()
+    let mut digits = text.bytes().filter(u8::is_ascii_digit).peekable();
+    digits.peek()?;
+    digits.try_fold(0u64, |n, d| {
+        n.checked_mul(10)?.checked_add(u64::from(d - b'0'))
+    })
 }
 
-/// Scrape a results page back into a [`QueryResponse`].
+/// What [`scan_row`] found.
+enum RowScan {
+    /// A row `<tr…>…</tr>`, its cells in the buffer; the scan resumes at
+    /// `next`.
+    Row { next: usize },
+    /// The table's first `</table>`, before any further complete row.
+    TableEnd,
+    /// The page ends with no `</table>` at all.
+    Unterminated,
+}
+
+/// Scan from `pos` (inside the table, every `<` before it already seen)
+/// for the next row, pushing the inner text of each of its cells onto
+/// `cells`: `<th>` cells when `HEADER`, else `<td>` cells (a constant, so
+/// every tag comparison compiles to a few byte compares).
 ///
-/// # Errors
-/// [`InterfaceError::Parse`] when the page lacks the results table, a row
-/// has the wrong number of cells, or a label/number fails to parse.
-pub fn scrape_results_page(schema: &Schema, html: &str) -> Result<QueryResponse, InterfaceError> {
-    let reported_count = div_text(html, "count").and_then(parse_count_banner);
-    let overflow = div_text(html, "overflow").is_some();
-
-    let table_start = html
-        .find("<table class=\"results\">")
-        .ok_or_else(|| InterfaceError::Parse("results table missing".into()))?;
-    let table_end = html[table_start..]
-        .find("</table>")
-        .map(|e| table_start + e)
-        .ok_or_else(|| InterfaceError::Parse("results table unterminated".into()))?;
-    let table = &html[table_start..table_end];
-
-    let expected_cells = 1 + schema.arity() + schema.measure_arity();
-    let mut rows = Vec::new();
-    for (tr_ix, tr) in cell_texts(table, "tr").into_iter().enumerate() {
-        if tr_ix == 0 {
-            // Header row: sanity-check the column count so schema drift is
-            // detected loudly rather than mis-scraped silently.
-            let headers = cell_texts(tr, "th");
-            if headers.len() != expected_cells {
-                return Err(InterfaceError::Parse(format!(
-                    "header has {} columns, schema expects {expected_cells}",
-                    headers.len()
-                )));
+/// The rules are those of the nested searches this replaced, met in one
+/// pass: a row is the first `<tr` and its next `>`, up to the first
+/// `</tr>`; a cell is the first `<td` (or `<th`) in the row, its next `>`,
+/// up to the first `</td>`; nothing counts past the first `</table>`. A cell whose
+/// `>` or close tag is not in the row ends the row's cells, and a row or
+/// cell cut by `</table>` ends the table. Every `<` on the way is
+/// checked for `</tr>` and `</table>`, which is how a search that would
+/// run past either is detected without a second pass.
+fn scan_row<'a, const HEADER: bool>(
+    html: &'a str,
+    pos: usize,
+    cells: &mut Vec<&'a str>,
+) -> RowScan {
+    let (open, close) = if HEADER {
+        ("<th", "</th>")
+    } else {
+        ("<td", "</td>")
+    };
+    cells.clear();
+    let mut pos = pos;
+    let tr = loop {
+        let Some(i) = next_lt(html, pos) else {
+            return RowScan::Unterminated;
+        };
+        if is_at(html, i, TABLE_CLOSE) {
+            return RowScan::TableEnd;
+        }
+        if is_at(html, i, ROW_OPEN) {
+            break i;
+        }
+        pos = i + 1;
+    };
+    let Some(gt) = next_gt(html, tr + ROW_OPEN.len()) else {
+        return RowScan::Unterminated;
+    };
+    if html[tr + ROW_OPEN.len()..gt]
+        .match_indices('<')
+        .any(|(j, _)| is_at(html, tr + ROW_OPEN.len() + j, TABLE_CLOSE))
+    {
+        return RowScan::TableEnd;
+    }
+    // A `</tr>` or `</table>` met where the scan expected more of the row.
+    let stop = |j: usize| {
+        if is_at(html, j, ROW_CLOSE) {
+            Some(RowScan::Row {
+                next: j + ROW_CLOSE.len(),
+            })
+        } else if is_at(html, j, TABLE_CLOSE) {
+            Some(RowScan::TableEnd)
+        } else {
+            None
+        }
+    };
+    let mut pos = gt + 1;
+    loop {
+        let Some(i) = next_lt(html, pos) else {
+            return RowScan::Unterminated;
+        };
+        if !is_at(html, i, open) {
+            if let Some(end) = stop(i) {
+                return end;
             }
+            pos = i + 1;
             continue;
         }
-        let cells = cell_texts(tr, "td");
-        if cells.len() != expected_cells {
-            return Err(InterfaceError::Parse(format!(
-                "row {tr_ix} has {} cells, expected {expected_cells}",
+        let attrs = i + open.len();
+        let Some(gt) = next_gt(html, attrs) else {
+            return RowScan::Unterminated;
+        };
+        if let Some(end) = html[attrs..gt]
+            .match_indices('<')
+            .find_map(|(j, _)| stop(attrs + j))
+        {
+            return end;
+        }
+        let mut at = gt + 1;
+        loop {
+            let Some(j) = next_lt(html, at) else {
+                return RowScan::Unterminated;
+            };
+            if is_at(html, j, close) {
+                cells.push(&html[gt + 1..j]);
+                pos = j + close.len();
+                break;
+            }
+            if let Some(end) = stop(j) {
+                return end;
+            }
+            at = j + 1;
+        }
+    }
+}
+
+fn parse_err(msg: impl Into<String>) -> InterfaceError {
+    InterfaceError::Parse(msg.into())
+}
+
+impl PageCodec {
+    /// Scrape a results page back into a [`QueryResponse`].
+    ///
+    /// # Errors
+    /// [`InterfaceError::Parse`] when the page lacks the results table
+    /// (or its `</table>`), the header row does not name the schema's
+    /// columns in order, a row has the wrong number of cells, or a
+    /// key/label/number fails to parse.
+    pub fn scrape_page(&self, html: &str) -> Result<QueryResponse, InterfaceError> {
+        let table =
+            find_tag(html, 0, TABLE_OPEN).ok_or_else(|| parse_err("results table missing"))?;
+        let head = &html[..table];
+        let reported_count = div_text(head, COUNT_OPEN).and_then(parse_count_banner);
+        let overflow = div_text(head, OVERFLOW_OPEN).is_some();
+        let unterminated = || parse_err("results table unterminated");
+
+        let mut cells: Vec<&str> = Vec::with_capacity(self.header_cells.len());
+        let mut unescaped = String::new();
+        let mut rows = Vec::new();
+        let mut pos = table + TABLE_OPEN.len();
+        for tr_ix in 0.. {
+            let scan = if tr_ix == 0 {
+                scan_row::<true>(html, pos, &mut cells)
+            } else {
+                scan_row::<false>(html, pos, &mut cells)
+            };
+            let next = match scan {
+                RowScan::Row { next } => next,
+                RowScan::TableEnd => break,
+                RowScan::Unterminated => return Err(unterminated()),
+            };
+            let scraped = if tr_ix == 0 {
+                self.check_header(&cells)
+            } else {
+                self.scrape_row(tr_ix, &cells, &mut unescaped)
+                    .map(|row| rows.push(row))
+            };
+            if let Err(e) = scraped {
+                // A table with no `</table>` outranks any row's error.
+                return Err(match find_tag(html, next, TABLE_CLOSE) {
+                    Some(_) => e,
+                    None => unterminated(),
+                });
+            }
+            pos = next;
+        }
+        Ok(QueryResponse {
+            rows,
+            overflow,
+            reported_count,
+        })
+    }
+
+    /// The header row must read `id`, then every attribute and measure
+    /// name (escaped) in schema order; whitespace around a name is not
+    /// compared, as it is not around any cell.
+    fn check_header(&self, cells: &[&str]) -> Result<(), InterfaceError> {
+        let expected = self.header_cells.len();
+        if cells.len() != expected {
+            return Err(parse_err(format!(
+                "header has {} columns, schema expects {expected}",
+                cells.len()
+            )));
+        }
+        for (i, (cell, want)) in cells.iter().zip(&self.header_cells).enumerate() {
+            if cell.trim() != want.trim() {
+                return Err(parse_err(format!(
+                    "header column {} reads `{}`, schema expects `{want}`",
+                    i + 1,
+                    cell.trim()
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// One data row's cells, the `tr_ix`-th row of the table.
+    fn scrape_row(
+        &self,
+        tr_ix: usize,
+        cells: &[&str],
+        unescaped: &mut String,
+    ) -> Result<Row, InterfaceError> {
+        let expected = self.header_cells.len();
+        if cells.len() != expected {
+            return Err(parse_err(format!(
+                "row {tr_ix} has {} cells, expected {expected}",
                 cells.len()
             )));
         }
         let key: u64 = cells[0]
             .trim()
             .parse()
-            .map_err(|_| InterfaceError::Parse(format!("bad listing key `{}`", cells[0])))?;
-        let mut values: Vec<DomIx> = Vec::with_capacity(schema.arity());
-        for (id, attr) in schema.iter() {
-            let text = unescape_html(cells[1 + id.index()].trim());
-            let v = attr.parse_label(&text).ok_or_else(|| {
-                InterfaceError::Parse(format!(
+            .map_err(|_| parse_err(format!("bad listing key `{}`", cells[0])))?;
+        let (labels, measure_cells) = cells[1..].split_at(self.attrs.len());
+        let mut values: Vec<DomIx> = Vec::with_capacity(labels.len());
+        for (attr, cell) in self.attrs.iter().zip(labels) {
+            let mut text = cell.trim();
+            if text.as_bytes().contains(&b'&') {
+                unescaped.clear();
+                unescape_into(text, unescaped);
+                text = unescaped;
+            }
+            let v = attr.lookup(text).ok_or_else(|| {
+                parse_err(format!(
                     "unknown label `{text}` for attribute `{}`",
-                    attr.name()
+                    attr.name
                 ))
             })?;
             values.push(v);
         }
-        let mut measures = Vec::with_capacity(schema.measure_arity());
-        for m in 0..schema.measure_arity() {
-            let text = cells[1 + schema.arity() + m].trim();
+        let mut measures = Vec::with_capacity(measure_cells.len());
+        for cell in measure_cells {
+            let text = cell.trim();
             let x: f64 = text
                 .parse()
-                .map_err(|_| InterfaceError::Parse(format!("bad measure `{text}`")))?;
+                .map_err(|_| parse_err(format!("bad measure `{text}`")))?;
             measures.push(x);
         }
-        rows.push(Row::new(key, values, measures));
+        Ok(Row::new(key, values, measures))
     }
-    Ok(QueryResponse {
-        rows,
-        overflow,
-        reported_count,
-    })
 }
 
 /// Everything schema discovery learns from one fetch of a site's form
@@ -186,10 +386,6 @@ fn elements<'a>(fragment: &'a str, tag: &str) -> Vec<(&'a str, &'a str)> {
         pos = content_start + rel_end + close.len();
     }
     out
-}
-
-fn parse_err(msg: impl Into<String>) -> InterfaceError {
-    InterfaceError::Parse(msg.into())
 }
 
 /// Rebuild one attribute from its `<select>` element.
@@ -292,7 +488,7 @@ pub fn scrape_form_page(html: &str) -> Result<DiscoveredForm, InterfaceError> {
         .into_iter()
         .find(|(attrs, _)| tag_attr(attrs, "class").as_deref() == Some("measures"))
     {
-        for li in cell_texts(ul, "li") {
+        for (_, li) in elements(ul, "li") {
             builder = builder.measure(Measure::new(unescape_html(li.trim())));
         }
     }
@@ -311,7 +507,6 @@ pub fn scrape_form_page(html: &str) -> Result<DiscoveredForm, InterfaceError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::render::render_results_page;
     use hdsampler_model::{Attribute, Measure, SchemaBuilder};
 
     fn schema() -> Schema {
@@ -338,8 +533,8 @@ mod tests {
     fn render_scrape_roundtrip_is_exact() {
         let s = schema();
         let resp = response();
-        let html = render_results_page(&s, &resp, 500);
-        let back = scrape_results_page(&s, &html).unwrap();
+        let html = PageCodec::new(&s).render_page(&resp, 500);
+        let back = PageCodec::new(&s).scrape_page(&html).unwrap();
         assert_eq!(back, resp, "bit-exact round trip incl. floats and entities");
     }
 
@@ -351,9 +546,45 @@ mod tests {
             overflow: false,
             reported_count: None,
         };
-        let html = render_results_page(&s, &resp, 500);
-        let back = scrape_results_page(&s, &html).unwrap();
+        let html = PageCodec::new(&s).render_page(&resp, 500);
+        let back = PageCodec::new(&s).scrape_page(&html).unwrap();
         assert_eq!(back, resp);
+    }
+
+    #[test]
+    fn swapped_header_columns_are_a_parse_error() {
+        // A site listing its two Boolean columns in the other order: both
+        // share one vocabulary, so every cell still parses.
+        let ours = SchemaBuilder::new()
+            .attribute(Attribute::boolean("used"))
+            .attribute(Attribute::boolean("certified"))
+            .finish()
+            .unwrap();
+        let theirs = SchemaBuilder::new()
+            .attribute(Attribute::boolean("certified"))
+            .attribute(Attribute::boolean("used"))
+            .finish()
+            .unwrap();
+        // One listing: used, not certified.
+        let page = PageCodec::new(&theirs).render_page(
+            &QueryResponse {
+                rows: vec![Row::new(1, vec![0, 1], vec![])],
+                overflow: false,
+                reported_count: None,
+            },
+            10,
+        );
+        // Counting the header's cells only, the reference scraper reads the
+        // listing as certified and not used.
+        let counted = crate::oracle::scrape_results_page(&ours, &page).unwrap();
+        assert_eq!(counted.rows[0].values[..], [0, 1]);
+        let err = PageCodec::new(&ours).scrape_page(&page).unwrap_err();
+        assert_eq!(
+            err,
+            InterfaceError::Parse(
+                "header column 2 reads `certified`, schema expects `used`".into()
+            )
+        );
     }
 
     #[test]
@@ -366,7 +597,9 @@ mod tests {
     #[test]
     fn missing_table_is_a_parse_error() {
         let s = schema();
-        let err = scrape_results_page(&s, "<html><body>oops</body></html>").unwrap_err();
+        let err = PageCodec::new(&s)
+            .scrape_page("<html><body>oops</body></html>")
+            .unwrap_err();
         assert!(matches!(err, InterfaceError::Parse(_)));
     }
 
@@ -376,7 +609,7 @@ mod tests {
         let html = "<table class=\"results\">\
                     <tr><th>id</th><th>make</th></tr>\
                     </table>";
-        let err = scrape_results_page(&s, html).unwrap_err();
+        let err = PageCodec::new(&s).scrape_page(html).unwrap_err();
         assert!(matches!(err, InterfaceError::Parse(msg) if msg.contains("header")));
     }
 
@@ -388,7 +621,7 @@ mod tests {
             <tr><td>notanumber</td><td>Toyota</td><td>no</td><td>1.0</td></tr>\
             </table>";
         assert!(matches!(
-            scrape_results_page(&s, html),
+            PageCodec::new(&s).scrape_page(html),
             Err(InterfaceError::Parse(msg)) if msg.contains("listing key")
         ));
 
@@ -397,7 +630,7 @@ mod tests {
             <tr><td>1</td><td>Tesla</td><td>no</td><td>1.0</td></tr>\
             </table>";
         assert!(matches!(
-            scrape_results_page(&s, html),
+            PageCodec::new(&s).scrape_page(html),
             Err(InterfaceError::Parse(msg)) if msg.contains("Tesla")
         ));
     }

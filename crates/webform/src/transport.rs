@@ -19,7 +19,6 @@ use hdsampler_model::{FormInterface, InterfaceError, Schema};
 
 use crate::aio::{AsyncTransport, ConnId, FetchHandle, FetchPoll, VirtualWire};
 use crate::form::WebForm;
-use crate::render::render_results_page;
 
 /// A page fetcher.
 pub trait Transport: Send + Sync {
@@ -132,11 +131,10 @@ impl<F: FormInterface> Transport for LocalSite<F> {
             .parse_request_path(path)
             .map_err(|e| InterfaceError::SchemaMismatch(format!("400 bad request: {e}")))?;
         let response = self.backend.execute(&query)?;
-        Ok(render_results_page(
-            self.form.schema(),
-            &response,
-            self.backend.result_limit(),
-        ))
+        Ok(self
+            .form
+            .codec()
+            .render_page(&response, self.backend.result_limit()))
     }
 }
 

@@ -5,9 +5,17 @@
 //! is `%XX`-escaped. Spaces are encoded as `%20` (not `+`) to keep the
 //! decoder single-purpose.
 
+use std::borrow::Cow;
+
 /// Percent-encode a UTF-8 string.
 pub fn encode(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    encode_into(&mut out, s);
+    out
+}
+
+/// Append [`encode`]`(s)` to `out`.
+pub fn encode_into(out: &mut String, s: &str) {
     for &b in s.as_bytes() {
         match b {
             b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => {
@@ -28,12 +36,19 @@ pub fn encode(s: &str) -> String {
             }
         }
     }
-    out
 }
 
 /// Decode a percent-encoded string. Returns `None` on malformed escapes or
 /// invalid UTF-8.
 pub fn decode(s: &str) -> Option<String> {
+    decode_cow(s).map(Cow::into_owned)
+}
+
+/// [`decode`], borrowing `s` when it holds no escape (nothing to decode).
+pub fn decode_cow(s: &str) -> Option<Cow<'_, str>> {
+    if !s.contains('%') {
+        return Some(Cow::Borrowed(s));
+    }
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
@@ -53,7 +68,7 @@ pub fn decode(s: &str) -> Option<String> {
             }
         }
     }
-    String::from_utf8(out).ok()
+    String::from_utf8(out).ok().map(Cow::Owned)
 }
 
 /// Build a query string from `(key, value)` pairs: `k1=v1&k2=v2`, both

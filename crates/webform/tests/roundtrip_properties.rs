@@ -5,10 +5,9 @@
 use std::sync::Arc;
 
 use hdsampler_model::{Attribute, Measure, QueryResponse, Row, SchemaBuilder};
-use hdsampler_webform::render::{escape_html, render_results_page, unescape_html};
-use hdsampler_webform::scrape::scrape_results_page;
+use hdsampler_webform::render::{escape_html, unescape_html};
 use hdsampler_webform::urlenc;
-use hdsampler_webform::WebForm;
+use hdsampler_webform::{PageCodec, WebForm};
 use proptest::prelude::*;
 
 proptest! {
@@ -63,8 +62,8 @@ proptest! {
             overflow,
             reported_count: count,
         };
-        let html = render_results_page(&schema, &resp, 100);
-        let back = scrape_results_page(&schema, &html).unwrap();
+        let html = PageCodec::new(&schema).render_page(&resp, 100);
+        let back = PageCodec::new(&schema).scrape_page(&html).unwrap();
         prop_assert_eq!(back, resp);
     }
 
@@ -162,12 +161,12 @@ fn truncated_results_table_is_a_parse_error() {
         overflow: false,
         reported_count: None,
     };
-    let full = render_results_page(&schema, &resp, 10);
+    let full = PageCodec::new(&schema).render_page(&resp, 10);
     let cut = full
         .find("</table>")
         .expect("rendered page closes its table");
     let truncated = &full[..cut];
-    let err = scrape_results_page(&schema, truncated).unwrap_err();
+    let err = PageCodec::new(&schema).scrape_page(truncated).unwrap_err();
     assert!(
         matches!(&err, hdsampler_model::InterfaceError::Parse(msg) if msg.contains("unterminated")),
         "got {err:?}"
@@ -189,9 +188,9 @@ fn entity_bearing_headers_scrape_cleanly() {
         overflow: true,
         reported_count: Some(12),
     };
-    let html = render_results_page(&schema, &resp, 5);
+    let html = PageCodec::new(&schema).render_page(&resp, 5);
     assert!(html.contains("&amp;"), "entities present in the page");
-    let back = scrape_results_page(&schema, &html).unwrap();
+    let back = PageCodec::new(&schema).scrape_page(&html).unwrap();
     assert_eq!(back, resp);
 }
 
@@ -217,8 +216,8 @@ fn extreme_measures_survive_the_page() {
             overflow: false,
             reported_count: None,
         };
-        let html = render_results_page(&schema, &resp, 10);
-        let back = scrape_results_page(&schema, &html).unwrap();
+        let html = PageCodec::new(&schema).render_page(&resp, 10);
+        let back = PageCodec::new(&schema).scrape_page(&html).unwrap();
         assert_eq!(
             back.rows[0].measures[0].to_bits(),
             value.to_bits(),
