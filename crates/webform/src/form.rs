@@ -53,13 +53,6 @@ pub(crate) struct AttrCodec {
     pub(crate) by_label: HashMap<Box<str>, DomIx>,
 }
 
-impl AttrCodec {
-    /// The index of a raw (unescaped, percent-decoded) label.
-    pub(crate) fn lookup(&self, label: &str) -> Option<DomIx> {
-        self.by_label.get(label).copied()
-    }
-}
-
 impl PageCodec {
     /// Build the codec of `schema`.
     pub fn new(schema: &Schema) -> Self {
@@ -201,7 +194,9 @@ impl WebForm {
                 continue;
             }
             let value = self.codec.attrs[attr.index()]
-                .lookup(label)
+                .by_label
+                .get(&**label)
+                .copied()
                 .ok_or_else(|| ModelError::ValueOutOfRange {
                     attr: name.to_string(),
                     value: u16::MAX,

@@ -44,21 +44,11 @@ fn next_byte(html: &str, from: usize, byte: u8) -> Option<usize> {
         .map(|rel| from + rel)
 }
 
-/// The first `<` at or after `from`.
-fn next_lt(html: &str, from: usize) -> Option<usize> {
-    next_byte(html, from, b'<')
-}
-
-/// The first `>` at or after `from`.
-fn next_gt(html: &str, from: usize) -> Option<usize> {
-    next_byte(html, from, b'>')
-}
-
 /// The first occurrence of `pat` (which starts with `<`) at or after
 /// `from`.
 fn find_tag(html: &str, from: usize, pat: &str) -> Option<usize> {
     let mut at = from;
-    while let Some(i) = next_lt(html, at) {
+    while let Some(i) = next_byte(html, at, b'<') {
         if is_at(html, i, pat) {
             return Some(i);
         }
@@ -121,7 +111,7 @@ fn scan_row<'a, const HEADER: bool>(
     cells.clear();
     let mut pos = pos;
     let tr = loop {
-        let Some(i) = next_lt(html, pos) else {
+        let Some(i) = next_byte(html, pos, b'<') else {
             return RowScan::Unterminated;
         };
         if is_at(html, i, TABLE_CLOSE) {
@@ -132,7 +122,7 @@ fn scan_row<'a, const HEADER: bool>(
         }
         pos = i + 1;
     };
-    let Some(gt) = next_gt(html, tr + ROW_OPEN.len()) else {
+    let Some(gt) = next_byte(html, tr + ROW_OPEN.len(), b'>') else {
         return RowScan::Unterminated;
     };
     if html[tr + ROW_OPEN.len()..gt]
@@ -155,7 +145,7 @@ fn scan_row<'a, const HEADER: bool>(
     };
     let mut pos = gt + 1;
     loop {
-        let Some(i) = next_lt(html, pos) else {
+        let Some(i) = next_byte(html, pos, b'<') else {
             return RowScan::Unterminated;
         };
         if !is_at(html, i, open) {
@@ -166,7 +156,7 @@ fn scan_row<'a, const HEADER: bool>(
             continue;
         }
         let attrs = i + open.len();
-        let Some(gt) = next_gt(html, attrs) else {
+        let Some(gt) = next_byte(html, attrs, b'>') else {
             return RowScan::Unterminated;
         };
         if let Some(end) = html[attrs..gt]
@@ -177,7 +167,7 @@ fn scan_row<'a, const HEADER: bool>(
         }
         let mut at = gt + 1;
         loop {
-            let Some(j) = next_lt(html, at) else {
+            let Some(j) = next_byte(html, at, b'<') else {
                 return RowScan::Unterminated;
             };
             if is_at(html, j, close) {
@@ -300,7 +290,7 @@ impl PageCodec {
                 unescape_into(text, unescaped);
                 text = unescaped;
             }
-            let v = attr.lookup(text).ok_or_else(|| {
+            let v = attr.by_label.get(text).copied().ok_or_else(|| {
                 parse_err(format!(
                     "unknown label `{text}` for attribute `{}`",
                     attr.name
