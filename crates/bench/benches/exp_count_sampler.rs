@@ -7,8 +7,8 @@
 //! * **exact counts** (ref [2]'s setting): the count-weighted walk is
 //!   perfectly uniform with zero rejections and the lowest query cost;
 //! * **noisy counts** (Google Base's setting): the same walk becomes
-//!   biased — unless the importance weights our implementation attaches
-//!   are used, which removes most of the bias;
+//!   biased; the table prints the importance-weighted error next to the
+//!   unweighted one as an observation (no assertion is made about it);
 //! * **no counts**: HIDDEN-DB-SAMPLER at C = 1 — costlier than exact-count
 //!   walking but immune to banner noise, which is exactly why the demo
 //!   ignored Google's banners.
@@ -43,6 +43,7 @@ fn main() {
     let mut japanese_unweighted_noisy = f64::NAN;
     let mut japanese_weighted_noisy = f64::NAN;
     let mut exact_cost = f64::NAN;
+    let mut noisy_tv = Vec::new();
     let hds_cost;
 
     // --- count-weighted walk on exact and noisy banners ----------------
@@ -88,6 +89,9 @@ fn main() {
             let w: f64 = weighted.proportions()[..N_JAPANESE_MAKES].iter().sum();
             japanese_unweighted_noisy = (unw - truth_share).abs();
             japanese_weighted_noisy = (w - truth_share).abs();
+        }
+        if label.contains("noisy") {
+            noisy_tv.push((label, tv_plain, tv_weighted));
         }
         if label == "COUNT exact" {
             exact_cost = stats.queries_per_sample();
@@ -146,7 +150,10 @@ fn main() {
         "exact counts beat rejection sampling"
     );
     println!(
-        "  PASS: exact counts are cheapest & uniform; noisy counts bias the walk \
-         (importance weights mitigate); ignoring noisy banners (HDS) is sound"
+        "  PASS: exact-count walking charges fewer queries per sample than HDS \
+         at C = 1 (the only assertion)"
     );
+    for (label, plain, weighted) in noisy_tv {
+        println!("  observed ({label}): TV(make) unweighted {plain:.4} vs weighted {weighted:.4}");
+    }
 }

@@ -183,16 +183,23 @@ pub fn run(cli: Cli) -> Result<(), String> {
 
 /// `cache stats|compact|clear --l2 <dir>`: maintenance of a persistent
 /// history directory, one fingerprint subdirectory per site version.
+/// Directories another fingerprint version wrote (older or newer) are
+/// retired, since this build cannot read them: `stats` reports them, `clear` deletes them, `compact` leaves them alone.
 fn cache_cmd(action: CacheAction, dir: &str) -> Result<(), String> {
     use hdsampler_core::L2Log;
     let root = std::path::Path::new(dir);
-    let sites =
-        L2Log::list_sites(root).map_err(|e| format!("cannot scan cache root `{dir}`: {e}"))?;
-    if sites.is_empty() {
+    let scan_err = |e: std::io::Error| format!("cannot scan cache root `{dir}`: {e}");
+    let sites = L2Log::list_sites(root).map_err(scan_err)?;
+    let retired = L2Log::list_retired(root).map_err(scan_err)?;
+    if sites.is_empty() && retired.is_empty() {
         println!("cache root `{dir}`: no persisted sites");
         return Ok(());
     }
-    println!("cache root `{dir}`: {} site(s)", sites.len());
+    print!("cache root `{dir}`: {} site(s)", sites.len());
+    if !retired.is_empty() {
+        print!(", {} retired log(s) of another version", retired.len());
+    }
+    println!();
     for fp in sites {
         let log = L2Log::open(root, fp.clone())
             .map_err(|e| format!("cannot open site log `{}`: {e}", fp.as_str()))?;
@@ -202,9 +209,10 @@ fn cache_cmd(action: CacheAction, dir: &str) -> Result<(), String> {
                     .stats()
                     .map_err(|e| format!("cannot scan `{}`: {e}", fp.as_str()))?;
                 println!(
-                    "  {}: {} records in {} segment(s), {} bytes, {} skipped",
+                    "  {}: {} facts, {} rows in {} segment(s), {} bytes, {} skipped",
                     fp.as_str(),
-                    s.records,
+                    s.facts,
+                    s.rows,
                     s.segments,
                     s.bytes,
                     s.skipped
@@ -215,12 +223,13 @@ fn cache_cmd(action: CacheAction, dir: &str) -> Result<(), String> {
                     .compact()
                     .map_err(|e| format!("cannot compact `{}`: {e}", fp.as_str()))?;
                 println!(
-                    "  {}: {} records in {} segment(s) -> {} records in 1 segment \
-                     ({} torn line(s) dropped)",
+                    "  {}: {} facts in {} segment(s) -> {} facts, {} rows in 1 segment \
+                     ({} damaged record(s) dropped)",
                     fp.as_str(),
-                    r.records_before,
+                    r.facts_before,
                     r.segments_before,
-                    r.records_after,
+                    r.facts_after,
+                    r.rows_after,
                     r.skipped
                 );
             }
@@ -228,6 +237,20 @@ fn cache_cmd(action: CacheAction, dir: &str) -> Result<(), String> {
                 log.clear()
                     .map_err(|e| format!("cannot clear `{}`: {e}", fp.as_str()))?;
                 println!("  {}: cleared", fp.as_str());
+            }
+        }
+    }
+    for old in retired {
+        match action {
+            CacheAction::Stats => println!(
+                "  {}: retired, {} bytes (unreadable by this version; `cache clear` deletes it)",
+                old.name, old.bytes
+            ),
+            CacheAction::Compact => println!("  {}: retired, left as is", old.name),
+            CacheAction::Clear => {
+                std::fs::remove_dir_all(root.join(&old.name))
+                    .map_err(|e| format!("cannot delete `{}`: {e}", old.name))?;
+                println!("  {}: retired, deleted", old.name);
             }
         }
     }

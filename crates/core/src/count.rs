@@ -12,8 +12,10 @@
 //! demo "ignores" them for this reason). This sampler can still run on
 //! noisy counts: the descent becomes biased, and each sample carries an
 //! importance `weight` (the inverse of its realized selection probability,
-//! up to the unknown global constant) that lets weighted estimators cancel
-//! most of the bias. The count-sampler experiment quantifies both modes.
+//! up to the unknown global constant) for weighted estimators. Whether the
+//! weights reduce the bias is not established: the count-sampler
+//! experiment prints weighted and unweighted errors side by side as
+//! observations and asserts nothing about them.
 //!
 //! ## Query cost
 //!

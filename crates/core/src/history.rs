@@ -115,7 +115,7 @@ impl HistoryStats {
 /// FNV-1a: the hash of the index's maps. Cheap on the short structured
 /// keys this cache stores; DoS resistance is not a concern because every
 /// key comes from our own walkers.
-struct FnvHasher(u64);
+pub(crate) struct FnvHasher(u64);
 
 impl Default for FnvHasher {
     fn default() -> Self {
@@ -137,7 +137,7 @@ impl std::hash::Hasher for FnvHasher {
     }
 }
 
-type FnvMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<FnvHasher>>;
+pub(crate) type FnvMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<FnvHasher>>;
 
 /// A set of predicate-sets supporting subset/superset queries via a
 /// per-predicate inverted index. Every stored set carries the site-clock

@@ -9,32 +9,64 @@
 //! persisted: they are rederivable from the containment facts.
 //!
 //! Layout on disk: `<root>/<fingerprint>/seg-NNNNN.jsonl`, one JSON record
-//! per line. Appends go to the newest segment and rotate at
-//! [`L2Config::rotate_records`]; [`L2Log::compact`] rewrites everything
-//! into a single deduplicated segment (keeping the *earliest* stamp per
-//! fact, since a fact's learn time never moves later). Torn final records,
-//! garbage prefixes, and any other unparseable line are skipped and
-//! counted, never a panic — crash mid-append must not poison the log.
+//! per line, each an object whose only key is the record's kind (serde's
+//! tagging of a private `Record` enum):
+//!
+//! ```text
+//! {"Row":[key,[values],[measures]]}       one listing tuple
+//! {"Count":[query,count,learned_at]}
+//! {"Empty":[query,learned_at]}
+//! {"Overflow":[query,learned_at]}
+//! {"Valid":[query,[keys],learned_at]}     the result set's keys, in order
+//! ```
+//!
+//! where `query` is `[[attr,value],...]`. A handle writes a row record the
+//! first time it persists that listing key, and again only if the tuple's
+//! content changed, so a tuple is stored once however many valid facts
+//! contain it. Appends go to the newest segment and rotate once it holds
+//! [`L2Config::rotate_records`] records, rows and facts alike;
+//! [`L2Log::compact`] rewrites everything into a single deduplicated
+//! segment (keeping the *earliest* stamp per fact, since a fact's learn
+//! time never moves later), rows first and only those a fact references.
+//!
+//! Loading builds one key → row map and resolves every valid fact through
+//! it. A valid fact is skipped and counted when one of its keys has no row
+//! record ahead of it (the row was torn or lost), or when two row records
+//! for one of its keys disagree: a changed site must never answer with
+//! another fact's copy of a tuple. Torn final records, garbage prefixes,
+//! and any other unparseable line are skipped and counted too, never a
+//! panic — crash mid-append must not poison the log.
+//!
+//! Crash contract: each append (a fact together with the row records it
+//! needs) is handed to the kernel in one `write` on a file opened for
+//! appending, so once [`L2Log::append`] returns, the record survives a
+//! crash of the process. Appends are not synced to the device — only
+//! [`L2Log::compact`] calls `sync_all` — so a power loss can still lose
+//! recent appends; the loader then sees a shorter or torn log.
 //!
 //! Site identity is a [`SiteFingerprint`]: a versioned FNV digest of the
 //! schema, the display limit `k`, count support, and (when the deriving
-//! side can see the data) a dataset digest. The version prefix exists so
-//! future churn/invalidation work can retire old logs wholesale.
+//! side can see the data) a dataset digest. The version prefix retires old
+//! logs wholesale when the format or the identity changes: `hds2` stores
+//! rows once, and `hds1` directories ([`L2Log::list_retired`]) are only
+//! reported and deleted, never read.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use hdsampler_model::{AttrId, ConjunctiveQuery, DomIx, Row, Schema};
 use serde::{Deserialize, Serialize};
 
-use hdsampler_model::{ConjunctiveQuery, Row, Schema};
+use crate::history::FnvMap;
 
 /// Version prefix of every fingerprint this build derives. Bump it to
-/// invalidate all existing logs at once (the planned churn work will).
-pub const FINGERPRINT_VERSION: &str = "hds1";
+/// invalidate all existing logs at once.
+pub const FINGERPRINT_VERSION: &str = "hds2";
 
 const SEGMENT_PREFIX: &str = "seg-";
 const SEGMENT_SUFFIX: &str = ".jsonl";
@@ -52,7 +84,29 @@ fn fnv1a(acc: u64, bytes: &[u8]) -> u64 {
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
-/// Versioned identity of a site: `hds1-<16 hex digits>`.
+/// FNV digest of a row's content: the writer compares it with what is on
+/// disk to tell a changed tuple from one it need not write again.
+fn row_digest(row: &Row) -> u64 {
+    let mut h = fnv1a(FNV_OFFSET, &row.key.to_le_bytes());
+    h = fnv1a(h, &(row.values.len() as u64).to_le_bytes());
+    for v in row.values.iter() {
+        h = fnv1a(h, &v.to_le_bytes());
+    }
+    for m in row.measures.iter() {
+        h = fnv1a(h, &m.to_bits().to_le_bytes());
+    }
+    h
+}
+
+/// Whether `hex` is the 16 lowercase hex digits of a rendered digest.
+fn is_digest(hex: &str) -> bool {
+    hex.len() == 16
+        && hex
+            .bytes()
+            .all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase())
+}
+
+/// Versioned identity of a site: `hds2-<16 hex digits>`.
 ///
 /// Two runs share an L2 log exactly when their fingerprints agree. The
 /// digest covers the schema (attribute names, domain labels, measure
@@ -97,15 +151,21 @@ impl SiteFingerprint {
     /// foreign or stale identity and must not select a log directory.
     pub fn parse(s: &str) -> Option<Self> {
         let hex = s.strip_prefix(FINGERPRINT_VERSION)?.strip_prefix('-')?;
-        if hex.len() == 16
-            && hex
-                .bytes()
-                .all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase())
-        {
-            Some(SiteFingerprint(s.to_owned()))
-        } else {
-            None
-        }
+        is_digest(hex).then(|| SiteFingerprint(s.to_owned()))
+    }
+
+    /// Whether `s` has a fingerprint's shape under some *other* version
+    /// (`hds<N>-<16 hex digits>`): a log directory an older or a newer
+    /// build wrote.
+    fn is_retired(s: &str) -> bool {
+        let Some((version, hex)) = s.split_once('-') else {
+            return false;
+        };
+        version != FINGERPRINT_VERSION
+            && version
+                .strip_prefix("hds")
+                .is_some_and(|n| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()))
+            && is_digest(hex)
     }
 
     /// The fingerprint text (also the log's directory name).
@@ -125,7 +185,10 @@ impl std::fmt::Display for SiteFingerprint {
 /// result set — that completeness is the fact), `"empty"`/`"overflow"`
 /// carry only the query. `learned_at` is the site-clock time (virtual ms)
 /// the fact was learned at in the run that wrote it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// On disk a valid fact stores only its rows' keys; [`L2Log::load`]
+/// resolves them back into rows.
+#[derive(Debug, Clone, PartialEq)]
 pub struct FactRecord {
     /// `"count" | "empty" | "overflow" | "valid"`.
     pub kind: String,
@@ -183,24 +246,174 @@ impl FactRecord {
             learned_at,
         }
     }
+}
 
-    /// Structural sanity beyond JSON well-formedness: a record whose kind
-    /// and payload disagree (a hand-edited or half-compacted line) is as
-    /// unusable as a torn one.
-    fn is_coherent(&self) -> bool {
-        match self.kind.as_str() {
-            "count" => self.count.is_some(),
-            "valid" => self.rows.is_some(),
-            "empty" | "overflow" => true,
-            _ => false,
+fn invalid(what: &str) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, what.to_owned())
+}
+
+/// A query on disk: its `[attr, value]` pairs.
+type Pairs = Vec<(u16, DomIx)>;
+
+/// One line of the log. Serde tags each record with its variant name, the
+/// shapes of the module docs.
+#[derive(Serialize, Deserialize)]
+enum Record {
+    Row(u64, Box<[DomIx]>, Box<[f64]>),
+    Count(Pairs, u64, u64),
+    Empty(Pairs, u64),
+    Overflow(Pairs, u64),
+    Valid(Pairs, Vec<u64>, u64),
+}
+
+fn push_record(buf: &mut Vec<u8>, rec: &Record) -> std::io::Result<()> {
+    let line = serde_json::to_string(rec).map_err(|e| invalid(&e.0))?;
+    buf.extend_from_slice(line.as_bytes());
+    buf.push(b'\n');
+    Ok(())
+}
+
+/// Serialise one row record onto `buf`.
+fn push_row(buf: &mut Vec<u8>, row: &Row) -> std::io::Result<()> {
+    let rec = Record::Row(row.key, row.values.clone(), row.measures.clone());
+    push_record(buf, &rec)
+}
+
+/// Serialise one fact record onto `buf`, a valid fact's rows as keys.
+fn push_fact(buf: &mut Vec<u8>, rec: &FactRecord) -> std::io::Result<()> {
+    let query = rec
+        .query
+        .predicates()
+        .iter()
+        .map(|p| (p.attr.0, p.value))
+        .collect();
+    let at = rec.learned_at;
+    let line = match (rec.kind.as_str(), rec.count, &rec.rows) {
+        ("count", Some(count), _) => Record::Count(query, count, at),
+        ("valid", _, Some(rows)) => Record::Valid(query, rows.iter().map(|r| r.key).collect(), at),
+        ("empty", ..) => Record::Empty(query, at),
+        ("overflow", ..) => Record::Overflow(query, at),
+        _ => return Err(invalid("a fact whose kind and payload disagree")),
+    };
+    push_record(buf, &line)
+}
+
+/// A fact line as read back, its rows still unresolved keys.
+struct FactIn {
+    kind: &'static str,
+    query: ConjunctiveQuery,
+    count: Option<u64>,
+    keys: Option<Vec<u64>>,
+    learned_at: u64,
+}
+
+enum Line {
+    Row(Row),
+    Fact(FactIn),
+}
+
+/// Parse one line, `None` when it is not a record (torn, garbage,
+/// hand-edited into something else).
+fn parse_line(line: &[u8]) -> Option<Line> {
+    let rec = serde_json::from_str(std::str::from_utf8(line).ok()?).ok()?;
+    let (kind, pairs, count, keys, learned_at) = match rec {
+        Record::Row(key, values, measures) => {
+            return Some(Line::Row(Row {
+                key,
+                values,
+                measures,
+            }))
         }
+        Record::Count(q, count, at) => ("count", q, Some(count), None, at),
+        Record::Empty(q, at) => ("empty", q, None, None, at),
+        Record::Overflow(q, at) => ("overflow", q, None, None, at),
+        Record::Valid(q, keys, at) => ("valid", q, None, Some(keys), at),
+    };
+    let query = pairs.into_iter().map(|(a, v)| (AttrId(a), v));
+    Some(Line::Fact(FactIn {
+        kind,
+        query: ConjunctiveQuery::from_pairs(query).ok()?,
+        count,
+        keys,
+        learned_at,
+    }))
+}
+
+/// One pass over every segment, in log order, before valid facts are
+/// resolved into rows.
+#[derive(Default)]
+struct Scan {
+    /// Listing key → its tuple; `None` once two row records disagree.
+    rows: FnvMap<u64, Option<Row>>,
+    /// Well-formed row records (duplicates included).
+    row_records: u64,
+    /// Parsed facts whose every key had a row record ahead of them.
+    facts: Vec<FactIn>,
+    /// Unparseable lines, and facts naming a key with no row before them.
+    skipped: u64,
+    /// Bytes read.
+    bytes: u64,
+}
+
+impl Scan {
+    fn read(segs: &[PathBuf]) -> std::io::Result<Scan> {
+        let mut scan = Scan::default();
+        for seg in segs {
+            let bytes = fs::read(seg)?;
+            scan.bytes += bytes.len() as u64;
+            for line in bytes.split(|&b| b == b'\n') {
+                if !line.iter().all(u8::is_ascii_whitespace) {
+                    scan.line(line);
+                }
+            }
+        }
+        Ok(scan)
+    }
+
+    fn line(&mut self, line: &[u8]) {
+        match parse_line(line) {
+            Some(Line::Row(row)) => {
+                self.row_records += 1;
+                match self.rows.entry(row.key) {
+                    Entry::Vacant(v) => {
+                        v.insert(Some(row));
+                    }
+                    Entry::Occupied(mut o) => {
+                        if o.get().as_ref() != Some(&row) {
+                            o.insert(None);
+                        }
+                    }
+                }
+            }
+            // Rows are always written ahead of the facts that name them,
+            // so a key without a row so far means the row was lost.
+            Some(Line::Fact(fact))
+                if fact
+                    .keys
+                    .iter()
+                    .flatten()
+                    .all(|k| self.rows.contains_key(k)) =>
+            {
+                self.facts.push(fact)
+            }
+            _ => self.skipped += 1,
+        }
+    }
+
+    /// Whether none of `fact`'s keys is conflicting.
+    fn resolvable(&self, fact: &FactIn) -> bool {
+        fact.keys
+            .iter()
+            .flatten()
+            .all(|k| self.rows.get(k).is_some_and(Option::is_some))
     }
 }
 
 /// Tuning knobs for the log.
 #[derive(Debug, Clone, Copy)]
 pub struct L2Config {
-    /// Records per segment before appends rotate to a fresh one.
+    /// Records (rows and facts) per segment before appends rotate to a
+    /// fresh one.
     pub rotate_records: usize,
     /// Segment count at or above which [`L2Log::open`] compacts before
     /// serving.
@@ -221,25 +434,39 @@ impl Default for L2Config {
 pub struct L2DirStats {
     /// Segment files present.
     pub segments: usize,
-    /// Well-formed records across all segments.
-    pub records: u64,
+    /// Facts that load (their rows all resolve).
+    pub facts: u64,
+    /// Well-formed row records.
+    pub rows: u64,
     /// Bytes on disk across all segments.
     pub bytes: u64,
-    /// Torn/garbage lines skipped during the scan.
+    /// Torn/garbage lines, and facts whose rows do not resolve.
     pub skipped: u64,
 }
 
 /// Outcome of one [`L2Log::compact`] pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompactReport {
-    /// Records (and segments) before the pass.
-    pub records_before: u64,
+    /// Facts that loaded before the pass.
+    pub facts_before: u64,
     /// Segments before the pass.
     pub segments_before: usize,
-    /// Records surviving dedup.
-    pub records_after: u64,
-    /// Torn/garbage lines dropped by the pass.
+    /// Facts surviving dedup.
+    pub facts_after: u64,
+    /// Rows those facts reference (each written once).
+    pub rows_after: u64,
+    /// Torn/garbage lines and unresolvable facts dropped by the pass.
     pub skipped: u64,
+}
+
+/// A log directory written under another [`FINGERPRINT_VERSION`], older
+/// or newer: this build neither reads nor extends it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RetiredLog {
+    /// Directory name (`hds<N>-<16 hex digits>`).
+    pub name: String,
+    /// Bytes of the files in it.
+    pub bytes: u64,
 }
 
 #[derive(Debug)]
@@ -250,13 +477,19 @@ struct WriterState {
     records_in_seg: usize,
     /// Open append handle (lazy: `cache stats` never writes).
     file: Option<File>,
+    /// Listing key → [`row_digest`] of its row record on disk (from loads
+    /// and from this handle's own appends): a valid fact writes the rows
+    /// missing here or whose content changed, so a changed tuple reaches
+    /// the disk and the loader sees the conflict.
+    on_disk: FnvMap<u64, u64>,
 }
 
 /// The append-only fact log for one `(root dir, fingerprint)` pair.
 ///
-/// Safe to share behind an `Arc`: appends serialize on an internal lock
-/// and flush per record, so a crash loses at most the record being
-/// written — which the tolerant loader then skips.
+/// Safe to share behind an `Arc`: appends serialize on an internal lock,
+/// and each one reaches the kernel in a single `write`, so a crashed
+/// process loses at most the append in progress — which the tolerant
+/// loader then skips. See the module docs for what a power loss can lose.
 #[derive(Debug)]
 pub struct L2Log {
     dir: PathBuf,
@@ -290,6 +523,7 @@ impl L2Log {
                 seg_ix: 0,
                 records_in_seg: 0,
                 file: None,
+                on_disk: FnvMap::default(),
             }),
             skipped: AtomicU64::new(0),
         };
@@ -311,7 +545,8 @@ impl L2Log {
         &self.dir
     }
 
-    /// Torn/garbage lines skipped by loads through this handle.
+    /// Torn/garbage lines and unresolvable facts skipped by loads through
+    /// this handle.
     pub fn skipped(&self) -> u64 {
         self.skipped.load(Ordering::Relaxed)
     }
@@ -360,89 +595,126 @@ impl L2Log {
                 // occupies its line, and appending after it on a fresh
                 // line keeps the torn one isolated.
                 let bytes = fs::read(last)?;
-                w.records_in_seg = bytes
-                    .split(|&b| b == b'\n')
-                    .filter(|l| !l.is_empty())
-                    .count();
+                w.records_in_seg = bytes.iter().filter(|&&b| b == b'\n').count();
                 if bytes.last().is_some_and(|&b| b != b'\n') {
+                    w.records_in_seg += 1;
                     // A torn tail has no terminator — close its line now so
                     // the next append cannot concatenate onto the damage.
                     let mut f = OpenOptions::new().append(true).open(last)?;
                     f.write_all(b"\n")?;
-                    f.flush()?;
                 }
             }
         }
         Ok(())
     }
 
-    /// Replay every record in learn order, skipping (and counting)
-    /// unparseable or incoherent lines.
+    /// Replay every fact in learn order, with each valid fact's rows
+    /// resolved through the row records. Unparseable or incoherent lines,
+    /// and facts whose rows are missing or conflicting, are skipped and
+    /// counted.
     pub fn load(&self) -> std::io::Result<Vec<FactRecord>> {
-        let mut out = Vec::new();
-        let mut skipped = 0u64;
-        for seg in self.segment_paths()? {
-            let reader = BufReader::new(File::open(&seg)?);
-            for line in reader.lines() {
-                // An unreadable line (bad UTF-8, torn tail) is skipped
-                // like an unparseable one; an I/O error mid-file would
-                // also surface here and is treated the same way.
-                let Ok(line) = line else {
-                    skipped += 1;
-                    continue;
-                };
-                if line.trim().is_empty() {
-                    continue;
-                }
-                match serde_json::from_str::<FactRecord>(&line) {
-                    Ok(rec) if rec.is_coherent() => out.push(rec),
-                    _ => skipped += 1,
-                }
-            }
+        let Scan {
+            rows: tuples,
+            facts,
+            mut skipped,
+            ..
+        } = Scan::read(&self.segment_paths()?)?;
+        let mut out = Vec::with_capacity(facts.len());
+        for fact in facts {
+            // `Scan::line` kept only facts whose every key has an entry;
+            // a `None` entry is a conflicting key.
+            let rows = match &fact.keys {
+                None => None,
+                Some(keys) => match keys.iter().map(|k| tuples[k].clone()).collect() {
+                    Some(rows) => Some(rows),
+                    None => {
+                        skipped += 1;
+                        continue;
+                    }
+                },
+            };
+            out.push(FactRecord {
+                kind: fact.kind.to_owned(),
+                query: fact.query,
+                count: fact.count,
+                rows,
+                learned_at: fact.learned_at,
+            });
         }
+        let clean = tuples
+            .iter()
+            .filter_map(|(&k, row)| Some((k, row_digest(row.as_ref()?))));
+        self.writer
+            .lock()
+            .expect("l2 writer lock")
+            .on_disk
+            .extend(clean);
         self.skipped.fetch_add(skipped, Ordering::Relaxed);
         Ok(out)
     }
 
-    /// Append one fact, flushing so a crash after return cannot lose it.
+    /// Append one fact — a valid one preceded by the row records of the
+    /// keys not yet on disk, or on disk with other content — as one buffer
+    /// in one `write`. Once this
+    /// returns, the fact survives a crash of the process (not a power
+    /// loss: nothing is synced).
     pub fn append(&self, rec: &FactRecord) -> std::io::Result<()> {
-        let line = serde_json::to_string(rec)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
         let mut w = self.writer.lock().expect("l2 writer lock");
-        if w.records_in_seg >= self.cfg.rotate_records && w.file.is_some() {
-            w.seg_ix += 1;
-            w.records_in_seg = 0;
-            w.file = None;
+        let mut buf = Vec::new();
+        let mut fresh = Vec::new();
+        let written = (|| -> std::io::Result<()> {
+            for row in rec.rows.iter().flatten() {
+                let digest = row_digest(row);
+                if w.on_disk.insert(row.key, digest) != Some(digest) {
+                    fresh.push(row.key);
+                    push_row(&mut buf, row)?;
+                }
+            }
+            push_fact(&mut buf, rec)?;
+            if w.records_in_seg >= self.cfg.rotate_records && w.file.is_some() {
+                w.seg_ix += 1;
+                w.records_in_seg = 0;
+                w.file = None;
+            }
+            if w.file.is_none() {
+                let path = self.segment_path(w.seg_ix);
+                w.file = Some(OpenOptions::new().create(true).append(true).open(path)?);
+            }
+            w.file
+                .as_mut()
+                .expect("append handle just opened")
+                .write_all(&buf)?;
+            w.records_in_seg += fresh.len() + 1;
+            Ok(())
+        })();
+        if written.is_err() {
+            // Rows that did not reach the disk must be written again.
+            for key in &fresh {
+                w.on_disk.remove(key);
+            }
         }
-        if w.file.is_none() {
-            let path = self.segment_path(w.seg_ix);
-            w.file = Some(OpenOptions::new().create(true).append(true).open(path)?);
-        }
-        let file = w.file.as_mut().expect("append handle just opened");
-        file.write_all(line.as_bytes())?;
-        file.write_all(b"\n")?;
-        file.flush()?;
-        w.records_in_seg += 1;
-        Ok(())
+        written
     }
 
-    /// Rewrite the whole log as one deduplicated segment. Duplicate facts
-    /// (same kind + query) keep their earliest stamp; torn lines vanish.
+    /// Rewrite the whole log as one deduplicated segment: the rows the
+    /// surviving facts reference, each once, then the facts. Duplicate
+    /// facts (same kind + query) keep their earliest stamp; torn lines,
+    /// unresolvable facts and unreferenced rows vanish.
     pub fn compact(&self) -> std::io::Result<CompactReport> {
         let segs = self.segment_paths()?;
         let before_skipped = self.skipped.load(Ordering::Relaxed);
         let records = self.load()?;
         let pass_skipped = self.skipped.load(Ordering::Relaxed) - before_skipped;
-        let records_before = records.len() as u64;
+        let facts_before = records.len() as u64;
         let mut seen: HashMap<(String, ConjunctiveQuery), usize> = HashMap::new();
         let mut kept: Vec<FactRecord> = Vec::with_capacity(records.len());
         for rec in records {
             match seen.entry((rec.kind.clone(), rec.query.clone())) {
-                std::collections::hash_map::Entry::Vacant(v) => {
+                Entry::Vacant(v) => {
                     v.insert(kept.len());
                     kept.push(rec);
                 }
-                std::collections::hash_map::Entry::Occupied(o) => {
+                Entry::Occupied(o) => {
                     let prev = &mut kept[*o.get()];
                     if rec.learned_at < prev.learned_at {
                         *prev = rec;
@@ -451,17 +723,22 @@ impl L2Log {
             }
         }
 
+        let mut buf = Vec::new();
+        let mut on_disk = FnvMap::default();
+        for row in kept.iter().flat_map(|rec| rec.rows.iter().flatten()) {
+            if on_disk.insert(row.key, row_digest(row)).is_none() {
+                push_row(&mut buf, row)?;
+            }
+        }
+        for rec in &kept {
+            push_fact(&mut buf, rec)?;
+        }
+
         let mut w = self.writer.lock().expect("l2 writer lock");
         let tmp = self.dir.join("compact.tmp");
         {
             let mut f = File::create(&tmp)?;
-            for rec in &kept {
-                let line = serde_json::to_string(rec).map_err(|e| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-                })?;
-                f.write_all(line.as_bytes())?;
-                f.write_all(b"\n")?;
-            }
+            f.write_all(&buf)?;
             f.sync_all()?;
         }
         for seg in &segs {
@@ -469,12 +746,15 @@ impl L2Log {
         }
         fs::rename(&tmp, self.segment_path(0))?;
         w.seg_ix = 0;
-        w.records_in_seg = kept.len();
+        w.records_in_seg = on_disk.len() + kept.len();
         w.file = None;
+        let rows_after = on_disk.len() as u64;
+        w.on_disk = on_disk;
         Ok(CompactReport {
-            records_before,
+            facts_before,
             segments_before: segs.len(),
-            records_after: kept.len() as u64,
+            facts_after: kept.len() as u64,
+            rows_after,
             skipped: pass_skipped,
         })
     }
@@ -488,49 +768,70 @@ impl L2Log {
         w.seg_ix = 0;
         w.records_in_seg = 0;
         w.file = None;
+        w.on_disk.clear();
         Ok(())
     }
 
-    /// Scan the directory without loading rows into memory-resident form.
+    /// Count facts and rows without resolving any fact into rows.
     pub fn stats(&self) -> std::io::Result<L2DirStats> {
-        let mut s = L2DirStats::default();
-        for seg in self.segment_paths()? {
-            s.segments += 1;
-            s.bytes += fs::metadata(&seg)?.len();
-            for line in BufReader::new(File::open(&seg)?).lines() {
-                let Ok(line) = line else {
-                    s.skipped += 1;
-                    continue;
-                };
-                if line.trim().is_empty() {
-                    continue;
-                }
-                match serde_json::from_str::<FactRecord>(&line) {
-                    Ok(rec) if rec.is_coherent() => s.records += 1,
-                    _ => s.skipped += 1,
-                }
-            }
-        }
-        Ok(s)
+        let segs = self.segment_paths()?;
+        let scan = Scan::read(&segs)?;
+        let facts = scan.facts.iter().filter(|f| scan.resolvable(f)).count() as u64;
+        Ok(L2DirStats {
+            segments: segs.len(),
+            facts,
+            rows: scan.row_records,
+            bytes: scan.bytes,
+            skipped: scan.skipped + (scan.facts.len() as u64 - facts),
+        })
     }
 
-    /// Fingerprint directories under `root` (for `cache stats` over a
-    /// whole cache root).
-    pub fn list_sites(root: &Path) -> std::io::Result<Vec<SiteFingerprint>> {
+    /// Subdirectory names under `root`, sorted (none when `root` is
+    /// missing).
+    fn subdirs(root: &Path) -> std::io::Result<Vec<String>> {
         let mut out = Vec::new();
         if !root.exists() {
             return Ok(out);
         }
         for entry in fs::read_dir(root)? {
             let entry = entry?;
-            if !entry.file_type()?.is_dir() {
-                continue;
-            }
-            if let Some(fp) = entry.file_name().to_str().and_then(SiteFingerprint::parse) {
-                out.push(fp);
+            if entry.file_type()?.is_dir() {
+                if let Ok(name) = entry.file_name().into_string() {
+                    out.push(name);
+                }
             }
         }
-        out.sort_by(|a, b| a.as_str().cmp(b.as_str()));
+        out.sort();
+        Ok(out)
+    }
+
+    /// Fingerprint directories under `root` (for `cache stats` over a
+    /// whole cache root).
+    pub fn list_sites(root: &Path) -> std::io::Result<Vec<SiteFingerprint>> {
+        Ok(Self::subdirs(root)?
+            .iter()
+            .filter_map(|name| SiteFingerprint::parse(name))
+            .collect())
+    }
+
+    /// Log directories under `root` that another fingerprint version
+    /// wrote, with their sizes: `cache stats` reports them and `cache
+    /// clear` deletes them.
+    pub fn list_retired(root: &Path) -> std::io::Result<Vec<RetiredLog>> {
+        let mut out = Vec::new();
+        for name in Self::subdirs(root)? {
+            if !SiteFingerprint::is_retired(&name) {
+                continue;
+            }
+            let mut bytes = 0;
+            for entry in fs::read_dir(root.join(&name))? {
+                let meta = entry?.metadata()?;
+                if meta.is_file() {
+                    bytes += meta.len();
+                }
+            }
+            out.push(RetiredLog { name, bytes });
+        }
         Ok(out)
     }
 }
@@ -572,6 +873,37 @@ mod tests {
         ]
     }
 
+    fn row(key: u64) -> Row {
+        Row::new(
+            key,
+            vec![(key % 2) as u16, (key % 3) as u16],
+            vec![key as f64 * 0.5],
+        )
+    }
+
+    /// Facts whose valid row sets share tuples, as a session's do.
+    fn shared_records() -> Vec<FactRecord> {
+        vec![
+            FactRecord::valid(q(&[(0, 0)]), vec![row(1), row(2)], 10),
+            FactRecord::empty(q(&[(0, 1), (1, 0)]), 20),
+            FactRecord::valid(q(&[(1, 1)]), vec![row(2), row(3), row(4)], 30),
+            FactRecord::count(q(&[(1, 2)]), 7, 40),
+            FactRecord::valid(q(&[(0, 1)]), vec![row(5), row(1)], 50),
+            FactRecord::overflow(q(&[]), 60),
+        ]
+    }
+
+    /// The log's lines, in file order.
+    fn seg_lines(root: &Path, fp: &SiteFingerprint) -> Vec<String> {
+        let seg = root.join(fp.as_str()).join("seg-00000.jsonl");
+        let text = fs::read_to_string(seg).unwrap();
+        text.lines().map(str::to_owned).collect()
+    }
+
+    fn is_row_line(line: &str) -> bool {
+        line.starts_with("{\"Row\":")
+    }
+
     #[test]
     fn fingerprints_are_stable_and_sensitive() {
         let s = schema();
@@ -582,15 +914,22 @@ mod tests {
         assert_ne!(a, SiteFingerprint::derive(&s, 10, false, Some(1)), "counts");
         assert_ne!(a, SiteFingerprint::derive(&s, 10, true, Some(2)), "dataset");
         assert_ne!(a, SiteFingerprint::derive(&s, 10, true, None), "no digest");
-        assert!(a.as_str().starts_with("hds1-"));
-        assert_eq!(SiteFingerprint::parse(a.as_str()), Some(a));
-        assert_eq!(SiteFingerprint::parse("hds1-xyz"), None);
-        assert_eq!(SiteFingerprint::parse("hds0-0123456789abcdef"), None);
+        assert!(a.as_str().starts_with("hds2-"));
+        assert_eq!(SiteFingerprint::parse(a.as_str()), Some(a.clone()));
+        assert_eq!(SiteFingerprint::parse("hds2-xyz"), None);
+        assert_eq!(SiteFingerprint::parse("hds1-0123456789abcdef"), None);
         assert_eq!(
-            SiteFingerprint::parse("hds1-0123456789ABCDEF"),
+            SiteFingerprint::parse("hds2-0123456789ABCDEF"),
             None,
             "uppercase is not our rendering"
         );
+        // Other versions of the same shape are retired, not foreign.
+        assert!(SiteFingerprint::is_retired("hds1-0123456789abcdef"));
+        assert!(SiteFingerprint::is_retired("hds10-0123456789abcdef"));
+        assert!(!SiteFingerprint::is_retired(a.as_str()));
+        assert!(!SiteFingerprint::is_retired("hds-0123456789abcdef"));
+        assert!(!SiteFingerprint::is_retired("hds1-0123456789ABCDEF"));
+        assert!(!SiteFingerprint::is_retired("not-a-fingerprint"));
     }
 
     #[test]
@@ -629,7 +968,8 @@ mod tests {
         }
         let stats = log.stats().unwrap();
         assert_eq!(stats.segments, 4, "10 records at 3/segment");
-        assert_eq!(stats.records, 10);
+        assert_eq!(stats.facts, 10);
+        assert_eq!(stats.rows, 0);
         assert_eq!(stats.skipped, 0);
         let loaded = log.load().unwrap();
         let stamps: Vec<u64> = loaded.iter().map(|r| r.learned_at).collect();
@@ -655,8 +995,9 @@ mod tests {
                 .unwrap();
         }
         let report = log.compact().unwrap();
-        assert_eq!(report.records_before, 6);
-        assert_eq!(report.records_after, 4, "3 count dupes collapse to 1");
+        assert_eq!(report.facts_before, 6);
+        assert_eq!(report.facts_after, 4, "3 count dupes collapse to 1");
+        assert_eq!(report.rows_after, 0);
         assert!(report.segments_before >= 3);
         let loaded = log.load().unwrap();
         assert_eq!(loaded.len(), 4);
@@ -688,7 +1029,7 @@ mod tests {
         let log = L2Log::open_with(&root, fp, cfg).unwrap();
         let stats = log.stats().unwrap();
         assert_eq!(stats.segments, 1, "startup compaction collapsed the pile");
-        assert_eq!(stats.records, 1, "dupes deduplicated");
+        assert_eq!(stats.facts, 1, "dupes deduplicated");
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -723,7 +1064,8 @@ mod tests {
         let seg = root.join(fp.as_str()).join("seg-00000.jsonl");
         let mut bytes = fs::read(&seg).unwrap();
         // Torn final record: half a line, no trailing newline.
-        bytes.extend_from_slice(&serde_json::to_string(&recs[0]).unwrap().as_bytes()[..20]);
+        let first_line = bytes.split(|&b| b == b'\n').next().unwrap().to_vec();
+        bytes.extend_from_slice(&first_line[..first_line.len() / 2]);
         // And a garbage prefix in front of everything.
         let mut poisoned = b"\x00\xffgarbage\n".to_vec();
         poisoned.extend_from_slice(&bytes);
@@ -734,7 +1076,8 @@ mod tests {
         assert_eq!(loaded, recs, "good records survive around the damage");
         assert_eq!(log.skipped(), 2, "garbage line + torn tail counted");
         let stats = log.stats().unwrap();
-        assert_eq!(stats.records, recs.len() as u64);
+        assert_eq!(stats.facts, recs.len() as u64);
+        assert_eq!(stats.rows, 1);
         assert_eq!(stats.skipped, 2);
         // New appends land after the torn line, on their own line.
         log.append(&FactRecord::count(q(&[(1, 2)]), 9, 999))
@@ -744,16 +1087,17 @@ mod tests {
     }
 
     proptest::proptest! {
-        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(128))]
 
-        /// Satellite: replaying an arbitrary truncation of a valid log
-        /// never panics, yields a prefix of the original records, and
-        /// counts at most one skip (the torn tail).
+        /// Replaying an arbitrary truncation of a valid log — anywhere in
+        /// the file, row records included — never panics, yields a prefix
+        /// of the original facts, and counts at most one skip (the torn
+        /// tail).
         #[test]
-        fn arbitrary_truncations_replay_a_prefix(cut in 0usize..2_000, garbage in 0usize..3) {
+        fn arbitrary_truncations_replay_a_prefix(cut in 0.0f64..1.0, garbage in 0usize..3) {
             let root = tmpdir("trunc-prop");
             let fp = SiteFingerprint::derive(&schema(), 5, false, None);
-            let recs = sample_records();
+            let recs = shared_records();
             {
                 let log = L2Log::open(&root, fp.clone()).unwrap();
                 for r in &recs {
@@ -762,7 +1106,7 @@ mod tests {
             }
             let seg = root.join(fp.as_str()).join("seg-00000.jsonl");
             let mut bytes = fs::read(&seg).unwrap();
-            let cut = cut.min(bytes.len());
+            let cut = (cut * (bytes.len() + 1) as f64) as usize;
             bytes.truncate(cut);
             // Optionally smear garbage bytes over the fresh cut too.
             bytes.extend(std::iter::repeat_n(0xFF, garbage));
@@ -778,6 +1122,177 @@ mod tests {
     }
 
     #[test]
+    fn rows_are_written_once_across_facts_and_handles() {
+        let root = tmpdir("rows-once");
+        let fp = SiteFingerprint::derive(&schema(), 5, false, None);
+        let recs = shared_records();
+        {
+            let log = L2Log::open(&root, fp.clone()).unwrap();
+            for r in &recs {
+                log.append(r).unwrap();
+            }
+            let stats = log.stats().unwrap();
+            assert_eq!(stats.rows, 5, "keys 1..=5, each written once");
+            assert_eq!(stats.facts, recs.len() as u64);
+        }
+        // Every row line comes before the first fact that names it.
+        let lines = seg_lines(&root, &fp);
+        assert_eq!(lines.len(), 5 + recs.len());
+        assert!(is_row_line(&lines[0]) && is_row_line(&lines[1]));
+        assert!(lines[2].starts_with("{\"Valid\":"));
+
+        // A later handle learns the on-disk keys from its load and writes
+        // only the tuple it has not seen.
+        let log = L2Log::open(&root, fp.clone()).unwrap();
+        assert_eq!(log.load().unwrap(), recs);
+        let more = FactRecord::valid(q(&[(0, 0), (1, 1)]), vec![row(2), row(6)], 70);
+        log.append(&more).unwrap();
+        assert_eq!(log.stats().unwrap().rows, 6);
+        assert_eq!(log.load().unwrap().last(), Some(&more));
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_damaged_row_skips_only_the_facts_that_name_it() {
+        let root = tmpdir("damaged-row");
+        let fp = SiteFingerprint::derive(&schema(), 5, false, None);
+        let recs = shared_records();
+        {
+            let log = L2Log::open(&root, fp.clone()).unwrap();
+            for r in &recs {
+                log.append(r).unwrap();
+            }
+        }
+        // Overwrite key 3's row record, mid-log, with same-length garbage.
+        let mut lines = seg_lines(&root, &fp);
+        let ix = lines
+            .iter()
+            .position(|l| l.starts_with("{\"Row\":[3,"))
+            .unwrap();
+        lines[ix] = "#".repeat(lines[ix].len());
+        let seg = root.join(fp.as_str()).join("seg-00000.jsonl");
+        fs::write(&seg, lines.join("\n") + "\n").unwrap();
+
+        let log = L2Log::open(&root, fp).unwrap();
+        let loaded = log.load().unwrap();
+        let mut expect = recs.clone();
+        expect.remove(2); // the one fact naming key 3
+        assert_eq!(loaded, expect, "every later fact still loads");
+        assert_eq!(log.skipped(), 2, "the damaged line and the fact naming it");
+        let stats = log.stats().unwrap();
+        assert_eq!((stats.facts, stats.rows, stats.skipped), (5, 4, 2));
+
+        // Key 3 is not on disk as far as the writer knows: the next fact
+        // naming it writes its row again, and that fact loads.
+        let again = FactRecord::valid(q(&[(1, 0)]), vec![row(3)], 80);
+        log.append(&again).unwrap();
+        let loaded = log.load().unwrap();
+        assert_eq!(loaded.len(), expect.len() + 1);
+        assert_eq!(loaded.last(), Some(&again));
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn conflicting_rows_skip_every_fact_that_names_the_key() {
+        let root = tmpdir("conflict");
+        let fp = SiteFingerprint::derive(&schema(), 5, false, None);
+        // Two handles that never loaded: each writes the rows it has not
+        // written itself, as two processes sharing one log would.
+        let a = L2Log::open(&root, fp.clone()).unwrap();
+        let b = L2Log::open(&root, fp.clone()).unwrap();
+        let changed = Row::new(1, vec![1, 2], vec![9.0]);
+        a.append(&FactRecord::valid(q(&[(0, 0)]), vec![row(1), row(2)], 10))
+            .unwrap();
+        b.append(&FactRecord::valid(q(&[(0, 1)]), vec![changed, row(3)], 20))
+            .unwrap();
+        let untouched = FactRecord::valid(q(&[(1, 0)]), vec![row(2)], 30);
+        a.append(&untouched).unwrap();
+        // The same content written twice is no conflict.
+        let twice = FactRecord::valid(q(&[(1, 1)]), vec![row(3)], 40);
+        a.append(&twice).unwrap();
+
+        let log = L2Log::open(&root, fp).unwrap();
+        assert_eq!(log.load().unwrap(), vec![untouched.clone(), twice.clone()]);
+        assert_eq!(log.skipped(), 2, "both facts naming key 1 are skipped");
+        let stats = log.stats().unwrap();
+        assert_eq!((stats.facts, stats.rows, stats.skipped), (2, 5, 2));
+
+        // Compaction drops the skipped facts and the rows only they named.
+        let report = log.compact().unwrap();
+        assert_eq!((report.facts_after, report.rows_after), (2, 2));
+        assert_eq!(log.load().unwrap(), vec![untouched, twice]);
+        assert_eq!(log.stats().unwrap().skipped, 0);
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_changed_row_from_a_loaded_handle_conflicts_on_reload() {
+        let root = tmpdir("changed-row");
+        let fp = SiteFingerprint::derive(&schema(), 5, false, None);
+        let first = FactRecord::valid(q(&[(0, 0)]), vec![row(1), row(2)], 10);
+        let other = FactRecord::valid(q(&[(1, 0)]), vec![row(2)], 20);
+        {
+            let log = L2Log::open(&root, fp.clone()).unwrap();
+            log.append(&first).unwrap();
+            log.append(&other).unwrap();
+        }
+        // A later run attaches the log, then learns key 1 with new content
+        // from a site that changed under the same fingerprint.
+        let log = L2Log::open(&root, fp.clone()).unwrap();
+        assert_eq!(log.load().unwrap(), vec![first, other.clone()]);
+        let changed = Row::new(1, vec![1, 2], vec![9.0]);
+        log.append(&FactRecord::valid(q(&[(0, 1)]), vec![changed, row(3)], 30))
+            .unwrap();
+        // An unchanged tuple is still not written again.
+        let unchanged = FactRecord::valid(q(&[(1, 1)]), vec![row(2)], 40);
+        log.append(&unchanged).unwrap();
+        assert_eq!(log.stats().unwrap().rows, 4, "keys 1, 2, 1 changed, 3");
+
+        let log = L2Log::open(&root, fp).unwrap();
+        assert_eq!(log.load().unwrap(), vec![other, unchanged]);
+        assert_eq!(log.skipped(), 2, "both facts naming key 1 are skipped");
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn compaction_writes_referenced_rows_first_and_drops_the_rest() {
+        let root = tmpdir("compact-rows");
+        let fp = SiteFingerprint::derive(&schema(), 5, false, None);
+        let recs = shared_records();
+        let log = L2Log::open(&root, fp.clone()).unwrap();
+        for r in &recs {
+            log.append(r).unwrap();
+        }
+        // The first fact relearned earlier, and a row no fact names.
+        let mut earlier = recs[0].clone();
+        earlier.learned_at = 5;
+        log.append(&earlier).unwrap();
+        let seg = root.join(fp.as_str()).join("seg-00000.jsonl");
+        let mut bytes = fs::read(&seg).unwrap();
+        bytes.extend_from_slice(b"{\"Row\":[99,[0,0],[1.0]]}\n");
+        fs::write(&seg, bytes).unwrap();
+
+        let report = log.compact().unwrap();
+        assert_eq!(report.facts_before, recs.len() as u64 + 1);
+        assert_eq!(report.facts_after, recs.len() as u64);
+        assert_eq!(report.rows_after, 5);
+        let lines = seg_lines(&root, &fp);
+        assert_eq!(lines.len(), 5 + recs.len());
+        assert!(lines[..5].iter().all(|l| is_row_line(l)), "rows first");
+        assert!(lines[5..].iter().all(|l| !is_row_line(l)), "then facts");
+        assert!(!lines.iter().any(|l| l.starts_with("{\"Row\":[99,")));
+
+        let mut expect = recs;
+        expect[0] = earlier;
+        assert_eq!(
+            log.load().unwrap(),
+            expect,
+            "the same facts, earliest stamps"
+        );
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
     fn list_sites_finds_only_fingerprint_dirs() {
         let root = tmpdir("list");
         let fp1 = SiteFingerprint::derive(&schema(), 5, false, None);
@@ -785,10 +1300,20 @@ mod tests {
         L2Log::open(&root, fp1.clone()).unwrap();
         L2Log::open(&root, fp2.clone()).unwrap();
         fs::create_dir_all(root.join("not-a-fingerprint")).unwrap();
+        let old = root.join("hds1-0123456789abcdef");
+        fs::create_dir_all(&old).unwrap();
+        fs::write(old.join("seg-00000.jsonl"), b"0123456789").unwrap();
         let mut expect = vec![fp1, fp2];
         expect.sort_by(|a, b| a.as_str().cmp(b.as_str()));
         assert_eq!(L2Log::list_sites(&root).unwrap(), expect);
         assert!(L2Log::list_sites(&root.join("missing")).unwrap().is_empty());
+        assert_eq!(
+            L2Log::list_retired(&root).unwrap(),
+            vec![RetiredLog {
+                name: "hds1-0123456789abcdef".into(),
+                bytes: 10
+            }]
+        );
         fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -51,7 +51,8 @@ pub use executor::{Classified, DirectExecutor, QueryExecutor};
 pub use hds::HdsSampler;
 pub use history::{CachingExecutor, HistoryHit, HistoryStats, HitTier, DEFAULT_CACHE_CAPACITY};
 pub use l2::{
-    CompactReport, FactRecord, L2Config, L2DirStats, L2Log, SiteFingerprint, FINGERPRINT_VERSION,
+    CompactReport, FactRecord, L2Config, L2DirStats, L2Log, RetiredLog, SiteFingerprint,
+    FINGERPRINT_VERSION,
 };
 pub use machine::{WalkMachine, WalkStep};
 pub use order::OrderStrategy;

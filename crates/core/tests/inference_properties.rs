@@ -258,6 +258,42 @@ proptest! {
         prop_assert!(cached.history_stats().l2_hits > 0);
         std::fs::remove_dir_all(&root).unwrap();
     }
+
+    /// Write-behind across many valid facts that share tuples persists
+    /// each tuple's row exactly once — within one run, and across a second
+    /// run that attaches the log and learns more.
+    #[test]
+    fn l2_write_behind_persists_each_row_once(
+        rows in prop::collection::vec(0u32..32, 1..80),
+        k in 1usize..5,
+        first in queries(5),
+        second in queries(5),
+    ) {
+        let m = 5;
+        let root = l2_root();
+        let db = build_db(m, &rows, k, CountMode::Exact);
+        let fp = SiteFingerprint::derive(db.schema(), k, db.supports_count(), None);
+        let log = || Arc::new(L2Log::open(&root, fp.clone()).unwrap());
+        for mix in [&first, &second] {
+            let exec = CachingExecutor::new(&db).with_l2(log());
+            for &(mask, values) in mix {
+                exec.classify(&decode_query(m, mask, values)).unwrap();
+            }
+            let log = log();
+            let facts = log.load().unwrap();
+            let mut keys: Vec<u64> = facts
+                .iter()
+                .flat_map(|f| f.rows.iter().flatten().map(|r| r.key))
+                .collect();
+            keys.sort_unstable();
+            keys.dedup();
+            let stats = log.stats().unwrap();
+            prop_assert_eq!(stats.rows, keys.len() as u64, "one row record per tuple");
+            prop_assert_eq!(stats.facts, facts.len() as u64);
+            prop_assert_eq!(stats.skipped, 0);
+        }
+        std::fs::remove_dir_all(&root).unwrap();
+    }
 }
 
 /// A fresh, empty L2 root per proptest case.

@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Builds a small simulated vehicle-listing site behind a top-k form,
-//! draws 400 provably uniform samples with HIDDEN-DB-SAMPLER, and prints
+//! draws 400 samples with HIDDEN-DB-SAMPLER at C = 1, and prints
 //! the sampled `make` histogram next to the ground truth that only the
 //! simulation can reveal.
 
@@ -21,7 +21,8 @@ fn main() {
         db.result_limit()
     );
 
-    // Provably uniform sampler (C = 1) with the history cache enabled.
+    // C = 1 sampler with the history cache enabled: uniform over distinct
+    // tuples, not over duplicates (README, "Limitations").
     let mut sampler = hdsampler::uniform_sampler(&db, 7);
     let session = SamplingSession::new(400);
     let outcome = session.run(&mut sampler, |event| {

@@ -25,7 +25,8 @@
 //! // A simulated hidden car-listing site (compact schema, k = 250).
 //! let db = hdsampler::simulated_site(5_000, 250, 42);
 //!
-//! // Draw 50 provably uniform samples through the form interface.
+//! // Draw 50 samples at C = 1 through the form interface (uniform over
+//! // distinct tuples; see README "Limitations" for duplicates).
 //! let mut sampler = hdsampler::uniform_sampler(&db, 7);
 //! let samples: SampleSet =
 //!     (0..50).map(|_| sampler.next_sample().expect("site is healthy")).collect();
@@ -100,8 +101,10 @@ pub fn simulated_site(n: usize, k: usize, seed: u64) -> Arc<HiddenDb> {
     )
 }
 
-/// A provably uniform (`C = 1`) HIDDEN-DB-SAMPLER over a shared database,
-/// with the history cache enabled (the full §3 configuration).
+/// A `C = 1` HIDDEN-DB-SAMPLER over a shared database, with the history
+/// cache enabled (the full §3 configuration). It is uniform over distinct
+/// tuples only: tuples that share a full value assignment are
+/// under-sampled (README, "Limitations").
 pub fn uniform_sampler(
     db: &Arc<HiddenDb>,
     seed: u64,
