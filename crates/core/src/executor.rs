@@ -1,9 +1,11 @@
 //! [`QueryExecutor`]: the sampler-side view of a form interface.
 //!
 //! Samplers never call [`FormInterface`] directly; they go through an
-//! executor, which (a) strips responses down to what a sampler may legally
-//! use — full row lists only for *valid* queries, classification only for
-//! overflow/empty — and (b) optionally routes through the history cache
+//! executor, which (a) asks the interface through
+//! [`FormInterface::execute_for_sampler`] and strips responses down to
+//! what a sampler may legally use — full row lists only for *valid*
+//! queries, classification only for overflow/empty — and (b) optionally
+//! routes through the history cache
 //! ([`CachingExecutor`](crate::history::CachingExecutor)) so repeated or
 //! inferable queries cost nothing (§3.2).
 
@@ -21,7 +23,9 @@ pub struct Classified {
     pub class: Classification,
     /// The complete result rows — present **only** for valid queries. Rows
     /// of overflowing queries are deliberately discarded: they are top-k
-    /// under a non-random ranking and would bias any sample (§2).
+    /// under a non-random ranking and would bias any sample (§2). A
+    /// web-form interface does not even decode them
+    /// ([`FormInterface::execute_for_sampler`]).
     pub rows: Option<Arc<[Row]>>,
 }
 
@@ -32,8 +36,9 @@ impl Classified {
         self.rows.as_ref().map_or(0, |r| r.len())
     }
 
-    /// Reduce a full interface response to sampler-legal information:
-    /// rows are kept only when the response is valid (top-k rows of an
+    /// Reduce an interface response (full, or a sampler response whose
+    /// overflow rows were left empty) to sampler-legal information: rows
+    /// are kept only when the response is valid (top-k rows of an
     /// overflowing query would bias any sample, §2).
     pub fn from_response(resp: QueryResponse) -> Self {
         let class = resp.classification();
@@ -101,7 +106,9 @@ impl<F: FormInterface> DirectExecutor<F> {
 impl<F: FormInterface> QueryExecutor for DirectExecutor<F> {
     fn classify(&self, query: &ConjunctiveQuery) -> Result<Classified, InterfaceError> {
         self.requests.fetch_add(1, Ordering::Relaxed);
-        Ok(Classified::from_response(self.interface.execute(query)?))
+        Ok(Classified::from_response(
+            self.interface.execute_for_sampler(query)?,
+        ))
     }
 
     fn count(&self, query: &ConjunctiveQuery) -> Result<u64, InterfaceError> {
@@ -220,6 +227,43 @@ mod tests {
         let c = exec.classify(&q).unwrap();
         assert_eq!(c.class, Classification::Valid);
         assert_eq!(c.result_size(), 2);
+    }
+
+    /// An interface that answers only through the sampler method.
+    struct SamplerOnly(HiddenDb);
+
+    impl FormInterface for SamplerOnly {
+        fn schema(&self) -> &Schema {
+            self.0.schema()
+        }
+        fn result_limit(&self) -> usize {
+            self.0.result_limit()
+        }
+        fn execute(&self, _q: &ConjunctiveQuery) -> Result<QueryResponse, InterfaceError> {
+            panic!("a sampler path called execute");
+        }
+        fn execute_for_sampler(
+            &self,
+            q: &ConjunctiveQuery,
+        ) -> Result<QueryResponse, InterfaceError> {
+            self.0.execute(q)
+        }
+        fn queries_issued(&self) -> u64 {
+            self.0.queries_issued()
+        }
+    }
+
+    #[test]
+    fn executors_classify_through_execute_for_sampler() {
+        let valid_q = ConjunctiveQuery::from_pairs([(AttrId(0), 0)]).unwrap();
+        let direct = DirectExecutor::new(SamplerOnly(tiny_db(2)));
+        let caching = crate::history::CachingExecutor::new(SamplerOnly(tiny_db(2)));
+        for exec in [&direct as &dyn QueryExecutor, &caching] {
+            let c = exec.classify(&ConjunctiveQuery::empty()).unwrap();
+            assert_eq!(c.class, Classification::Overflow);
+            assert_eq!(exec.classify(&valid_q).unwrap().result_size(), 2);
+            assert_eq!(exec.queries_issued(), 2, "both were misses");
+        }
     }
 
     #[test]

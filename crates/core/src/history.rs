@@ -699,7 +699,7 @@ impl<F: FormInterface> QueryExecutor for CachingExecutor<F> {
         if let Some(hit) = self.try_classify_stamped(query) {
             return Ok(hit.answer);
         }
-        let result = Classified::from_response(self.interface.execute(query)?);
+        let result = Classified::from_response(self.interface.execute_for_sampler(query)?);
         self.record_response_at(query, &result, 0);
         Ok(result)
     }

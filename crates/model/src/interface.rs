@@ -21,9 +21,13 @@ use crate::schema::Schema;
 ///   `overflow = true`.
 /// * Responses are *stable*: re-issuing the same query yields the same
 ///   response (no randomness server-side) until the underlying data changes.
-/// * Every `execute` / `count` call **charges one query** against the
-///   interface's budget, whether or not the result was useful — matching how
-///   sites meter page fetches per IP.
+/// * Every `execute` / `execute_for_sampler` / `count` call **charges one
+///   query** against the interface's budget, whether or not the result was
+///   useful — matching how sites meter page fetches per IP.
+/// * [`execute_for_sampler`](FormInterface::execute_for_sampler) answers
+///   as `execute` does, except that an overflowing response may leave its
+///   rows empty: samplers use an overflow only for its class (§2), so an
+///   implementation that pays per row may skip them.
 /// * Implementations must be usable behind a shared reference so that
 ///   concurrent walkers can share one session.
 pub trait FormInterface: Send + Sync {
@@ -37,14 +41,26 @@ pub trait FormInterface: Send + Sync {
     /// Submit a query and scrape its response.
     fn execute(&self, query: &ConjunctiveQuery) -> Result<QueryResponse, InterfaceError>;
 
+    /// Submit a query for a sampler: the response of
+    /// [`execute`](FormInterface::execute), except that when it overflows
+    /// its rows may be left empty (`overflow` and `reported_count` are
+    /// kept). The default is `execute`.
+    fn execute_for_sampler(
+        &self,
+        query: &ConjunctiveQuery,
+    ) -> Result<QueryResponse, InterfaceError> {
+        self.execute(query)
+    }
+
     /// Ask only for the result *count* of a query.
     ///
     /// Sites that print a count banner can answer this with one page fetch
     /// (still one charged query). Sites without count reporting return
     /// `Err(Unsupported)`. The default implementation falls back to
-    /// [`execute`](FormInterface::execute) and inspects the banner.
+    /// [`execute_for_sampler`](FormInterface::execute_for_sampler) and
+    /// inspects the banner.
     fn count(&self, query: &ConjunctiveQuery) -> Result<u64, InterfaceError> {
-        let resp = self.execute(query)?;
+        let resp = self.execute_for_sampler(query)?;
         resp.reported_count
             .ok_or(InterfaceError::Unsupported("count reporting"))
     }
@@ -81,6 +97,12 @@ impl<T: FormInterface + ?Sized> FormInterface for &T {
     fn execute(&self, query: &ConjunctiveQuery) -> Result<QueryResponse, InterfaceError> {
         (**self).execute(query)
     }
+    fn execute_for_sampler(
+        &self,
+        query: &ConjunctiveQuery,
+    ) -> Result<QueryResponse, InterfaceError> {
+        (**self).execute_for_sampler(query)
+    }
     fn count(&self, query: &ConjunctiveQuery) -> Result<u64, InterfaceError> {
         (**self).count(query)
     }
@@ -105,6 +127,12 @@ impl<T: FormInterface + ?Sized> FormInterface for std::sync::Arc<T> {
     fn execute(&self, query: &ConjunctiveQuery) -> Result<QueryResponse, InterfaceError> {
         (**self).execute(query)
     }
+    fn execute_for_sampler(
+        &self,
+        query: &ConjunctiveQuery,
+    ) -> Result<QueryResponse, InterfaceError> {
+        (**self).execute_for_sampler(query)
+    }
     fn count(&self, query: &ConjunctiveQuery) -> Result<u64, InterfaceError> {
         (**self).count(query)
     }
@@ -128,6 +156,12 @@ impl<T: FormInterface + ?Sized> FormInterface for Box<T> {
     }
     fn execute(&self, query: &ConjunctiveQuery) -> Result<QueryResponse, InterfaceError> {
         (**self).execute(query)
+    }
+    fn execute_for_sampler(
+        &self,
+        query: &ConjunctiveQuery,
+    ) -> Result<QueryResponse, InterfaceError> {
+        (**self).execute_for_sampler(query)
     }
     fn count(&self, query: &ConjunctiveQuery) -> Result<u64, InterfaceError> {
         (**self).count(query)
@@ -167,6 +201,36 @@ mod tests {
                     .unwrap(),
                 charged: AtomicU64::new(0),
             }
+        }
+    }
+
+    /// A toy whose sampler answer differs from its `execute` answer: an
+    /// overflow with its rows left out.
+    struct SamplerToy(Toy);
+
+    impl FormInterface for SamplerToy {
+        fn schema(&self) -> &Schema {
+            self.0.schema()
+        }
+        fn result_limit(&self) -> usize {
+            self.0.result_limit()
+        }
+        fn execute(&self, q: &ConjunctiveQuery) -> Result<QueryResponse, InterfaceError> {
+            self.0.execute(q)
+        }
+        fn execute_for_sampler(
+            &self,
+            _q: &ConjunctiveQuery,
+        ) -> Result<QueryResponse, InterfaceError> {
+            self.0.charged.fetch_add(1, Ordering::Relaxed);
+            Ok(QueryResponse {
+                rows: vec![],
+                overflow: true,
+                reported_count: Some(7),
+            })
+        }
+        fn queries_issued(&self) -> u64 {
+            self.0.queries_issued()
         }
     }
 
@@ -210,5 +274,39 @@ mod tests {
         let boxed: Box<dyn FormInterface> = Box::new(Toy::new());
         boxed.execute(&ConjunctiveQuery::empty()).unwrap();
         assert_eq!(boxed.queries_issued(), 1);
+    }
+
+    #[test]
+    fn execute_for_sampler_defaults_to_execute() {
+        let toy = Toy::new();
+        let q = ConjunctiveQuery::empty();
+        assert_eq!(
+            toy.execute_for_sampler(&q).unwrap(),
+            toy.execute(&q).unwrap()
+        );
+        assert_eq!(toy.queries_issued(), 2, "each call charged one query");
+    }
+
+    #[test]
+    fn blanket_impls_forward_execute_for_sampler() {
+        fn sampler_view<F: FormInterface>(f: F) -> QueryResponse {
+            f.execute_for_sampler(&ConjunctiveQuery::empty()).unwrap()
+        }
+        let toy = std::sync::Arc::new(SamplerToy(Toy::new()));
+        let views = [
+            sampler_view(&*toy),
+            sampler_view(std::sync::Arc::clone(&toy)),
+            sampler_view(Box::new(SamplerToy(Toy::new())) as Box<dyn FormInterface>),
+        ];
+        for view in views {
+            assert!(view.overflow && view.rows.is_empty(), "{view:?}");
+        }
+        assert_eq!(
+            toy.queries_issued(),
+            2,
+            "&T and Arc<T> reached the override"
+        );
+        let full = toy.execute(&ConjunctiveQuery::empty()).unwrap();
+        assert_eq!(full.rows.len(), 1, "execute keeps its own answer");
     }
 }

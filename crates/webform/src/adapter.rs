@@ -13,10 +13,15 @@
 //! Every value a sampler ever sees has survived the string round trip.
 //! The request path is percent-encoded straight into one buffer, and the
 //! page comes back through the form's
-//! [`PageCodec`](crate::form::PageCodec) and its one-pass scraper, on the
-//! blocking path ([`FormInterface::execute`]) and the non-blocking one
-//! ([`WebFormInterface::poll_query`], [`WebFormInterface::complete_query`])
-//! alike.
+//! [`PageCodec`](crate::form::PageCodec) and its one-pass scraper.
+//! [`FormInterface::execute`] returns the full response. The paths a
+//! sampler takes — [`FormInterface::execute_for_sampler`],
+//! [`FormInterface::count`] and the non-blocking
+//! [`WebFormInterface::poll_query`] and [`WebFormInterface::complete_query`]
+//! — return sampler responses
+//! ([`PageCodec::scrape_for_sampler`](crate::form::PageCodec::scrape_for_sampler)):
+//! an overflow page's rows are checked but not decoded, and come back
+//! empty.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -62,7 +67,8 @@ impl QueryHandle {
 pub enum QueryPoll {
     /// The fetch is still in flight; the handle is handed back.
     Pending(QueryHandle),
-    /// Done: the scraped response, or the transport/parse error.
+    /// Done: the scraped sampler response (an overflow's rows left
+    /// empty), or the transport/parse error.
     Ready(Result<QueryResponse, InterfaceError>),
 }
 
@@ -148,6 +154,26 @@ impl<T: Transport> WebFormInterface<T> {
         self.backoff_ms.load(Ordering::Relaxed)
     }
 
+    /// Fetch `query`'s results page on the blocking face, charging one
+    /// query and retrying transient failures under the retry policy.
+    fn fetch_page(&self, query: &ConjunctiveQuery) -> Result<String, InterfaceError> {
+        self.fetches.fetch_add(1, Ordering::Relaxed);
+        let path = self.form.request_path(query);
+        let mut attempt = 0u32;
+        loop {
+            match self.transport.fetch(&path) {
+                Ok(page) => return Ok(page),
+                Err(e) if e.is_transient() && attempt < self.retry.max_retries => {
+                    let wait = self.retry.backoff_ms(attempt, e.retry_after_ms());
+                    self.note_retry(wait);
+                    self.transport.backoff(wait);
+                    attempt += 1;
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
     /// Record one driver-level retry attempt (cooperative drivers resubmit
     /// faulted queries themselves rather than through the blocking path).
     pub fn note_retry(&self, backoff_ms: u64) {
@@ -198,21 +224,22 @@ impl<T: AsyncTransport> WebFormInterface<T> {
     }
 
     /// Check a submitted query for completion without advancing virtual
-    /// time.
+    /// time. A ready page is scraped for a sampler: an overflow's rows
+    /// come back empty.
     pub fn poll_query(&self, handle: QueryHandle) -> QueryPoll {
         match self.transport.poll(handle.fetch) {
             FetchPoll::Pending(fetch) => QueryPoll::Pending(QueryHandle { fetch }),
             FetchPoll::Ready(page) => {
-                QueryPoll::Ready(page.and_then(|html| self.form.codec().scrape_page(&html)))
+                QueryPoll::Ready(page.and_then(|html| self.form.codec().scrape_for_sampler(&html)))
             }
         }
     }
 
     /// Advance the connection's clock to the query's completion and scrape
-    /// the page.
+    /// the page for a sampler: an overflow's rows come back empty.
     pub fn complete_query(&self, handle: QueryHandle) -> Result<QueryResponse, InterfaceError> {
         let page = self.transport.complete(handle.fetch)?;
-        self.form.codec().scrape_page(&page)
+        self.form.codec().scrape_for_sampler(&page)
     }
 
     /// Abandon a submitted query, releasing its buffered page. The fetch
@@ -232,28 +259,23 @@ impl<T: Transport> FormInterface for WebFormInterface<T> {
     }
 
     fn execute(&self, query: &ConjunctiveQuery) -> Result<QueryResponse, InterfaceError> {
-        self.fetches.fetch_add(1, Ordering::Relaxed);
-        let path = self.form.request_path(query);
-        let mut attempt = 0u32;
-        loop {
-            match self.transport.fetch(&path) {
-                Ok(page) => return self.form.codec().scrape_page(&page),
-                Err(e) if e.is_transient() && attempt < self.retry.max_retries => {
-                    let wait = self.retry.backoff_ms(attempt, e.retry_after_ms());
-                    self.note_retry(wait);
-                    self.transport.backoff(wait);
-                    attempt += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        self.form.codec().scrape_page(&self.fetch_page(query)?)
+    }
+
+    fn execute_for_sampler(
+        &self,
+        query: &ConjunctiveQuery,
+    ) -> Result<QueryResponse, InterfaceError> {
+        self.form
+            .codec()
+            .scrape_for_sampler(&self.fetch_page(query)?)
     }
 
     fn count(&self, query: &ConjunctiveQuery) -> Result<u64, InterfaceError> {
         if !self.supports_count {
             return Err(InterfaceError::Unsupported("count reporting"));
         }
-        let resp = self.execute(query)?;
+        let resp = self.execute_for_sampler(query)?;
         resp.reported_count
             .ok_or_else(|| InterfaceError::Parse("count banner missing".into()))
     }
@@ -316,6 +338,31 @@ mod tests {
             let truth = direct.execute(&query).unwrap();
             assert_eq!(scraped, truth, "query {query:?}");
         }
+    }
+
+    #[test]
+    fn execute_keeps_overflow_rows_and_sampler_paths_leave_them_out() {
+        let (schema, iface) = stack(1, CountMode::Exact);
+        let overflow_q = q(&[(0, 0)]);
+        let full = iface.execute(&overflow_q).unwrap();
+        assert!(full.overflow);
+        assert_eq!(full.rows.len(), 1, "execute returns the top-k row");
+        let want = QueryResponse {
+            rows: vec![],
+            ..full
+        };
+        assert_eq!(iface.execute_for_sampler(&overflow_q).unwrap(), want);
+        let wire = crate::transport::LatencyTransport::new(iface.transport(), 5);
+        let wired = WebFormInterface::new(wire, schema, 1, true);
+        let handle = wired.submit_query(wired.connect(), &overflow_q);
+        assert_eq!(wired.complete_query(handle).unwrap(), want);
+        let valid_q = q(&[(0, 1)]);
+        assert_eq!(
+            iface.execute_for_sampler(&valid_q).unwrap(),
+            iface.execute(&valid_q).unwrap(),
+            "a valid page is decoded in full"
+        );
+        assert_eq!(iface.fetches(), 4);
     }
 
     #[test]

@@ -26,8 +26,9 @@ pub struct WebForm {
 /// aliases included), every label's escaped results-table cell and the
 /// escaped header row, so decoding a request, rendering a page
 /// ([`PageCodec::render_page`]) and scraping one
-/// ([`PageCodec::scrape_page`]) never format, escape or scan a vocabulary
-/// per cell.
+/// ([`PageCodec::scrape_page`], or [`PageCodec::scrape_for_sampler`],
+/// which decodes no cell of an overflow page) never format, escape or
+/// scan a vocabulary per cell.
 #[derive(Debug, Clone)]
 pub struct PageCodec {
     pub(crate) attrs: Vec<AttrCodec>,

@@ -18,7 +18,9 @@
 //! * [`urlenc`] — percent/query-string encoding (hand-rolled, no deps);
 //! * [`render`] — server-side page rendering ([`PageCodec::render_page`]);
 //! * [`scrape`] — client-side page scraping ([`PageCodec::scrape_page`],
-//!   one forward pass) and schema discovery off a form page;
+//!   one forward pass, and its sampler mode
+//!   [`PageCodec::scrape_for_sampler`]) and schema discovery off a form
+//!   page;
 //! * [`transport`] — the wire: a [`Transport`] trait, the in-process
 //!   [`LocalSite`] server, and a virtual-latency decorator for
 //!   time-to-insight experiments;
@@ -76,6 +78,7 @@ pub mod reactor;
 pub mod render;
 pub mod replay;
 pub mod scrape;
+mod shortest;
 pub mod telemetry;
 pub mod transport;
 pub mod urlenc;

@@ -7,19 +7,19 @@
 //! one per measure (shortest-roundtrip float formatting so scraped numbers
 //! are bit-exact).
 //!
-//! [`PageCodec::render_page`] writes a page with `push_str`: fixed
-//! markup and every attribute cell (`<td>LABEL</td>`, label escaped) come
-//! precomputed from the codec, keys and counts are written digit by
-//! digit, and only measures go through `fmt` (`{:?}`). The pages
-//! are byte-identical to the straightforward renderer kept as the test
-//! oracle (`oracle.rs`), so count-banner rewrites and recorded tapes see
-//! the same bytes.
-
-use std::fmt::Write as _;
+//! [`PageCodec::render_page`] writes a page with `push_str` and no `fmt`:
+//! fixed markup and every attribute cell (`<td>LABEL</td>`, label
+//! escaped) come precomputed from the codec, keys and counts are written
+//! digit by digit, and measures go through the crate's Ryū printer
+//! (`shortest.rs`), which prints what `{:?}` prints. The pages are
+//! byte-identical to the straightforward renderer kept as the test oracle
+//! (`oracle.rs`, which still uses `{:?}`), so count-banner rewrites and
+//! recorded tapes see the same bytes.
 
 use hdsampler_model::QueryResponse;
 
 use crate::form::PageCodec;
+use crate::shortest::push_f64;
 
 /// Escape `& < > "` for HTML text/attribute contexts.
 pub fn escape_html(s: &str) -> String {
@@ -76,7 +76,7 @@ pub fn format_thousands(n: u64) -> String {
 
 /// Append `n`'s decimal digits to `out`, grouped by thousands when
 /// `grouped`.
-fn push_digits(out: &mut String, n: u64, grouped: bool) {
+pub(crate) fn push_digits(out: &mut String, n: u64, grouped: bool) {
     let mut buf = [0u8; 20];
     let mut at = buf.len();
     let mut rest = n;
@@ -152,9 +152,11 @@ impl PageCodec {
                 out.push_str(&attr.cells[row.values[i] as usize]);
             }
             for &x in row.measures.iter() {
-                // `{:?}` prints the shortest string that parses back to
-                // the same f64 — the scrape side relies on this.
-                let _ = write!(out, "<td>{x:?}</td>");
+                // The shortest string that parses back to the same f64,
+                // as `{:?}` prints it — the scrape side relies on this.
+                out.push_str("<td>");
+                push_f64(&mut out, x);
+                out.push_str("</td>");
             }
             out.push_str("</tr>\n");
         }

@@ -5,14 +5,22 @@
 //! `<table class="results">`, reads the count banner and the overflow
 //! notice from the head of the page before the table only, then walks the
 //! table's `<` bytes once with plain byte scans, collecting each row's
-//! cells as borrowed `&str`s into one buffer reused for the whole page. Labels map back to domain indices through the codec's
-//! label maps; only cells containing `&` are unescaped, into one reused
-//! string. The header row must name the schema's columns in order, so a
-//! site that reorders its columns is a parse error, not a silent
-//! mis-scrape. Every other page — truncated, with cells dropped or
-//! doubled, bad keys, labels or measures — gives exactly the result or
-//! [`InterfaceError::Parse`] message of the straightforward nested-search
-//! scraper kept as the test oracle (`oracle.rs`).
+//! cells as borrowed `&str`s into one buffer reused for the whole page.
+//! Labels map back to domain indices through the codec's label maps; only
+//! cells containing `&` are unescaped, into one reused string. The header
+//! row must name the schema's columns in order, so a site that reorders
+//! its columns is a parse error, not a silent mis-scrape. Every other
+//! page — truncated, with cells dropped or doubled, bad keys, labels or
+//! measures — gives exactly the result or [`InterfaceError::Parse`]
+//! message of the straightforward nested-search scraper kept as the test
+//! oracle (`oracle.rs`).
+//!
+//! [`PageCodec::scrape_for_sampler`] is the same pass in the mode a
+//! sampler needs. A sampler uses an overflowing query only for its class
+//! (its top-k rows would bias a sample), so on a page with the overflow
+//! notice it still checks the header and every row's cell count, but
+//! decodes no cell and returns no rows. Bad cell text on such a page goes
+//! unseen; every other page scrapes exactly as in `scrape_page`.
 
 use hdsampler_model::{
     Attribute, Bucket, DomIx, InterfaceError, Measure, QueryResponse, Row, Schema, SchemaBuilder,
@@ -196,11 +204,32 @@ impl PageCodec {
     /// columns in order, a row has the wrong number of cells, or a
     /// key/label/number fails to parse.
     pub fn scrape_page(&self, html: &str) -> Result<QueryResponse, InterfaceError> {
+        self.scrape(html, true)
+    }
+
+    /// Scrape a results page for a sampler: as [`scrape_page`], except
+    /// that an overflow page's rows are checked for their cell count but
+    /// not decoded, and come back empty (`rows: vec![]`, `overflow:
+    /// true`, the banner's count).
+    ///
+    /// # Errors
+    /// As [`scrape_page`], save that a bad key, label or number in an
+    /// overflow page's rows is not seen.
+    ///
+    /// [`scrape_page`]: PageCodec::scrape_page
+    pub fn scrape_for_sampler(&self, html: &str) -> Result<QueryResponse, InterfaceError> {
+        self.scrape(html, false)
+    }
+
+    /// The one pass behind both scrapes; `overflow_rows` says whether an
+    /// overflow page's rows are decoded.
+    fn scrape(&self, html: &str, overflow_rows: bool) -> Result<QueryResponse, InterfaceError> {
         let table =
             find_tag(html, 0, TABLE_OPEN).ok_or_else(|| parse_err("results table missing"))?;
         let head = &html[..table];
         let reported_count = div_text(head, COUNT_OPEN).and_then(parse_count_banner);
         let overflow = div_text(head, OVERFLOW_OPEN).is_some();
+        let decode_rows = overflow_rows || !overflow;
         let unterminated = || parse_err("results table unterminated");
 
         let mut cells: Vec<&str> = Vec::with_capacity(self.header_cells.len());
@@ -220,9 +249,11 @@ impl PageCodec {
             };
             let scraped = if tr_ix == 0 {
                 self.check_header(&cells)
-            } else {
+            } else if decode_rows {
                 self.scrape_row(tr_ix, &cells, &mut unescaped)
                     .map(|row| rows.push(row))
+            } else {
+                self.check_cell_count(tr_ix, &cells)
             };
             if let Err(e) = scraped {
                 // A table with no `</table>` outranks any row's error.
@@ -263,13 +294,8 @@ impl PageCodec {
         Ok(())
     }
 
-    /// One data row's cells, the `tr_ix`-th row of the table.
-    fn scrape_row(
-        &self,
-        tr_ix: usize,
-        cells: &[&str],
-        unescaped: &mut String,
-    ) -> Result<Row, InterfaceError> {
+    /// The `tr_ix`-th row of the table must have a cell per column.
+    fn check_cell_count(&self, tr_ix: usize, cells: &[&str]) -> Result<(), InterfaceError> {
         let expected = self.header_cells.len();
         if cells.len() != expected {
             return Err(parse_err(format!(
@@ -277,6 +303,17 @@ impl PageCodec {
                 cells.len()
             )));
         }
+        Ok(())
+    }
+
+    /// One data row's cells, the `tr_ix`-th row of the table.
+    fn scrape_row(
+        &self,
+        tr_ix: usize,
+        cells: &[&str],
+        unescaped: &mut String,
+    ) -> Result<Row, InterfaceError> {
+        self.check_cell_count(tr_ix, cells)?;
         let key: u64 = cells[0]
             .trim()
             .parse()

@@ -9,12 +9,17 @@
 //! names, where the oracle counts its cells only (see
 //! `scrape::tests::swapped_header_columns_are_a_parse_error`). So no
 //! mutation here touches the header row's text.
+//!
+//! The codec's sampler scrape is held to its full scrape on the same
+//! pages: equal on valid and empty pages, and on overflow pages the same
+//! class and count with no rows. On a mutated overflow page it still
+//! raises every structural error, and no error from a cell's text.
 
 use std::sync::Arc;
 
 use hdsampler_model::{
-    AttrId, Attribute, Bucket, ConjunctiveQuery, DomIx, Measure, QueryResponse, Row, Schema,
-    SchemaBuilder,
+    AttrId, Attribute, Bucket, ConjunctiveQuery, DomIx, InterfaceError, Measure, QueryResponse,
+    Row, Schema, SchemaBuilder,
 };
 use hdsampler_webform::render::{escape_html, unescape_html};
 use hdsampler_webform::scrape::scrape_form_page;
@@ -239,6 +244,46 @@ fn scrape_both(schema: &Schema, codec: &PageCodec, html: &str) -> (String, Strin
     )
 }
 
+/// Errors a cell's text raises: the sampler scrape does not decode an
+/// overflow page's cells, so it never raises them there.
+const CELL_TEXT_ERRORS: [&str; 3] = ["bad listing key", "unknown label", "bad measure"];
+
+/// Hold the sampler scrape of `page` (rendered from `resp`, perhaps
+/// mutated since) to the full scrape of the same page.
+fn check_sampler_scrape(codec: &PageCodec, resp: &QueryResponse, page: &str) {
+    let full = codec.scrape_page(page);
+    let sampler = codec.scrape_for_sampler(page);
+    let cell_text_error = |e: &InterfaceError| {
+        let msg = e.to_string();
+        CELL_TEXT_ERRORS.iter().any(|want| msg.contains(want))
+    };
+    match (&full, sampler) {
+        (Err(e), sampler) if resp.overflow && cell_text_error(e) => match sampler {
+            // The bad cell went unseen; a later row may still have the
+            // wrong number of cells.
+            Ok(r) => assert!(
+                r.overflow && r.rows.is_empty() && r.reported_count == resp.reported_count,
+                "sampler scrape of {page:?}: {r:?}"
+            ),
+            Err(e) => assert!(
+                e.to_string().contains("cells, expected"),
+                "sampler scrape of {page:?}: {e}"
+            ),
+        },
+        (full, sampler) => {
+            let want = full.clone().map(|r| QueryResponse {
+                rows: if r.overflow { vec![] } else { r.rows },
+                ..r
+            });
+            assert_eq!(
+                format!("{sampler:?}"),
+                format!("{want:?}"),
+                "sampler scrape of {page:?}"
+            );
+        }
+    }
+}
+
 /// The index just after the table's header row (pages here always have
 /// one): mutations stay past it.
 fn body_start(page: &str) -> usize {
@@ -351,6 +396,7 @@ fn check_case(seed: u64) -> usize {
         got, want,
         "seed {seed}: scrapes of the rendered page differ"
     );
+    check_sampler_scrape(codec, &resp, &page);
 
     for _ in 0..4 {
         let q = g.query(&schema);
@@ -376,6 +422,7 @@ fn check_case(seed: u64) -> usize {
         };
         let (want, got) = scrape_both(&schema, codec, &mutated);
         assert_eq!(got, want, "seed {seed}: scrapes of {mutated:?} differ");
+        check_sampler_scrape(codec, &resp, &mutated);
         compared += 1;
     }
     compared
@@ -430,6 +477,55 @@ fn mutations_exercise_every_error_the_scraper_has() {
         assert!(
             messages.iter().any(|m| m.contains(want)),
             "no mutation produced {want:?}"
+        );
+    }
+}
+
+#[test]
+fn sampler_scrape_of_overflow_pages_raises_structural_errors_only() {
+    // The twin of the test above, on overflow pages and the sampler scrape.
+    let (mut sampler_messages, mut full_messages) = (Vec::new(), Vec::new());
+    for seed in 0..600u64 {
+        let mut g = Gen(seed);
+        let schema = g.schema();
+        let codec = PageCodec::new(&schema);
+        let k = 1 + g.below(12);
+        let resp = QueryResponse {
+            overflow: true,
+            ..g.response(&schema, k)
+        };
+        let page = codec.render_page(&resp, k);
+        // `mutate` leaves the header's text alone; rename its first column.
+        let renamed = page.replacen("<th>id</th>", "<th>key</th>", 1);
+        let mutated: Vec<String> = (0..8).filter_map(|_| mutate(&mut g, &page)).collect();
+        for m in std::iter::once(&renamed).chain(&mutated) {
+            if let Err(e) = codec.scrape_for_sampler(m) {
+                sampler_messages.push(e.to_string());
+            }
+            if let Err(e) = codec.scrape_page(m) {
+                full_messages.push(e.to_string());
+            }
+        }
+    }
+    for want in [
+        "results table missing",
+        "results table unterminated",
+        "header column 1",
+        "cells, expected",
+    ] {
+        assert!(
+            sampler_messages.iter().any(|m| m.contains(want)),
+            "the sampler scrape never raised {want:?}"
+        );
+    }
+    for unseen in CELL_TEXT_ERRORS {
+        assert!(
+            full_messages.iter().any(|m| m.contains(unseen)),
+            "no mutation produced {unseen:?}"
+        );
+        assert!(
+            !sampler_messages.iter().any(|m| m.contains(unseen)),
+            "the sampler scrape decoded a cell: {unseen:?}"
         );
     }
 }
