@@ -349,7 +349,7 @@ impl HistoryInner {
             ("count", Some(c), _) => return self.learn_count(&rec.query, c, rec.learned_at),
             ("empty", ..) => (Classification::Empty, None),
             ("overflow", ..) => (Classification::Overflow, None),
-            ("valid", _, Some(rows)) => (Classification::Valid, Some(Arc::from(rows))),
+            ("valid", _, Some(rows)) => (Classification::Valid, Some(rows)),
             _ => return,
         };
         self.learn(&rec.query, &Classified { class, rows }, rec.learned_at);
@@ -677,7 +677,7 @@ impl<F: FormInterface> CachingExecutor<F> {
             Classification::Overflow => FactRecord::overflow(query.clone(), at_ms),
             Classification::Valid => {
                 let rows = result.rows.as_ref().expect("valid carries rows");
-                FactRecord::valid(query.clone(), rows.to_vec(), at_ms)
+                FactRecord::valid(query.clone(), Arc::clone(rows), at_ms)
             }
         });
     }

@@ -29,11 +29,12 @@
 //! segment (keeping the *earliest* stamp per fact, since a fact's learn
 //! time never moves later), rows first and only those a fact references.
 //!
-//! Loading builds one key → row map and resolves every valid fact through
-//! it. A valid fact is skipped and counted when one of its keys has no row
-//! record ahead of it (the row was torn or lost), or when two row records
-//! for one of its keys disagree: a changed site must never answer with
-//! another fact's copy of a tuple. Torn final records, garbage prefixes,
+//! Loading reads each segment once, decodes every line straight into its
+//! record, builds one key → row map and resolves every valid fact through
+//! it into one shared, exactly sized row list. A valid fact is skipped and
+//! counted when one of its keys has no row record ahead of it (the row was
+//! torn or lost), or when two row records for one of its keys disagree: a
+//! changed site must never answer with another fact's copy of a tuple. Torn final records, garbage prefixes,
 //! and any other unparseable line are skipped and counted too, never a
 //! panic — crash mid-append must not poison the log.
 //!
@@ -54,15 +55,14 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use hdsampler_model::{AttrId, ConjunctiveQuery, DomIx, Row, Schema};
 use serde::{Deserialize, Serialize};
-
-use crate::history::FnvMap;
 
 /// Version prefix of every fingerprint this build derives. Bump it to
 /// invalidate all existing logs at once.
@@ -84,19 +84,50 @@ fn fnv1a(acc: u64, bytes: &[u8]) -> u64 {
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
-/// FNV digest of a row's content: the writer compares it with what is on
-/// disk to tell a changed tuple from one it need not write again.
+/// Digest of a row's content: the writer compares it with what is on disk
+/// to tell a changed tuple from one it need not write again. It lives in
+/// memory only, so it is free to use the fast [`KeyHasher`].
 fn row_digest(row: &Row) -> u64 {
-    let mut h = fnv1a(FNV_OFFSET, &row.key.to_le_bytes());
-    h = fnv1a(h, &(row.values.len() as u64).to_le_bytes());
-    for v in row.values.iter() {
-        h = fnv1a(h, &v.to_le_bytes());
+    let mut h = KeyHasher::default();
+    h.write_u64(row.key);
+    h.write_u64(row.values.len() as u64);
+    for &v in row.values.iter() {
+        h.write_u64(u64::from(v));
     }
     for m in row.measures.iter() {
-        h = fnv1a(h, &m.to_bits().to_le_bytes());
+        h.write_u64(m.to_bits());
     }
-    h
+    h.finish()
 }
+
+/// Hashes a listing key with one folded 128-bit multiply. The maps keyed
+/// by listing key hold every row of the log and are probed once per key
+/// of every valid fact, where a byte-wise FNV costs eight dependent
+/// multiplies per probe.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let m = u128::from(self.0 ^ key) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (m >> 64) as u64 ^ m as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by listing key.
+type KeyMap<V> = HashMap<u64, V, BuildHasherDefault<KeyHasher>>;
 
 /// Whether `hex` is the 16 lowercase hex digits of a rendered digest.
 fn is_digest(hex: &str) -> bool {
@@ -196,8 +227,9 @@ pub struct FactRecord {
     pub query: ConjunctiveQuery,
     /// Exact result count (kind `"count"`).
     pub count: Option<u64>,
-    /// Complete result rows (kind `"valid"`).
-    pub rows: Option<Vec<Row>>,
+    /// Complete result rows (kind `"valid"`), shared with the history
+    /// index that learned or loads them.
+    pub rows: Option<Arc<[Row]>>,
     /// Learn time on the writing run's site clock (ms).
     pub learned_at: u64,
 }
@@ -237,12 +269,12 @@ impl FactRecord {
     }
 
     /// A learned valid classification with its complete rows.
-    pub fn valid(query: ConjunctiveQuery, rows: Vec<Row>, learned_at: u64) -> Self {
+    pub fn valid(query: ConjunctiveQuery, rows: impl Into<Arc<[Row]>>, learned_at: u64) -> Self {
         FactRecord {
             kind: "valid".into(),
             query,
             count: None,
-            rows: Some(rows),
+            rows: Some(rows.into()),
             learned_at,
         }
     }
@@ -314,8 +346,8 @@ enum Line {
 
 /// Parse one line, `None` when it is not a record (torn, garbage,
 /// hand-edited into something else).
-fn parse_line(line: &[u8]) -> Option<Line> {
-    let rec = serde_json::from_str(std::str::from_utf8(line).ok()?).ok()?;
+fn parse_line(line: &str) -> Option<Line> {
+    let rec = serde_json::from_str(line).ok()?;
     let (kind, pairs, count, keys, learned_at) = match rec {
         Record::Row(key, values, measures) => {
             return Some(Line::Row(Row {
@@ -344,7 +376,7 @@ fn parse_line(line: &[u8]) -> Option<Line> {
 #[derive(Default)]
 struct Scan {
     /// Listing key → its tuple; `None` once two row records disagree.
-    rows: FnvMap<u64, Option<Row>>,
+    rows: KeyMap<Option<Row>>,
     /// Well-formed row records (duplicates included).
     row_records: u64,
     /// Parsed facts whose every key had a row record ahead of them.
@@ -353,6 +385,42 @@ struct Scan {
     skipped: u64,
     /// Bytes read.
     bytes: u64,
+    /// The newest segment's lines, and whether its last one is torn.
+    tail: SegmentTail,
+}
+
+/// Where appends resume in a segment.
+#[derive(Debug, Clone, Copy, Default)]
+struct SegmentTail {
+    /// Lines, a torn final one included.
+    lines: usize,
+    /// Whether the last line lacks its terminator.
+    torn: bool,
+}
+
+impl SegmentTail {
+    /// Count *lines*, not parseable records: a torn tail still occupies
+    /// its line, and appending after it on a fresh line keeps the torn
+    /// one isolated.
+    fn of(bytes: &[u8]) -> Self {
+        let torn = bytes.last().is_some_and(|&b| b != b'\n');
+        SegmentTail {
+            lines: bytes.iter().filter(|&&b| b == b'\n').count() + usize::from(torn),
+            torn,
+        }
+    }
+
+    /// The record count appends resume from, after closing a torn last
+    /// line so the next append cannot concatenate onto the damage.
+    fn resume(self, seg: &Path) -> std::io::Result<usize> {
+        if self.torn {
+            OpenOptions::new()
+                .append(true)
+                .open(seg)?
+                .write_all(b"\n")?;
+        }
+        Ok(self.lines)
+    }
 }
 
 impl Scan {
@@ -361,8 +429,13 @@ impl Scan {
         for seg in segs {
             let bytes = fs::read(seg)?;
             scan.bytes += bytes.len() as u64;
-            for line in bytes.split(|&b| b == b'\n') {
-                if !line.iter().all(u8::is_ascii_whitespace) {
+            scan.tail = SegmentTail::of(&bytes);
+            // Bytes that are not UTF-8 become U+FFFD, which no record
+            // holds (their only strings are variant tags): the line stays
+            // unparseable and is skipped as before. A valid segment is
+            // borrowed, not copied.
+            for line in String::from_utf8_lossy(&bytes).split('\n') {
+                if !line.bytes().all(|b| b.is_ascii_whitespace()) {
                     scan.line(line);
                 }
             }
@@ -370,7 +443,7 @@ impl Scan {
         Ok(scan)
     }
 
-    fn line(&mut self, line: &[u8]) {
+    fn line(&mut self, line: &str) {
         match parse_line(line) {
             Some(Line::Row(row)) => {
                 self.row_records += 1;
@@ -473,15 +546,16 @@ pub struct RetiredLog {
 struct WriterState {
     /// Index of the segment appends currently go to.
     seg_ix: u32,
-    /// Records already in that segment.
-    records_in_seg: usize,
+    /// Records already in that segment; `None` until a load or the first
+    /// append counts them.
+    records_in_seg: Option<usize>,
     /// Open append handle (lazy: `cache stats` never writes).
     file: Option<File>,
     /// Listing key → [`row_digest`] of its row record on disk (from loads
     /// and from this handle's own appends): a valid fact writes the rows
     /// missing here or whose content changed, so a changed tuple reaches
     /// the disk and the loader sees the conflict.
-    on_disk: FnvMap<u64, u64>,
+    on_disk: KeyMap<u64>,
 }
 
 /// The append-only fact log for one `(root dir, fingerprint)` pair.
@@ -502,7 +576,10 @@ pub struct L2Log {
 impl L2Log {
     /// Open (creating if absent) the log for `fingerprint` under `root`,
     /// compacting first when the segment count reached
-    /// [`L2Config::compact_at_segments`].
+    /// [`L2Config::compact_at_segments`]. Otherwise no segment is read
+    /// here: the [`load`](Self::load) that follows an attach reads each
+    /// one once and learns where appends resume, and an append made
+    /// without a load counts the newest segment's lines itself, once.
     pub fn open(root: &Path, fingerprint: SiteFingerprint) -> std::io::Result<L2Log> {
         Self::open_with(root, fingerprint, L2Config::default())
     }
@@ -521,9 +598,9 @@ impl L2Log {
             cfg,
             writer: Mutex::new(WriterState {
                 seg_ix: 0,
-                records_in_seg: 0,
+                records_in_seg: Some(0),
                 file: None,
-                on_disk: FnvMap::default(),
+                on_disk: KeyMap::default(),
             }),
             skipped: AtomicU64::new(0),
         };
@@ -571,40 +648,20 @@ impl L2Log {
         Ok(segs)
     }
 
-    /// Point the writer at the tail of the newest segment.
+    /// Point the writer at the newest segment, without reading it: the
+    /// load that follows an open reads every segment anyway and counts
+    /// the newest one's records then (or the first append does).
     fn seek_append_position(&self) -> std::io::Result<()> {
         let segs = self.segment_paths()?;
         let mut w = self.writer.lock().expect("l2 writer lock");
         w.file = None;
-        match segs.last() {
-            None => {
-                w.seg_ix = 0;
-                w.records_in_seg = 0;
-            }
-            Some(last) => {
-                let name = last
-                    .file_name()
-                    .and_then(|n| n.to_str())
-                    .unwrap_or_default();
-                w.seg_ix = name
-                    .strip_prefix(SEGMENT_PREFIX)
-                    .and_then(|n| n.strip_suffix(SEGMENT_SUFFIX))
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or(0);
-                // Count *lines*, not parseable records: a torn tail still
-                // occupies its line, and appending after it on a fresh
-                // line keeps the torn one isolated.
-                let bytes = fs::read(last)?;
-                w.records_in_seg = bytes.iter().filter(|&&b| b == b'\n').count();
-                if bytes.last().is_some_and(|&b| b != b'\n') {
-                    w.records_in_seg += 1;
-                    // A torn tail has no terminator — close its line now so
-                    // the next append cannot concatenate onto the damage.
-                    let mut f = OpenOptions::new().append(true).open(last)?;
-                    f.write_all(b"\n")?;
-                }
-            }
-        }
+        w.records_in_seg = if segs.is_empty() { Some(0) } else { None };
+        w.seg_ix = segs
+            .last()
+            .and_then(|last| last.file_name()?.to_str())
+            .and_then(|n| n.strip_prefix(SEGMENT_PREFIX)?.strip_suffix(SEGMENT_SUFFIX))
+            .and_then(|n| n.parse().ok())
+            .unwrap_or(0);
         Ok(())
     }
 
@@ -612,26 +669,34 @@ impl L2Log {
     /// resolved through the row records. Unparseable or incoherent lines,
     /// and facts whose rows are missing or conflicting, are skipped and
     /// counted.
+    ///
+    /// Each segment is read once. The newest one's line count is where a
+    /// fresh handle's appends resume; a torn last line there is closed
+    /// first.
     pub fn load(&self) -> std::io::Result<Vec<FactRecord>> {
+        let segs = self.segment_paths()?;
         let Scan {
             rows: tuples,
             facts,
             mut skipped,
+            tail,
             ..
-        } = Scan::read(&self.segment_paths()?)?;
+        } = Scan::read(&segs)?;
         let mut out = Vec::with_capacity(facts.len());
         for fact in facts {
             // `Scan::line` kept only facts whose every key has an entry;
             // a `None` entry is a conflicting key.
             let rows = match &fact.keys {
                 None => None,
-                Some(keys) => match keys.iter().map(|k| tuples[k].clone()).collect() {
-                    Some(rows) => Some(rows),
-                    None => {
-                        skipped += 1;
-                        continue;
-                    }
-                },
+                Some(keys) if keys.iter().all(|k| tuples[k].is_some()) => Some(
+                    keys.iter()
+                        .map(|k| tuples[k].clone().expect("checked above"))
+                        .collect(),
+                ),
+                Some(_) => {
+                    skipped += 1;
+                    continue;
+                }
             };
             out.push(FactRecord {
                 kind: fact.kind.to_owned(),
@@ -644,11 +709,11 @@ impl L2Log {
         let clean = tuples
             .iter()
             .filter_map(|(&k, row)| Some((k, row_digest(row.as_ref()?))));
-        self.writer
-            .lock()
-            .expect("l2 writer lock")
-            .on_disk
-            .extend(clean);
+        let mut w = self.writer.lock().expect("l2 writer lock");
+        w.on_disk.extend(clean);
+        if let (None, Some(last)) = (w.records_in_seg, segs.last()) {
+            w.records_in_seg = Some(tail.resume(last)?);
+        }
         self.skipped.fetch_add(skipped, Ordering::Relaxed);
         Ok(out)
     }
@@ -663,7 +728,7 @@ impl L2Log {
         let mut buf = Vec::new();
         let mut fresh = Vec::new();
         let written = (|| -> std::io::Result<()> {
-            for row in rec.rows.iter().flatten() {
+            for row in rec.rows.as_deref().into_iter().flatten() {
                 let digest = row_digest(row);
                 if w.on_disk.insert(row.key, digest) != Some(digest) {
                     fresh.push(row.key);
@@ -671,9 +736,21 @@ impl L2Log {
                 }
             }
             push_fact(&mut buf, rec)?;
-            if w.records_in_seg >= self.cfg.rotate_records && w.file.is_some() {
+            let records = match w.records_in_seg {
+                Some(n) => n,
+                None => {
+                    let seg = self.segment_path(w.seg_ix);
+                    match fs::read(&seg) {
+                        Ok(bytes) => SegmentTail::of(&bytes).resume(&seg)?,
+                        Err(e) if e.kind() == std::io::ErrorKind::NotFound => 0,
+                        Err(e) => return Err(e),
+                    }
+                }
+            };
+            w.records_in_seg = Some(records);
+            if records >= self.cfg.rotate_records && w.file.is_some() {
                 w.seg_ix += 1;
-                w.records_in_seg = 0;
+                w.records_in_seg = Some(0);
                 w.file = None;
             }
             if w.file.is_none() {
@@ -684,7 +761,7 @@ impl L2Log {
                 .as_mut()
                 .expect("append handle just opened")
                 .write_all(&buf)?;
-            w.records_in_seg += fresh.len() + 1;
+            w.records_in_seg = w.records_in_seg.map(|n| n + fresh.len() + 1);
             Ok(())
         })();
         if written.is_err() {
@@ -724,8 +801,11 @@ impl L2Log {
         }
 
         let mut buf = Vec::new();
-        let mut on_disk = FnvMap::default();
-        for row in kept.iter().flat_map(|rec| rec.rows.iter().flatten()) {
+        let mut on_disk = KeyMap::default();
+        for row in kept
+            .iter()
+            .flat_map(|rec| rec.rows.as_deref().into_iter().flatten())
+        {
             if on_disk.insert(row.key, row_digest(row)).is_none() {
                 push_row(&mut buf, row)?;
             }
@@ -746,7 +826,7 @@ impl L2Log {
         }
         fs::rename(&tmp, self.segment_path(0))?;
         w.seg_ix = 0;
-        w.records_in_seg = on_disk.len() + kept.len();
+        w.records_in_seg = Some(on_disk.len() + kept.len());
         w.file = None;
         let rows_after = on_disk.len() as u64;
         w.on_disk = on_disk;
@@ -766,7 +846,7 @@ impl L2Log {
             fs::remove_file(seg)?;
         }
         w.seg_ix = 0;
-        w.records_in_seg = 0;
+        w.records_in_seg = Some(0);
         w.file = None;
         w.on_disk.clear();
         Ok(())

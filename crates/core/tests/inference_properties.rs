@@ -283,7 +283,7 @@ proptest! {
             let facts = log.load().unwrap();
             let mut keys: Vec<u64> = facts
                 .iter()
-                .flat_map(|f| f.rows.iter().flatten().map(|r| r.key))
+                .flat_map(|f| f.rows.as_deref().into_iter().flatten().map(|r| r.key))
                 .collect();
             keys.sort_unstable();
             keys.dedup();

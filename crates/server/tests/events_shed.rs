@@ -113,6 +113,15 @@ fn a_stalled_watcher_is_shed_while_the_loop_serves_on() {
 
     let stats = server.shutdown();
     assert_eq!(stats.open_connections, 0, "nothing left open");
+    // `pthread_join` returns once the exiting thread has signalled its
+    // end (the kernel clears its tid and wakes the joiner), which happens
+    // before the kernel has finished tearing the thread down and dropped
+    // it from the process's `Threads:` count. So the count may lag the
+    // join briefly; wait for it, then require exactly the count before.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while threads() != before && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
     assert_eq!(threads(), before, "no thread left behind");
     drop(stalled);
 }
