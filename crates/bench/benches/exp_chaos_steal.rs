@@ -18,8 +18,8 @@ use hdsampler_bench::{f, section, table};
 use hdsampler_hidden_db::HiddenDb;
 use hdsampler_model::FormInterface;
 use hdsampler_webform::{
-    ChaosSpec, ChaosTransport, CoopDriver, FleetConfig, FleetReport, LocalSite, RetryPolicy,
-    SiteTask, WebFormInterface,
+    ChaosSpec, ChaosTransport, FleetReport, LocalSite, RetryPolicy, RunPlan, SiteTask,
+    WebFormInterface,
 };
 use hdsampler_workload::{DbConfig, VehiclesSpec, WorkloadSpec};
 
@@ -75,16 +75,13 @@ fn build_fleet() -> Vec<SiteTask<ChaosTransport<LocalSite<HiddenDb>>>> {
 }
 
 fn run(steal: bool) -> FleetReport {
-    let cfg = FleetConfig {
-        walkers_per_site: WALKERS,
-        target_per_site: TARGET_PER_SITE,
-        seed: 2009,
-        slider: 0.4,
-        ..FleetConfig::default()
-    };
-    let report = CoopDriver::new(cfg)
-        .with_stealing(steal)
-        .run(&mut build_fleet());
+    let report = RunPlan::target(TARGET_PER_SITE)
+        .walkers(WALKERS)
+        .seed(2009)
+        .slider(0.4)
+        .steal(steal)
+        .run(&mut build_fleet())
+        .fleet;
     assert_eq!(report.total_samples(), SITES * TARGET_PER_SITE);
     report
 }

@@ -1,8 +1,8 @@
 //! EXP-C1 — one thread, many pipelined walkers.
 //!
-//! The [`CoopDriver`] multiplexes every walker as a resumable
-//! [`WalkMachine`](hdsampler_core::WalkMachine) from a single thread, so
-//! its concurrency is bounded by connections, not stacks.
+//! A [`RunPlan`] runs every walker as a resumable
+//! [`WalkMachine`](hdsampler_core::WalkMachine) multiplexed on a single
+//! thread, so its concurrency is bounded by connections, not stacks.
 //!
 //! Acceptance bar: one OS thread driving 64 walker connections per site
 //! reaches samples/vsec ≥ the same thread at W = 4.
@@ -13,7 +13,7 @@ use hdsampler_bench::{f, section, table};
 use hdsampler_hidden_db::HiddenDb;
 use hdsampler_model::FormInterface;
 use hdsampler_webform::{
-    CoopDriver, FleetConfig, LatencyTransport, LocalSite, SiteTask, WebFormInterface,
+    Driver, FleetReport, LatencyTransport, LocalSite, RunPlan, SiteTask, WebFormInterface,
 };
 use hdsampler_workload::{DbConfig, VehiclesSpec, WorkloadSpec};
 
@@ -41,14 +41,16 @@ fn build_fleet(sites: usize) -> Vec<SiteTask<LatencyTransport<LocalSite<HiddenDb
         .collect()
 }
 
-fn cfg(walkers: usize) -> FleetConfig {
-    FleetConfig {
-        walkers_per_site: walkers,
-        target_per_site: TARGET_PER_SITE,
-        seed: 2009,
-        slider: 0.4,
-        ..FleetConfig::default()
-    }
+/// `walkers` walkers per site on `conns` connections each (`None`: one
+/// per walker), over a fresh fleet.
+fn run(walkers: usize, conns: Option<usize>) -> FleetReport {
+    RunPlan::target(TARGET_PER_SITE)
+        .walkers(walkers)
+        .seed(2009)
+        .slider(0.4)
+        .driver(Driver::Coop { conns })
+        .run(&mut build_fleet(SITES))
+        .fleet
 }
 
 fn main() {
@@ -59,11 +61,11 @@ fn main() {
     );
 
     // Baseline: W = 4 walkers per site.
-    let coop4 = CoopDriver::new(cfg(4)).run(&mut build_fleet(SITES));
+    let coop4 = run(4, None);
     assert_eq!(coop4.total_samples(), SITES * TARGET_PER_SITE);
 
     // W = 64: 64 pipelined connections per site.
-    let coop64 = CoopDriver::new(cfg(64)).run(&mut build_fleet(SITES));
+    let coop64 = run(64, None);
     assert_eq!(coop64.total_samples(), SITES * TARGET_PER_SITE);
     for site in &coop64.sites {
         assert!(
@@ -74,12 +76,10 @@ fn main() {
 
     // And W = 64 walkers squeezed onto 8 connections per site: pipelining
     // several requests deep per connection.
-    let coop64x8 = CoopDriver::new(cfg(64))
-        .with_connections(8)
-        .run(&mut build_fleet(SITES));
+    let coop64x8 = run(64, Some(8));
     assert_eq!(coop64x8.total_samples(), SITES * TARGET_PER_SITE);
 
-    let row = |name: &str, conns: usize, report: &hdsampler_webform::FleetReport| {
+    let row = |name: &str, conns: usize, report: &FleetReport| {
         vec![
             name.to_string(),
             (SITES * conns).to_string(),

@@ -733,7 +733,7 @@ fn sample(
         println!(
             "walkers: {} walk machine(s) over {} pipelined connection(s), {} history hits",
             run.walkers,
-            report.details[0].connections,
+            report.site().connections,
             report.site().history_hits
         );
     }
@@ -1209,7 +1209,7 @@ mod tests {
             .collect();
         let report = fleet(&with_samples(15), &legs, 4, false).unwrap();
         assert_eq!(report.total_samples(), 45);
-        assert!(report.details.iter().all(|d| d.connections == 4));
+        assert!(report.fleet.sites.iter().all(|s| s.connections == 4));
     }
 
     #[test]

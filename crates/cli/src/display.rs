@@ -289,6 +289,8 @@ mod tests {
             stopped: StopReason::TargetReached,
             stats: stats(),
             history: Default::default(),
+            per_walker_keys: Vec::new(),
+            connections: 1,
         };
         let report = FleetReport {
             sites: vec![site],

@@ -13,8 +13,8 @@ use hdsampler_model::AttrId;
 use hdsampler_model::FormInterface as _;
 use hdsampler_server::{HttpServer, ServerConfig, ServerHandle};
 use hdsampler_webform::{
-    ConnectOptions, ConnectorRegistry, HttpTransport, LocalSite, RunPlan, SiteLocator, SiteTask,
-    WebFormInterface,
+    ConnectOptions, ConnectorRegistry, FleetConfig, HttpTransport, LocalSite, RunPlan, SiteLocator,
+    SiteTask, WebFormInterface,
 };
 use hdsampler_workload::{resolve_dataset, DbConfig, WorkloadSpec};
 
@@ -194,7 +194,9 @@ fn front_door_matches_hand_built(loc: &str, target: usize) {
 
     let task = connect();
     let exec = CachingExecutor::new(&task.iface);
-    let cfg = RunPlan::target(target).fleet_config().walker_config(0, 0);
+    // A plan left at its defaults (seed 2009, slider 0, no scope) seeds
+    // its one walker as the default fleet configuration does.
+    let cfg = FleetConfig::default().walker_config(0, 0);
     let mut sampler = HdsSampler::new(&exec, cfg).unwrap();
     let mut hist = Histogram::new(&schema, AttrId(0));
     let outcome = {

@@ -192,9 +192,8 @@ impl WalkMachine {
             Err(e) => return self.emit_failure(SamplerError::from(e)),
         };
 
-        // One shared transition (`walk::drill_step`) serves this machine
-        // and the synchronous `random_walk` alike — the walk logic exists
-        // exactly once.
+        // The one drill-down transition (`walk::drill_step`); this machine
+        // is the only loop that applies it outside `walk`'s own tests.
         let step = drill_step(
             &self.schema,
             &classified,

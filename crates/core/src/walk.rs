@@ -16,10 +16,10 @@
 //! ([`WalkOutcome::LeafOverflow`]); the data-shape experiment measures this
 //! "invisible mass".
 
-use hdsampler_model::{AttrId, Classification, ConjunctiveQuery, InterfaceError, Row, Schema};
+use hdsampler_model::{AttrId, Classification, ConjunctiveQuery, Row, Schema};
 use rand::Rng;
 
-use crate::executor::{Classified, QueryExecutor};
+use crate::executor::Classified;
 
 /// A candidate sample produced by a successful walk.
 #[derive(Debug, Clone)]
@@ -55,11 +55,9 @@ pub enum WalkOutcome {
 
 /// What one classification does to a walk in progress.
 ///
-/// This is THE drill-down transition (paper §2): [`random_walk`] folds it
-/// over a blocking executor, and
-/// [`WalkMachine`](crate::machine::WalkMachine) applies it once per
-/// resumption — both consume the RNG identically because both call this
-/// single implementation.
+/// This is THE drill-down transition (paper §2). The one drill-down loop,
+/// [`WalkMachine`](crate::machine::WalkMachine), applies it once per
+/// resumption.
 #[derive(Debug)]
 pub(crate) enum DrillStep {
     /// The walk terminated with an outcome.
@@ -118,36 +116,6 @@ pub(crate) fn drill_step<R: Rng>(
     }
 }
 
-/// Perform one random drill-down walk.
-///
-/// `order` must list the drillable attributes (none of them bound by
-/// `scope`), in the order this walk will constrain them.
-pub fn random_walk<E: QueryExecutor, R: Rng>(
-    exec: &E,
-    scope: &ConjunctiveQuery,
-    order: &[AttrId],
-    rng: &mut R,
-) -> Result<WalkOutcome, InterfaceError> {
-    let schema = exec.schema();
-    let mut query = scope.clone();
-    let mut branch_product = 1.0f64;
-
-    for depth in 0..=order.len() {
-        let resp = exec.classify(&query)?;
-        match drill_step(schema, &resp, &query, order, depth, branch_product, rng) {
-            DrillStep::Outcome(outcome) => return Ok(outcome),
-            DrillStep::Descend {
-                query: refined,
-                branch_product: b,
-            } => {
-                query = refined;
-                branch_product = b;
-            }
-        }
-    }
-    unreachable!("the transition terminates at depth == order.len()");
-}
-
 /// Domain product `B = ∏ |Dom(a)|` over a set of drillable attributes.
 pub fn domain_product(schema: &hdsampler_model::Schema, drill: &[AttrId]) -> f64 {
     drill
@@ -195,10 +163,41 @@ pub fn resolve_drill_attrs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::DirectExecutor;
+    use crate::executor::{DirectExecutor, QueryExecutor};
+    use hdsampler_model::InterfaceError;
     use hdsampler_workload::figure1_db;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// One blocking drill-down walk: [`drill_step`] folded over an
+    /// executor, the reference these tests walk. `order` must list the
+    /// drillable attributes (none of them bound by `scope`), in the order
+    /// this walk will constrain them.
+    fn random_walk<E: QueryExecutor, R: Rng>(
+        exec: &E,
+        scope: &ConjunctiveQuery,
+        order: &[AttrId],
+        rng: &mut R,
+    ) -> Result<WalkOutcome, InterfaceError> {
+        let schema = exec.schema();
+        let mut query = scope.clone();
+        let mut branch_product = 1.0f64;
+
+        for depth in 0..=order.len() {
+            let resp = exec.classify(&query)?;
+            match drill_step(schema, &resp, &query, order, depth, branch_product, rng) {
+                DrillStep::Outcome(outcome) => return Ok(outcome),
+                DrillStep::Descend {
+                    query: refined,
+                    branch_product: b,
+                } => {
+                    query = refined;
+                    branch_product = b;
+                }
+            }
+        }
+        unreachable!("the transition terminates at depth == order.len()");
+    }
 
     fn attrs(n: u16) -> Vec<AttrId> {
         (0..n).map(AttrId).collect()

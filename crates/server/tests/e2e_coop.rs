@@ -12,8 +12,8 @@ use hdsampler_model::{FormInterface, Schema};
 use hdsampler_server::{Adversary, HttpServer, ServerConfig, ServerHandle};
 use hdsampler_webform::urlenc::encode;
 use hdsampler_webform::{
-    AsyncTransport as _, ChaosSpec, CoopDriver, FetchPoll, FleetConfig, HttpTransport, LocalSite,
-    SiteTask, Transport as _, WebFormInterface,
+    AsyncTransport as _, ChaosSpec, Driver, FetchPoll, FleetConfig, HttpTransport, LocalSite,
+    RunPlan, SiteTask, Transport as _, WebFormInterface,
 };
 use hdsampler_workload::{DbConfig, VehiclesSpec, WorkloadSpec};
 
@@ -60,12 +60,15 @@ fn coop_sequences_over_tcp_match_per_walker_seeds() {
         ..FleetConfig::default()
     };
     let mut task = remote_task(&server, &schema, k);
-    let (report, details) =
-        CoopDriver::new(cfg.clone()).run_with_details(std::slice::from_mut(&mut task));
-    assert_eq!(report.sites[0].stopped, StopReason::TargetReached);
+    let report = RunPlan::target(cfg.target_per_site)
+        .walkers(cfg.walkers_per_site)
+        .seed(cfg.seed)
+        .slider(cfg.slider)
+        .run(std::slice::from_mut(&mut task));
+    assert_eq!(report.site().stopped, StopReason::TargetReached);
     assert_eq!(report.total_samples(), 48);
 
-    let per_walker = &details[0].per_walker_keys;
+    let per_walker = &report.site().per_walker_keys;
     assert_eq!(per_walker.len(), 4);
     assert!(per_walker.iter().filter(|k| !k.is_empty()).count() >= 2);
 
@@ -90,7 +93,8 @@ fn coop_sequences_over_tcp_match_per_walker_seeds() {
     let stats = server.shutdown();
     assert_eq!(stats.responses_server_error, 0);
     assert_eq!(
-        stats.requests, report.sites[0].queries_issued,
+        stats.requests,
+        report.site().queries_issued,
         "every charged fetch is a served request"
     );
 }
@@ -103,25 +107,20 @@ fn hundreds_of_pipelined_walkers_on_many_connections() {
     // loops (a thread-per-connection server would need 64 workers), so
     // the wide fan-out must sail through with zero server errors.
     let (server, schema, k) = serve(vehicles_db(99));
-    let cfg = FleetConfig {
-        walkers_per_site: 256,
-        target_per_site: 200,
-        seed: 7,
-        slider: 0.4,
-        ..FleetConfig::default()
-    };
     let mut task = remote_task(&server, &schema, k);
     let mut trace = TraceLog::new();
-    let (report, details) = CoopDriver::new(cfg).with_connections(64).run_traced(
-        std::slice::from_mut(&mut task),
-        &mut [],
-        &mut [&mut trace],
-    );
+    let report = RunPlan::target(200)
+        .walkers(256)
+        .seed(7)
+        .slider(0.4)
+        .driver(Driver::Coop { conns: Some(64) })
+        .attach_trace(&mut trace)
+        .run(std::slice::from_mut(&mut task));
 
-    let site = &report.sites[0];
+    let site = report.site();
     assert_eq!(site.stopped, StopReason::TargetReached);
     assert_eq!(site.samples.len(), 200);
-    assert_eq!(details[0].connections, 64);
+    assert_eq!(site.connections, 64);
     assert!(
         site.queries_issued >= 200,
         "200 fresh-site samples need at least one fetch each"
@@ -248,18 +247,14 @@ fn chaos_serve_sequence_is_pinned() {
         Arc::new(Adversary::new(site, spec)),
     )
     .expect("bind loopback");
-    let cfg = FleetConfig {
-        walkers_per_site: 1,
-        target_per_site: 32,
-        seed: 31,
-        slider: 0.5,
-        ..FleetConfig::default()
-    };
     let mut task = remote_task(&server, &schema, k);
-    let (report, _) = CoopDriver::new(cfg)
-        .with_connections(1)
-        .run_with_details(std::slice::from_mut(&mut task));
-    let site = &report.sites[0];
+    let report = RunPlan::target(32)
+        .walkers(1)
+        .seed(31)
+        .slider(0.5)
+        .driver(Driver::Coop { conns: Some(1) })
+        .run(std::slice::from_mut(&mut task));
+    let site = report.site();
     assert_eq!(site.stopped, StopReason::TargetReached);
     // FNV-1a over the fleet-order sample keys.
     let digest = site
@@ -363,21 +358,16 @@ fn stalls_park_in_the_client_reactor_never_in_blocking_completes() {
     let adversary = Arc::new(Adversary::new(site, spec));
     let server = HttpServer::serve(ServerConfig::default(), adversary).expect("bind loopback");
 
-    let cfg = FleetConfig {
-        walkers_per_site: 8,
-        target_per_site: 16,
-        seed: 11,
-        slider: 0.5,
-        ..FleetConfig::default()
-    };
     let mut task = remote_task(&server, &schema, k);
     let mut trace = TraceLog::new();
-    let (report, _) = CoopDriver::new(cfg).with_connections(4).run_traced(
-        std::slice::from_mut(&mut task),
-        &mut [],
-        &mut [&mut trace],
-    );
-    assert_eq!(report.sites[0].stopped, StopReason::TargetReached);
+    let report = RunPlan::target(16)
+        .walkers(8)
+        .seed(11)
+        .slider(0.5)
+        .driver(Driver::Coop { conns: Some(4) })
+        .attach_trace(&mut trace)
+        .run(std::slice::from_mut(&mut task));
+    assert_eq!(report.site().stopped, StopReason::TargetReached);
 
     let waits: Vec<_> = trace
         .events()

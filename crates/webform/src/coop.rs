@@ -1,13 +1,13 @@
-//! [`CoopDriver`]: one OS thread, hundreds of in-flight form submissions.
+//! The cooperative engine behind [`RunPlan`](crate::plan::RunPlan): one
+//! OS thread, hundreds of in-flight form submissions.
 //!
-//! This is the engine behind every [`RunPlan`](crate::plan::RunPlan), from
-//! a one-site, one-walker `sample` session to a many-site adversarial
-//! fleet. The paper's cost model is round trips, so a scraper's
-//! throughput question is how many submissions it keeps in flight.
-//! Spending one OS thread per walker caps that at "how many stacks fit";
-//! parking each walker's state machine caps it at memory.
+//! Every plan runs here, from a one-site, one-walker `sample` session to
+//! a many-site adversarial fleet. The paper's cost model is round trips,
+//! so a scraper's throughput question is how many submissions it keeps in
+//! flight. Spending one OS thread per walker caps that at "how many stacks
+//! fit"; parking each walker's state machine caps it at memory.
 //!
-//! The driver multiplexes. Every walker is a
+//! The engine multiplexes. Every walker is a
 //! [`WalkMachine`](hdsampler_core::WalkMachine) — the HIDDEN-DB-SAMPLER
 //! walk as a resumable state machine — parked whenever its next query is
 //! on the wire:
@@ -18,7 +18,7 @@
 //! * on a miss the query is submitted on the walker's [`ConnId`] of the
 //!   site's [`AsyncTransport`] and the machine parks;
 //! * completions are harvested with non-blocking polls and resumed in
-//!   completion order; when nothing is ready, the driver blocks on (or,
+//!   completion order; when nothing is ready, the engine blocks on (or,
 //!   for virtual wires, advances to) the earliest outstanding completion.
 //!
 //! Causality is preserved across the cache: when a machine consumes a
@@ -36,7 +36,7 @@
 //! ## Adversarial sites: backoff and work-stealing
 //!
 //! Against a hostile wire (throttling 429s, transient 5xx, dropped
-//! connections — see [`crate::chaos`]) the driver retries instead of
+//! connections — see [`crate::chaos`]) the engine retries instead of
 //! failing the site: a transiently-failed fetch parks its walker in
 //! *backoff* for the server-advertised `Retry-After` (or an exponential
 //! schedule from the interface's [`RetryPolicy`](crate::chaos::RetryPolicy))
@@ -46,36 +46,45 @@
 //! the rest of the fleet keeps harvesting. Retries are charged to separate
 //! `retries`/`backoff_vms` counters, never as extra logical queries.
 //!
-//! With [`CoopDriver::with_stealing`] enabled, sites that finish early
-//! donate their walker slots to the hungriest still-running site: a fresh
-//! seeded machine is spawned on a fresh connection whose clock is floored
-//! at `max(receiver knowledge, donor elapsed)` — the stolen walker cannot
-//! pretend to have started before the donor actually freed it. Stealing is
-//! a data-structure move (a `Walker` pushed onto another site's vector),
-//! not a thread handoff.
+//! With [`RunPlan::steal`](crate::plan::RunPlan::steal) set, sites that
+//! finish early donate their walker slots to the hungriest still-running
+//! site: a fresh seeded machine is spawned on a fresh connection whose
+//! clock is floored at `max(receiver knowledge, donor elapsed)` — the
+//! stolen walker cannot pretend to have started before the donor actually
+//! freed it. Stealing is a data-structure move (a `Walker` pushed onto
+//! another site's vector), not a thread handoff.
 
 use hdsampler_core::{
     CachingExecutor, Classified, HitTier, QueryExecutor, SampleEvent, SampleSet, SampleSink,
     SamplerError, SamplerStats, StopReason, TraceEvent, TraceSink, Tracer, WalkMachine, WalkStep,
 };
-use hdsampler_model::{ConjunctiveQuery, FormInterface, InterfaceError, QueryResponse};
+use hdsampler_model::{ConjunctiveQuery, FormInterface, InterfaceError, QueryResponse, Schema};
 
 use crate::adapter::{QueryHandle, QueryPoll, WebFormInterface};
 use crate::aio::{AsyncTransport, ConnId};
 use crate::driver::{FleetConfig, FleetReport, SiteReport, SiteTask};
 use crate::transport::{Clocked, Transport};
 
-/// One in-flight fetch a walker is parked on.
-struct Pending {
-    handle: QueryHandle,
+/// A submitted fetch, as numbered when its walker parked on it.
+struct Fetch {
     query: ConjunctiveQuery,
     /// Virtual completion time (0 on real wires).
     ready_at: u64,
+    /// Wire wait spent queued behind earlier requests on the connection.
+    queued_ms: u64,
+    /// Wire service time of the fetch itself.
+    service_ms: u64,
     /// Site-wide submission sequence number (completion-order tie-break).
     seq: u64,
     /// Trace span id tying the submit event to its completion (0 when
     /// tracing is off).
     span: u64,
+}
+
+/// One in-flight fetch a walker is parked on.
+struct Pending {
+    handle: QueryHandle,
+    fetch: Fetch,
 }
 
 /// A walker waiting out a retry backoff on a *real* wire. (Virtual wires
@@ -103,6 +112,21 @@ struct Walker {
     keys: Vec<u64>,
 }
 
+impl Walker {
+    /// Walker `w` of site `six`, seeded by `cfg`, riding `conn`.
+    fn new(cfg: &FleetConfig, schema: &Schema, six: usize, w: usize, conn: ConnId) -> Self {
+        Walker {
+            machine: WalkMachine::new(schema, cfg.walker_config(six, w))
+                .expect("fleet walker configuration is valid"),
+            conn,
+            pending: None,
+            backoff: None,
+            attempts: 0,
+            keys: Vec::new(),
+        }
+    }
+}
+
 /// Everything one site needs while being driven.
 struct SiteState<'a, T: Transport + Clocked> {
     six: usize,
@@ -126,42 +150,36 @@ struct SiteState<'a, T: Transport + Clocked> {
     donated: usize,
 }
 
+impl<T: Transport + Clocked> SiteState<'_, T> {
+    /// A trace event about walker `wix`: its site, walker and connection
+    /// filled in; callers set whatever else differs.
+    fn event(&self, wix: usize, kind: &str, detail: &str, at_ms: u64) -> TraceEvent {
+        TraceEvent {
+            kind: kind.into(),
+            detail: detail.into(),
+            site: self.six as u64,
+            walker: wix as u64,
+            conn: self.walkers[wix].conn.index() as u64,
+            at_ms,
+            ..TraceEvent::default()
+        }
+    }
+}
+
 /// A harvested completion, processed in completion order.
 struct Harvested {
     wix: usize,
-    query: ConjunctiveQuery,
-    ready_at: u64,
-    seq: u64,
-    span: u64,
-    /// Wire wait spent queued behind earlier requests on the connection.
-    queued_ms: u64,
-    /// Wire service time of the fetch itself.
-    service_ms: u64,
+    fetch: Fetch,
     result: Result<QueryResponse, InterfaceError>,
 }
 
-/// Per-site walker detail of a run.
-#[derive(Debug)]
-pub struct CoopSiteDetail {
-    /// Each walker's sample keys in production order — deterministic per
-    /// (seed, site, walker), and identical to what a standalone
-    /// [`HdsSampler`](hdsampler_core::HdsSampler) with the same seed
-    /// produces.
-    pub per_walker_keys: Vec<Vec<u64>>,
-    /// Wire connections the site's walkers shared.
-    pub connections: usize,
-    /// Merged walker statistics (executor-view counters from the site's
-    /// shared cache).
-    pub stats: SamplerStats,
-}
-
-/// How long one reactor wait inside a stall lasts before the driver
+/// How long one reactor wait inside a stall lasts before the engine
 /// re-polls the whole fleet (ms). Short enough that completions on
 /// *other* sites' transports — which the wait cannot see — are picked up
 /// promptly.
 const STALL_WAIT_MS: u64 = 100;
 
-/// Cumulative reactor-wait time on one stalled fetch before the driver
+/// Cumulative reactor-wait time on one stalled fetch before the engine
 /// falls back to a blocking completion. Liveness backstop for a server
 /// that accepts requests and then goes silent: the blocking path's own
 /// transport deadline then fails the fetch cleanly instead of the fleet
@@ -171,6 +189,7 @@ const STALL_FORCE_MS: u64 = 30_000;
 /// Cross-iteration memory of reactor waits spent on one stalled fetch,
 /// keyed by (site, submission seq) — seq is unique per site, so the key
 /// never aliases two fetches.
+#[derive(Default)]
 struct StallTracker {
     key: Option<(usize, u64)>,
     waited_ms: u64,
@@ -183,214 +202,129 @@ impl StallTracker {
     }
 }
 
-/// Drives S sites × W walker machines from a single thread.
-#[derive(Debug)]
-pub struct CoopDriver {
-    cfg: FleetConfig,
-    conns_per_site: Option<usize>,
+/// Drive every site to `cfg`'s target from the calling thread.
+///
+/// Each site's walkers share `conns` wire connections round-robin (`None`
+/// = one per walker); fewer connections than walkers pipelines several
+/// requests per connection — HTTP/1.1 FIFO on real wires, serialized
+/// virtual service on simulated ones. With `steal`, finished sites donate
+/// their walker slots to the hungriest running site.
+///
+/// Per-site [`SiteTask`] sinks observe their site's samples in acceptance
+/// order; `run_sinks` observe every site's samples in the fleet's global
+/// completion order. `trace_sinks` observe cache hit/miss
+/// classifications, wire submit/complete spans with their queue/service
+/// split, retry backoffs, stall resolutions and work-steals — every
+/// timestamp a virtual-clock reading, so a seeded virtual-wire run traces
+/// bit-identically. With no trace sinks attached no event is even
+/// constructed, and the sample sequence is identical either way.
+pub(crate) fn run<T>(
+    cfg: &FleetConfig,
+    conns: Option<usize>,
     steal: bool,
-}
+    sites: &mut [SiteTask<T>],
+    run_sinks: &mut [&mut dyn SampleSink],
+    trace_sinks: &mut [&mut dyn TraceSink],
+) -> FleetReport
+where
+    T: Transport + AsyncTransport + Clocked,
+{
+    assert!(conns != Some(0), "need at least one connection per site");
+    let mut engine = Engine {
+        cfg,
+        run_sinks,
+        tracer: Tracer::new(trace_sinks),
+    };
+    let walkers_per_site = cfg.walkers_per_site.max(1);
+    let conns_per_site = conns.unwrap_or(walkers_per_site).min(walkers_per_site);
 
-impl CoopDriver {
-    /// Cooperative driver with the given fleet configuration. By default
-    /// every walker rides its own connection and work-stealing is off.
-    pub fn new(cfg: FleetConfig) -> Self {
-        CoopDriver {
-            cfg,
-            conns_per_site: None,
-            steal: false,
-        }
-    }
-
-    /// The fleet configuration.
-    pub fn config(&self) -> &FleetConfig {
-        &self.cfg
-    }
-
-    /// Enable cross-site work-stealing: when a site finishes (target
-    /// reached, budget exhausted, or failed), its walker slots are donated
-    /// to the hungriest still-running site. Each stolen slot spawns a
-    /// fresh seeded [`WalkMachine`] on a fresh connection floored at
-    /// `max(receiver knowledge, donor elapsed)`, and bumps the receiving
-    /// site's `steals` counter.
-    pub fn with_stealing(mut self, steal: bool) -> Self {
-        self.steal = steal;
-        self
-    }
-
-    /// Share `conns` wire connections per site among the walkers
-    /// (round-robin). Fewer connections than walkers pipelines several
-    /// requests per connection — HTTP/1.1 FIFO on real wires, serialized
-    /// virtual service on simulated ones.
-    pub fn with_connections(mut self, conns: usize) -> Self {
-        assert!(conns >= 1, "need at least one connection per site");
-        self.conns_per_site = Some(conns);
-        self
-    }
-
-    /// Drive every site to its target from the calling thread.
-    pub fn run<T>(&self, sites: &mut [SiteTask<T>]) -> FleetReport
-    where
-        T: Transport + AsyncTransport + Clocked,
-    {
-        self.run_observed(sites, &mut []).0
-    }
-
-    /// [`CoopDriver::run`], also returning per-walker detail.
-    pub fn run_with_details<T>(
-        &self,
-        sites: &mut [SiteTask<T>],
-    ) -> (FleetReport, Vec<CoopSiteDetail>)
-    where
-        T: Transport + AsyncTransport + Clocked,
-    {
-        self.run_observed(sites, &mut [])
-    }
-
-    /// [`CoopDriver::run`] with streaming observation. Per-site
-    /// [`SiteTask`] sinks observe their site's samples in acceptance
-    /// order; `run_sinks` observe every site's samples in the fleet's
-    /// global completion order. The driver is single-threaded, so the
-    /// run-level sinks are observed directly — no forking.
-    pub fn run_observed<T>(
-        &self,
-        sites: &mut [SiteTask<T>],
-        run_sinks: &mut [&mut dyn SampleSink],
-    ) -> (FleetReport, Vec<CoopSiteDetail>)
-    where
-        T: Transport + AsyncTransport + Clocked,
-    {
-        self.run_traced(sites, run_sinks, &mut [])
-    }
-
-    /// [`CoopDriver::run_observed`], additionally emitting a
-    /// [`TraceEvent`] stream into `trace_sinks`: cache hit/miss
-    /// classifications, wire submit/complete spans with their
-    /// queue/service split, retry backoffs, stall resolutions and
-    /// work-steals — every timestamp a virtual-clock reading, so a
-    /// seeded virtual-wire run traces bit-identically. With no trace
-    /// sinks attached no event is even constructed, and the sample
-    /// sequence is identical either way.
-    pub fn run_traced<T>(
-        &self,
-        sites: &mut [SiteTask<T>],
-        run_sinks: &mut [&mut dyn SampleSink],
-        trace_sinks: &mut [&mut dyn TraceSink],
-    ) -> (FleetReport, Vec<CoopSiteDetail>)
-    where
-        T: Transport + AsyncTransport + Clocked,
-    {
-        let mut tracer = Tracer::new(trace_sinks);
-        let walkers_per_site = self.cfg.walkers_per_site.max(1);
-        let conns_per_site = self
-            .conns_per_site
-            .unwrap_or(walkers_per_site)
-            .min(walkers_per_site);
-
-        let mut states: Vec<SiteState<'_, T>> = sites
-            .iter_mut()
-            .enumerate()
-            .map(|(six, task)| {
-                let SiteTask {
-                    name,
-                    iface,
-                    sink,
-                    l2,
-                } = task;
-                let iface: &WebFormInterface<T> = iface;
-                let mut exec = CachingExecutor::new(iface);
-                if let Some(log) = l2 {
-                    exec = exec.with_l2(std::sync::Arc::clone(log));
-                    if tracer.enabled() {
-                        tracer.emit(&TraceEvent {
-                            kind: "l2".into(),
-                            detail: "load".into(),
-                            site: six as u64,
-                            seq: exec.history_stats().l2_loads,
-                            ..TraceEvent::default()
-                        });
-                    }
-                }
-                let conn_ids: Vec<ConnId> = (0..conns_per_site).map(|_| iface.connect()).collect();
-                let walkers = (0..walkers_per_site)
-                    .map(|w| Walker {
-                        machine: WalkMachine::new(iface.schema(), self.cfg.walker_config(six, w))
-                            .expect("fleet walker configuration is valid"),
-                        conn: conn_ids[w % conn_ids.len()],
-                        pending: None,
-                        backoff: None,
-                        attempts: 0,
-                        keys: Vec::new(),
-                    })
-                    .collect();
-                SiteState {
-                    six,
-                    name,
-                    iface,
-                    sink: sink.as_deref_mut(),
-                    exec,
-                    walkers,
-                    samples: SampleSet::new(),
-                    knowledge_ms: 0,
-                    connections: conns_per_site,
-                    stopped: if self.cfg.target_per_site == 0 {
-                        Some(StopReason::TargetReached)
-                    } else {
-                        None
-                    },
-                    next_seq: 0,
-                    steals: 0,
-                    donated: 0,
-                }
-            })
-            .collect();
-
-        // Kick-off: run every machine until it parks on the wire (or the
-        // site finishes straight from history).
-        for st in &mut states {
-            for wix in 0..st.walkers.len() {
-                if st.stopped.is_some() {
-                    break;
-                }
-                let step = st.walkers[wix].machine.step();
-                self.advance(st, wix, step, run_sinks, &mut tracer);
+    let mut states: Vec<SiteState<'_, T>> = sites
+        .iter_mut()
+        .enumerate()
+        .map(|(six, task)| {
+            let SiteTask {
+                name,
+                iface,
+                sink,
+                l2,
+            } = task;
+            let iface: &WebFormInterface<T> = iface;
+            let mut exec = CachingExecutor::new(iface);
+            if let Some(log) = l2 {
+                exec = exec.with_l2(std::sync::Arc::clone(log));
+                engine.trace(|| TraceEvent {
+                    kind: "l2".into(),
+                    detail: "load".into(),
+                    site: six as u64,
+                    seq: exec.history_stats().l2_loads,
+                    ..TraceEvent::default()
+                });
             }
-        }
+            let conn_ids: Vec<ConnId> = (0..conns_per_site).map(|_| iface.connect()).collect();
+            let walkers = (0..walkers_per_site)
+                .map(|w| Walker::new(cfg, iface.schema(), six, w, conn_ids[w % conn_ids.len()]))
+                .collect();
+            SiteState {
+                six,
+                name,
+                iface,
+                sink: sink.as_deref_mut(),
+                exec,
+                walkers,
+                samples: SampleSet::new(),
+                knowledge_ms: 0,
+                connections: conns_per_site,
+                stopped: (cfg.target_per_site == 0).then_some(StopReason::TargetReached),
+                next_seq: 0,
+                steals: 0,
+                donated: 0,
+            }
+        })
+        .collect();
 
-        let mut stall = StallTracker {
-            key: None,
-            waited_ms: 0,
-        };
-        loop {
-            let mut progress = false;
-            for st in &mut states {
-                if st.stopped.is_none() {
-                    progress |= self.harvest(st, run_sinks, &mut tracer);
-                }
-            }
-            if self.steal {
-                self.rebalance(&mut states, run_sinks, &mut tracer);
-            }
-            // Checked after the rebalance: a stolen walker can finish the
-            // last running site straight from history, leaving nothing in
-            // flight for `force_earliest` to resolve.
-            if states.iter().all(|st| st.stopped.is_some()) {
+    // Kick-off: run every machine until it parks on the wire (or the
+    // site finishes straight from history).
+    for st in &mut states {
+        for wix in 0..st.walkers.len() {
+            if st.stopped.is_some() {
                 break;
             }
-            if progress {
-                stall.reset();
-            } else {
-                // Nothing pollable anywhere: wait for (real wire with a
-                // reactor), block on (real wire without one) or advance
-                // to (virtual wire) the earliest outstanding completion,
-                // keeping the fleet in causal order.
-                self.force_earliest(&mut states, run_sinks, &mut tracer, &mut stall);
+            let step = st.walkers[wix].machine.step();
+            engine.advance(st, wix, step);
+        }
+    }
+
+    let mut stall = StallTracker::default();
+    loop {
+        let mut progress = false;
+        for st in &mut states {
+            if st.stopped.is_none() {
+                progress |= engine.harvest(st);
             }
         }
+        if steal {
+            engine.rebalance(&mut states);
+        }
+        // Checked after the rebalance: a stolen walker can finish the
+        // last running site straight from history, leaving nothing in
+        // flight for `force_earliest` to resolve.
+        if states.iter().all(|st| st.stopped.is_some()) {
+            break;
+        }
+        if progress {
+            stall.reset();
+        } else {
+            // Nothing pollable anywhere: wait for (real wire with a
+            // reactor), block on (real wire without one) or advance to
+            // (virtual wire) the earliest outstanding completion, keeping
+            // the fleet in causal order.
+            engine.force_earliest(&mut states, &mut stall);
+        }
+    }
 
-        let mut reports = Vec::with_capacity(states.len());
-        let mut details = Vec::with_capacity(states.len());
-        for st in states {
+    let sites: Vec<SiteReport> = states
+        .into_iter()
+        .map(|st| {
             // Walkers are parked for good; reap their keep-alive sockets.
             st.iface.transport().close_idle();
             let mut stats = SamplerStats::default();
@@ -401,16 +335,11 @@ impl CoopDriver {
             stats.queries_issued = st.exec.queries_issued();
             stats.retries = st.iface.retries();
             stats.backoff_ms = st.iface.backoff_ms();
-            details.push(CoopSiteDetail {
-                per_walker_keys: st.walkers.into_iter().map(|w| w.keys).collect(),
-                connections: st.connections,
-                stats,
-            });
-            reports.push(SiteReport {
+            SiteReport {
                 name: st.name.to_owned(),
                 samples: st.samples,
-                requests: st.exec.requests(),
-                queries_issued: st.exec.queries_issued(),
+                requests: stats.requests,
+                queries_issued: stats.queries_issued,
                 history_hits: st.exec.history_stats().total_hits(),
                 elapsed_ms: st.iface.transport().elapsed_ms(),
                 retries: stats.retries,
@@ -418,19 +347,70 @@ impl CoopDriver {
                 steals: st.steals,
                 stopped: st
                     .stopped
-                    .expect("driver loop ends with every site stopped"),
+                    .expect("engine loop ends with every site stopped"),
                 stats,
                 history: st.exec.history_stats(),
-            });
+                per_walker_keys: st.walkers.into_iter().map(|w| w.keys).collect(),
+                connections: st.connections,
+            }
+        })
+        .collect();
+    let fleet_elapsed_ms = sites.iter().map(|r| r.elapsed_ms).max().unwrap_or(0);
+    FleetReport {
+        sites,
+        fleet_elapsed_ms,
+    }
+}
+
+/// The run-wide half of the engine: the plan's configuration and the
+/// sinks every site's walkers report to.
+struct Engine<'e, 'r, 't> {
+    cfg: &'e FleetConfig,
+    run_sinks: &'e mut [&'r mut dyn SampleSink],
+    tracer: Tracer<'e, 't>,
+}
+
+impl Engine<'_, '_, '_> {
+    /// Journal the event `make` builds, if any trace sink is attached;
+    /// with none it is never built.
+    fn trace(&mut self, make: impl FnOnce() -> TraceEvent) {
+        if self.tracer.enabled() {
+            self.tracer.emit(&make());
         }
-        let fleet_elapsed_ms = reports.iter().map(|r| r.elapsed_ms).max().unwrap_or(0);
-        (
-            FleetReport {
-                sites: reports,
-                fleet_elapsed_ms,
+    }
+
+    /// Park walker `wix` on `handle`, its fetch of `query` just submitted:
+    /// number the fetch and journal its `wire`/`submit`.
+    fn park<T>(
+        &mut self,
+        st: &mut SiteState<'_, T>,
+        wix: usize,
+        query: ConjunctiveQuery,
+        handle: QueryHandle,
+    ) where
+        T: Transport + AsyncTransport + Clocked,
+    {
+        let fetch = Fetch {
+            query,
+            ready_at: handle.ready_at_ms(),
+            queued_ms: handle.queued_ms(),
+            service_ms: handle.service_ms(),
+            seq: st.next_seq,
+            span: if self.tracer.enabled() {
+                self.tracer.next_span()
+            } else {
+                0
             },
-            details,
-        )
+        };
+        st.next_seq += 1;
+        let departed = fetch
+            .ready_at
+            .saturating_sub(fetch.service_ms + fetch.queued_ms);
+        self.trace(|| TraceEvent {
+            span: fetch.span,
+            ..st.event(wix, "wire", "submit", departed)
+        });
+        st.walkers[wix].pending = Some(Pending { handle, fetch });
     }
 
     /// Run one walker until it parks on the wire, produces past the site
@@ -438,14 +418,8 @@ impl CoopDriver {
     /// wire time, only a causal floor on the walker's clock. Accepted
     /// samples stream into the site's sink and the run-level sinks at the
     /// moment they are collected.
-    fn advance<T>(
-        &self,
-        st: &mut SiteState<'_, T>,
-        wix: usize,
-        mut step: WalkStep,
-        run_sinks: &mut [&mut dyn SampleSink],
-        tracer: &mut Tracer<'_, '_>,
-    ) where
+    fn advance<T>(&mut self, st: &mut SiteState<'_, T>, wix: usize, mut step: WalkStep)
+    where
         T: Transport + AsyncTransport + Clocked,
     {
         loop {
@@ -467,92 +441,29 @@ impl CoopDriver {
                         st.iface
                             .transport()
                             .observe_now(st.walkers[wix].conn, hit.learned_at);
-                        if tracer.enabled() {
-                            if hit.tier == HitTier::L2 {
-                                tracer.emit(&TraceEvent {
-                                    kind: "l2".into(),
-                                    detail: "hit".into(),
-                                    site: st.six as u64,
-                                    walker: wix as u64,
-                                    conn: st.walkers[wix].conn.index() as u64,
-                                    at_ms: hit.learned_at,
-                                    ..TraceEvent::default()
-                                });
-                            }
-                            tracer.emit(&TraceEvent {
-                                kind: "cache".into(),
-                                detail: "hit".into(),
-                                site: st.six as u64,
-                                walker: wix as u64,
-                                conn: st.walkers[wix].conn.index() as u64,
-                                at_ms: hit.learned_at,
-                                ..TraceEvent::default()
-                            });
+                        if hit.tier == HitTier::L2 {
+                            self.trace(|| st.event(wix, "l2", "hit", hit.learned_at));
                         }
+                        self.trace(|| st.event(wix, "cache", "hit", hit.learned_at));
                         step = st.walkers[wix].machine.resume(Ok(hit.answer));
                     } else {
-                        let handle = st.iface.submit_query(st.walkers[wix].conn, &query);
-                        let ready_at = handle.ready_at_ms();
-                        let seq = st.next_seq;
-                        st.next_seq += 1;
-                        let mut span = 0;
-                        if tracer.enabled() {
-                            span = tracer.next_span();
-                            let conn = st.walkers[wix].conn.index() as u64;
-                            if st.exec.l2_log().is_some() {
-                                tracer.emit(&TraceEvent {
-                                    kind: "l2".into(),
-                                    detail: "miss".into(),
-                                    site: st.six as u64,
-                                    walker: wix as u64,
-                                    conn,
-                                    at_ms: st.knowledge_ms,
-                                    ..TraceEvent::default()
-                                });
-                            }
-                            tracer.emit(&TraceEvent {
-                                kind: "cache".into(),
-                                detail: "miss".into(),
-                                site: st.six as u64,
-                                walker: wix as u64,
-                                conn,
-                                at_ms: st.knowledge_ms,
-                                ..TraceEvent::default()
-                            });
-                            tracer.emit(&TraceEvent {
-                                kind: "wire".into(),
-                                detail: "submit".into(),
-                                span,
-                                site: st.six as u64,
-                                walker: wix as u64,
-                                conn,
-                                at_ms: ready_at
-                                    .saturating_sub(handle.service_ms() + handle.queued_ms()),
-                                ..TraceEvent::default()
-                            });
+                        if st.exec.l2_log().is_some() {
+                            self.trace(|| st.event(wix, "l2", "miss", st.knowledge_ms));
                         }
-                        st.walkers[wix].pending = Some(Pending {
-                            handle,
-                            query,
-                            ready_at,
-                            seq,
-                            span,
-                        });
+                        self.trace(|| st.event(wix, "cache", "miss", st.knowledge_ms));
+                        let handle = st.iface.submit_query(st.walkers[wix].conn, &query);
+                        self.park(st, wix, query, handle);
                         return;
                     }
                 }
                 WalkStep::Sample(s) => {
                     st.walkers[wix].keys.push(s.row.key);
-                    if tracer.enabled() {
-                        tracer.emit(&TraceEvent {
-                            kind: "sample".into(),
-                            site: st.six as u64,
-                            walker: wix as u64,
-                            seq: st.samples.len() as u64 + 1,
-                            at_ms: st.knowledge_ms,
-                            ..TraceEvent::default()
-                        });
-                    }
+                    // Sample and walk events name no connection.
+                    self.trace(|| TraceEvent {
+                        conn: 0,
+                        seq: st.samples.len() as u64 + 1,
+                        ..st.event(wix, "sample", "", st.knowledge_ms)
+                    });
                     let ev = SampleEvent {
                         sample: &s,
                         site: st.six,
@@ -565,32 +476,26 @@ impl CoopDriver {
                     if let Some(sink) = st.sink.as_deref_mut() {
                         sink.observe(&ev);
                     }
-                    for sink in run_sinks.iter_mut() {
+                    for sink in self.run_sinks.iter_mut() {
                         sink.observe(&ev);
                     }
                     st.samples.push(s);
                     if st.samples.len() >= self.cfg.target_per_site {
-                        Self::stop_site(st, StopReason::TargetReached);
+                        stop_site(st, StopReason::TargetReached);
                         return;
                     }
                     step = st.walkers[wix].machine.step();
                 }
                 WalkStep::Failed(e) => {
-                    if tracer.enabled() {
-                        tracer.emit(&TraceEvent {
-                            kind: "walk".into(),
-                            detail: "failed".into(),
-                            site: st.six as u64,
-                            walker: wix as u64,
-                            at_ms: st.knowledge_ms,
-                            ..TraceEvent::default()
-                        });
-                    }
+                    self.trace(|| TraceEvent {
+                        conn: 0,
+                        ..st.event(wix, "walk", "failed", st.knowledge_ms)
+                    });
                     let reason = match e {
                         SamplerError::BudgetExhausted { .. } => StopReason::BudgetExhausted,
                         other => StopReason::Failed(other),
                     };
-                    Self::stop_site(st, reason);
+                    stop_site(st, reason);
                     return;
                 }
             }
@@ -607,12 +512,7 @@ impl CoopDriver {
     /// the sweep at its first still-pending fetch — later fetches cannot
     /// be ready, and re-polling them would re-drain an already-drained
     /// socket once per walker instead of once per connection.
-    fn harvest<T>(
-        &self,
-        st: &mut SiteState<'_, T>,
-        run_sinks: &mut [&mut dyn SampleSink],
-        tracer: &mut Tracer<'_, '_>,
-    ) -> bool
+    fn harvest<T>(&mut self, st: &mut SiteState<'_, T>) -> bool
     where
         T: Transport + AsyncTransport + Clocked,
     {
@@ -626,7 +526,7 @@ impl CoopDriver {
                 .as_ref()
                 .is_some_and(|b| std::time::Instant::now() >= b.release_at);
             if due {
-                Self::release_backoff(st, wix, tracer);
+                self.release_backoff(st, wix);
                 released = true;
             }
         }
@@ -636,7 +536,7 @@ impl CoopDriver {
             .collect();
         parked.sort_by_key(|&wix| {
             let p = st.walkers[wix].pending.as_ref().expect("filtered parked");
-            (st.walkers[wix].conn.index(), p.seq)
+            (st.walkers[wix].conn.index(), p.fetch.seq)
         });
 
         let mut ready: Vec<Harvested> = Vec::new();
@@ -646,37 +546,13 @@ impl CoopDriver {
             if skip_conn == Some(conn_ix) {
                 continue;
             }
-            let p = st.walkers[wix].pending.take().expect("walker is parked");
-            let Pending {
-                handle,
-                query,
-                ready_at,
-                seq,
-                span,
-            } = p;
-            let queued_ms = handle.queued_ms();
-            let service_ms = handle.service_ms();
+            let Pending { handle, fetch } = st.walkers[wix].pending.take().expect("parked");
             match st.iface.poll_query(handle) {
                 QueryPoll::Pending(handle) => {
-                    st.walkers[wix].pending = Some(Pending {
-                        handle,
-                        query,
-                        ready_at,
-                        seq,
-                        span,
-                    });
+                    st.walkers[wix].pending = Some(Pending { handle, fetch });
                     skip_conn = Some(conn_ix);
                 }
-                QueryPoll::Ready(result) => ready.push(Harvested {
-                    wix,
-                    query,
-                    ready_at,
-                    seq,
-                    span,
-                    queued_ms,
-                    service_ms,
-                    result,
-                }),
+                QueryPoll::Ready(result) => ready.push(Harvested { wix, fetch, result }),
             }
         }
         if ready.is_empty() {
@@ -684,179 +560,104 @@ impl CoopDriver {
         }
         // Completion order keeps the knowledge clock honest: a resume only
         // ever sees facts learned at or before its own floor.
-        ready.sort_by_key(|h| (h.ready_at, h.seq));
+        ready.sort_by_key(|h| (h.fetch.ready_at, h.fetch.seq));
         for h in ready {
-            self.finish_fetch(st, h, run_sinks, tracer);
+            self.finish_fetch(st, h);
         }
         true
     }
 
     /// Resubmit a walker whose retry backoff has elapsed (real wires
     /// only): same logical query, new fetch, no new query charge.
-    fn release_backoff<T>(st: &mut SiteState<'_, T>, wix: usize, tracer: &mut Tracer<'_, '_>)
+    fn release_backoff<T>(&mut self, st: &mut SiteState<'_, T>, wix: usize)
     where
         T: Transport + AsyncTransport + Clocked,
     {
-        let b = st.walkers[wix]
-            .backoff
-            .take()
-            .expect("walker is backing off");
+        let b = st.walkers[wix].backoff.take().expect("backing off");
         let handle = st.iface.resubmit_query(st.walkers[wix].conn, &b.query);
-        let ready_at = handle.ready_at_ms();
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        let mut span = 0;
-        if tracer.enabled() {
-            span = tracer.next_span();
-            tracer.emit(&TraceEvent {
-                kind: "wire".into(),
-                detail: "submit".into(),
-                span,
-                site: st.six as u64,
-                walker: wix as u64,
-                conn: st.walkers[wix].conn.index() as u64,
-                at_ms: ready_at.saturating_sub(handle.service_ms() + handle.queued_ms()),
-                ..TraceEvent::default()
-            });
-        }
-        st.walkers[wix].pending = Some(Pending {
-            handle,
-            query: b.query,
-            ready_at,
-            seq,
-            span,
-        });
+        self.park(st, wix, b.query, handle);
     }
 
     /// Feed one wire completion back: teach the cache, then run the
     /// owning walker until it parks again.
-    fn finish_fetch<T>(
-        &self,
-        st: &mut SiteState<'_, T>,
-        h: Harvested,
-        run_sinks: &mut [&mut dyn SampleSink],
-        tracer: &mut Tracer<'_, '_>,
-    ) where
+    fn finish_fetch<T>(&mut self, st: &mut SiteState<'_, T>, h: Harvested)
+    where
         T: Transport + AsyncTransport + Clocked,
     {
-        st.knowledge_ms = st.knowledge_ms.max(h.ready_at);
+        let Harvested { wix, fetch, result } = h;
+        st.knowledge_ms = st.knowledge_ms.max(fetch.ready_at);
         if st.stopped.is_some() {
             // The site finished while this page was in flight; the fetch
             // was charged either way — only the result is discarded.
             return;
         }
-        if tracer.enabled() {
-            tracer.emit(&TraceEvent {
-                kind: "wire".into(),
-                detail: "complete".into(),
-                span: h.span,
-                site: st.six as u64,
-                walker: h.wix as u64,
-                conn: st.walkers[h.wix].conn.index() as u64,
-                at_ms: h.ready_at,
-                dur_ms: h.queued_ms + h.service_ms,
-                queue_ms: h.queued_ms,
-                ..TraceEvent::default()
-            });
-        }
-        let answer = match h.result {
+        self.trace(|| TraceEvent {
+            span: fetch.span,
+            dur_ms: fetch.queued_ms + fetch.service_ms,
+            queue_ms: fetch.queued_ms,
+            ..st.event(wix, "wire", "complete", fetch.ready_at)
+        });
+        let answer = match result {
             Ok(resp) => {
-                st.walkers[h.wix].attempts = 0;
+                st.walkers[wix].attempts = 0;
                 let classified = Classified::from_response(resp);
                 // Stamp the fact with its wire completion time: that is
                 // the instant the knowledge came into being, and the
                 // exact causal floor for any walker that later consumes
                 // it from history.
                 st.exec
-                    .record_response_at(&h.query, &classified, h.ready_at);
-                if tracer.enabled() && st.exec.l2_log().is_some() {
-                    tracer.emit(&TraceEvent {
-                        kind: "l2".into(),
-                        detail: "put".into(),
-                        span: h.span,
-                        site: st.six as u64,
-                        walker: h.wix as u64,
-                        conn: st.walkers[h.wix].conn.index() as u64,
-                        at_ms: h.ready_at,
-                        ..TraceEvent::default()
+                    .record_response_at(&fetch.query, &classified, fetch.ready_at);
+                if st.exec.l2_log().is_some() {
+                    self.trace(|| TraceEvent {
+                        span: fetch.span,
+                        ..st.event(wix, "l2", "put", fetch.ready_at)
                     });
                 }
                 Ok(classified)
             }
             Err(e) => {
                 let policy = st.iface.retry_policy();
-                if e.is_transient() && st.walkers[h.wix].attempts < policy.max_retries {
+                if e.is_transient() && st.walkers[wix].attempts < policy.max_retries {
                     // Retry instead of failing the walk: back off for the
                     // server-advertised interval (or the policy's
                     // exponential schedule) and resubmit the same logical
                     // query. The retry is charged to the interface's
                     // retry/backoff counters, never as a new query.
-                    let wait = policy.backoff_ms(st.walkers[h.wix].attempts, e.retry_after_ms());
-                    st.walkers[h.wix].attempts += 1;
+                    let wait = policy.backoff_ms(st.walkers[wix].attempts, e.retry_after_ms());
+                    st.walkers[wix].attempts += 1;
                     st.iface.note_retry(wait);
-                    if tracer.enabled() {
-                        tracer.emit(&TraceEvent {
-                            kind: "retry".into(),
-                            detail: "backoff".into(),
-                            span: h.span,
-                            site: st.six as u64,
-                            walker: h.wix as u64,
-                            conn: st.walkers[h.wix].conn.index() as u64,
-                            at_ms: h.ready_at,
-                            dur_ms: wait,
-                            ..TraceEvent::default()
-                        });
-                    }
+                    self.trace(|| TraceEvent {
+                        span: fetch.span,
+                        dur_ms: wait,
+                        ..st.event(wix, "retry", "backoff", fetch.ready_at)
+                    });
+                    let conn = st.walkers[wix].conn;
                     if st.iface.wire_is_virtual() {
                         // Bill the wait by flooring the walker's connection
                         // clock at the release time, then resubmit now —
                         // virtual time jumps forward for free.
                         st.iface
                             .transport()
-                            .observe_now(st.walkers[h.wix].conn, h.ready_at.saturating_add(wait));
-                        let handle = st.iface.resubmit_query(st.walkers[h.wix].conn, &h.query);
-                        let ready_at = handle.ready_at_ms();
-                        let seq = st.next_seq;
-                        st.next_seq += 1;
-                        let mut span = 0;
-                        if tracer.enabled() {
-                            span = tracer.next_span();
-                            tracer.emit(&TraceEvent {
-                                kind: "wire".into(),
-                                detail: "submit".into(),
-                                span,
-                                site: st.six as u64,
-                                walker: h.wix as u64,
-                                conn: st.walkers[h.wix].conn.index() as u64,
-                                at_ms: ready_at
-                                    .saturating_sub(handle.service_ms() + handle.queued_ms()),
-                                ..TraceEvent::default()
-                            });
-                        }
-                        st.walkers[h.wix].pending = Some(Pending {
-                            handle,
-                            query: h.query,
-                            ready_at,
-                            seq,
-                            span,
-                        });
+                            .observe_now(conn, fetch.ready_at.saturating_add(wait));
+                        let handle = st.iface.resubmit_query(conn, &fetch.query);
+                        self.park(st, wix, fetch.query, handle);
                     } else {
                         // A real server means a real wait: park the walker
                         // until the interval has genuinely elapsed.
-                        st.walkers[h.wix].backoff = Some(Backoff {
-                            query: h.query,
+                        st.walkers[wix].backoff = Some(Backoff {
+                            query: fetch.query,
                             release_at: std::time::Instant::now()
                                 + std::time::Duration::from_millis(wait),
                         });
                     }
                     return;
                 }
-                st.walkers[h.wix].attempts = 0;
+                st.walkers[wix].attempts = 0;
                 Err(e)
             }
         };
-        let step = st.walkers[h.wix].machine.resume(answer);
-        self.advance(st, h.wix, step, run_sinks, tracer);
+        let step = st.walkers[wix].machine.resume(answer);
+        self.advance(st, wix, step);
     }
 
     /// Resolve the causally-earliest outstanding fetch fleet-wide (min
@@ -864,18 +665,13 @@ impl CoopDriver {
     ///
     /// On a virtual wire the only way forward is a blocking
     /// `complete_query` — completions live one clock advance away. On a
-    /// live wire with a readiness reactor the driver instead parks in one
+    /// live wire with a readiness reactor the engine instead parks in one
     /// `epoll_wait` across all of the stalled site's connections and lets
     /// the next harvest pass take whatever completed first; the blocking
     /// completion survives only as the [`STALL_FORCE_MS`] liveness
     /// fallback against a silent server.
-    fn force_earliest<T>(
-        &self,
-        states: &mut [SiteState<'_, T>],
-        run_sinks: &mut [&mut dyn SampleSink],
-        tracer: &mut Tracer<'_, '_>,
-        stall: &mut StallTracker,
-    ) where
+    fn force_earliest<T>(&mut self, states: &mut [SiteState<'_, T>], stall: &mut StallTracker)
+    where
         T: Transport + AsyncTransport + Clocked,
     {
         let mut best: Option<(usize, usize, u64, u64)> = None;
@@ -885,8 +681,9 @@ impl CoopDriver {
             }
             for (wix, w) in st.walkers.iter().enumerate() {
                 if let Some(p) = &w.pending {
-                    if best.is_none_or(|(_, _, ra, sq)| (p.ready_at, p.seq) < (ra, sq)) {
-                        best = Some((six, wix, p.ready_at, p.seq));
+                    let at = (p.fetch.ready_at, p.fetch.seq);
+                    if best.is_none_or(|(_, _, ra, sq)| at < (ra, sq)) {
+                        best = Some((six, wix, at.0, at.1));
                     }
                 }
             }
@@ -915,14 +712,15 @@ impl CoopDriver {
             if at > now {
                 std::thread::sleep(at - now);
             }
-            Self::release_backoff(&mut states[six], wix, tracer);
+            self.release_backoff(&mut states[six], wix);
             return;
         };
         let key = (six, seq);
+        let st = &mut states[six];
         let exhausted = stall.key == Some(key) && stall.waited_ms >= STALL_FORCE_MS;
-        if !exhausted && !states[six].iface.wire_is_virtual() {
+        if !exhausted && !st.iface.wire_is_virtual() {
             let started = std::time::Instant::now();
-            if states[six].iface.wait_ready(STALL_WAIT_MS).is_some() {
+            if st.iface.wait_ready(STALL_WAIT_MS).is_some() {
                 let waited = (started.elapsed().as_millis() as u64).max(1);
                 if stall.key == Some(key) {
                     stall.waited_ms += waited;
@@ -930,76 +728,23 @@ impl CoopDriver {
                     stall.key = Some(key);
                     stall.waited_ms = waited;
                 }
-                if tracer.enabled() {
-                    let st = &states[six];
-                    let p = st.walkers[wix].pending.as_ref().expect("walker is parked");
-                    tracer.emit(&TraceEvent {
-                        kind: "stall".into(),
-                        detail: "wait".into(),
-                        span: p.span,
-                        site: st.six as u64,
-                        walker: wix as u64,
-                        conn: st.walkers[wix].conn.index() as u64,
-                        at_ms: p.ready_at,
-                        dur_ms: waited,
-                        ..TraceEvent::default()
-                    });
-                }
+                let p = st.walkers[wix].pending.as_ref().expect("parked");
+                self.trace(|| TraceEvent {
+                    span: p.fetch.span,
+                    dur_ms: waited,
+                    ..st.event(wix, "stall", "wait", p.fetch.ready_at)
+                });
                 return;
             }
         }
         stall.reset();
-        let st = &mut states[six];
-        let p = st.walkers[wix]
-            .pending
-            .take()
-            .expect("selected walker is parked");
-        if tracer.enabled() {
-            tracer.emit(&TraceEvent {
-                kind: "stall".into(),
-                detail: "force".into(),
-                span: p.span,
-                site: st.six as u64,
-                walker: wix as u64,
-                conn: st.walkers[wix].conn.index() as u64,
-                at_ms: p.ready_at,
-                ..TraceEvent::default()
-            });
-        }
-        let queued_ms = p.handle.queued_ms();
-        let service_ms = p.handle.service_ms();
-        let result = st.iface.complete_query(p.handle);
-        self.finish_fetch(
-            st,
-            Harvested {
-                wix,
-                query: p.query,
-                ready_at: p.ready_at,
-                seq: p.seq,
-                span: p.span,
-                queued_ms,
-                service_ms,
-                result,
-            },
-            run_sinks,
-            tracer,
-        );
-    }
-
-    /// End a site: record why and cancel every in-flight fetch (the pages
-    /// were charged; only their buffered results are released).
-    fn stop_site<T>(st: &mut SiteState<'_, T>, reason: StopReason)
-    where
-        T: Transport + AsyncTransport + Clocked,
-    {
-        st.stopped = Some(reason);
-        for w in &mut st.walkers {
-            if let Some(p) = w.pending.take() {
-                st.iface.cancel_query(p.handle);
-            }
-            w.backoff = None;
-            w.attempts = 0;
-        }
+        let Pending { handle, fetch } = st.walkers[wix].pending.take().expect("parked");
+        self.trace(|| TraceEvent {
+            span: fetch.span,
+            ..st.event(wix, "stall", "force", fetch.ready_at)
+        });
+        let result = st.iface.complete_query(handle);
+        self.finish_fetch(st, Harvested { wix, fetch, result });
     }
 
     /// Donate finished sites' walker slots to the hungriest running
@@ -1007,12 +752,8 @@ impl CoopDriver {
     /// connection of the receiving site, floored at `max(receiver
     /// knowledge, donor elapsed)` — the stolen walker cannot pretend to
     /// have started before the donor actually freed it.
-    fn rebalance<T>(
-        &self,
-        states: &mut [SiteState<'_, T>],
-        run_sinks: &mut [&mut dyn SampleSink],
-        tracer: &mut Tracer<'_, '_>,
-    ) where
+    fn rebalance<T>(&mut self, states: &mut [SiteState<'_, T>])
+    where
         T: Transport + AsyncTransport + Clocked,
     {
         // Newly-freed slots, each carrying its donor's elapsed time.
@@ -1020,61 +761,55 @@ impl CoopDriver {
         for st in states.iter_mut() {
             if st.stopped.is_some() && st.donated < st.walkers.len() {
                 let elapsed = st.iface.transport().elapsed_ms();
-                for _ in st.donated..st.walkers.len() {
-                    free.push(elapsed);
-                }
+                free.resize(free.len() + st.walkers.len() - st.donated, elapsed);
                 st.donated = st.walkers.len();
             }
         }
+        let target = self.cfg.target_per_site;
         for donor_elapsed in free {
             // The hungriest site: most samples still to collect.
-            let Some(rix) = states
-                .iter()
-                .enumerate()
-                .filter(|(_, st)| st.stopped.is_none())
-                .max_by_key(|(_, st)| self.cfg.target_per_site.saturating_sub(st.samples.len()))
-                .map(|(i, _)| i)
+            let Some(st) = states
+                .iter_mut()
+                .filter(|st| st.stopped.is_none())
+                .max_by_key(|st| target.saturating_sub(st.samples.len()))
             else {
                 return;
             };
-            let st = &mut states[rix];
             let wix = st.walkers.len();
-            let machine = WalkMachine::new(st.iface.schema(), self.cfg.walker_config(st.six, wix))
-                .expect("fleet walker configuration is valid");
             let conn = st.iface.connect();
-            st.iface
-                .transport()
-                .observe_now(conn, st.knowledge_ms.max(donor_elapsed));
-            st.walkers.push(Walker {
-                machine,
-                conn,
-                pending: None,
-                backoff: None,
-                attempts: 0,
-                keys: Vec::new(),
-            });
+            let floor = st.knowledge_ms.max(donor_elapsed);
+            st.iface.transport().observe_now(conn, floor);
+            st.walkers
+                .push(Walker::new(self.cfg, st.iface.schema(), st.six, wix, conn));
             st.connections += 1;
             st.steals += 1;
-            if tracer.enabled() {
-                tracer.emit(&TraceEvent {
-                    kind: "steal".into(),
-                    detail: "grant".into(),
-                    site: st.six as u64,
-                    walker: wix as u64,
-                    conn: conn.index() as u64,
-                    at_ms: st.knowledge_ms.max(donor_elapsed),
-                    ..TraceEvent::default()
-                });
-            }
+            self.trace(|| st.event(wix, "steal", "grant", floor));
             let step = st.walkers[wix].machine.step();
-            self.advance(st, wix, step, run_sinks, tracer);
+            self.advance(st, wix, step);
         }
+    }
+}
+
+/// End a site: record why and cancel every in-flight fetch (the pages
+/// were charged; only their buffered results are released).
+fn stop_site<T>(st: &mut SiteState<'_, T>, reason: StopReason)
+where
+    T: Transport + AsyncTransport + Clocked,
+{
+    st.stopped = Some(reason);
+    for w in &mut st.walkers {
+        if let Some(p) = w.pending.take() {
+            st.iface.cancel_query(p.handle);
+        }
+        w.backoff = None;
+        w.attempts = 0;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{Driver, RunPlan};
     use crate::transport::{LatencyTransport, LocalSite};
     use hdsampler_core::{DirectExecutor, HdsSampler, Sampler};
     use hdsampler_hidden_db::HiddenDb;
@@ -1113,22 +848,20 @@ mod tests {
 
     #[test]
     fn coop_driver_reaches_targets_on_one_thread() {
-        let cfg = FleetConfig {
-            walkers_per_site: 4,
-            target_per_site: 40,
-            seed: 11,
-            ..FleetConfig::default()
-        };
         let mut sites: Vec<_> = (0..3)
             .map(|i| vehicles_task(&format!("s{i}"), 90 + i as u64, 100, None))
             .collect();
-        let (report, details) = CoopDriver::new(cfg).run_with_details(&mut sites);
+        let report = RunPlan::target(40)
+            .walkers(4)
+            .seed(11)
+            .run(&mut sites)
+            .fleet;
         assert_eq!(report.total_samples(), 120);
-        for (site, detail) in report.sites.iter().zip(&details) {
+        for site in &report.sites {
             assert_eq!(site.stopped, StopReason::TargetReached);
-            assert_eq!(detail.connections, 4);
+            assert_eq!(site.connections, 4);
             assert_eq!(
-                detail.per_walker_keys.iter().map(Vec::len).sum::<usize>(),
+                site.per_walker_keys.iter().map(Vec::len).sum::<usize>(),
                 site.samples.len(),
                 "every sample is attributed to exactly one walker"
             );
@@ -1154,8 +887,12 @@ mod tests {
             ..FleetConfig::default()
         };
         let mut sites = vec![vehicles_task("seq", 5, 50, None)];
-        let (_, details) = CoopDriver::new(cfg.clone()).run_with_details(&mut sites);
-        let per_walker = &details[0].per_walker_keys;
+        let report = RunPlan::target(45)
+            .walkers(3)
+            .seed(77)
+            .slider(0.2)
+            .run(&mut sites);
+        let per_walker = &report.site().per_walker_keys;
         assert!(per_walker.iter().any(|k| !k.is_empty()));
 
         for (w, keys) in per_walker.iter().enumerate() {
@@ -1175,17 +912,14 @@ mod tests {
         // 8 walkers on 2 connections: requests pipeline 4-deep per
         // connection; the virtual elapsed must exceed a single RTT (they
         // serialize per connection) but be far below the serial sum.
-        let cfg = FleetConfig {
-            walkers_per_site: 8,
-            target_per_site: 32,
-            seed: 3,
-            ..FleetConfig::default()
-        };
         let mut sites = vec![figure1_task("pipe", 100)];
-        let (report, details) = CoopDriver::new(cfg)
-            .with_connections(2)
-            .run_with_details(&mut sites);
-        assert_eq!(details[0].connections, 2);
+        let report = RunPlan::target(32)
+            .walkers(8)
+            .seed(3)
+            .driver(Driver::Coop { conns: Some(2) })
+            .run(&mut sites)
+            .fleet;
+        assert_eq!(report.sites[0].connections, 2);
         assert_eq!(report.total_samples(), 32);
         let site = &report.sites[0];
         assert!(site.elapsed_ms >= 100);
@@ -1200,23 +934,14 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_stops_a_site_with_partial_results() {
-        let cfg = FleetConfig {
-            walkers_per_site: 4,
-            target_per_site: 10_000,
-            seed: 5,
-            ..FleetConfig::default()
-        };
+        let plan = |target| RunPlan::target(target).walkers(4).seed(5);
         let mut sites = [
             vehicles_task("starved", 1, 50, Some(60)),
             vehicles_task("ok", 2, 50, None),
         ];
-        let cfg_ok = FleetConfig {
-            target_per_site: 25,
-            ..cfg.clone()
-        };
         // Drive the starved site alone first (mixed targets need two
-        // runs; the driver applies one target fleet-wide).
-        let report = CoopDriver::new(cfg).run(&mut sites[..1]);
+        // runs; a plan applies one target fleet-wide).
+        let report = plan(10_000).run(&mut sites[..1]).fleet;
         assert_eq!(report.sites[0].stopped, StopReason::BudgetExhausted);
         assert!(report.sites[0].samples.len() < 10_000);
         assert!(
@@ -1224,7 +949,7 @@ mod tests {
             "partial results survive"
         );
         // A healthy site is unaffected by the starved one's existence.
-        let report = CoopDriver::new(cfg_ok).run(&mut sites[1..]);
+        let report = plan(25).run(&mut sites[1..]).fleet;
         assert_eq!(report.sites[0].stopped, StopReason::TargetReached);
     }
 
@@ -1234,15 +959,9 @@ mod tests {
         // can answer whole walks. Charged fetches must plateau while
         // samples keep flowing — the "history hits resume immediately"
         // half of the design.
-        let cfg = FleetConfig {
-            walkers_per_site: 2,
-            target_per_site: 200,
-            seed: 13,
-            ..FleetConfig::default()
-        };
         let mut sites = vec![figure1_task("warm", 100)];
-        let report = CoopDriver::new(cfg).run(&mut sites);
-        let site = &report.sites[0];
+        let report = RunPlan::target(200).walkers(2).seed(13).run(&mut sites);
+        let site = report.site();
         assert_eq!(site.samples.len(), 200);
         assert!(
             site.history_hits > site.queries_issued,
@@ -1283,12 +1002,7 @@ mod tests {
     #[test]
     fn backoff_rides_out_a_hostile_site() {
         use crate::chaos::ChaosSpec;
-        let cfg = FleetConfig {
-            walkers_per_site: 3,
-            target_per_site: 40,
-            seed: 9,
-            ..FleetConfig::default()
-        };
+        const WALKERS: u64 = 3;
         let spec = ChaosSpec {
             seed: 1,
             latency_ms: 20,
@@ -1300,7 +1014,11 @@ mod tests {
         };
         let run = || {
             let mut sites = vec![chaos_task("hostile", 77, spec.clone())];
-            let report = CoopDriver::new(cfg.clone()).run(&mut sites);
+            let report = RunPlan::target(40)
+                .walkers(WALKERS as usize)
+                .seed(9)
+                .run(&mut sites)
+                .fleet;
             let counters = sites[0].iface.transport().counters();
             (report, counters)
         };
@@ -1316,7 +1034,7 @@ mod tests {
         // still in flight when the target landed (discarded, ≤ 1/walker).
         let faults = counters.throttles + counters.transient_fails + counters.drops;
         assert!(
-            site.retries <= faults && site.retries + cfg.walkers_per_site as u64 >= faults,
+            site.retries <= faults && site.retries + WALKERS >= faults,
             "retries {} vs faults {faults}",
             site.retries
         );
@@ -1326,7 +1044,7 @@ mod tests {
         // Backoff is billed on the connection clocks: elapsed (max over
         // connections) is at least the per-connection share of the total.
         assert!(
-            site.elapsed_ms >= site.backoff_vms / cfg.walkers_per_site as u64,
+            site.elapsed_ms >= site.backoff_vms / WALKERS,
             "virtual backoff appears on the wire clock: {} vs {}",
             site.elapsed_ms,
             site.backoff_vms
@@ -1346,12 +1064,6 @@ mod tests {
     #[test]
     fn stealing_reassigns_finished_sites_walkers() {
         use crate::chaos::ChaosSpec;
-        let cfg = FleetConfig {
-            walkers_per_site: 4,
-            target_per_site: 60,
-            seed: 2,
-            ..FleetConfig::default()
-        };
         let throttled = ChaosSpec {
             seed: 5,
             latency_ms: 40,
@@ -1368,9 +1080,12 @@ mod tests {
                 chaos_task("fast", 31, clean.clone()),
                 chaos_task("slow", 32, throttled.clone()),
             ];
-            CoopDriver::new(cfg.clone())
-                .with_stealing(steal)
+            RunPlan::target(60)
+                .walkers(4)
+                .seed(2)
+                .steal(steal)
                 .run(&mut sites)
+                .fleet
         };
         let without = run(false);
         let with = run(true);
@@ -1436,17 +1151,14 @@ mod tests {
                 SiteTask::new(format!("site-{i}"), iface)
             })
             .collect();
-        let cfg = FleetConfig {
-            walkers_per_site: 16,
-            target_per_site: 30,
-            seed: job_seed,
-            slider: 0.4,
-            ..FleetConfig::default()
-        };
-        let report = CoopDriver::new(cfg)
-            .with_connections(4)
-            .with_stealing(true)
-            .run(&mut sites);
+        let report = RunPlan::target(30)
+            .walkers(16)
+            .seed(job_seed)
+            .slider(0.4)
+            .driver(Driver::Coop { conns: Some(4) })
+            .steal(true)
+            .run(&mut sites)
+            .fleet;
         assert_eq!(report.total_samples(), 4 * 30);
         for site in &report.sites {
             assert_eq!(site.stopped, StopReason::TargetReached, "{}", site.name);
@@ -1455,21 +1167,18 @@ mod tests {
 
     #[test]
     fn empty_scope_fails_the_site() {
-        use hdsampler_model::{AttrId, ConjunctiveQuery};
-        let cfg = FleetConfig {
-            walkers_per_site: 2,
-            target_per_site: 10,
-            seed: 1,
-            scope: ConjunctiveQuery::from_pairs([(AttrId(0), 1), (AttrId(1), 0)]).unwrap(),
-            ..FleetConfig::default()
-        };
+        use hdsampler_model::AttrId;
         let mut sites = vec![figure1_task("empty", 10)];
-        let report = CoopDriver::new(cfg).run(&mut sites);
+        let report = RunPlan::target(10)
+            .walkers(2)
+            .seed(1)
+            .scope(ConjunctiveQuery::from_pairs([(AttrId(0), 1), (AttrId(1), 0)]).unwrap())
+            .run(&mut sites);
         assert!(matches!(
-            report.sites[0].stopped,
+            report.site().stopped,
             StopReason::Failed(SamplerError::EmptyScope)
         ));
-        assert!(report.sites[0].samples.is_empty());
+        assert!(report.site().samples.is_empty());
     }
 
     proptest::proptest! {
@@ -1486,15 +1195,9 @@ mod tests {
             walkers in 1usize..6,
             latency in 20u64..200,
         ) {
-            let cfg = FleetConfig {
-                walkers_per_site: walkers,
-                target_per_site: 30,
-                seed,
-                ..FleetConfig::default()
-            };
             let mut sites = vec![vehicles_task("p", seed ^ 0xABCD, latency, None)];
-            let (report, _) = CoopDriver::new(cfg).run_with_details(&mut sites);
-            let site = &report.sites[0];
+            let report = RunPlan::target(30).walkers(walkers).seed(seed).run(&mut sites);
+            let site = report.site();
             proptest::prop_assert!(site.samples.len() == 30);
             if site.queries_issued > 0 {
                 // At least one full round trip on the critical path, and

@@ -4,9 +4,9 @@
 //! A [`SiteTask`] is one site to drive — the scraper stack over its wire,
 //! plus an optional streaming sink and persistent history log.
 //! [`FleetConfig`] sizes the run and derives every walker's seed.
-//! [`SiteReport`] and [`FleetReport`] carry the outcome. The cooperative
-//! [`CoopDriver`](crate::coop::CoopDriver) is the engine that executes a
-//! fleet, and [`RunPlan`](crate::plan::RunPlan) is its front door.
+//! [`SiteReport`] and [`FleetReport`] carry the outcome.
+//! [`RunPlan`](crate::plan::RunPlan) is the one front door that executes
+//! a fleet, on the cooperative engine (the private `coop` module).
 //!
 //! Accounting follows the per-connection clock model of [`crate::aio`]:
 //! a site's virtual elapsed time is the maximum over its connections, and
@@ -177,6 +177,15 @@ pub struct SiteReport {
     /// The site's history-cache statistics (hits by rule and tier,
     /// evictions).
     pub history: HistoryStats,
+    /// Each walker's sample keys in production order — deterministic per
+    /// (seed, site, walker), and identical to what a standalone
+    /// [`HdsSampler`](hdsampler_core::HdsSampler) with the same
+    /// [`FleetConfig::walker_config`] seed produces. Stolen walkers follow
+    /// the site's own.
+    pub per_walker_keys: Vec<Vec<u64>>,
+    /// Wire connections the site's walkers shared (stolen walkers' fresh
+    /// connections included).
+    pub connections: usize,
 }
 
 /// Outcome of a whole fleet run.
@@ -225,7 +234,7 @@ impl FleetReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coop::CoopDriver;
+    use crate::plan::RunPlan;
     use crate::transport::{LatencyTransport, LocalSite};
     use hdsampler_hidden_db::HiddenDb;
     use hdsampler_model::{Attribute, FormInterface, SchemaBuilder, Tuple};
@@ -274,22 +283,14 @@ mod tests {
 
     #[test]
     fn fleet_overlaps_sites_on_virtual_time() {
-        let cfg = FleetConfig {
-            walkers_per_site: 2,
-            target_per_site: 25,
-            seed: 7,
-            ..FleetConfig::default()
-        };
+        let plan = |walkers| RunPlan::target(25).walkers(walkers).seed(7);
         // The serial baseline: each site alone with one walker, one site
         // after another — fleet time is the sum of the solo runs.
-        let solo = FleetConfig {
-            walkers_per_site: 1,
-            ..cfg.clone()
-        };
         let serial_ms: u64 = (0..3)
             .map(|i| {
-                CoopDriver::new(solo.clone())
+                plan(1)
                     .run(&mut [figure1_task(&format!("s{i}"), 100)])
+                    .fleet
                     .fleet_elapsed_ms
             })
             .sum();
@@ -297,7 +298,7 @@ mod tests {
         let mut sites: Vec<_> = (0..3)
             .map(|i| figure1_task(&format!("c{i}"), 100))
             .collect();
-        let fleet = CoopDriver::new(cfg).run(&mut sites);
+        let fleet = plan(2).run(&mut sites).fleet;
         assert_eq!(fleet.total_samples(), 75);
         assert_eq!(
             fleet.fleet_elapsed_ms,
@@ -339,16 +340,13 @@ mod tests {
     #[test]
     fn fleet_scope_pins_every_walker() {
         use hdsampler_model::{AttrId, ConjunctiveQuery};
-        let cfg = FleetConfig {
-            walkers_per_site: 2,
-            target_per_site: 20,
-            seed: 11,
-            scope: ConjunctiveQuery::from_pairs([(AttrId(1), 1)]).unwrap(),
-            ..FleetConfig::default()
-        };
         let mut sites: Vec<_> = (0..2).map(|i| figure1_task(&format!("s{i}"), 50)).collect();
-        let report = CoopDriver::new(cfg).run(&mut sites);
-        for site in &report.sites {
+        let report = RunPlan::target(20)
+            .walkers(2)
+            .seed(11)
+            .scope(ConjunctiveQuery::from_pairs([(AttrId(1), 1)]).unwrap())
+            .run(&mut sites);
+        for site in &report.fleet.sites {
             assert_eq!(site.stopped, StopReason::TargetReached);
             for row in site.samples.rows() {
                 assert_eq!(row.values[1], 1, "every sample honours the scope");
@@ -358,16 +356,14 @@ mod tests {
 
     #[test]
     fn per_site_budgets_are_enforced() {
-        let cfg = FleetConfig {
-            walkers_per_site: 2,
-            target_per_site: 1_000,
-            seed: 3,
-            ..FleetConfig::default()
-        };
         // One starving site next to a healthy one: the budgeted site stops
         // early with partial results, the rest of the fleet is unaffected.
         let mut sites = vec![budgeted_task("starved", 50, 12), figure1_task("ok", 50)];
-        let report = CoopDriver::new(cfg).run(&mut sites);
+        let report = RunPlan::target(1_000)
+            .walkers(2)
+            .seed(3)
+            .run(&mut sites)
+            .fleet;
         let starved = &report.sites[0];
         assert_eq!(starved.stopped, StopReason::BudgetExhausted);
         assert!(starved.samples.len() < 1_000);

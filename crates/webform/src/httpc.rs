@@ -41,7 +41,7 @@ use crate::transport::{Clocked, Transport};
 
 /// Hard ceiling on a single response's size (64 MiB): a runaway or
 /// malicious server must not balloon the scraper's memory.
-const MAX_RESPONSE_BYTES: usize = 64 << 20;
+pub(crate) const MAX_RESPONSE_BYTES: usize = 64 << 20;
 
 /// How long [`AsyncTransport::complete`] (and therefore a blocking fetch)
 /// waits for a response before giving up.

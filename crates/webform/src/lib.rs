@@ -37,10 +37,10 @@
 //! * [`driver`] — the fleet vocabulary: [`SiteTask`] (one site's
 //!   scraper stack), [`FleetConfig`] (sizes and per-walker seeds) and
 //!   the [`SiteReport`]/[`FleetReport`] outcomes;
-//! * [`coop`] — [`CoopDriver`], the one engine: a single OS thread
-//!   multiplexing S sites × W resumable walk machines over explicit
-//!   connections, pipelining hundreds of in-flight submissions with
-//!   per-site history caches, budgets, retries and work-stealing;
+//! * `coop` (private) — the one engine behind [`RunPlan::run`]: a single
+//!   OS thread multiplexing S sites × W resumable walk machines over
+//!   explicit connections, pipelining hundreds of in-flight submissions
+//!   with per-site history caches, budgets, retries and work-stealing;
 //! * [`reactor`] — the std-only epoll readiness wrapper both halves of
 //!   the real wire multiplex on: the client's single-`epoll_wait`
 //!   completion path and the server's event-driven serve mode;
@@ -55,18 +55,19 @@
 //!   [`WireSampleEvent`] format carried by the server's `/events` SSE
 //!   stream, its dependency-free chunked-transfer client, and the
 //!   per-stage latency [`TraceReport`] behind `trace report`;
-//! * [`plan`] — [`RunPlan`], the single front door: one builder
-//!   (`target → walkers → driver → attach(sink)`) that runs the
-//!   cooperative driver over simulated or live sites, streaming every
+//! * [`plan`] — [`RunPlan`], the only front door: one builder
+//!   (`target → walkers → driver → steal → attach(sink)`) that runs the
+//!   cooperative engine over simulated or live sites, streaming every
 //!   accepted sample into attached
 //!   [`SampleSink`](hdsampler_core::SampleSink)s and returning one
-//!   [`RunReport`].
+//!   [`RunReport`] whose per-site [`SiteReport`]s carry each walker's
+//!   sample keys.
 
 pub mod adapter;
 pub mod aio;
 pub mod chaos;
 pub mod connect;
-pub mod coop;
+mod coop;
 pub mod driver;
 pub mod form;
 pub mod httpc;
@@ -87,7 +88,6 @@ pub use adapter::{QueryHandle, QueryPoll, WebFormInterface};
 pub use aio::{AsyncTransport, ConnId, FetchHandle, FetchPoll};
 pub use chaos::{ChaosCounters, ChaosSpec, ChaosTransport, Decision, Fault, RetryPolicy};
 pub use connect::{BoxTransport, ConnectOptions, Connector, ConnectorRegistry, LocalParams};
-pub use coop::{CoopDriver, CoopSiteDetail};
 pub use driver::{FleetConfig, FleetReport, SiteReport, SiteTask};
 pub use form::{PageCodec, WebForm};
 pub use httpc::HttpTransport;

@@ -3,12 +3,14 @@
 //! One builder describes *what* to run (target, walkers, seed, slider,
 //! scope), *how walkers share a site's connections* ([`Driver`]), and
 //! *who watches* (attached [`SampleSink`]s observing every accepted
-//! sample live, and [`TraceSink`]s observing the span stream). Every
-//! plan executes on the cooperative [`CoopDriver`]: a one-site,
-//! one-walker plan (what `sample <locator>` runs) takes the same loop as
-//! a many-site fleet, walks the same seeded sequence as a standalone
+//! sample live, and [`TraceSink`]s observing the span stream).
+//! [`RunPlan::run`] is the only way to drive the cooperative engine (the
+//! private `coop` module): a one-site, one-walker plan (what `sample
+//! <locator>` runs) takes the same loop as a many-site fleet, walks the
+//! same seeded sequence as a standalone
 //! [`HdsSampler`](hdsampler_core::HdsSampler), and returns the same
-//! [`RunReport`].
+//! [`RunReport`]. The plan holds one [`FleetConfig`]; the builder only
+//! fills it in.
 //!
 //! Typical use:
 //!
@@ -26,7 +28,7 @@ use hdsampler_model::ConjunctiveQuery;
 
 use crate::aio::AsyncTransport;
 use crate::connect::{BoxTransport, ConnectOptions, ConnectorRegistry};
-use crate::coop::{CoopDriver, CoopSiteDetail};
+use crate::coop;
 use crate::driver::{FleetConfig, FleetReport, SiteReport, SiteTask};
 use crate::locator::SiteLocator;
 use crate::transport::{Clocked, Transport};
@@ -38,8 +40,9 @@ pub enum Driver {
     /// name predates the single engine and is kept for existing callers.
     Threaded,
     /// `conns` pipelined connections per site shared round-robin by its
-    /// walkers (`None` = one connection per walker) —
-    /// [`CoopDriver::with_connections`].
+    /// walkers (`None` = one connection per walker). Fewer connections
+    /// than walkers pipelines several requests per connection — HTTP/1.1
+    /// FIFO on real wires, serialized virtual service on simulated ones.
     Coop {
         /// Wire connections per site the walkers share.
         conns: Option<usize>,
@@ -63,13 +66,12 @@ impl Driver {
     }
 }
 
-/// Outcome of a [`RunPlan`]: the fleet report plus per-walker detail.
+/// Outcome of a [`RunPlan`].
 #[derive(Debug)]
 pub struct RunReport {
-    /// Per-site outcomes and fleet clocks.
+    /// Per-site outcomes (walker sequences and connection counts
+    /// included) and fleet clocks.
     pub fleet: FleetReport,
-    /// Per-site walker sequences and connection counts, in site order.
-    pub details: Vec<CoopSiteDetail>,
 }
 
 impl RunReport {
@@ -90,11 +92,7 @@ impl RunReport {
 /// and reads their final (or, for a live display, mid-run) state after
 /// [`RunPlan::run`] returns.
 pub struct RunPlan<'a> {
-    target: usize,
-    walkers: usize,
-    seed: u64,
-    slider: f64,
-    scope: ConjunctiveQuery,
+    cfg: FleetConfig,
     driver: Driver,
     steal: bool,
     sinks: Vec<&'a mut dyn SampleSink>,
@@ -105,11 +103,11 @@ impl<'a> RunPlan<'a> {
     /// Plan a run collecting `target` samples per site.
     pub fn target(target: usize) -> Self {
         RunPlan {
-            target,
-            walkers: 1,
-            seed: 2009,
-            slider: 0.0,
-            scope: ConjunctiveQuery::empty(),
+            cfg: FleetConfig {
+                walkers_per_site: 1,
+                target_per_site: target,
+                ..FleetConfig::default()
+            },
             driver: Driver::default(),
             steal: false,
             sinks: Vec::new(),
@@ -119,26 +117,26 @@ impl<'a> RunPlan<'a> {
 
     /// Walk machines per site (default 1).
     pub fn walkers(mut self, walkers: usize) -> Self {
-        self.walkers = walkers.max(1);
+        self.cfg.walkers_per_site = walkers.max(1);
         self
     }
 
     /// Base RNG seed ([`FleetConfig::walker_config`] derives per-walker
     /// seeds).
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.cfg.seed = seed;
         self
     }
 
     /// Efficiency ↔ skew slider position for every walker.
     pub fn slider(mut self, slider: f64) -> Self {
-        self.slider = slider;
+        self.cfg.slider = slider;
         self
     }
 
     /// Pinned bindings applied fleet-wide.
     pub fn scope(mut self, scope: ConjunctiveQuery) -> Self {
-        self.scope = scope;
+        self.cfg.scope = scope;
         self
     }
 
@@ -149,9 +147,12 @@ impl<'a> RunPlan<'a> {
         self
     }
 
-    /// Enable cross-site work-stealing: sites that finish early donate
-    /// their walker slots to the hungriest still-running site
-    /// ([`CoopDriver::with_stealing`]).
+    /// Enable cross-site work-stealing: when a site finishes (target
+    /// reached, budget exhausted, or failed), its walker slots are donated
+    /// to the hungriest still-running site. Each stolen slot spawns a
+    /// fresh seeded walker on a fresh connection floored at `max(receiver
+    /// knowledge, donor elapsed)`, and bumps the receiving site's
+    /// `steals` counter.
     pub fn steal(mut self, steal: bool) -> Self {
         self.steal = steal;
         self
@@ -174,35 +175,24 @@ impl<'a> RunPlan<'a> {
         self
     }
 
-    /// The [`FleetConfig`] this plan resolves to (what the driver sees).
-    pub fn fleet_config(&self) -> FleetConfig {
-        FleetConfig {
-            walkers_per_site: self.walkers,
-            target_per_site: self.target,
-            seed: self.seed,
-            slider: self.slider,
-            scope: self.scope.clone(),
-        }
-    }
-
     /// Execute the plan over `sites` — simulated wires or live TCP, any
     /// transport implementing both the blocking and the explicit-
-    /// connection face. Per-site [`SiteTask`] sinks observe alongside the
-    /// plan's attached run-level sinks.
+    /// connection face. Per-site [`SiteTask`] sinks observe their site's
+    /// samples in acceptance order; the plan's attached run-level sinks
+    /// observe every site's, in the fleet's completion order.
     pub fn run<T>(mut self, sites: &mut [SiteTask<T>]) -> RunReport
     where
         T: Transport + AsyncTransport + Clocked,
     {
-        let mut coop = CoopDriver::new(self.fleet_config()).with_stealing(self.steal);
-        if let Some(c) = self.driver.conns() {
-            coop = coop.with_connections(c);
-        }
-        let mut run_sinks: Vec<&mut dyn SampleSink> =
-            self.sinks.drain(..).map(|s| &mut *s).collect();
-        let mut trace_sinks: Vec<&mut dyn TraceSink> =
-            self.trace_sinks.drain(..).map(|s| &mut *s).collect();
-        let (fleet, details) = coop.run_traced(sites, &mut run_sinks, &mut trace_sinks);
-        RunReport { fleet, details }
+        let fleet = coop::run(
+            &self.cfg,
+            self.driver.conns(),
+            self.steal,
+            sites,
+            &mut self.sinks,
+            &mut self.trace_sinks,
+        );
+        RunReport { fleet }
     }
 
     /// Connect every locator through the standard
@@ -285,23 +275,24 @@ mod tests {
                 40,
                 "run-level sink sees the whole fleet under {driver:?}"
             );
-            assert_eq!(report.details.len(), 2, "one detail per site");
             for site in &report.fleet.sites {
                 assert_eq!(site.stopped, StopReason::TargetReached);
                 assert!(site.stats.accepted >= 20);
+                assert_eq!(site.per_walker_keys.len(), 3, "keys for every walker");
             }
             report
         };
         let keys = |r: &RunReport| {
-            r.details
+            r.fleet
+                .sites
                 .iter()
-                .map(|d| d.per_walker_keys.clone())
+                .map(|s| s.per_walker_keys.clone())
                 .collect::<Vec<_>>()
         };
         // `Threaded` is a spelling of the default, one connection per
         // walker: the same run, walker for walker.
         let default = run(None);
-        assert_eq!(default.details[0].connections, 3);
+        assert_eq!(default.site().connections, 3);
         let threaded = run(Some(Driver::Threaded));
         assert_eq!(keys(&threaded), keys(&default));
         assert_eq!(
@@ -309,7 +300,7 @@ mod tests {
             default.fleet.fleet_elapsed_ms
         );
         let pipelined = run(Some(Driver::Coop { conns: Some(2) }));
-        assert_eq!(pipelined.details[0].connections, 2);
+        assert_eq!(pipelined.site().connections, 2);
     }
 
     #[test]
@@ -342,7 +333,7 @@ mod tests {
     #[test]
     fn fleet_config_resolves_the_builder() {
         let plan = RunPlan::target(7).walkers(3).seed(42).slider(0.5);
-        let cfg = plan.fleet_config();
+        let cfg = &plan.cfg;
         assert_eq!(cfg.target_per_site, 7);
         assert_eq!(cfg.walkers_per_site, 3);
         assert_eq!(cfg.seed, 42);

@@ -25,6 +25,8 @@ use std::path::Path;
 use hdsampler_core::{SampleEvent, TraceEvent};
 use serde::{Deserialize, Serialize};
 
+use crate::httpc::MAX_RESPONSE_BYTES;
+
 /// Serialize one trace event as its canonical single-line JSON form.
 pub fn event_json(event: &TraceEvent) -> String {
     serde_json::to_string(event).expect("TraceEvent serializes")
@@ -140,13 +142,13 @@ pub fn watch_events(
         .map_err(|e| format!("send request: {e}"))?;
 
     let mut reader = BufReader::new(stream);
-    let status = read_crlf_line(&mut reader)?;
+    let status = read_crlf_line(&mut reader)?.ok_or("connection closed")?;
     if !status.contains(" 200 ") {
         return Err(format!("server answered {status:?}, not 200"));
     }
     let mut chunked = false;
     loop {
-        let line = read_crlf_line(&mut reader)?;
+        let line = read_crlf_line(&mut reader)?.ok_or("connection closed")?;
         if line.is_empty() {
             break;
         }
@@ -160,10 +162,13 @@ pub fn watch_events(
 
     let mut delivered = 0usize;
     let mut text = String::new();
-    // A read error here means the server closed mid-stream: treat as end.
-    while let Ok(size_line) = read_crlf_line(&mut reader) {
+    // The server closing mid-stream ends the watch.
+    while let Some(size_line) = read_crlf_line(&mut reader)? {
         let size = usize::from_str_radix(size_line.trim(), 16)
             .map_err(|_| format!("bad chunk size {size_line:?}"))?;
+        if size > MAX_RESPONSE_BYTES {
+            return Err(format!("chunk of {size} bytes exceeds the response cap"));
+        }
         let mut chunk = vec![0u8; size + 2]; // payload + trailing CRLF
         reader
             .read_exact(&mut chunk)
@@ -197,23 +202,32 @@ pub fn watch_events(
                 }
             }
         }
+        if text.len() > MAX_RESPONSE_BYTES {
+            return Err("undelivered event text exceeds the response cap".into());
+        }
     }
     Ok(delivered)
 }
 
-/// Read one CRLF-terminated line off an HTTP stream, without the CRLF.
-fn read_crlf_line(reader: &mut impl BufRead) -> Result<String, String> {
+/// Longest status, header or chunk-size line [`watch_events`] reads.
+const MAX_LINE_BYTES: u64 = 8 << 10;
+
+/// Read one CRLF-terminated line off an HTTP stream, without the CRLF:
+/// `None` once the peer has closed or the read failed, an error for a
+/// line over [`MAX_LINE_BYTES`].
+fn read_crlf_line(reader: &mut impl BufRead) -> Result<Option<String>, String> {
     let mut line = String::new();
-    let n = reader
-        .read_line(&mut line)
-        .map_err(|e| format!("read line: {e}"))?;
-    if n == 0 {
-        return Err("connection closed".into());
+    match reader.take(MAX_LINE_BYTES).read_line(&mut line) {
+        Ok(0) | Err(_) => return Ok(None),
+        Ok(n) if n as u64 == MAX_LINE_BYTES && !line.ends_with('\n') => {
+            return Err(format!("line longer than {MAX_LINE_BYTES} bytes"));
+        }
+        Ok(_) => {}
     }
     while line.ends_with('\n') || line.ends_with('\r') {
         line.pop();
     }
-    Ok(line)
+    Ok(Some(line))
 }
 
 /// Aggregate latency attribution over a trace journal — the numbers
@@ -365,6 +379,34 @@ mod tests {
             detail: detail.into(),
             ..TraceEvent::default()
         }
+    }
+
+    #[test]
+    fn watch_refuses_hostile_streams() {
+        // A loopback `/events` peer answers 200 chunked, then `body`.
+        let watch = |body: &'static [u8]| {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            let server = std::thread::spawn(move || {
+                let (mut conn, _) = listener.accept().unwrap();
+                let mut request = [0u8; 1024];
+                let _ = conn.read(&mut request);
+                let head = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n";
+                // The client may hang up mid-body; that is its answer.
+                let _ = conn.write_all(head).and_then(|()| conn.write_all(body));
+            });
+            let err = watch_events(&addr, |_| true).unwrap_err();
+            server.join().unwrap();
+            err
+        };
+        // A 2^64 − 1 byte chunk is refused before anything is allocated
+        // for it (`size + 2` would overflow).
+        let err = watch(b"ffffffffffffffff\r\n");
+        assert!(err.contains("exceeds the response cap"), "{err}");
+        // A chunk-size line that never ends is refused at the line cap
+        // instead of buffered whole.
+        let err = watch(&[b'1'; 64 << 10]);
+        assert!(err.contains("line longer than"), "{err}");
     }
 
     #[test]

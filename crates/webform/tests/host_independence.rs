@@ -10,8 +10,8 @@
 
 use std::any::Any;
 
-use hdsampler_core::{TraceEvent, TraceSink};
-use hdsampler_webform::{Driver, RunPlan, SiteLocator};
+use hdsampler_core::{StopReason, TraceEvent, TraceLog, TraceSink};
+use hdsampler_webform::{ConnectOptions, Driver, RunPlan, SiteLocator};
 
 /// FNV-1a over every event's journal line, in observation order.
 struct DigestSink {
@@ -76,6 +76,78 @@ fn seeded_fleet_journal_is_independent_of_the_host() {
             report.fleet.fleet_elapsed_ms
         ),
         (0x6f78_20cd_363f_1d3c, 3313, 530, 2580),
+        "the seeded journal moved; on an unchanged program that means \
+         something host-derived leaked into the run"
+    );
+}
+
+/// One traced run of a two-leg fleet sharing the L2 root `root`: a leg
+/// that persists and reuses facts, and a leg whose `budget=` runs out.
+/// Returns the journal digest, its event count, the fleet's fetches and
+/// its clock, and the journal itself.
+fn traced_l2_budget_run(root: &str) -> ((u64, u64, u64, u64), Vec<TraceEvent>) {
+    let sites = [
+        "local:vehicles-compact?n=1500&k=50&seed=4&latency=30",
+        "local:vehicles-compact?n=20000&k=50&seed=6&budget=30&latency=20",
+    ]
+    .map(|s| SiteLocator::parse(s).unwrap());
+    let opts = ConnectOptions {
+        record: None,
+        l2: Some(root.to_string()),
+    };
+    let mut digest = DigestSink::default();
+    let mut log = TraceLog::new();
+    let (report, _fleet) = RunPlan::target(80)
+        .walkers(4)
+        .seed(2024)
+        .slider(0.3)
+        .driver(Driver::Coop { conns: Some(2) })
+        .attach_trace(&mut digest)
+        .attach_trace(&mut log)
+        .run_locators_with(&sites, &opts)
+        .unwrap();
+    assert_eq!(report.fleet.sites[0].stopped, StopReason::TargetReached);
+    assert_eq!(report.fleet.sites[1].stopped, StopReason::BudgetExhausted);
+    (
+        (
+            digest.hash,
+            digest.events,
+            report.fleet.total_fetches(),
+            report.fleet.fleet_elapsed_ms,
+        ),
+        log.events().to_vec(),
+    )
+}
+
+#[test]
+fn seeded_l2_and_budget_journal_is_independent_of_the_host() {
+    let root = std::env::temp_dir().join(format!("hds_host_l2_{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let root_str = root.to_str().unwrap();
+    let (cold, cold_log) = traced_l2_budget_run(root_str);
+    let (warm, warm_log) = traced_l2_budget_run(root_str);
+    std::fs::remove_dir_all(&root).ok();
+    let has = |log: &[TraceEvent], kind: &str, detail: &str| {
+        log.iter().any(|e| e.kind == kind && e.detail == detail)
+    };
+    for (kind, detail) in [
+        ("l2", "load"),
+        ("l2", "miss"),
+        ("l2", "put"),
+        ("walk", "failed"),
+    ] {
+        assert!(
+            has(&cold_log, kind, detail),
+            "cold run journals {kind} {detail}"
+        );
+    }
+    assert!(has(&warm_log, "l2", "hit"), "warm run journals l2 hit");
+    assert_eq!(
+        (cold, warm),
+        (
+            (0xc31c_97df_7f7f_268d, 2247, 268, 3480),
+            (0x69da_c11a_51c2_3413, 1390, 37, 320)
+        ),
         "the seeded journal moved; on an unchanged program that means \
          something host-derived leaked into the run"
     );

@@ -74,9 +74,8 @@ pub mod prelude {
         SchemaBuilder, TupleId,
     };
     pub use hdsampler_webform::{
-        ChaosCounters, ChaosSpec, ChaosTransport, CoopDriver, Driver, FleetConfig,
-        LatencyTransport, LocalSite, RetryPolicy, RunPlan, RunReport, SiteTask, Transport,
-        WebFormInterface,
+        ChaosCounters, ChaosSpec, ChaosTransport, Driver, FleetConfig, LatencyTransport, LocalSite,
+        RetryPolicy, RunPlan, RunReport, SiteTask, Transport, WebFormInterface,
     };
     pub use hdsampler_workload::{DataSpec, DbConfig, VehiclesSpec, WorkloadSpec};
 }

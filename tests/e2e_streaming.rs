@@ -1,5 +1,5 @@
-//! End-to-end streaming guarantee: a multi-site [`CoopDriver`] run
-//! (through the [`RunPlan`] front door) feeds live [`SampleSink`]
+//! End-to-end streaming guarantee: a multi-site [`RunPlan`] run on the
+//! cooperative engine feeds live [`SampleSink`]
 //! snapshots whose final state is **byte-identical** to the post-hoc
 //! batch estimate over the collected samples — the §3.4 incremental
 //! Output Module, verified against its batch twin.
@@ -124,7 +124,14 @@ fn coop_multi_site_live_snapshots_equal_posthoc_batch() {
         .run(&mut fleet);
 
     assert_eq!(report.total_samples(), 3 * target);
-    assert_eq!(report.details.len(), 3, "per-walker detail for every site");
+    assert!(
+        report
+            .fleet
+            .sites
+            .iter()
+            .all(|s| s.per_walker_keys.len() == 6),
+        "per-walker keys for every site"
+    );
 
     // Per-site sinks: byte-identical to the batch build over that site's
     // collected samples, in acceptance order.
@@ -240,7 +247,7 @@ fn run_plan_connection_layouts_agree_with_batch_too() {
             .attach(&mut hist)
             .run(&mut fleet);
         assert_eq!(report.total_samples(), 80, "{conns:?}");
-        assert_eq!(report.details[0].connections, conns.unwrap_or(3));
+        assert_eq!(report.site().connections, conns.unwrap_or(3));
         let batch = Histogram::from_weighted(
             &schema,
             make,
