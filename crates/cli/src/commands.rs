@@ -695,19 +695,21 @@ fn print_session_block(site: &SiteReport) {
 }
 
 /// The persistent-tier summary line, printed only when an L2 log was
-/// actually attached (any of its counters moved).
+/// actually attached (any of its counters moved). `hist` is read when the
+/// run reports, so its skipped count includes the facts the tier dropped
+/// on first use.
 fn print_l2_block(hist: &hdsampler_core::HistoryStats, fingerprint: Option<&str>) {
     if hist.l2_loads == 0 && hist.l2_hits == 0 && hist.l2_misses == 0 && hist.l2_puts == 0 {
         return;
     }
     let site = fingerprint.map(|fp| format!(" [{fp}]")).unwrap_or_default();
-    let torn = if hist.l2_skipped > 0 {
-        format!(", {} torn line(s) skipped", hist.l2_skipped)
+    let damaged = if hist.l2_skipped > 0 {
+        format!(", {} damaged line(s) or fact(s) skipped", hist.l2_skipped)
     } else {
         String::new()
     };
     println!(
-        "l2 history{site}: {} fact(s) loaded, {} hits, {} misses, {} puts{torn}",
+        "l2 history{site}: {} fact(s) loaded, {} hits, {} misses, {} puts{damaged}",
         hist.l2_loads, hist.l2_hits, hist.l2_misses, hist.l2_puts
     );
 }

@@ -54,7 +54,7 @@ use hdsampler_model::{
 };
 
 use crate::executor::{Classified, QueryExecutor};
-use crate::l2::{FactRecord, L2Log};
+use crate::l2::{FactRecord, L2Index, L2Log, Shape};
 
 /// Cache-hit counters, by rule.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -83,9 +83,12 @@ pub struct HistoryStats {
     pub l2_misses: u64,
     /// Wire-learned facts written behind to the L2 log.
     pub l2_puts: u64,
-    /// Facts loaded from the L2 log at attach time.
+    /// Facts the L2 tier indexed from its log at attach time.
     pub l2_loads: u64,
-    /// Torn/garbage log lines skipped while loading the L2 tier.
+    /// What the L2 tier skipped: log lines that are no record (at attach),
+    /// and valid facts found unusable at first use with the row records
+    /// that did not decode. It grows during the run, so read it when the
+    /// run reports.
     pub l2_skipped: u64,
 }
 
@@ -272,11 +275,14 @@ enum Rule {
     Filter,
 }
 
-/// One containment index: the L1 tier, or the L2 tier's loaded facts.
-/// Memo and count values carry the learn-time stamp of the fact that
-/// produced them.
-#[derive(Debug, Default)]
-struct HistoryInner {
+/// One containment index: the L1 tier, or the L2 tier's facts. Memo and
+/// count values carry the stamp of the fact that produced them.
+///
+/// `V` is what rule 4 keeps per valid query: the complete rows in L1. The
+/// L2 tier keeps nothing there; its rows stay in its log index until rule
+/// 4 first needs them (see [`L2Tier`]).
+#[derive(Debug)]
+struct HistoryInner<V = Arc<[Row]>> {
     /// Rule 1: exact memo of classifications (+ rows for valid), stamped.
     /// Only L1 fills it; L2's exact repeats are caught by rules 2–4, which
     /// include equality.
@@ -285,9 +291,9 @@ struct HistoryInner {
     empties: ContainmentSet,
     /// Rule 3 support: known-overflowing predicate sets (kept maximal-ish).
     overflows: ContainmentSet,
-    /// Rule 4 support: known-valid queries with their complete rows.
+    /// Rule 4 support: known-valid queries, each with what `V` keeps.
     valids: ContainmentSet,
-    valid_rows: FnvMap<ConjunctiveQuery, Arc<[Row]>>,
+    valid_rows: FnvMap<ConjunctiveQuery, V>,
     /// Count memo, stamped (exact counts learned from valid/empty
     /// responses are inserted here too).
     counts: FnvMap<ConjunctiveQuery, (u64, u64)>,
@@ -296,7 +302,45 @@ struct HistoryInner {
     count_order: std::collections::VecDeque<ConjunctiveQuery>,
 }
 
-impl HistoryInner {
+impl<V> Default for HistoryInner<V> {
+    fn default() -> Self {
+        HistoryInner {
+            memo: FnvMap::default(),
+            empties: ContainmentSet::default(),
+            overflows: ContainmentSet::default(),
+            valids: ContainmentSet::default(),
+            valid_rows: FnvMap::default(),
+            counts: FnvMap::default(),
+            count_order: std::collections::VecDeque::new(),
+        }
+    }
+}
+
+const EMPTY: Classified = Classified {
+    class: Classification::Empty,
+    rows: None,
+};
+
+const OVERFLOW: Classified = Classified {
+    class: Classification::Overflow,
+    rows: None,
+};
+
+/// Rule 4's answer: the rows of a complete valid ancestor that match
+/// `query`, or empty when none does.
+fn filter<'a>(query: &ConjunctiveQuery, rows: impl Iterator<Item = &'a Row>) -> Classified {
+    let filtered: Vec<Row> = rows.filter(|r| query.matches(&r.values)).cloned().collect();
+    if filtered.is_empty() {
+        EMPTY
+    } else {
+        Classified {
+            class: Classification::Valid,
+            rows: Some(Arc::from(filtered)),
+        }
+    }
+}
+
+impl<V> HistoryInner<V> {
     fn entries(&self) -> usize {
         // Everything that grows: the exact-match maps and the containment
         // sets. Counting the latter keeps the capacity contract a real
@@ -316,81 +360,43 @@ impl HistoryInner {
         }
     }
 
-    /// Learn one fact: `query` classified as `fact`, known at site-clock
-    /// `at`. Feeds the containment sets of rules 2–4 and the count memo.
-    fn learn(&mut self, query: &ConjunctiveQuery, fact: &Classified, at: u64) {
-        match fact.class {
-            Classification::Empty => {
-                // Keep the set minimal-ish: skip a fact already implied.
-                if !self.empties.any_subset_of(query) {
-                    self.empties.insert(query, at);
-                }
-                self.learn_count(query, 0, at);
-            }
-            Classification::Overflow => {
-                if !self.overflows.any_superset_of(query) {
-                    self.overflows.insert(query, at);
-                }
-            }
-            Classification::Valid => {
-                let rows = fact.rows.as_ref().expect("valid carries rows");
-                self.learn_count(query, rows.len() as u64, at);
-                if !self.valid_rows.contains_key(query) {
-                    self.valids.insert(query, at);
-                    self.valid_rows.insert(query.clone(), Arc::clone(rows));
-                }
-            }
+    /// Learn that `query` is empty, known at `at`.
+    fn learn_empty(&mut self, query: &ConjunctiveQuery, at: u64) {
+        // Keep the set minimal-ish: skip a fact already implied.
+        if !self.empties.any_subset_of(query) {
+            self.empties.insert(query, at);
+        }
+        self.learn_count(query, 0, at);
+    }
+
+    /// Learn that `query` overflows, known at `at`.
+    fn learn_overflow(&mut self, query: &ConjunctiveQuery, at: u64) {
+        if !self.overflows.any_superset_of(query) {
+            self.overflows.insert(query, at);
         }
     }
 
-    /// Absorb one persisted fact (building the L2 tier's index).
-    fn absorb(&mut self, rec: FactRecord) {
-        let (class, rows) = match (rec.kind.as_str(), rec.count, rec.rows) {
-            ("count", Some(c), _) => return self.learn_count(&rec.query, c, rec.learned_at),
-            ("empty", ..) => (Classification::Empty, None),
-            ("overflow", ..) => (Classification::Overflow, None),
-            ("valid", _, Some(rows)) => (Classification::Valid, Some(rows)),
-            _ => return,
-        };
-        self.learn(&rec.query, &Classified { class, rows }, rec.learned_at);
+    /// Learn that `query` is valid with `count` rows, known at `at`; the
+    /// first such fact for a query keeps `rows`.
+    fn learn_valid(&mut self, query: &ConjunctiveQuery, count: u64, rows: V, at: u64) {
+        self.learn_count(query, count, at);
+        if !self.valid_rows.contains_key(query) {
+            self.valids.insert(query, at);
+            self.valid_rows.insert(query.clone(), rows);
+        }
     }
 
-    /// Rules 2–4 against this index, in rule order: the answer, the stamp
-    /// of the witness that gave it, and the rule that fired.
-    fn infer(&self, query: &ConjunctiveQuery) -> Option<(Classified, u64, Rule)> {
-        if let Some((_, at)) = self.empties.find_subset_of(query) {
-            let empty = Classified {
-                class: Classification::Empty,
-                rows: None,
-            };
-            return Some((empty, at, Rule::Empty));
+    /// The witness rules 2–4 find for `query`, in rule order: the rule
+    /// that fires, the stored query, and its stamp.
+    fn witness(&self, query: &ConjunctiveQuery) -> Option<(Rule, &ConjunctiveQuery, u64)> {
+        if let Some((w, at)) = self.empties.find_subset_of(query) {
+            return Some((Rule::Empty, w, at));
         }
-        if let Some((_, at)) = self.overflows.find_superset_of(query) {
-            let overflow = Classified {
-                class: Classification::Overflow,
-                rows: None,
-            };
-            return Some((overflow, at, Rule::Overflow));
+        if let Some((w, at)) = self.overflows.find_superset_of(query) {
+            return Some((Rule::Overflow, w, at));
         }
-        let (ancestor, at) = self.valids.find_subset_of(query)?;
-        let rows = self.valid_rows.get(ancestor).expect("valids have rows");
-        let filtered: Vec<Row> = rows
-            .iter()
-            .filter(|r| query.matches(&r.values))
-            .cloned()
-            .collect();
-        let answer = if filtered.is_empty() {
-            Classified {
-                class: Classification::Empty,
-                rows: None,
-            }
-        } else {
-            Classified {
-                class: Classification::Valid,
-                rows: Some(Arc::from(filtered)),
-            }
-        };
-        Some((answer, at, Rule::Filter))
+        let (w, at) = self.valids.find_subset_of(query)?;
+        Some((Rule::Filter, w, at))
     }
 
     /// The count lookup: the count memo, then the empty-subset rule.
@@ -445,6 +451,116 @@ impl HistoryInner {
     }
 }
 
+impl HistoryInner {
+    /// Learn one fact: `query` classified as `fact`, known at site-clock
+    /// `at`. Feeds the containment sets of rules 2–4 and the count memo.
+    fn learn(&mut self, query: &ConjunctiveQuery, fact: &Classified, at: u64) {
+        match fact.class {
+            Classification::Empty => self.learn_empty(query, at),
+            Classification::Overflow => self.learn_overflow(query, at),
+            Classification::Valid => {
+                let rows = fact.rows.as_ref().expect("valid carries rows");
+                self.learn_valid(query, rows.len() as u64, Arc::clone(rows), at);
+            }
+        }
+    }
+
+    /// Rules 2–4 against this index, in rule order: the answer, the stamp
+    /// of the witness that gave it, and the rule that fired.
+    fn infer(&self, query: &ConjunctiveQuery) -> Option<(Classified, u64, Rule)> {
+        let (rule, witness, at) = self.witness(query)?;
+        let answer = match rule {
+            Rule::Empty => EMPTY,
+            Rule::Overflow => OVERFLOW,
+            _ => filter(query, self.valid_rows[witness].iter()),
+        };
+        Some((answer, at, rule))
+    }
+}
+
+/// The L2 tier: its log's index, and a containment index over the facts
+/// the log index holds.
+///
+/// The containment index stamps each fact with its position in the log
+/// index, not with its learn time: an L2 answer always floors at `0`, and
+/// the position is how a lookup finds the witness's rows. A valid fact's
+/// rows are decoded the first time rule 4 selects it, or the count lookup
+/// answers from the count it taught. A fact whose rows turn out unusable
+/// leaves the log index, the containment index is rebuilt without it, and
+/// the lookup runs again — so every answer is the one the tier would give
+/// had attach skipped that fact.
+#[derive(Debug)]
+struct L2Tier {
+    log: L2Index,
+    index: HistoryInner<()>,
+}
+
+impl L2Tier {
+    fn new(log: L2Index) -> Self {
+        let mut tier = L2Tier {
+            log,
+            index: HistoryInner::default(),
+        };
+        tier.rebuild();
+        tier
+    }
+
+    /// Absorb the log index's facts in log order.
+    fn rebuild(&mut self) {
+        let mut index = HistoryInner::default();
+        for (id, (query, shape)) in self.log.facts().enumerate() {
+            let id = id as u64;
+            match shape {
+                Shape::Count(c) => index.learn_count(query, c, id),
+                Shape::Empty => index.learn_empty(query, id),
+                Shape::Overflow => index.learn_overflow(query, id),
+                Shape::Valid(rows) => index.learn_valid(query, rows, (), id),
+            }
+        }
+        self.index = index;
+    }
+
+    /// Drop fact `id`, found unusable, and rebuild without it.
+    fn drop_fact(&mut self, id: usize, stats: &mut HistoryStats) {
+        self.log.drop_fact(id);
+        stats.l2_skipped = self.log.skipped();
+        self.rebuild();
+    }
+
+    /// Rules 2–4 against the tier, decoding a valid witness's rows on
+    /// first use.
+    fn infer(&mut self, query: &ConjunctiveQuery, stats: &mut HistoryStats) -> Option<Classified> {
+        loop {
+            let (rule, _, id) = self.index.witness(query)?;
+            let id = id as usize;
+            match rule {
+                Rule::Empty => return Some(EMPTY),
+                Rule::Overflow => return Some(OVERFLOW),
+                _ => {
+                    if let Some(rows) = self.log.rows(id) {
+                        return Some(filter(query, rows));
+                    }
+                    self.drop_fact(id, stats);
+                }
+            }
+        }
+    }
+
+    /// The count lookup against the tier. A count a valid fact taught
+    /// holds only if that fact's rows resolve.
+    fn count_of(&mut self, query: &ConjunctiveQuery, stats: &mut HistoryStats) -> Option<u64> {
+        loop {
+            let (count, id, rule) = self.index.count_of(query)?;
+            let id = id as usize;
+            if rule == Rule::CountMemo && self.log.is_valid(id) && self.log.rows(id).is_none() {
+                self.drop_fact(id, stats);
+                continue;
+            }
+            return Some(count);
+        }
+    }
+}
+
 /// Everything the executor's one lock guards: both tiers' indexes and the
 /// counters they feed.
 #[derive(Debug)]
@@ -452,9 +568,9 @@ struct History {
     /// Entry bound of the L1 index.
     capacity: usize,
     l1: HistoryInner,
-    /// The L2 tier's facts, loaded from its log at attach time. It is
-    /// read-mostly and never evicted; only L1 misses consult it.
-    l2: Option<HistoryInner>,
+    /// The L2 tier, indexed from its log at attach time. It is never
+    /// evicted; only L1 misses consult it.
+    l2: Option<L2Tier>,
     stats: HistoryStats,
     requests: u64,
 }
@@ -557,26 +673,26 @@ impl<F: FormInterface> CachingExecutor<F> {
         }
     }
 
-    /// Attach a persistent L2 tier: load the log's facts into the tier's
-    /// index (counting loads and skipped torn lines), consult it on every
-    /// L1 miss, and write newly learned facts behind to it.
+    /// Attach a persistent L2 tier: index the log's facts without
+    /// decoding a row (counting the facts indexed and the lines that are
+    /// no record), consult the tier on every L1 miss, and write newly
+    /// learned facts behind to the log.
     ///
-    /// Facts loaded here were learned before this run began, so history
+    /// A valid fact's rows are decoded the first time a lookup needs them.
+    /// A fact that proves unusable then is dropped and counted in
+    /// [`HistoryStats::l2_skipped`], and the lookup answers as if it had
+    /// never been indexed.
+    ///
+    /// Facts indexed here were learned before this run began, so history
     /// hits they answer carry a causal floor of `0`.
     pub fn with_l2(mut self, log: Arc<L2Log>) -> Self {
         let history = self.history.get_mut();
-        let mut index = HistoryInner::default();
-        let before_skipped = log.skipped();
         // An unreadable log directory warm-starts nothing; the executor
         // still works (and still tries to write behind).
-        if let Ok(records) = log.load() {
-            history.stats.l2_loads = records.len() as u64;
-            for rec in records {
-                index.absorb(rec);
-            }
-        }
-        history.stats.l2_skipped = log.skipped() - before_skipped;
-        history.l2 = Some(index);
+        let index = log.attach().unwrap_or_default();
+        history.stats.l2_loads = index.len() as u64;
+        history.stats.l2_skipped = index.skipped();
+        history.l2 = Some(L2Tier::new(index));
         self.l2_log = Some(log);
         self
     }
@@ -642,8 +758,8 @@ impl<F: FormInterface> CachingExecutor<F> {
                 tier: HitTier::L1,
             });
         }
-        match h.l2.as_ref().map(|l2| l2.infer(query)) {
-            Some(Some((answer, _, _))) => {
+        match h.l2.as_mut().map(|l2| l2.infer(query, &mut h.stats)) {
+            Some(Some(answer)) => {
                 h.stats.l2_hits += 1;
                 // Promote into L1 — at floor 0 (the fact predates the run)
                 // and without re-appending to the log (the fact is already
@@ -720,8 +836,8 @@ impl<F: FormInterface> QueryExecutor for CachingExecutor<F> {
             }
             // L2: a persisted count (or empty fact) answers without a
             // probe; promote it into L1 at floor 0.
-            match h.l2.as_ref().map(|l2| l2.count_of(query)) {
-                Some(Some((c, _, _))) => {
+            match h.l2.as_mut().map(|l2| l2.count_of(query, &mut h.stats)) {
+                Some(Some(c)) => {
                     h.stats.l2_hits += 1;
                     h.make_room();
                     h.l1.learn_count(query, c, 0);

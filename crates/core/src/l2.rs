@@ -29,14 +29,29 @@
 //! segment (keeping the *earliest* stamp per fact, since a fact's learn
 //! time never moves later), rows first and only those a fact references.
 //!
-//! Loading reads each segment once, decodes every line straight into its
-//! record, builds one key → row map and resolves every valid fact through
-//! it into one shared, exactly sized row list. A valid fact is skipped and
-//! counted when one of its keys has no row record ahead of it (the row was
-//! torn or lost), or when two row records for one of its keys disagree: a
-//! changed site must never answer with another fact's copy of a tuple. Torn final records, garbage prefixes,
-//! and any other unparseable line are skipped and counted too, never a
-//! panic — crash mid-append must not poison the log.
+//! Attaching reads each segment once and indexes it without decoding a
+//! row. A row line gives its key, by a prefix parse of `{"Row":[<key>,`,
+//! and its byte range; a fact line gives its kind, query, count and stamp,
+//! and a valid fact the byte range of its key list. A valid fact's keys
+//! and rows are decoded the first time a lookup uses it
+//! (`L2Index::rows`), each row record at most once per attach, and the
+//! fact then holds its rows' places in the index rather than copies. One
+//! cursor reads every line; [`L2Log::load`], [`L2Log::stats`] and
+//! [`L2Log::compact`] read everything through the same index and row
+//! decoder. The writer learns from the same read which keys are on disk,
+//! and decodes one of those rows only when an append names its key.
+//!
+//! A valid fact is unusable, and is skipped and counted, when one of its
+//! keys has no row record ahead of it that decodes (the row was torn, lost
+//! or damaged), or when two row records for the key that decode differ in
+//! their bytes: a changed site must never answer with another fact's copy
+//! of a tuple. A row record is a line that starts with a row key and ends
+//! with the record's closing brace, so a torn row, which lost its brace, is
+//! not one. Torn final records, garbage prefixes, and any other line that
+//! is no record are skipped and counted too, never a panic — crash
+//! mid-append must not poison the log. After an attach, a fact is found
+//! unusable only when a lookup first uses it; the history tier then drops
+//! it and answers as if it had never been stored.
 //!
 //! Crash contract: each append (a fact together with the row records it
 //! needs) is handed to the kernel in one `write` on a file opened for
@@ -57,12 +72,13 @@ use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::io::Write;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use hdsampler_model::{AttrId, ConjunctiveQuery, DomIx, Row, Schema};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Version prefix of every fingerprint this build derives. Bump it to
 /// invalidate all existing logs at once.
@@ -211,25 +227,32 @@ impl std::fmt::Display for SiteFingerprint {
     }
 }
 
-/// One persisted fact. `kind` selects which optional payload applies:
-/// `"count"` carries `count`, `"valid"` carries `rows` (the complete
-/// result set — that completeness is the fact), `"empty"`/`"overflow"`
-/// carry only the query. `learned_at` is the site-clock time (virtual ms)
-/// the fact was learned at in the run that wrote it.
+/// What a persisted fact says about its query.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Fact {
+    /// The exact result count.
+    Count(u64),
+    /// The query matches nothing.
+    Empty,
+    /// The query's result overflows the display limit.
+    Overflow,
+    /// The complete result rows — that completeness is the fact — shared
+    /// with the history index that learned or loads them.
+    Valid(Arc<[Row]>),
+}
+
+/// One persisted fact: the query, what was learned about it, and
+/// `learned_at`, the site-clock time (virtual ms) it was learned at in the
+/// run that wrote it.
 ///
 /// On disk a valid fact stores only its rows' keys; [`L2Log::load`]
 /// resolves them back into rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FactRecord {
-    /// `"count" | "empty" | "overflow" | "valid"`.
-    pub kind: String,
     /// The query the fact is about.
     pub query: ConjunctiveQuery,
-    /// Exact result count (kind `"count"`).
-    pub count: Option<u64>,
-    /// Complete result rows (kind `"valid"`), shared with the history
-    /// index that learned or loads them.
-    pub rows: Option<Arc<[Row]>>,
+    /// What was learned.
+    pub fact: Fact,
     /// Learn time on the writing run's site clock (ms).
     pub learned_at: u64,
 }
@@ -238,10 +261,8 @@ impl FactRecord {
     /// A learned exact count.
     pub fn count(query: ConjunctiveQuery, count: u64, learned_at: u64) -> Self {
         FactRecord {
-            kind: "count".into(),
             query,
-            count: Some(count),
-            rows: None,
+            fact: Fact::Count(count),
             learned_at,
         }
     }
@@ -249,10 +270,8 @@ impl FactRecord {
     /// A learned empty classification.
     pub fn empty(query: ConjunctiveQuery, learned_at: u64) -> Self {
         FactRecord {
-            kind: "empty".into(),
             query,
-            count: None,
-            rows: None,
+            fact: Fact::Empty,
             learned_at,
         }
     }
@@ -260,10 +279,8 @@ impl FactRecord {
     /// A learned overflow classification.
     pub fn overflow(query: ConjunctiveQuery, learned_at: u64) -> Self {
         FactRecord {
-            kind: "overflow".into(),
             query,
-            count: None,
-            rows: None,
+            fact: Fact::Overflow,
             learned_at,
         }
     }
@@ -271,11 +288,17 @@ impl FactRecord {
     /// A learned valid classification with its complete rows.
     pub fn valid(query: ConjunctiveQuery, rows: impl Into<Arc<[Row]>>, learned_at: u64) -> Self {
         FactRecord {
-            kind: "valid".into(),
             query,
-            count: None,
-            rows: Some(rows.into()),
+            fact: Fact::Valid(rows.into()),
             learned_at,
+        }
+    }
+
+    /// A valid fact's rows; `None` for any other fact.
+    pub fn rows(&self) -> Option<&[Row]> {
+        match &self.fact {
+            Fact::Valid(rows) => Some(rows),
+            _ => None,
         }
     }
 }
@@ -287,9 +310,10 @@ fn invalid(what: &str) -> std::io::Error {
 /// A query on disk: its `[attr, value]` pairs.
 type Pairs = Vec<(u16, DomIx)>;
 
-/// One line of the log. Serde tags each record with its variant name, the
-/// shapes of the module docs.
-#[derive(Serialize, Deserialize)]
+/// One line of the log, as the writer writes it. Serde tags each record
+/// with its variant name, the shapes of the module docs; [`Cursor`] reads
+/// them back.
+#[derive(Serialize)]
 enum Record {
     Row(u64, Box<[DomIx]>, Box<[f64]>),
     Count(Pairs, u64, u64),
@@ -320,73 +344,217 @@ fn push_fact(buf: &mut Vec<u8>, rec: &FactRecord) -> std::io::Result<()> {
         .map(|p| (p.attr.0, p.value))
         .collect();
     let at = rec.learned_at;
-    let line = match (rec.kind.as_str(), rec.count, &rec.rows) {
-        ("count", Some(count), _) => Record::Count(query, count, at),
-        ("valid", _, Some(rows)) => Record::Valid(query, rows.iter().map(|r| r.key).collect(), at),
-        ("empty", ..) => Record::Empty(query, at),
-        ("overflow", ..) => Record::Overflow(query, at),
-        _ => return Err(invalid("a fact whose kind and payload disagree")),
+    let line = match &rec.fact {
+        Fact::Count(count) => Record::Count(query, *count, at),
+        Fact::Empty => Record::Empty(query, at),
+        Fact::Overflow => Record::Overflow(query, at),
+        Fact::Valid(rows) => Record::Valid(query, rows.iter().map(|r| r.key).collect(), at),
     };
     push_record(buf, &line)
 }
 
-/// A fact line as read back, its rows still unresolved keys.
-struct FactIn {
-    kind: &'static str,
-    query: ConjunctiveQuery,
-    count: Option<u64>,
-    keys: Option<Vec<u64>>,
-    learned_at: u64,
+/// The row decoder: `line` as the row record of `key`, `None` when it is
+/// not one.
+fn decode_row(line: &str, key: u64) -> Option<Row> {
+    let mut c = Cursor::new(line);
+    if c.open()? != "Row" || c.u64()? != key {
+        return None;
+    }
+    c.eat(b',')?;
+    let values = c.list(Cursor::u16)?;
+    c.eat(b',')?;
+    let measures = c.list(Cursor::f64)?;
+    c.close()?;
+    Some(Row {
+        key,
+        values: values.into_boxed_slice(),
+        measures: measures.into_boxed_slice(),
+    })
 }
 
-enum Line {
-    Row(Row),
-    Fact(FactIn),
+/// A reader over one line of the log for the record shapes the writer
+/// writes, JSON whitespace allowed between tokens. It reads a row line's
+/// key and a fact line whole, except a valid fact's key list, which it
+/// only delimits.
+struct Cursor<'a> {
+    line: &'a str,
+    pos: usize,
 }
 
-/// Parse one line, `None` when it is not a record (torn, garbage,
-/// hand-edited into something else).
-fn parse_line(line: &str) -> Option<Line> {
-    let rec = serde_json::from_str(line).ok()?;
-    let (kind, pairs, count, keys, learned_at) = match rec {
-        Record::Row(key, values, measures) => {
-            return Some(Line::Row(Row {
-                key,
-                values,
-                measures,
-            }))
+impl<'a> Cursor<'a> {
+    fn new(line: &'a str) -> Self {
+        Cursor { line, pos: 0 }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.line.as_bytes().get(self.pos).copied()
+    }
+
+    fn ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
         }
-        Record::Count(q, count, at) => ("count", q, Some(count), None, at),
-        Record::Empty(q, at) => ("empty", q, None, None, at),
-        Record::Overflow(q, at) => ("overflow", q, None, None, at),
-        Record::Valid(q, keys, at) => ("valid", q, None, Some(keys), at),
-    };
-    let query = pairs.into_iter().map(|(a, v)| (AttrId(a), v));
-    Some(Line::Fact(FactIn {
-        kind,
-        query: ConjunctiveQuery::from_pairs(query).ok()?,
-        count,
-        keys,
-        learned_at,
-    }))
+    }
+
+    /// Consume `b` after whitespace.
+    fn eat(&mut self, b: u8) -> Option<()> {
+        self.ws();
+        (self.peek() == Some(b)).then(|| self.pos += 1)
+    }
+
+    /// Whether the next token is `b`, consumed if so.
+    fn next_is(&mut self, b: u8) -> bool {
+        self.eat(b).is_some()
+    }
+
+    /// The text from here up to the next `end`, which is consumed.
+    fn until(&mut self, end: char) -> Option<&'a str> {
+        let rest = &self.line[self.pos..];
+        let len = rest.find(end)?;
+        self.pos += len + 1;
+        Some(&rest[..len])
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        self.ws();
+        let start = self.pos;
+        let mut n = 0u64;
+        while let Some(d @ b'0'..=b'9') = self.peek() {
+            n = n.checked_mul(10)?.checked_add(u64::from(d - b'0'))?;
+            self.pos += 1;
+        }
+        (self.pos > start).then_some(n)
+    }
+
+    fn u16(&mut self) -> Option<u16> {
+        u16::try_from(self.u64()?).ok()
+    }
+
+    /// A JSON number, parsed as Rust parses floats.
+    fn f64(&mut self) -> Option<f64> {
+        self.ws();
+        let start = self.pos;
+        if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+            return None;
+        }
+        while let Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') = self.peek() {
+            self.pos += 1;
+        }
+        self.line[start..self.pos].parse().ok()
+    }
+
+    /// `[item,...]`, each item read by `item`. The list is sized by the
+    /// commas before the first `]`: exactly, when items hold no brackets.
+    fn list<T>(&mut self, item: fn(&mut Self) -> Option<T>) -> Option<Vec<T>> {
+        self.eat(b'[')?;
+        let inner = &self.line[self.pos..];
+        let inner = &inner[..inner.find(']')?];
+        let mut items = Vec::with_capacity(commas(inner) + 1);
+        if self.next_is(b']') {
+            return Some(items);
+        }
+        loop {
+            items.push(item(self)?);
+            if self.next_is(b']') {
+                return Some(items);
+            }
+            self.eat(b',')?;
+        }
+    }
+
+    /// A record's closing `]}` and the end of the line.
+    fn close(&mut self) -> Option<()> {
+        self.eat(b']')?;
+        self.eat(b'}')?;
+        self.ws();
+        (self.pos == self.line.len()).then_some(())
+    }
+
+    /// `{"<tag>":[`, giving the tag.
+    fn open(&mut self) -> Option<&'a str> {
+        self.eat(b'{')?;
+        self.eat(b'"')?;
+        let tag = self.until('"')?;
+        self.eat(b':')?;
+        self.eat(b'[')?;
+        Some(tag)
+    }
+
+    /// A row line's `<key>,`, when the line ends with the record's closing
+    /// brace: a row torn anywhere has lost it.
+    fn row_key(&mut self) -> Option<u64> {
+        let key = self.u64()?;
+        self.eat(b',')?;
+        self.line.trim_ascii_end().ends_with('}').then_some(key)
+    }
+
+    /// A query's `[[attr,value],...]`.
+    fn query(&mut self) -> Option<ConjunctiveQuery> {
+        ConjunctiveQuery::from_pairs(self.list(Cursor::predicate)?).ok()
+    }
+
+    /// One `[attr,value]` of a query.
+    fn predicate(&mut self) -> Option<(AttrId, DomIx)> {
+        self.eat(b'[')?;
+        let attr = self.u16()?;
+        self.eat(b',')?;
+        let value = self.u16()?;
+        self.eat(b']')?;
+        Some((AttrId(attr), value))
+    }
+
+    /// A valid fact's `[key,...]`, delimited but not read: its range,
+    /// brackets included, and how many keys its commas say it lists.
+    /// [`L2Index::rows`] reads it with [`Cursor::list`].
+    fn key_list(&mut self) -> Option<(Range<usize>, u64)> {
+        self.eat(b'[')?;
+        let start = self.pos - 1;
+        let inner = self.until(']')?;
+        let keys = if inner.trim_ascii().is_empty() {
+            0
+        } else {
+            commas(inner) as u64 + 1
+        };
+        Some((start..self.pos, keys))
+    }
+
+    /// The rest of a fact line after its tag, the line starting at byte
+    /// `at` of the log text; `None` unless it is one whole fact.
+    fn fact(&mut self, tag: &str, at: usize) -> Option<IndexedFact> {
+        let query = self.query()?;
+        let kind = match tag {
+            "Count" => {
+                self.eat(b',')?;
+                Indexed::Count(self.u64()?)
+            }
+            "Empty" => Indexed::Empty,
+            "Overflow" => Indexed::Overflow,
+            "Valid" => {
+                self.eat(b',')?;
+                let (keys, len) = self.key_list()?;
+                Indexed::Valid {
+                    keys: at + keys.start..at + keys.end,
+                    len,
+                    slots: None,
+                }
+            }
+            _ => return None,
+        };
+        self.eat(b',')?;
+        let learned_at = self.u64()?;
+        self.close()?;
+        Some(IndexedFact {
+            query,
+            learned_at,
+            kind,
+            at,
+        })
+    }
 }
 
-/// One pass over every segment, in log order, before valid facts are
-/// resolved into rows.
-#[derive(Default)]
-struct Scan {
-    /// Listing key → its tuple; `None` once two row records disagree.
-    rows: KeyMap<Option<Row>>,
-    /// Well-formed row records (duplicates included).
-    row_records: u64,
-    /// Parsed facts whose every key had a row record ahead of them.
-    facts: Vec<FactIn>,
-    /// Unparseable lines, and facts naming a key with no row before them.
-    skipped: u64,
-    /// Bytes read.
-    bytes: u64,
-    /// The newest segment's lines, and whether its last one is torn.
-    tail: SegmentTail,
+/// How many commas `s` holds.
+fn commas(s: &str) -> usize {
+    s.bytes().filter(|&b| b == b',').count()
 }
 
 /// Where appends resume in a segment.
@@ -423,62 +591,339 @@ impl SegmentTail {
     }
 }
 
-impl Scan {
-    fn read(segs: &[PathBuf]) -> std::io::Result<Scan> {
-        let mut scan = Scan::default();
-        for seg in segs {
-            let bytes = fs::read(seg)?;
-            scan.bytes += bytes.len() as u64;
-            scan.tail = SegmentTail::of(&bytes);
-            // Bytes that are not UTF-8 become U+FFFD, which no record
-            // holds (their only strings are variant tags): the line stays
-            // unparseable and is skipped as before. A valid segment is
-            // borrowed, not copied.
-            for line in String::from_utf8_lossy(&bytes).split('\n') {
-                if !line.bytes().all(|b| b.is_ascii_whitespace()) {
-                    scan.line(line);
+/// The row records one read of the log found, by key, over the log's
+/// text; each key's row is decoded on first use. The read's index and the
+/// log's writer share it, so each record is decoded at most once whichever
+/// of them needs it first.
+#[derive(Debug, Default)]
+struct RowTable {
+    /// Every segment's text, oldest first. Bytes that are not UTF-8 became
+    /// U+FFFD, which no record holds, so their lines stay no record.
+    text: String,
+    /// Listing key → its place in `keys`.
+    slots: KeyMap<u32>,
+    keys: Vec<KeyRows>,
+}
+
+/// One key's row records.
+#[derive(Debug)]
+struct KeyRows {
+    key: u64,
+    /// Byte range of the first record in the log text.
+    first: Range<usize>,
+    /// Later records whose bytes differ from the first's; almost always
+    /// none.
+    others: Vec<Range<usize>>,
+    /// Once first used: where the first record that decodes starts, and
+    /// its row. `None` when no record decodes, or two that do have
+    /// different bytes.
+    row: OnceLock<Option<(usize, Row)>>,
+}
+
+impl KeyRows {
+    fn records(&self) -> impl Iterator<Item = &Range<usize>> {
+        std::iter::once(&self.first).chain(&self.others)
+    }
+}
+
+impl RowTable {
+    /// Add the row record of `key` at `line` of `text`, the log text this
+    /// table will hold: a key's first record takes a place in the table, and
+    /// a later one is kept beside it when its bytes differ.
+    fn add(&mut self, text: &str, key: u64, line: Range<usize>) {
+        match self.slots.entry(key) {
+            Entry::Vacant(v) => {
+                v.insert(self.keys.len() as u32);
+                self.keys.push(KeyRows {
+                    key,
+                    first: line,
+                    others: Vec::new(),
+                    row: OnceLock::new(),
+                });
+            }
+            Entry::Occupied(o) => {
+                let rows = &mut self.keys[*o.get() as usize];
+                if text[rows.first.clone()] != text[line.clone()] {
+                    rows.others.push(line);
                 }
             }
         }
-        Ok(scan)
     }
 
-    fn line(&mut self, line: &str) {
-        match parse_line(line) {
-            Some(Line::Row(row)) => {
-                self.row_records += 1;
-                match self.rows.entry(row.key) {
-                    Entry::Vacant(v) => {
-                        v.insert(Some(row));
-                    }
-                    Entry::Occupied(mut o) => {
-                        if o.get().as_ref() != Some(&row) {
-                            o.insert(None);
+    /// The row at place `slot`, decoded on first use, with where its record
+    /// starts. A record that does not decode counts as no record; two that
+    /// do and differ in their bytes make the key unusable.
+    fn row_at(&self, slot: usize) -> Option<(usize, &Row)> {
+        let rows = &self.keys[slot];
+        let decoded = rows.row.get_or_init(|| {
+            let mut usable: Option<(&Range<usize>, Row)> = None;
+            for line in rows.records() {
+                let text = &self.text[line.clone()];
+                match &usable {
+                    None => usable = decode_row(text, rows.key).map(|row| (line, row)),
+                    Some((first, _)) => {
+                        if text != &self.text[(*first).clone()]
+                            && decode_row(text, rows.key).is_some()
+                        {
+                            return None;
                         }
                     }
                 }
             }
-            // Rows are always written ahead of the facts that name them,
-            // so a key without a row so far means the row was lost.
-            Some(Line::Fact(fact))
-                if fact
-                    .keys
-                    .iter()
-                    .flatten()
-                    .all(|k| self.rows.contains_key(k)) =>
-            {
-                self.facts.push(fact)
-            }
-            _ => self.skipped += 1,
-        }
+            usable.map(|(line, row)| (line.start, row))
+        });
+        decoded.as_ref().map(|(start, row)| (*start, row))
     }
 
-    /// Whether none of `fact`'s keys is conflicting.
-    fn resolvable(&self, fact: &FactIn) -> bool {
-        fact.keys
+    /// The row of `key`: `None` when none of its records decodes, or it
+    /// has none, or two that decode differ.
+    fn row(&self, key: u64) -> Option<&Row> {
+        Some(self.row_at(*self.slots.get(&key)? as usize)?.1)
+    }
+
+    /// Row records that do not decode.
+    fn broken(&self) -> u64 {
+        let lines = self
+            .keys
             .iter()
-            .flatten()
-            .all(|k| self.rows.get(k).is_some_and(Option::is_some))
+            .flat_map(|rows| rows.records().map(|l| (rows.key, l)));
+        lines
+            .filter(|(key, line)| decode_row(&self.text[(*line).clone()], *key).is_none())
+            .count() as u64
+    }
+}
+
+/// A fact line as the index holds it.
+#[derive(Debug)]
+struct IndexedFact {
+    query: ConjunctiveQuery,
+    learned_at: u64,
+    kind: Indexed,
+    /// Where its line starts in the log text: each of a valid fact's keys
+    /// needs a row record that starts before it.
+    at: usize,
+}
+
+#[derive(Debug)]
+enum Indexed {
+    Count(u64),
+    Empty,
+    Overflow,
+    /// The range of the log text that holds the key list, how many keys
+    /// it lists, and their rows' places in the table once resolved.
+    Valid {
+        keys: Range<usize>,
+        len: u64,
+        slots: Option<Box<[u32]>>,
+    },
+}
+
+/// What a fact teaches the history index before any of its rows is
+/// decoded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Shape {
+    /// An exact count.
+    Count(u64),
+    /// An empty classification.
+    Empty,
+    /// An overflow classification.
+    Overflow,
+    /// A valid classification with this many rows.
+    Valid(u64),
+}
+
+/// The log as one read indexes it: row records by key and facts in log
+/// order, with nothing decoded that a lookup has not asked for.
+#[derive(Debug, Default)]
+pub(crate) struct L2Index {
+    table: Arc<RowTable>,
+    facts: Vec<IndexedFact>,
+    /// Lines that carry a row key, duplicates included.
+    row_records: u64,
+    /// Bytes read.
+    bytes: u64,
+    /// Lines that are no record and facts dropped as unusable (and, after
+    /// [`records`](Self::records), row records that do not decode).
+    skipped: u64,
+    /// The log's own count of the same, ticked alongside (a detached one
+    /// for [`L2Log::stats`], which counts nothing against the log).
+    log_skipped: Arc<AtomicU64>,
+}
+
+impl L2Index {
+    /// Read and index `segs` in log order; also where appends resume in
+    /// the last one.
+    fn read(segs: &[PathBuf], log_skipped: Arc<AtomicU64>) -> std::io::Result<(Self, SegmentTail)> {
+        let mut table = RowTable::default();
+        let mut ranges = Vec::with_capacity(segs.len());
+        let mut ix = L2Index {
+            log_skipped,
+            ..L2Index::default()
+        };
+        let mut tail = SegmentTail::default();
+        for seg in segs {
+            let bytes = fs::read(seg)?;
+            ix.bytes += bytes.len() as u64;
+            tail = SegmentTail::of(&bytes);
+            let text = String::from_utf8(bytes)
+                .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
+            let start = table.text.len();
+            if start == 0 {
+                table.text = text;
+            } else {
+                table.text.push_str(&text);
+            }
+            ranges.push(start..table.text.len());
+        }
+        // Lines are split per segment: a torn last line never runs on
+        // into the next segment's first.
+        let text = std::mem::take(&mut table.text);
+        for range in ranges {
+            for line in text[range].split('\n') {
+                if !line.bytes().all(|b| b.is_ascii_whitespace()) {
+                    let at = line.as_ptr() as usize - text.as_ptr() as usize;
+                    ix.line(&mut table, &text, at..at + line.len());
+                }
+            }
+        }
+        table.text = text;
+        ix.table = Arc::new(table);
+        Ok((ix, tail))
+    }
+
+    /// Index the line at `range` of `text`.
+    fn line(&mut self, table: &mut RowTable, text: &str, range: Range<usize>) {
+        let mut c = Cursor::new(&text[range.clone()]);
+        match c.open() {
+            Some("Row") => {
+                if let Some(key) = c.row_key() {
+                    self.row_records += 1;
+                    return table.add(text, key, range);
+                }
+            }
+            Some(tag) => {
+                if let Some(fact) = c.fact(tag, range.start) {
+                    return self.facts.push(fact);
+                }
+            }
+            None => {}
+        }
+        self.skip(1);
+    }
+
+    fn skip(&mut self, n: u64) {
+        self.skipped += n;
+        self.log_skipped.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// The facts in log order, each with its query and its shape.
+    pub(crate) fn facts(&self) -> impl Iterator<Item = (&ConjunctiveQuery, Shape)> {
+        self.facts.iter().map(|f| {
+            let shape = match f.kind {
+                Indexed::Count(n) => Shape::Count(n),
+                Indexed::Empty => Shape::Empty,
+                Indexed::Overflow => Shape::Overflow,
+                Indexed::Valid { len, .. } => Shape::Valid(len),
+            };
+            (&f.query, shape)
+        })
+    }
+
+    /// Facts indexed and not dropped.
+    pub(crate) fn len(&self) -> usize {
+        self.facts.len()
+    }
+
+    /// Whether fact `id` is a valid one.
+    pub(crate) fn is_valid(&self, id: usize) -> bool {
+        matches!(self.facts[id].kind, Indexed::Valid { .. })
+    }
+
+    /// Lines that are no record and facts dropped, so far.
+    pub(crate) fn skipped(&self) -> u64 {
+        self.skipped
+    }
+
+    /// The places in the table of the rows of the key list at `keys`, each
+    /// decoded, for a fact whose line starts at byte `at`.
+    fn resolve(&self, keys: Range<usize>, at: usize) -> Option<Box<[u32]>> {
+        let table = &*self.table;
+        let keys = Cursor::new(&table.text[keys]).list(Cursor::u64)?;
+        let mut slots = Vec::with_capacity(keys.len());
+        for key in keys {
+            let slot = *table.slots.get(&key)?;
+            if table.row_at(slot as usize)?.0 > at {
+                return None;
+            }
+            slots.push(slot);
+        }
+        Some(slots.into_boxed_slice())
+    }
+
+    /// Valid fact `id`'s rows, in order, resolved the first time they are
+    /// asked for. `None` when the fact is unusable: one of its keys has no
+    /// row record ahead of it, or that record does not decode or
+    /// conflicts. The caller then drops it ([`drop_fact`](Self::drop_fact)).
+    pub(crate) fn rows(&mut self, id: usize) -> Option<impl Iterator<Item = &Row>> {
+        let fact = &self.facts[id];
+        if let Indexed::Valid {
+            keys, slots: None, ..
+        } = &fact.kind
+        {
+            let resolved = self.resolve(keys.clone(), fact.at)?;
+            if let Indexed::Valid { slots, .. } = &mut self.facts[id].kind {
+                *slots = Some(resolved);
+            }
+        }
+        let Indexed::Valid {
+            slots: Some(slots), ..
+        } = &self.facts[id].kind
+        else {
+            return None;
+        };
+        let table = &*self.table;
+        Some(
+            slots
+                .iter()
+                .filter_map(move |&slot| Some(table.row_at(slot as usize)?.1)),
+        )
+    }
+
+    /// Drop fact `id`, which [`rows`](Self::rows) found unusable, and
+    /// count it. Later facts move down one place.
+    pub(crate) fn drop_fact(&mut self, id: usize) {
+        self.facts.remove(id);
+        self.skip(1);
+    }
+
+    /// Every fact, in log order, with every row record decoded first;
+    /// row records that do not decode and unusable facts are skipped and
+    /// counted.
+    fn records(&mut self) -> Vec<FactRecord> {
+        let broken = self.table.broken();
+        self.skip(broken);
+        let mut out = Vec::with_capacity(self.facts.len());
+        for id in 0..self.facts.len() {
+            let fact = match self.facts[id].kind {
+                Indexed::Count(n) => Fact::Count(n),
+                Indexed::Empty => Fact::Empty,
+                Indexed::Overflow => Fact::Overflow,
+                Indexed::Valid { .. } => match self.rows(id).map(|rows| rows.cloned().collect()) {
+                    Some(rows) => Fact::Valid(rows),
+                    None => {
+                        self.skip(1);
+                        continue;
+                    }
+                },
+            };
+            let f = &self.facts[id];
+            out.push(FactRecord {
+                query: f.query.clone(),
+                fact,
+                learned_at: f.learned_at,
+            });
+        }
+        out
     }
 }
 
@@ -509,11 +954,12 @@ pub struct L2DirStats {
     pub segments: usize,
     /// Facts that load (their rows all resolve).
     pub facts: u64,
-    /// Well-formed row records.
+    /// Row records (lines that carry a row key), duplicates included.
     pub rows: u64,
     /// Bytes on disk across all segments.
     pub bytes: u64,
-    /// Torn/garbage lines, and facts whose rows do not resolve.
+    /// Lines that are no record, row records that do not decode, and
+    /// facts whose rows do not resolve.
     pub skipped: u64,
 }
 
@@ -528,7 +974,7 @@ pub struct CompactReport {
     pub facts_after: u64,
     /// Rows those facts reference (each written once).
     pub rows_after: u64,
-    /// Torn/garbage lines and unresolvable facts dropped by the pass.
+    /// Damaged lines and unresolvable facts dropped by the pass.
     pub skipped: u64,
 }
 
@@ -551,10 +997,12 @@ struct WriterState {
     records_in_seg: Option<usize>,
     /// Open append handle (lazy: `cache stats` never writes).
     file: Option<File>,
-    /// Listing key → [`row_digest`] of its row record on disk (from loads
-    /// and from this handle's own appends): a valid fact writes the rows
-    /// missing here or whose content changed, so a changed tuple reaches
-    /// the disk and the loader sees the conflict.
+    /// The row records the last attach or load read.
+    read: Arc<RowTable>,
+    /// Listing key → [`row_digest`] of its row on disk, as this handle
+    /// wrote it or first compared it with `read`: a valid fact writes the
+    /// rows missing from both or whose content changed, so a changed tuple
+    /// reaches the disk and the loader sees the conflict.
     on_disk: KeyMap<u64>,
 }
 
@@ -570,16 +1018,18 @@ pub struct L2Log {
     fingerprint: SiteFingerprint,
     cfg: L2Config,
     writer: Mutex<WriterState>,
-    skipped: AtomicU64,
+    /// Shared with the indexes attaches hand out, which count what they
+    /// find unusable on first use.
+    skipped: Arc<AtomicU64>,
 }
 
 impl L2Log {
     /// Open (creating if absent) the log for `fingerprint` under `root`,
     /// compacting first when the segment count reached
     /// [`L2Config::compact_at_segments`]. Otherwise no segment is read
-    /// here: the [`load`](Self::load) that follows an attach reads each
-    /// one once and learns where appends resume, and an append made
-    /// without a load counts the newest segment's lines itself, once.
+    /// here: the attach or [`load`](Self::load) that follows reads each one
+    /// once and learns where appends resume, and an append made without
+    /// one counts the newest segment's lines itself, once.
     pub fn open(root: &Path, fingerprint: SiteFingerprint) -> std::io::Result<L2Log> {
         Self::open_with(root, fingerprint, L2Config::default())
     }
@@ -600,9 +1050,10 @@ impl L2Log {
                 seg_ix: 0,
                 records_in_seg: Some(0),
                 file: None,
+                read: Arc::default(),
                 on_disk: KeyMap::default(),
             }),
-            skipped: AtomicU64::new(0),
+            skipped: Arc::default(),
         };
         if log.segment_paths()?.len() >= cfg.compact_at_segments.max(2) {
             log.compact()?;
@@ -622,8 +1073,9 @@ impl L2Log {
         &self.dir
     }
 
-    /// Torn/garbage lines and unresolvable facts skipped by loads through
-    /// this handle.
+    /// What reads through this handle skipped: lines that are no record,
+    /// row records that do not decode, and valid facts whose rows do not
+    /// resolve — at load, or at first use after an attach.
     pub fn skipped(&self) -> u64 {
         self.skipped.load(Ordering::Relaxed)
     }
@@ -665,72 +1117,47 @@ impl L2Log {
         Ok(())
     }
 
-    /// Replay every fact in learn order, with each valid fact's rows
-    /// resolved through the row records. Unparseable or incoherent lines,
-    /// and facts whose rows are missing or conflicting, are skipped and
-    /// counted.
-    ///
-    /// Each segment is read once. The newest one's line count is where a
-    /// fresh handle's appends resume; a torn last line there is closed
-    /// first.
-    pub fn load(&self) -> std::io::Result<Vec<FactRecord>> {
+    /// Read and index every segment, once, decoding no row: what an
+    /// executor attaches as its L2 tier. The writer shares the row records
+    /// read, and learns where appends resume (a torn last line in the
+    /// newest segment is closed first).
+    pub(crate) fn attach(&self) -> std::io::Result<L2Index> {
         let segs = self.segment_paths()?;
-        let Scan {
-            rows: tuples,
-            facts,
-            mut skipped,
-            tail,
-            ..
-        } = Scan::read(&segs)?;
-        let mut out = Vec::with_capacity(facts.len());
-        for fact in facts {
-            // `Scan::line` kept only facts whose every key has an entry;
-            // a `None` entry is a conflicting key.
-            let rows = match &fact.keys {
-                None => None,
-                Some(keys) if keys.iter().all(|k| tuples[k].is_some()) => Some(
-                    keys.iter()
-                        .map(|k| tuples[k].clone().expect("checked above"))
-                        .collect(),
-                ),
-                Some(_) => {
-                    skipped += 1;
-                    continue;
-                }
-            };
-            out.push(FactRecord {
-                kind: fact.kind.to_owned(),
-                query: fact.query,
-                count: fact.count,
-                rows,
-                learned_at: fact.learned_at,
-            });
-        }
-        let clean = tuples
-            .iter()
-            .filter_map(|(&k, row)| Some((k, row_digest(row.as_ref()?))));
+        let (ix, tail) = L2Index::read(&segs, Arc::clone(&self.skipped))?;
         let mut w = self.writer.lock().expect("l2 writer lock");
-        w.on_disk.extend(clean);
+        w.read = Arc::clone(&ix.table);
         if let (None, Some(last)) = (w.records_in_seg, segs.last()) {
             w.records_in_seg = Some(tail.resume(last)?);
         }
-        self.skipped.fetch_add(skipped, Ordering::Relaxed);
-        Ok(out)
+        Ok(ix)
+    }
+
+    /// Replay every fact in learn order, with each valid fact's rows
+    /// resolved through the row records: the read an executor attaches,
+    /// then everything decoded. Lines that are no record, row records that
+    /// do not decode, and facts whose rows are missing or conflicting are
+    /// skipped and counted.
+    pub fn load(&self) -> std::io::Result<Vec<FactRecord>> {
+        Ok(self.attach()?.records())
     }
 
     /// Append one fact — a valid one preceded by the row records of the
     /// keys not yet on disk, or on disk with other content — as one buffer
-    /// in one `write`. Once this
-    /// returns, the fact survives a crash of the process (not a power
-    /// loss: nothing is synced).
+    /// in one `write`. Once this returns, the fact survives a crash of the
+    /// process (not a power loss: nothing is synced).
     pub fn append(&self, rec: &FactRecord) -> std::io::Result<()> {
         let mut w = self.writer.lock().expect("l2 writer lock");
         let mut buf = Vec::new();
         let mut fresh = Vec::new();
         let written = (|| -> std::io::Result<()> {
-            for row in rec.rows.as_deref().into_iter().flatten() {
+            for row in rec.rows().into_iter().flatten() {
                 let digest = row_digest(row);
-                if w.on_disk.insert(row.key, digest) != Some(digest) {
+                let known = match w.on_disk.get(&row.key) {
+                    Some(&known) => Some(known),
+                    None => w.read.row(row.key).map(row_digest),
+                };
+                w.on_disk.insert(row.key, digest);
+                if known != Some(digest) {
                     fresh.push(row.key);
                     push_row(&mut buf, row)?;
                 }
@@ -748,7 +1175,9 @@ impl L2Log {
                 }
             };
             w.records_in_seg = Some(records);
-            if records >= self.cfg.rotate_records && w.file.is_some() {
+            // A full segment rotates whether or not this handle has
+            // written to it yet.
+            if records >= self.cfg.rotate_records {
                 w.seg_ix += 1;
                 w.records_in_seg = Some(0);
                 w.file = None;
@@ -775,18 +1204,18 @@ impl L2Log {
 
     /// Rewrite the whole log as one deduplicated segment: the rows the
     /// surviving facts reference, each once, then the facts. Duplicate
-    /// facts (same kind + query) keep their earliest stamp; torn lines,
+    /// facts (same kind + query) keep their earliest stamp; damaged lines,
     /// unresolvable facts and unreferenced rows vanish.
     pub fn compact(&self) -> std::io::Result<CompactReport> {
         let segs = self.segment_paths()?;
-        let before_skipped = self.skipped.load(Ordering::Relaxed);
+        let before_skipped = self.skipped();
         let records = self.load()?;
-        let pass_skipped = self.skipped.load(Ordering::Relaxed) - before_skipped;
+        let pass_skipped = self.skipped() - before_skipped;
         let facts_before = records.len() as u64;
-        let mut seen: HashMap<(String, ConjunctiveQuery), usize> = HashMap::new();
+        let mut seen = HashMap::new();
         let mut kept: Vec<FactRecord> = Vec::with_capacity(records.len());
         for rec in records {
-            match seen.entry((rec.kind.clone(), rec.query.clone())) {
+            match seen.entry((std::mem::discriminant(&rec.fact), rec.query.clone())) {
                 Entry::Vacant(v) => {
                     v.insert(kept.len());
                     kept.push(rec);
@@ -802,10 +1231,7 @@ impl L2Log {
 
         let mut buf = Vec::new();
         let mut on_disk = KeyMap::default();
-        for row in kept
-            .iter()
-            .flat_map(|rec| rec.rows.as_deref().into_iter().flatten())
-        {
+        for row in kept.iter().flat_map(|rec| rec.rows().into_iter().flatten()) {
             if on_disk.insert(row.key, row_digest(row)).is_none() {
                 push_row(&mut buf, row)?;
             }
@@ -829,6 +1255,7 @@ impl L2Log {
         w.records_in_seg = Some(on_disk.len() + kept.len());
         w.file = None;
         let rows_after = on_disk.len() as u64;
+        w.read = Arc::default();
         w.on_disk = on_disk;
         Ok(CompactReport {
             facts_before,
@@ -848,21 +1275,23 @@ impl L2Log {
         w.seg_ix = 0;
         w.records_in_seg = Some(0);
         w.file = None;
+        w.read = Arc::default();
         w.on_disk.clear();
         Ok(())
     }
 
-    /// Count facts and rows without resolving any fact into rows.
+    /// Read and decode everything, as [`load`](Self::load) does, and count
+    /// what it found; nothing is counted against this handle.
     pub fn stats(&self) -> std::io::Result<L2DirStats> {
         let segs = self.segment_paths()?;
-        let scan = Scan::read(&segs)?;
-        let facts = scan.facts.iter().filter(|f| scan.resolvable(f)).count() as u64;
+        let (mut ix, _) = L2Index::read(&segs, Arc::default())?;
+        let facts = ix.records().len() as u64;
         Ok(L2DirStats {
             segments: segs.len(),
             facts,
-            rows: scan.row_records,
-            bytes: scan.bytes,
-            skipped: scan.skipped + (scan.facts.len() as u64 - facts),
+            rows: ix.row_records,
+            bytes: ix.bytes,
+            skipped: ix.skipped,
         })
     }
 
@@ -1058,6 +1487,44 @@ mod tests {
     }
 
     #[test]
+    fn a_fresh_handle_rotates_a_full_segment() {
+        let root = tmpdir("rotate-fresh");
+        let fp = SiteFingerprint::derive(&schema(), 5, false, None);
+        let cfg = L2Config {
+            rotate_records: 2,
+            compact_at_segments: 100,
+        };
+        {
+            let log = L2Log::open_with(&root, fp.clone(), cfg).unwrap();
+            for i in 0..2u64 {
+                log.append(&FactRecord::count(q(&[(0, 0)]), i, i)).unwrap();
+            }
+        }
+        // One handle per run, as the CLI opens them: each loads, then
+        // appends once.
+        for i in 2..6u64 {
+            let log = L2Log::open_with(&root, fp.clone(), cfg).unwrap();
+            log.load().unwrap();
+            log.append(&FactRecord::count(q(&[(0, 1)]), i, i)).unwrap();
+        }
+        let dir = root.join(fp.as_str());
+        let mut segs: Vec<PathBuf> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        segs.sort();
+        let lines: Vec<usize> = segs
+            .iter()
+            .map(|s| fs::read_to_string(s).unwrap().lines().count())
+            .collect();
+        assert_eq!(lines, [2, 2, 2], "every segment holds rotate_records");
+        let log = L2Log::open_with(&root, fp, cfg).unwrap();
+        let stamps: Vec<u64> = log.load().unwrap().iter().map(|r| r.learned_at).collect();
+        assert_eq!(stamps, (0..6).collect::<Vec<_>>(), "learn order preserved");
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
     fn compaction_dedups_keeping_earliest_stamp() {
         let root = tmpdir("compact");
         let fp = SiteFingerprint::derive(&schema(), 5, false, None);
@@ -1081,7 +1548,10 @@ mod tests {
         assert!(report.segments_before >= 3);
         let loaded = log.load().unwrap();
         assert_eq!(loaded.len(), 4);
-        let the_count = loaded.iter().find(|r| r.kind == "count").unwrap();
+        let the_count = loaded
+            .iter()
+            .find(|r| matches!(r.fact, Fact::Count(_)))
+            .unwrap();
         assert_eq!(the_count.learned_at, 100, "earliest stamp wins");
         assert_eq!(log.stats().unwrap().segments, 1);
         // Appends continue cleanly after compaction.

@@ -51,7 +51,7 @@ pub use executor::{Classified, DirectExecutor, QueryExecutor};
 pub use hds::HdsSampler;
 pub use history::{CachingExecutor, HistoryHit, HistoryStats, HitTier, DEFAULT_CACHE_CAPACITY};
 pub use l2::{
-    CompactReport, FactRecord, L2Config, L2DirStats, L2Log, RetiredLog, SiteFingerprint,
+    CompactReport, Fact, FactRecord, L2Config, L2DirStats, L2Log, RetiredLog, SiteFingerprint,
     FINGERPRINT_VERSION,
 };
 pub use machine::{WalkMachine, WalkStep};

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use hdsampler_core::sample::Sampler;
 use hdsampler_core::{
     acceptance::acceptance_probability, CachingExecutor, Classified, DirectExecutor, HdsSampler,
-    L2Log, QueryExecutor, SamplerConfig, SiteFingerprint,
+    HitTier, L2Log, QueryExecutor, SamplerConfig, SiteFingerprint,
 };
 use hdsampler_hidden_db::{CountMode, HiddenDb};
 use hdsampler_model::{
@@ -283,7 +283,7 @@ proptest! {
             let facts = log.load().unwrap();
             let mut keys: Vec<u64> = facts
                 .iter()
-                .flat_map(|f| f.rows.as_deref().into_iter().flatten().map(|r| r.key))
+                .flat_map(|f| f.rows().into_iter().flatten().map(|r| r.key))
                 .collect();
             keys.sort_unstable();
             keys.dedup();
@@ -292,6 +292,163 @@ proptest! {
             prop_assert_eq!(stats.facts, facts.len() as u64);
             prop_assert_eq!(stats.skipped, 0);
         }
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+}
+
+/// Damage one log's lines the way `kind` says, aimed by `at` (taken
+/// modulo the lines it can hit): 0 inserts a torn fact line, 1 breaks a row
+/// record's body behind its intact key, 2 adds a record of a row with other
+/// content, 3 moves a row record to just after the first fact that names
+/// its key, and 4 truncates the log at a byte.
+fn damage(text: &mut String, kind: u8, at: usize) {
+    let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+    let rows: Vec<usize> = (0..lines.len())
+        .filter(|&i| lines[i].starts_with("{\"Row\":["))
+        .collect();
+    let key_of = |line: &str| {
+        line["{\"Row\":[".len()..]
+            .split(',')
+            .next()
+            .unwrap()
+            .to_owned()
+    };
+    match kind {
+        0 => lines.insert(at % (lines.len() + 1), "{\"Valid\":[[[0,".into()),
+        1 | 2 if rows.is_empty() => {}
+        1 => {
+            let line = &mut lines[rows[at % rows.len()]];
+            let measures = line.rfind(",[").unwrap() + 2;
+            line.insert(measures, 'x');
+        }
+        2 => {
+            let line = &lines[rows[at % rows.len()]];
+            let changed = line.replacen("]]}", "],[1.5]]}", 1).replacen("],[]", "", 1);
+            lines.insert(at % (lines.len() + 1), changed);
+        }
+        3 => {
+            let Some(&row) = rows.get(at % rows.len().max(1)) else {
+                return;
+            };
+            let key = key_of(&lines[row]);
+            let names = |l: &String| {
+                l.starts_with("{\"Valid\":") && l.split(['[', ']', ',']).any(|k| k == key)
+            };
+            if let Some(fact) = (row + 1..lines.len()).find(|&i| names(&lines[i])) {
+                let moved = lines.remove(row);
+                lines.insert(fact, moved);
+            }
+        }
+        _ => {}
+    }
+    *text = lines.join("\n") + "\n";
+    if kind == 4 {
+        text.truncate(at % (text.len() + 1));
+    }
+}
+
+/// One lookup as a cooperative driver makes it: the history's answer with
+/// its tier and stamp, or the wire's answer fed back as a miss.
+fn ask<F: FormInterface>(
+    exec: &CachingExecutor<F>,
+    q: &ConjunctiveQuery,
+) -> (Classified, Option<(HitTier, u64)>) {
+    match exec.try_classify_stamped(q) {
+        Some(hit) => (hit.answer, Some((hit.tier, hit.learned_at))),
+        None => {
+            let wire = exec.interface().execute_for_sampler(q).unwrap();
+            let answer = Classified::from_response(wire);
+            exec.record_response_at(q, &answer, 0);
+            (answer, None)
+        }
+    }
+}
+
+/// An answer's rows: keys, values and measure bits, in order.
+fn rows_of(c: &Classified) -> Vec<(u64, Vec<DomIx>, Vec<u64>)> {
+    let rows = c.rows.iter().flat_map(|rows| rows.iter());
+    rows.map(|r| {
+        let bits = r.measures.iter().map(|m| m.to_bits()).collect();
+        (r.key, r.values.to_vec(), bits)
+    })
+    .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// An attach decodes rows on first use and drops a fact whose rows do
+    /// not resolve only then. Over a log the program wrote and then
+    /// damaged — torn lines, a row body broken behind its key, a row with
+    /// other content, a row moved behind the first fact naming it,
+    /// truncation — every lookup must answer exactly as the index built
+    /// from `load()` over the same bytes does (its facts written to a
+    /// clean log and attached): class, row keys, values and measure bits,
+    /// tier and stamp, counts, and charged queries. Answering a count
+    /// from a valid fact without checking that its rows resolve fails
+    /// this property and no other test.
+    #[test]
+    fn l2_lazy_attach_answers_as_a_full_load(
+        rows in prop::collection::vec(0u32..32, 1..80),
+        k in 1usize..5,
+        warm in queries(5),
+        mix in queries(5),
+        damages in prop::collection::vec((0u8..5, 0usize..10_000), 0..4),
+    ) {
+        let m = 5;
+        let root = l2_root();
+        let fp = |db: &HiddenDb| SiteFingerprint::derive(db.schema(), k, db.supports_count(), None);
+        {
+            let db = build_db(m, &rows, k, CountMode::Exact);
+            let log = Arc::new(L2Log::open(&root.join("lazy"), fp(&db)).unwrap());
+            let exec = CachingExecutor::new(&db).with_l2(log);
+            for &(mask, values) in &warm {
+                let q = decode_query(m, mask, values);
+                exec.classify(&q).unwrap();
+                exec.count(&q).unwrap();
+            }
+        }
+        let db = build_db(m, &rows, k, CountMode::Exact);
+        let seg = root.join("lazy").join(fp(&db).as_str()).join("seg-00000.jsonl");
+        let mut text = std::fs::read_to_string(&seg).unwrap();
+        for &(kind, at) in &damages {
+            damage(&mut text, kind, at);
+        }
+        std::fs::write(&seg, &text).unwrap();
+        let full = root.join("full").join(fp(&db).as_str());
+        std::fs::create_dir_all(&full).unwrap();
+        std::fs::write(full.join("seg-00000.jsonl"), &text).unwrap();
+        let facts = L2Log::open(&root.join("full"), fp(&db)).unwrap().load().unwrap();
+        let clean = L2Log::open(&root.join("clean"), fp(&db)).unwrap();
+        for fact in &facts {
+            clean.append(fact).unwrap();
+        }
+
+        let db_lazy = build_db(m, &rows, k, CountMode::Exact);
+        let db_full = build_db(m, &rows, k, CountMode::Exact);
+        let lazy = CachingExecutor::new(&db_lazy)
+            .with_l2(Arc::new(L2Log::open(&root.join("lazy"), fp(&db)).unwrap()));
+        let full = CachingExecutor::new(&db_full).with_l2(Arc::new(clean));
+        prop_assert!(lazy.history_stats().l2_loads >= full.history_stats().l2_loads);
+        for (i, &(mask, values)) in mix.iter().enumerate() {
+            let q = decode_query(m, mask, values);
+            // Half the counts come first, before rule 4 has looked at the
+            // valid fact that taught them.
+            if i % 2 == 0 {
+                prop_assert_eq!(lazy.count(&q).unwrap(), full.count(&q).unwrap(), "count {:?}", q);
+            }
+            let (a, a_hit) = ask(&lazy, &q);
+            let (b, b_hit) = ask(&full, &q);
+            prop_assert_eq!(a.class, b.class, "query {:?}", q);
+            prop_assert_eq!(rows_of(&a), rows_of(&b), "query {:?}", q);
+            prop_assert_eq!(a_hit, b_hit, "query {:?}", q);
+            if i % 2 == 1 {
+                prop_assert_eq!(lazy.count(&q).unwrap(), full.count(&q).unwrap(), "count {:?}", q);
+            }
+        }
+        prop_assert_eq!(lazy.queries_issued(), full.queries_issued());
+        let (a, b) = (lazy.history_stats(), full.history_stats());
+        prop_assert_eq!((a.l2_hits, a.l2_misses), (b.l2_hits, b.l2_misses));
         std::fs::remove_dir_all(&root).unwrap();
     }
 }

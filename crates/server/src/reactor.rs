@@ -251,8 +251,8 @@ mod serve_loop {
     struct ConnSlot {
         stream: TcpStream,
         machine: ConnMachine,
-        /// Bumped whenever the deadline re-arms; timers stamped with an older
-        /// generation are stale and skipped.
+        /// The generation of its live deadline; timers stamped with any
+        /// other are stale and skipped.
         gen: u64,
         /// The client half-closed; close once the output drains.
         eof: bool,
@@ -278,14 +278,24 @@ mod serve_loop {
     /// `token - 1`.
     const LISTENER_TOKEN: u64 = 0;
 
-    /// Min-heap of `(fire-at, slot, generation)` deadlines.
-    type Timers = BinaryHeap<Reverse<(Instant, usize, u64)>>;
+    /// Min-heap of `(fire-at, slot, generation)` deadlines, and the last
+    /// generation handed out. Generations never repeat within a loop: a
+    /// closed connection's timers stay queued after its slot is reused, and
+    /// must not match the next connection's.
+    #[derive(Default)]
+    struct Timers {
+        heap: BinaryHeap<Reverse<(Instant, usize, u64)>>,
+        gen: u64,
+    }
 
     /// Re-arm `slot`'s one live deadline `after` from now; older timers for it
     /// go stale.
     fn arm(timers: &mut Timers, slot: &mut ConnSlot, ix: usize, after: Duration) {
-        slot.gen += 1;
-        timers.push(Reverse((Instant::now() + after, ix, slot.gen)));
+        timers.gen += 1;
+        slot.gen = timers.gen;
+        timers
+            .heap
+            .push(Reverse((Instant::now() + after, ix, slot.gen)));
     }
 
     /// One serve loop's state: its poller, the connection slab, the timers.
@@ -332,7 +342,7 @@ mod serve_loop {
             slots: Vec::new(),
             free: Vec::new(),
             live: 0,
-            timers: Timers::new(),
+            timers: Timers::default(),
         };
         let mut events = Vec::new();
         let mut grace: Option<Instant> = None;
@@ -371,7 +381,7 @@ mod serve_loop {
                     r.ep.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::Read);
             }
             let mut timeout = IDLE_POLL;
-            let next_timer = r.timers.peek().map(|Reverse((at, _, _))| *at);
+            let next_timer = r.timers.heap.peek().map(|Reverse((at, _, _))| *at);
             if let Some(at) = next_timer.into_iter().chain(accept_paused).min() {
                 timeout = timeout.min(at.saturating_duration_since(Instant::now()));
             }
@@ -536,11 +546,11 @@ mod serve_loop {
         /// window and then a hard close.
         fn fire_timers(&mut self) {
             let now = Instant::now();
-            while let Some(&Reverse((at, ix, gen))) = self.timers.peek() {
+            while let Some(&Reverse((at, ix, gen))) = self.timers.heap.peek() {
                 if at > now {
                     break;
                 }
-                self.timers.pop();
+                self.timers.heap.pop();
                 let Some(slot) = self.slots.get_mut(ix).and_then(Option::as_mut) else {
                     continue;
                 };
