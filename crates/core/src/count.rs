@@ -1,4 +1,4 @@
-//! Count-weighted drill-down (ref [2], ICDE 2009).
+//! Count-weighted drill-down (ref \[2\], ICDE 2009).
 //!
 //! When the interface reports result *counts* (even for overflowing
 //! queries), the walk no longer needs to gamble: at each level it probes
@@ -21,7 +21,7 @@
 //!
 //! A level with branching factor `b` needs `b − 1` count probes — the last
 //! child's count is *derived* from the parent count (sibling-difference
-//! rule, one of the ref [2] savings) — and the terminal node needs one
+//! rule, one of the ref \[2\] savings) — and the terminal node needs one
 //! retrieval query. Memoized counts (via
 //! [`CachingExecutor`](crate::history::CachingExecutor)) cut repeat visits
 //! to the upper tree to zero charged queries.

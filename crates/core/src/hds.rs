@@ -1,6 +1,6 @@
 //! HIDDEN-DB-SAMPLER: random drill-down + acceptance–rejection.
 //!
-//! This is the algorithm the demo system packages (§2, ref [1]): the Sample
+//! This is the algorithm the demo system packages (§2, ref \[1\]): the Sample
 //! Generator performs drill-down walks ([`crate::walk`]) and the Sample
 //! Processor filters the resulting candidates
 //! ([`crate::acceptance`]) so that, at scaling factor `C = 1`, every tuple

@@ -1,4 +1,4 @@
-//! Query-history cache with containment inference (§3.2, ref [2]).
+//! Query-history cache with containment inference (§3.2, ref \[2\]).
 //!
 //! "This module also keeps track of the query history and results to ensure
 //! that the random query generation process accumulates savings by not

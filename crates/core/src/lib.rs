@@ -5,7 +5,7 @@
 //! and the **Sample Processor** — acceptance–rejection refinement trading
 //! efficiency against skew — plus the two reference samplers the paper
 //! discusses (BRUTE-FORCE-SAMPLER and the count-weighted sampler of
-//! ref [2]) and the query-history cache with containment inference (§3.2).
+//! ref \[2\]) and the query-history cache with containment inference (§3.2).
 //!
 //! ## Module map
 //!
@@ -13,12 +13,12 @@
 //! |---|---|
 //! | random drill-down (§2) | [`walk`] |
 //! | resumable walk state machine | [`machine`] |
-//! | attribute-order scrambling (ref [1]) | [`order`] |
+//! | attribute-order scrambling (ref \[1\]) | [`order`] |
 //! | acceptance–rejection + slider (§3.1, §3.3) | [`acceptance`] |
 //! | HIDDEN-DB-SAMPLER | [`hds`] |
 //! | BRUTE-FORCE-SAMPLER (§3.4) | [`brute`] |
-//! | count-weighted sampler (ref [2]) | [`count`] |
-//! | query-history savings (§3.2, ref [2]) | [`history`] |
+//! | count-weighted sampler (ref \[2\]) | [`count`] |
+//! | query-history savings (§3.2, ref \[2\]) | [`history`] |
 //! | incremental sessions + kill switch (§3.4) | [`session`] |
 //!
 //! All samplers speak to the hidden database exclusively through

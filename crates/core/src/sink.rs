@@ -128,9 +128,9 @@ impl SampleSink for NullSink {
     }
 }
 
-/// A sink that collects the observed stream into a [`SampleSet`], in
-/// observation order — the streaming face of the Sample Processor's
-/// output store.
+/// A sink that collects the observed stream into a
+/// [`SampleSet`](crate::sample::SampleSet), in observation order — the
+/// streaming face of the Sample Processor's output store.
 #[derive(Debug, Clone, Default)]
 pub struct SampleSetSink {
     set: crate::sample::SampleSet,

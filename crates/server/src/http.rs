@@ -15,10 +15,6 @@ pub const MAX_REQUEST_LINE_BYTES: usize = 8 * 1024;
 pub const MAX_HEADER_SECTION_BYTES: usize = 16 * 1024;
 /// Most headers accepted on one request.
 pub const MAX_HEADER_COUNT: usize = 64;
-/// Bodies larger than this are sent with chunked transfer-encoding.
-pub const DEFAULT_CHUNK_THRESHOLD: usize = 16 * 1024;
-/// Chunk size used when writing chunked bodies.
-const CHUNK_SIZE: usize = 8 * 1024;
 
 /// HTTP versions this server speaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -248,15 +244,10 @@ impl Response {
     }
 }
 
-/// Serialize `resp` to `w`. Bodies above `chunk_threshold` use chunked
-/// transfer-encoding, smaller ones `Content-Length`. Returns the bytes
-/// written.
-pub fn write_response(
-    w: &mut impl Write,
-    resp: &Response,
-    keep_alive: bool,
-    chunk_threshold: usize,
-) -> io::Result<usize> {
+/// Serialize `resp` to `w`, framed by `Content-Length`: the whole body is
+/// in memory, so every HTTP/1.0 and 1.1 client reads it the same way.
+/// Returns the bytes written.
+pub fn write_response(w: &mut impl Write, resp: &Response, keep_alive: bool) -> io::Result<usize> {
     let mut head = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nConnection: {}\r\n",
         resp.status,
@@ -270,29 +261,11 @@ pub fn write_response(
         head.push_str(value);
         head.push_str("\r\n");
     }
-    let chunked = resp.body.len() > chunk_threshold;
-    let mut written = 0;
-    if chunked {
-        head.push_str("Transfer-Encoding: chunked\r\n\r\n");
-        w.write_all(head.as_bytes())?;
-        written += head.len();
-        for chunk in resp.body.chunks(CHUNK_SIZE) {
-            let size_line = format!("{:X}\r\n", chunk.len());
-            w.write_all(size_line.as_bytes())?;
-            w.write_all(chunk)?;
-            w.write_all(b"\r\n")?;
-            written += size_line.len() + chunk.len() + 2;
-        }
-        w.write_all(b"0\r\n\r\n")?;
-        written += 5;
-    } else {
-        head.push_str(&format!("Content-Length: {}\r\n\r\n", resp.body.len()));
-        w.write_all(head.as_bytes())?;
-        w.write_all(&resp.body)?;
-        written += head.len() + resp.body.len();
-    }
+    head.push_str(&format!("Content-Length: {}\r\n\r\n", resp.body.len()));
+    w.write_all(head.as_bytes())?;
+    w.write_all(&resp.body)?;
     w.flush()?;
-    Ok(written)
+    Ok(head.len() + resp.body.len())
 }
 
 #[cfg(test)]
@@ -419,22 +392,24 @@ mod tests {
     }
 
     #[test]
-    fn content_length_and_chunked_writing() {
+    fn complete_bodies_carry_content_length() {
         let resp = Response::html(200, "OK", "hello".into());
         let mut out = Vec::new();
-        write_response(&mut out, &resp, true, DEFAULT_CHUNK_THRESHOLD).unwrap();
+        let written = write_response(&mut out, &resp, true).unwrap();
+        assert_eq!(written, out.len());
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
+        assert!(text.contains("Connection: keep-alive\r\n"));
         assert!(text.contains("Content-Length: 5\r\n"));
         assert!(text.ends_with("\r\n\r\nhello"));
 
-        // A threshold of zero forces the chunked path.
+        // A body far past any socket buffer is framed the same way.
+        let big = Response::html(200, "OK", "x".repeat(64 * 1024));
         let mut out = Vec::new();
-        write_response(&mut out, &resp, false, 0).unwrap();
+        write_response(&mut out, &big, false).unwrap();
         let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("Transfer-Encoding: chunked\r\n"));
         assert!(text.contains("Connection: close\r\n"));
-        assert!(text.contains("5\r\nhello\r\n"));
-        assert!(text.ends_with("0\r\n\r\n"));
+        assert!(text.contains("Content-Length: 65536\r\n"));
+        assert!(!text.contains("Transfer-Encoding"));
     }
 }

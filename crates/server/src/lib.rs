@@ -4,11 +4,12 @@
 //! deployment half the original demo ran on Apache + PHP (§3.5), rebuilt
 //! dependency-free on `std::net`.
 //!
-//! After PR 2 every byte still moved in-process: `LocalSite` was a
-//! function call and `LatencyTransport` billed virtual clocks. This crate
-//! puts the form behind a real socket: a hand-rolled HTTP/1.1 server
-//! (request parsing with hard limits, keep-alive, `Content-Length` and
-//! chunked responses, a readiness-loop front door with graceful shutdown)
+//! In-process, every byte stays in memory: `LocalSite` is a function call
+//! and the one virtual wire, `ChaosTransport`, bills virtual clocks. This
+//! crate puts the form behind a real socket: a hand-rolled HTTP/1.1
+//! server (request parsing with hard limits, keep-alive, every complete
+//! body framed by `Content-Length`, a chunked stream only for
+//! `/events`, a readiness-loop front door with graceful shutdown)
 //! that mounts any [`SiteBehavior`] — in particular any
 //! [`LocalSite`](hdsampler_webform::LocalSite) — as real GET endpoints:
 //!

@@ -100,21 +100,9 @@ impl ConnMachine {
     /// framing, and arm close-after-flush when the exchange ends the
     /// connection.
     /// Returns the number of bytes queued.
-    pub fn queue_response(
-        &mut self,
-        resp: &Response,
-        keep_alive: bool,
-        allow_chunked: bool,
-        chunk_threshold: usize,
-    ) -> usize {
-        let threshold = if allow_chunked {
-            chunk_threshold
-        } else {
-            usize::MAX
-        };
+    pub fn queue_response(&mut self, resp: &Response, keep_alive: bool) -> usize {
         let before = self.out.len();
-        write_response(&mut self.out, resp, keep_alive, threshold)
-            .expect("writing into a Vec cannot fail");
+        write_response(&mut self.out, resp, keep_alive).expect("writing into a Vec cannot fail");
         if !keep_alive {
             self.close_after_flush = true;
         }
@@ -455,7 +443,7 @@ mod serve_loop {
                     let mut resp =
                         Response::text(503, "Service Unavailable", "503 server at capacity".into());
                     resp.extra_headers.push(("Retry-After".into(), "1".into()));
-                    answer(self.stats, self.cfg, &mut slot, &resp, false, false);
+                    answer(self.stats, &mut slot, &resp, false);
                     slot.rejected = true;
                     if let Driven::Close = drive_sender(&mut slot) {
                         continue;
@@ -571,7 +559,7 @@ mod serve_loop {
                 if let Some(held) = slot.held.take() {
                     // The delay is over: queue the answer, then deliver it
                     // (and answer whatever was pipelined behind it).
-                    respond(self.stats, self.cfg, slot, &held);
+                    respond(self.stats, slot, &held);
                     arm(&mut self.timers, slot, ix, self.cfg.keep_alive_timeout);
                     self.drive(ix, true);
                     continue;
@@ -585,7 +573,7 @@ mod serve_loop {
                 // A partial request sat past the deadline: slowloris. Answer
                 // 408 and give the flush one more window.
                 let resp = Response::text(408, "Request Timeout", "408 request timeout".into());
-                answer(self.stats, self.cfg, slot, &resp, false, false);
+                answer(self.stats, slot, &resp, false);
                 arm(&mut self.timers, slot, ix, self.cfg.keep_alive_timeout);
                 match slot.machine.write_some(&mut slot.stream) {
                     Ok(WriteProgress::Blocked) if update_interest(&self.ep, slot, ix).is_ok() => {}
@@ -649,7 +637,7 @@ mod serve_loop {
                                     slot.held = Some(reply);
                                     break;
                                 }
-                                respond(self.stats, self.cfg, slot, &reply);
+                                respond(self.stats, slot, &reply);
                                 // Keep-alive reset: the idle clock restarts
                                 // once a request is answered.
                                 arm(&mut self.timers, slot, ix, self.cfg.keep_alive_timeout);
@@ -681,7 +669,7 @@ mod serve_loop {
                     Err(e) => {
                         let (status, reason) = e.status();
                         let resp = Response::text(status, reason, format!("{status} {e}"));
-                        answer(self.stats, self.cfg, slot, &resp, false, false);
+                        answer(self.stats, slot, &resp, false);
                         break;
                     }
                 }
@@ -707,34 +695,18 @@ mod serve_loop {
     /// Queue a handler's answer on `slot`. An injected drop writes nothing
     /// for its exchange: the connection closes once the answers before it
     /// are out.
-    fn respond(stats: &StatsInner, cfg: &ServerConfig, slot: &mut ConnSlot, reply: &Reply) {
+    fn respond(stats: &StatsInner, slot: &mut ConnSlot, reply: &Reply) {
         if reply.resp.drop_connection {
             slot.machine.set_close_after_flush();
         } else {
-            answer(
-                stats,
-                cfg,
-                slot,
-                &reply.resp,
-                reply.keep_alive,
-                reply.allow_chunked,
-            );
+            answer(stats, slot, &reply.resp, reply.keep_alive);
         }
     }
 
     /// Queue `resp` on `slot`, counting its status class and bytes.
-    fn answer(
-        stats: &StatsInner,
-        cfg: &ServerConfig,
-        slot: &mut ConnSlot,
-        resp: &Response,
-        keep_alive: bool,
-        allow_chunked: bool,
-    ) {
+    fn answer(stats: &StatsInner, slot: &mut ConnSlot, resp: &Response, keep_alive: bool) {
         stats.count_status(resp.status);
-        let queued =
-            slot.machine
-                .queue_response(resp, keep_alive, allow_chunked, cfg.chunk_threshold);
+        let queued = slot.machine.queue_response(resp, keep_alive);
         stats.bytes_out.fetch_add(queued as u64, Ordering::Relaxed);
     }
 
@@ -861,7 +833,7 @@ mod tests {
     fn queue_and_drain_round_trips() {
         let resp = Response::text(200, "OK", "hello".into());
         let mut machine = ConnMachine::new();
-        let queued = machine.queue_response(&resp, true, true, 1024);
+        let queued = machine.queue_response(&resp, true);
         assert!(queued > 0);
         assert!(machine.has_pending_out());
         let mut sink = Vec::new();
@@ -872,7 +844,7 @@ mod tests {
 
         // The queued bytes are exactly what `write_response` writes.
         let mut direct = Vec::new();
-        write_response(&mut direct, &resp, true, 1024).unwrap();
+        write_response(&mut direct, &resp, true).unwrap();
         assert_eq!(sink, direct);
     }
 
@@ -880,7 +852,7 @@ mod tests {
     fn close_response_arms_close_after_flush() {
         let resp = Response::text(400, "Bad Request", "nope".into());
         let mut machine = ConnMachine::new();
-        machine.queue_response(&resp, false, false, 1024);
+        machine.queue_response(&resp, false);
         assert!(machine.close_after_flush());
     }
 }

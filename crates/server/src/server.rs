@@ -15,7 +15,7 @@ use std::time::Duration;
 use hdsampler_core::{MetricsRegistry, TraceEvent};
 
 use crate::events::EventHub;
-use crate::http::{Request, Response, DEFAULT_CHUNK_THRESHOLD};
+use crate::http::{Request, Response};
 use crate::site::SiteBehavior;
 
 /// Server tuning knobs.
@@ -33,8 +33,6 @@ pub struct ServerConfig {
     /// answered `503` + `Retry-After` and closed instead of served.
     /// `0` disables the cap.
     pub max_conns: usize,
-    /// Bodies above this size are sent chunked instead of Content-Length.
-    pub chunk_threshold: usize,
     /// Extra metrics appended to `/metrics` after the server's own
     /// counters — a registry handle shared with the embedding process
     /// (e.g. a sampling run's [`MetricsSink`](hdsampler_core::MetricsSink)
@@ -49,7 +47,6 @@ impl Default for ServerConfig {
             reactor_threads: 0,
             keep_alive_timeout: Duration::from_secs(5),
             max_conns: 0,
-            chunk_threshold: DEFAULT_CHUNK_THRESHOLD,
             metrics: None,
         }
     }
@@ -381,11 +378,10 @@ impl Drop for ServerHandle {
 /// the stop flag); also the tick at which `/events` watchers get frames.
 pub(crate) const IDLE_POLL: Duration = Duration::from_millis(100);
 
-/// A routed answer and how to frame it.
+/// A routed answer and whether the connection stays open after it.
 pub(crate) struct Reply {
     pub(crate) resp: Response,
     pub(crate) keep_alive: bool,
-    pub(crate) allow_chunked: bool,
 }
 
 /// What one parsed request resolved to; the reactor acts on it by
@@ -437,14 +433,10 @@ pub(crate) fn handle_request(
                 "400 request bodies are not accepted".into(),
             ),
             keep_alive: false,
-            allow_chunked: false,
         });
     }
 
-    // Chunked framing is HTTP/1.1-only; a 1.0 client gets Content-Length
-    // regardless of body size.
     let keep_alive = req.wants_keep_alive() && !stop.load(Ordering::SeqCst);
-    let allow_chunked = req.version == crate::http::HttpVersion::H11;
 
     // The telemetry plane answers before the mounted site sees the
     // request. `/events` takes over the whole connection: it streams
@@ -473,7 +465,6 @@ pub(crate) fn handle_request(
         return Handled::Response(Reply {
             resp,
             keep_alive: false,
-            allow_chunked,
         });
     }
     // Echo the client's span id so both sides of the wire agree on
@@ -484,11 +475,7 @@ pub(crate) fn handle_request(
     }
     stats.record_request(seq, &req.target, &trace, resp.status);
     publish_request_event(hub, seq, &req.target, &trace, resp.status);
-    Handled::Response(Reply {
-        resp,
-        keep_alive,
-        allow_chunked,
-    })
+    Handled::Response(Reply { resp, keep_alive })
 }
 
 /// Coarse route class of a request target (for per-route counters).

@@ -1,12 +1,12 @@
 //! Mounting a site behind the HTTP front door.
 //!
 //! [`SiteBehavior`] is the server's view of a site: a GET target in, a
-//! [`Response`] out. The blanket implementation for
-//! [`LocalSite`](hdsampler_webform::LocalSite) delegates the
-//! route/parse/execute pipeline to [`LocalSite::fetch`] itself — the
-//! in-process semantics (200/400/404 outcomes and their exact message
-//! texts, as defined by `WebForm::parse_request_path`) hold over HTTP *by
-//! construction*, not by a re-implementation kept in sync by hand.
+//! [`Response`] out. The blanket implementation for [`LocalSite`]
+//! delegates the route/parse/execute pipeline to [`LocalSite::fetch`]
+//! itself — the in-process semantics (200/400/404 outcomes and their
+//! exact message texts, as defined by `WebForm::parse_request_path`) hold
+//! over HTTP *by construction*, not by a re-implementation kept in sync
+//! by hand.
 //!
 //! Status mapping:
 //!

@@ -2,7 +2,7 @@
 //! real loopback TCP and agrees with the in-process transport.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -159,32 +159,62 @@ fn keep_alive_reuses_one_connection() {
 
 #[test]
 fn chunked_pages_round_trip() {
-    // k large enough that the root results page exceeds the chunk
-    // threshold: the server answers chunked, the client reassembles.
+    // k large enough that the root results page is far past a socket
+    // buffer. The server frames it with Content-Length like any complete
+    // body; another server may send the same page chunked, and the client
+    // must reassemble and scrape that too.
     let db = WorkloadSpec::vehicles(
         VehiclesSpec::compact(600, 8),
         DbConfig::no_counts().with_k(400),
     )
     .build();
     let (server, schema, k) = serve(db);
-    let t = HttpTransport::new(server.addr().to_string());
-    use hdsampler_webform::Transport as _;
-    let page = t.fetch("/search").unwrap();
+    let mut s = TcpStream::connect(server.addr()).unwrap();
+    s.write_all(b"GET /search HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    let raw = read_until_close_or(&mut s, "NEVER-MATCHES");
+    let (head, page) = raw.split_once("\r\n\r\n").expect("a response head");
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    assert!(!head.contains("Transfer-Encoding"), "{head}");
     assert!(
-        page.len() > 16 * 1024,
-        "root page must exceed the chunk threshold ({} bytes)",
-        page.len()
+        head.contains(&format!("Content-Length: {}", page.len())),
+        "{head}"
     );
-    assert!(page.ends_with("</body></html>\n"), "body reassembled whole");
+    assert!(page.len() > 16 * 1024, "{} bytes", page.len());
+    assert!(page.ends_with("</body></html>\n"), "body arrived whole");
+    server.shutdown();
 
-    // And it scrapes like any other page.
-    let iface = WebFormInterface::new(t, Arc::clone(&schema), k, false);
+    // Serve the same page chunked from a one-shot peer.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let body = page.to_owned();
+    let peer = std::thread::spawn(move || {
+        let (mut s, _) = listener.accept().unwrap();
+        let mut request = Vec::new();
+        let mut tmp = [0u8; 4096];
+        while !request.windows(4).any(|w| w == b"\r\n\r\n") {
+            let n = s.read(&mut tmp).unwrap();
+            assert!(n > 0, "client hung up mid-request");
+            request.extend_from_slice(&tmp[..n]);
+        }
+        let mut out = b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n\
+                        Connection: close\r\nTransfer-Encoding: chunked\r\n\r\n"
+            .to_vec();
+        for chunk in body.as_bytes().chunks(8 * 1024) {
+            write!(out, "{:X}\r\n", chunk.len()).unwrap();
+            out.extend_from_slice(chunk);
+            out.extend_from_slice(b"\r\n");
+        }
+        out.extend_from_slice(b"0\r\n\r\n");
+        s.write_all(&out).unwrap();
+    });
+    let iface = WebFormInterface::new(HttpTransport::new(addr.to_string()), schema, k, false);
     let resp = iface
         .execute(&hdsampler_model::ConjunctiveQuery::empty())
         .unwrap();
     assert!(resp.overflow);
     assert_eq!(resp.rows.len(), 400);
-    server.shutdown();
+    peer.join().unwrap();
 }
 
 #[test]
@@ -269,8 +299,9 @@ fn body_bearing_requests_are_refused_and_closed() {
 
 #[test]
 fn http10_clients_never_get_chunked() {
-    // Regression: chunked framing is HTTP/1.1-only; a 1.0 client asking
-    // for a page above the chunk threshold must get Content-Length.
+    // Regression: chunked framing is HTTP/1.1-only. The server frames
+    // every complete body with Content-Length, so a 1.0 client asking for
+    // a page far past a socket buffer gets it too.
     let db = WorkloadSpec::vehicles(
         VehiclesSpec::compact(600, 8),
         DbConfig::no_counts().with_k(400),
@@ -291,7 +322,7 @@ fn http10_clients_never_get_chunked() {
         "1.0 client got chunked"
     );
     assert!(resp.contains("Content-Length:"));
-    assert!(resp.len() > 16 * 1024, "page above the chunk threshold");
+    assert!(resp.len() > 16 * 1024, "a page past a socket buffer");
     server.shutdown();
 }
 

@@ -2,8 +2,8 @@
 //! through a writer that accepts arbitrary slices and injects
 //! `WouldBlock`/`Interrupted` at arbitrary boundaries must put exactly
 //! the bytes on the wire that the blocking `write_response` path
-//! produces — for both `Content-Length` and chunked framing, across
-//! pipelined responses, with bodies well past any socket buffer.
+//! produces — across pipelined responses, with bodies well past any
+//! socket buffer.
 
 use std::io::{self, ErrorKind, Write};
 
@@ -66,8 +66,8 @@ impl Write for ScriptedWire {
 }
 
 /// Draws one scripted-wire step: mostly short writes of 1..=2048 bytes —
-/// small enough to split chunked framing mid-header, mid-body and
-/// mid-trailer — with `WouldBlock` and `Interrupted` mixed in.
+/// small enough to split a response mid-head and mid-body — with
+/// `WouldBlock` and `Interrupted` mixed in.
 struct StepStrategy;
 
 impl Strategy for StepStrategy {
@@ -83,8 +83,7 @@ impl Strategy for StepStrategy {
 }
 
 /// Draws one response (with its keep-alive intent): bodies from empty to
-/// 32 KiB — with a 512-byte chunk threshold both framings are exercised,
-/// and 32 KiB is far beyond the scripted wire's largest single accept.
+/// 32 KiB, far beyond the scripted wire's largest single accept.
 struct ResponseStrategy;
 
 impl Strategy for ResponseStrategy {
@@ -105,11 +104,6 @@ impl Strategy for ResponseStrategy {
     }
 }
 
-/// The 512-byte chunk threshold under test: small enough that most
-/// generated bodies take the chunked path while short ones stay
-/// `Content-Length`-framed.
-const THRESHOLD: usize = 512;
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -119,14 +113,12 @@ proptest! {
     #[test]
     fn resumed_writes_are_byte_identical_to_blocking_writes(
         responses in prop::collection::vec(ResponseStrategy, 1..4),
-        allow_chunked in any::<bool>(),
         script in prop::collection::vec(StepStrategy, 0..256),
     ) {
         // Reference: the blocking path, one uninterrupted write.
         let mut expect = Vec::new();
         for (resp, keep_alive) in &responses {
-            let threshold = if allow_chunked { THRESHOLD } else { usize::MAX };
-            write_response(&mut expect, resp, *keep_alive, threshold).unwrap();
+            write_response(&mut expect, resp, *keep_alive).unwrap();
         }
 
         // The machine under test: pipeline every response into the
@@ -134,7 +126,7 @@ proptest! {
         let mut machine = ConnMachine::new();
         let mut queued = 0usize;
         for (resp, keep_alive) in &responses {
-            queued += machine.queue_response(resp, *keep_alive, allow_chunked, THRESHOLD);
+            queued += machine.queue_response(resp, *keep_alive);
         }
         prop_assert_eq!(queued, expect.len(), "queueing reuses the blocking serializer");
         let expect_close = responses.iter().any(|(_, keep_alive)| !keep_alive);
@@ -178,7 +170,7 @@ proptest! {
             }
         }
         let mut machine = ConnMachine::new();
-        machine.queue_response(&resp, keep_alive, true, THRESHOLD);
+        machine.queue_response(&resp, keep_alive);
         if machine.has_pending_out() {
             let err = machine.write_some(&mut Stuck).expect_err("Ok(0) is an error");
             prop_assert_eq!(err.kind(), ErrorKind::WriteZero);

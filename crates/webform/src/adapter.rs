@@ -1,5 +1,4 @@
-//! [`WebFormInterface`]: a complete
-//! [`FormInterface`](hdsampler_model::FormInterface) implemented by
+//! [`WebFormInterface`]: a complete [`FormInterface`] implemented by
 //! scraping pages over a [`Transport`].
 //!
 //! Stacking this adapter on a [`LocalSite`](crate::transport::LocalSite)

@@ -10,8 +10,10 @@
 //! the fleet's virtual wall clock is the **maximum** over connection
 //! clocks, never the sum over fetches.
 //!
-//! Two faces share this machinery (see
-//! [`LatencyTransport`](crate::transport::LatencyTransport)):
+//! The one simulated transport,
+//! [`ChaosTransport`](crate::chaos::ChaosTransport), rides this machinery
+//! (with a fault-free spec it is the plain latency wire) and offers two
+//! faces:
 //!
 //! * the blocking [`Transport`](crate::transport::Transport) face rides
 //!   one connection, opened on first use, whatever thread calls it;
@@ -229,12 +231,11 @@ struct ConnState {
     busy_until: u64,
 }
 
-/// The one virtual wire behind every simulated transport
-/// ([`LatencyTransport`](crate::transport::LatencyTransport),
-/// [`ChaosTransport`](crate::chaos::ChaosTransport)): per-connection
+/// The wire inside the one simulated transport,
+/// [`ChaosTransport`](crate::chaos::ChaosTransport): per-connection
 /// clocks, the results of submitted fetches awaiting poll/complete, the
 /// fetch-id counter, and the single connection the blocking face rides
-/// (opened on first use). A decorator decides what a request costs and
+/// (opened on first use). The transport decides what a request costs and
 /// what it returns; the wire decides when it completes.
 ///
 /// Each connection carries two marks: `busy_until` (when its last
@@ -367,7 +368,8 @@ impl VirtualWire {
     }
 
     /// Submitted fetches whose results have not yet been taken.
-    pub(crate) fn pending(&self) -> usize {
+    #[cfg(test)]
+    fn pending(&self) -> usize {
         self.in_flight.lock().len()
     }
 }
@@ -429,6 +431,23 @@ mod tests {
             (350, 0),
             "idle connection departs at its observed clock, not its stale queue tail"
         );
+    }
+
+    #[test]
+    fn cancel_releases_buffered_results() {
+        let wire = VirtualWire::default();
+        let conn = wire.connect();
+        let keep = wire.submit(conn, 100, Ok("kept".into()));
+        let abandon = wire.submit(conn, 100, Ok("abandoned".into()));
+        assert_eq!(wire.pending(), 2);
+        wire.cancel(abandon);
+        assert_eq!(wire.pending(), 1, "cancel frees the buffered page");
+        assert_eq!(wire.complete(keep).unwrap(), "kept");
+        assert_eq!(wire.pending(), 0);
+        // Cancelling does not un-send: the connection time stays occupied,
+        // so the next request queues behind the abandoned one.
+        let next = wire.submit(conn, 100, Ok(String::new()));
+        assert_eq!((next.ready_at_ms(), next.queued_ms()), (300, 100));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Seeded, deterministic fault injection for the wire.
+//! The one virtual wire, with seeded, deterministic fault injection.
 //!
 //! Real hidden databases throttle, flake and drift; the sampler's
 //! convergence claim is only credible if the stack survives them. This
@@ -7,8 +7,11 @@
 //! a fault schedule that is a *pure function of (seed, request index)* —
 //! replaying a run with the same seed replays byte-identical faults — and
 //! a [`ChaosTransport`] decorator that injects those faults over any
-//! blocking [`Transport`] while billing service time on the same virtual
-//! wire as [`LatencyTransport`](crate::transport::LatencyTransport).
+//! blocking [`Transport`] while billing service time on per-connection
+//! virtual clocks ([`crate::aio`]). It is the only simulated wire: a spec
+//! that injects no fault is the plain latency wire that
+//! [`LatencyTransport`](crate::transport::LatencyTransport) builds and a
+//! `local:` leg without `chaos=` rides.
 //!
 //! Fault classes (each independently configurable, all off by default):
 //!
@@ -21,7 +24,8 @@
 //! * **slow-start** — extra service time that decays linearly over the
 //!   first `warmup` requests (a cold cache warming up);
 //! * **jitter** — per-request service-time noise on top of the base
-//!   latency;
+//!   latency: 0..=`jitter` ms extra, uniform, drawn from the seed and the
+//!   request index;
 //! * **count-noise** — episodes during which the result page's "About N
 //!   results" banner is rewritten by a factor in [0.5, 1.5). Harmless to
 //!   classification (which reads the overflow notice and the result rows,
@@ -97,7 +101,8 @@ pub struct ChaosSpec {
     pub slow_start_ms: u64,
     /// Number of requests the slow-start decay spans.
     pub slow_warmup: u64,
-    /// Half-width of per-request uniform service-time jitter (ms).
+    /// Upper end of the per-request extra service time, drawn uniformly
+    /// from 0..=`jitter_ms` (ms).
     pub jitter_ms: u64,
     /// Probability a 32-request episode reports noisy counts.
     pub count_noise: f64,
@@ -330,12 +335,12 @@ pub fn rewrite_count_banner(page: &str, factor: f64) -> (String, bool) {
 
 /// Fault-injecting decorator over any blocking [`Transport`].
 ///
-/// The wire-free mirror of the server-side `Adversary`: requests are
-/// billed on the virtual wire
-/// [`LatencyTransport`](crate::transport::LatencyTransport) rides (base
-/// latency plus slow-start plus jitter, at least 1 ms; elapsed = max over
-/// connections), and each
-/// request consumes one position of the seeded fault schedule. Faulted
+/// The wire-free mirror of the server-side `Adversary`, and the one
+/// simulated wire: requests are billed on per-connection virtual clocks
+/// (base latency plus slow-start plus jitter, at least 1 ms; elapsed = max
+/// over connections), and each request consumes one position of the
+/// seeded fault schedule. With a spec that injects no fault it is the
+/// plain latency wire. Faulted
 /// requests never reach the inner transport — a dropped or throttled
 /// request costs wire time and an error, not a backend query, so the
 /// site's query budget is only charged for requests actually served.
@@ -495,7 +500,7 @@ impl<T: Transport> AsyncTransport for ChaosTransport<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{LatencyTransport, LocalSite};
+    use crate::transport::LocalSite;
     use hdsampler_hidden_db::{CountMode, HiddenDb};
     use hdsampler_model::{Attribute, FormInterface, SchemaBuilder, Tuple};
     use std::sync::Arc;
@@ -719,77 +724,6 @@ mod tests {
 
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(32))]
-
-        /// One virtual wire: a quiet `ChaosTransport` at latency L and a
-        /// `LatencyTransport` at L are the same wire. Any interleaving of
-        /// connects, submits, polls, completions, cancels, causal floors,
-        /// blocking fetches and backoffs gives identical handles, results,
-        /// connection counts and elapsed time.
-        #[test]
-        fn quiet_chaos_and_latency_share_one_wire(
-            latency in 1u64..200,
-            ops in proptest::collection::vec((0u8..8, 0usize..64, 0u64..2_000), 1..120),
-        ) {
-            const PATHS: [&str; 4] =
-                ["/search?make=Honda", "/search?make=Toyota", "/search", "/nosuchpage"];
-            let chaos = ChaosTransport::new(
-                site(CountMode::Exact),
-                ChaosSpec { latency_ms: latency, ..ChaosSpec::default() },
-            );
-            let plain = LatencyTransport::new(site(CountMode::Exact), latency);
-            let mut conns: Vec<(ConnId, ConnId)> = Vec::new();
-            let mut handles: Vec<(FetchHandle, FetchHandle)> = Vec::new();
-            for (op, ix, arg) in ops {
-                match op {
-                    0 => conns.push((chaos.connect(), plain.connect())),
-                    1 if !conns.is_empty() => {
-                        let (a, b) = conns[ix % conns.len()];
-                        let path = PATHS[arg as usize % PATHS.len()];
-                        let pair = (chaos.submit(a, path), plain.submit(b, path));
-                        let key = |h: &FetchHandle| {
-                            (h.conn().index(), h.ready_at_ms(), h.queued_ms(), h.service_ms())
-                        };
-                        proptest::prop_assert_eq!(key(&pair.0), key(&pair.1));
-                        handles.push(pair);
-                    }
-                    2 if !handles.is_empty() => {
-                        let (a, b) = handles.swap_remove(ix % handles.len());
-                        match (chaos.poll(a), plain.poll(b)) {
-                            (FetchPoll::Pending(a), FetchPoll::Pending(b)) => handles.push((a, b)),
-                            (FetchPoll::Ready(a), FetchPoll::Ready(b)) => {
-                                proptest::prop_assert_eq!(a, b)
-                            }
-                            (a, b) => proptest::prop_assert!(false, "poll split: {a:?} vs {b:?}"),
-                        }
-                    }
-                    3 if !handles.is_empty() => {
-                        let (a, b) = handles.swap_remove(ix % handles.len());
-                        proptest::prop_assert_eq!(chaos.complete(a), plain.complete(b));
-                    }
-                    4 if !handles.is_empty() => {
-                        let (a, b) = handles.swap_remove(ix % handles.len());
-                        chaos.cancel(a);
-                        plain.cancel(b);
-                    }
-                    5 if !conns.is_empty() => {
-                        let (a, b) = conns[ix % conns.len()];
-                        chaos.observe_now(a, arg);
-                        plain.observe_now(b, arg);
-                    }
-                    6 => {
-                        let path = PATHS[arg as usize % PATHS.len()];
-                        proptest::prop_assert_eq!(chaos.fetch(path), plain.fetch(path));
-                    }
-                    7 => {
-                        Transport::backoff(&chaos, arg);
-                        Transport::backoff(&plain, arg);
-                    }
-                    _ => {}
-                }
-                proptest::prop_assert_eq!(chaos.connections(), plain.connections());
-                proptest::prop_assert_eq!(chaos.virtual_elapsed_ms(), plain.virtual_elapsed_ms());
-            }
-        }
 
         /// Satellite: any seeded fault schedule is replay-deterministic —
         /// the same seed yields a byte-identical fault sequence, and the

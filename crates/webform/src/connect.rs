@@ -3,22 +3,21 @@
 //! A locator only *names* a site. The [`ConnectorRegistry`] turns the name
 //! into a running stack: it builds (or dials, or loads) the wire, fetches
 //! the site's landing page `/` through it, scrapes the page into a typed
-//! schema plus the advertised `k` and count support
-//! ([`scrape_form_page`](crate::scrape::scrape_form_page)), and assembles a
-//! [`WebFormInterface`] configured entirely from what the site *said* —
-//! zero schema flags, for every scheme:
+//! schema plus the advertised `k` and count support ([`scrape_form_page`]),
+//! and assembles a [`WebFormInterface`] configured entirely from what the
+//! site *said* — zero schema flags, for every scheme:
 //!
 //! * `local:` — resolves the dataset in the workload registry, builds the
 //!   [`HiddenDb`] from the locator's parameters ([`LocalParams`]: `n`,
 //!   `k`, `seed`, `counts`, `budget`, `latency`, `jitter`, `l2`, `chaos`),
 //!   reads the landing page straight off the in-process site, and serves
-//!   it behind a virtual-latency wire — or, with `chaos=<spec>`, behind a
-//!   seeded fault-injecting [`ChaosTransport`];
-//! * `http://` — dials the address with
-//!   [`HttpTransport`](crate::HttpTransport);
-//! * `replay:` — loads the JSONL tape into a [`ReplaySite`]; since the
-//!   tape contains the recorded discovery page, replayed discovery is
-//!   byte-identical to the original.
+//!   it behind the one virtual wire, a [`ChaosTransport`]: `latency=` and
+//!   `jitter=` shape a fault-free spec, and `chaos=<spec>` brings a seeded
+//!   fault schedule;
+//! * `http://` — dials the address with [`HttpTransport`];
+//! * `replay:` — loads the JSONL tape into a [`ReplaySite`] behind the
+//!   same fault-free wire; since the tape contains the recorded discovery
+//!   page, replayed discovery is byte-identical to the original.
 //!
 //! Every connector returns the same concrete type, `SiteTask<BoxTransport>`
 //! — which is what lets one [`RunPlan`](crate::RunPlan) drive a
@@ -308,11 +307,11 @@ const CHAOS_RETRY_POLICY: RetryPolicy = RetryPolicy {
 /// |---|---|---|
 /// | `n` | tuples to simulate | 8000 |
 /// | `k` | top-k display limit (at least 1) | 250 |
-/// | `seed` | data seed (and the virtual wire's jitter seed) | 2009 |
+/// | `seed` | data seed (and the seed of the wire's jitter draws) | 2009 |
 /// | `counts` | count banner: `absent`, `exact` or `noisy` | absent |
 /// | `budget` | per-session query limit | none |
 /// | `latency` | virtual service time per request, ms | 1 |
-/// | `jitter` | ± uniform jitter around `latency`, ms | 0 |
+/// | `jitter` | extra service time per request, uniform in 0..=`jitter`, ms | 0 |
 /// | `l2` | persistent history root for this leg | none |
 /// | `chaos` | a [`ChaosSpec`] fault schedule for the wire; a spec without `latency` takes the leg's | none |
 #[derive(Debug, Clone)]
@@ -471,20 +470,22 @@ fn connect_local(
         },
         None => opts.clone(),
     };
-    match p.chaos {
-        Some(mut spec) => {
-            if spec.latency_ms == 0 {
-                spec.latency_ms = p.latency;
-            }
-            let wire = erase(ChaosTransport::new(site, spec), opts, Some(&landing))?;
-            assemble(wire, &landing, CHAOS_RETRY_POLICY, &who, opts)
-        }
-        None => {
-            let wire = LatencyTransport::with_jitter(site, p.latency.max(1), p.jitter, p.seed);
-            let wire = erase(wire, opts, Some(&landing))?;
-            assemble(wire, &landing, RetryPolicy::default(), &who, opts)
-        }
+    // One wire for every leg: `latency=` and `jitter=` fill the spec a
+    // `chaos=` parameter carries. Only a `chaos=` leg retries patiently.
+    let retry = match p.chaos {
+        Some(_) => CHAOS_RETRY_POLICY,
+        None => RetryPolicy::default(),
+    };
+    let mut spec = p.chaos.unwrap_or(ChaosSpec {
+        seed: p.seed,
+        jitter_ms: p.jitter,
+        ..ChaosSpec::default()
+    });
+    if spec.latency_ms == 0 {
+        spec.latency_ms = p.latency;
     }
+    let wire = erase(ChaosTransport::new(site, spec), opts, Some(&landing))?;
+    assemble(wire, &landing, retry, &who, opts)
 }
 
 fn connect_http(
@@ -510,8 +511,8 @@ fn connect_replay(
     };
     let who = locator.to_string();
     let site = ReplaySite::load(path)?;
-    // A tape is a blocking-face site; the 1 ms virtual wire grants it the
-    // async face and a clock, same as an in-process site.
+    // A tape is a blocking-face site; the fault-free 1 ms virtual wire
+    // grants it the async face and a clock, same as an in-process site.
     let wire = LatencyTransport::new(site, 1);
     discover(erase(wire, opts, None)?, &who, opts)
 }
@@ -586,7 +587,45 @@ mod tests {
         task.iface
             .execute(&hdsampler_model::ConjunctiveQuery::empty())
             .unwrap();
-        assert!((30..=50).contains(&task.iface.transport().elapsed_ms()));
+        assert!((40..=50).contains(&task.iface.transport().elapsed_ms()));
+    }
+
+    #[test]
+    fn adjacent_seeds_draw_unrelated_jitter() {
+        // Regression: the jitter stream was a counter started at the
+        // leg's `seed=`, so request n of leg `seed=s+1` billed what request
+        // n+1 of leg `seed=s` billed. The draws now go through the spec's
+        // mixed seed, so no small shift lines the two legs up.
+        let billed = |seed: u64| -> Vec<u64> {
+            let task = connect(&format!(
+                "local:boolean?n=200&k=20&seed={seed}&latency=100&jitter=20"
+            ))
+            .unwrap();
+            let wire = task.iface.transport();
+            let conn = wire.connect();
+            (0..64)
+                .map(|_| {
+                    let handle = wire.submit(conn, "/search");
+                    let ms = handle.service_ms();
+                    wire.complete(handle).unwrap();
+                    ms
+                })
+                .collect()
+        };
+        let (a, b) = (billed(2009), billed(2010));
+        for shift in 0..8 {
+            assert_ne!(
+                a[shift..],
+                b[..64 - shift],
+                "seed 2010 lags 2009 by {shift}"
+            );
+            assert_ne!(
+                b[shift..],
+                a[..64 - shift],
+                "seed 2009 lags 2010 by {shift}"
+            );
+        }
+        assert!(a.iter().all(|ms| (100..=120).contains(ms)), "{a:?}");
     }
 
     #[test]

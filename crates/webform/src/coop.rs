@@ -809,6 +809,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::ChaosTransport;
     use crate::plan::{Driver, RunPlan};
     use crate::transport::{LatencyTransport, LocalSite};
     use hdsampler_core::{DirectExecutor, HdsSampler, Sampler};
@@ -816,10 +817,7 @@ mod tests {
     use hdsampler_workload::figure1_db;
     use std::sync::Arc;
 
-    fn figure1_task(
-        name: &str,
-        latency_ms: u64,
-    ) -> SiteTask<LatencyTransport<LocalSite<HiddenDb>>> {
+    fn figure1_task(name: &str, latency_ms: u64) -> SiteTask<ChaosTransport<LocalSite<HiddenDb>>> {
         let db = figure1_db(1);
         let schema = Arc::new(db.schema().clone());
         let site = LocalSite::new(db, Arc::clone(&schema));
@@ -832,7 +830,7 @@ mod tests {
         seed: u64,
         latency_ms: u64,
         budget: Option<u64>,
-    ) -> SiteTask<LatencyTransport<LocalSite<HiddenDb>>> {
+    ) -> SiteTask<ChaosTransport<LocalSite<HiddenDb>>> {
         use hdsampler_workload::{DbConfig, VehiclesSpec, WorkloadSpec};
         let mut db_cfg = DbConfig::no_counts().with_k(50);
         if let Some(b) = budget {

@@ -28,8 +28,8 @@ use crate::transport::{Clocked, Transport};
 /// walkers accept, live.
 ///
 /// The wire is any [`Transport`] that reports elapsed time ([`Clocked`]):
-/// a [`LatencyTransport`](crate::transport::LatencyTransport) bills a
-/// virtual clock, an [`HttpTransport`](crate::httpc::HttpTransport) spends
+/// a [`ChaosTransport`](crate::chaos::ChaosTransport) bills a virtual
+/// clock, an [`HttpTransport`](crate::httpc::HttpTransport) spends
 /// real wall-clock time against a live server — the driver code is
 /// identical.
 pub struct SiteTask<T> {
@@ -234,6 +234,7 @@ impl FleetReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::ChaosTransport;
     use crate::plan::RunPlan;
     use crate::transport::{LatencyTransport, LocalSite};
     use hdsampler_hidden_db::HiddenDb;
@@ -241,10 +242,7 @@ mod tests {
     use hdsampler_workload::figure1_db;
     use std::sync::Arc;
 
-    fn figure1_task(
-        name: &str,
-        latency_ms: u64,
-    ) -> SiteTask<LatencyTransport<LocalSite<HiddenDb>>> {
+    fn figure1_task(name: &str, latency_ms: u64) -> SiteTask<ChaosTransport<LocalSite<HiddenDb>>> {
         let db = figure1_db(1);
         let schema = Arc::new(db.schema().clone());
         let site = LocalSite::new(db, Arc::clone(&schema));
@@ -256,7 +254,7 @@ mod tests {
         name: &str,
         latency_ms: u64,
         budget: u64,
-    ) -> SiteTask<LatencyTransport<LocalSite<HiddenDb>>> {
+    ) -> SiteTask<ChaosTransport<LocalSite<HiddenDb>>> {
         // Four Boolean attributes with every combination present: the
         // query tree is far too large to cache within a small budget, so
         // exhaustion is guaranteed (a tiny database would be fully learned

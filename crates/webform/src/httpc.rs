@@ -1,7 +1,7 @@
 //! A real-TCP HTTP/1.1 client transport.
 //!
-//! [`HttpTransport`] is the live-wire counterpart of
-//! [`LatencyTransport`](crate::transport::LatencyTransport): it implements
+//! [`HttpTransport`] is the live-wire counterpart of the one virtual wire,
+//! [`ChaosTransport`](crate::chaos::ChaosTransport): it implements
 //! the blocking [`Transport`] face (one keep-alive TCP connection, which
 //! concurrent callers pipeline on) *and* the explicit-connection
 //! [`AsyncTransport`] face (one TCP connection per [`ConnId`], requests
@@ -10,9 +10,11 @@
 //! [`hdsampler-server`](https://docs.rs/hdsampler-server) end-to-end over
 //! loopback or a real network.
 //!
-//! The client is dependency-free: request writing, response parsing
-//! (`Content-Length` and `chunked` bodies), keep-alive reuse and
-//! reconnect-on-stale-connection are hand-rolled on `std::net::TcpStream`.
+//! The client is dependency-free: request writing, response parsing,
+//! keep-alive reuse and reconnect-on-stale-connection are hand-rolled on
+//! `std::net::TcpStream`. The parser reads `Content-Length` and `chunked`
+//! bodies: `hdsampler serve` frames every page with `Content-Length`, but
+//! another server may send chunked ones.
 //!
 //! ## Error fidelity
 //!

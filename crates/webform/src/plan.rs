@@ -242,16 +242,14 @@ mod tests {
 
     use super::*;
     use crate::adapter::WebFormInterface;
+    use crate::chaos::ChaosTransport;
     use crate::transport::{LatencyTransport, LocalSite};
     use hdsampler_core::{SampleSetSink, StopReason};
     use hdsampler_hidden_db::HiddenDb;
     use hdsampler_model::FormInterface as _;
     use hdsampler_workload::figure1_db;
 
-    fn figure1_task(
-        name: &str,
-        latency_ms: u64,
-    ) -> SiteTask<LatencyTransport<LocalSite<HiddenDb>>> {
+    fn figure1_task(name: &str, latency_ms: u64) -> SiteTask<ChaosTransport<LocalSite<HiddenDb>>> {
         let db = figure1_db(1);
         let schema = Arc::new(db.schema().clone());
         let site = LocalSite::new(db, Arc::clone(&schema));

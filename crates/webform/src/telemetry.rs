@@ -1,9 +1,8 @@
 //! Trace journaling, the wire event format, and the `/events` client.
 //!
 //! This module is the glue between the in-process observability types
-//! ([`TraceEvent`](hdsampler_core::TraceEvent) /
-//! [`SampleEvent`](hdsampler_core::SampleEvent)) and their on-disk /
-//! on-wire representations:
+//! ([`TraceEvent`] / [`SampleEvent`]) and their on-disk / on-wire
+//! representations:
 //!
 //! * [`write_journal`] / [`read_journal`] — JSONL trace journals
 //!   (`--trace <path>`), one event per line, in emission order. A seeded

@@ -3,21 +3,22 @@
 //! [`Transport`] abstracts "fetch this path, get a page". [`LocalSite`]
 //! is the in-process server: it routes the request (anything off the
 //! form's action 404s, like a real site), parses it with the site's
-//! [`WebForm`], executes it on the backing
-//! [`FormInterface`](hdsampler_model::FormInterface) (typically a
+//! [`WebForm`], executes it on the backing [`FormInterface`] (typically a
 //! [`HiddenDb`](hdsampler_hidden_db::HiddenDb), which enforces top-k,
-//! budgets and count noise), and renders the page. [`LatencyTransport`]
-//! adds *virtual* per-request latency over per-connection clocks
-//! ([`crate::aio`]) so time-to-insight experiments can report wall-clock
-//! numbers without actually sleeping — and so overlapping requests are
-//! billed like overlapping requests.
+//! budgets and count noise), and renders the page. The one virtual wire
+//! in front of a simulated site is [`ChaosTransport`]: it bills *virtual*
+//! service time per request on per-connection clocks ([`crate::aio`]) and
+//! injects whatever faults its [`ChaosSpec`] schedules. [`LatencyTransport`]
+//! builds the fault-free wire (fixed latency, optionally jittered), so
+//! time-to-insight experiments report wall-clock numbers without actually
+//! sleeping — and overlapping requests are billed like overlapping
+//! requests.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hdsampler_model::{FormInterface, InterfaceError, Schema};
 
-use crate::aio::{AsyncTransport, ConnId, FetchHandle, FetchPoll, VirtualWire};
+use crate::chaos::{ChaosSpec, ChaosTransport};
 use crate::form::WebForm;
 
 /// A page fetcher.
@@ -46,7 +47,7 @@ pub trait Transport: Send + Sync {
 }
 
 /// A transport that can report the wall-clock time its traffic consumed —
-/// *virtual* for simulated wires ([`LatencyTransport`]), *real* for TCP
+/// *virtual* for simulated wires ([`ChaosTransport`]), *real* for TCP
 /// ones ([`HttpTransport`](crate::httpc::HttpTransport)). The fleet driver
 /// ([`crate::driver`]) only needs this figure, so it drives simulated and
 /// live sites through one code path.
@@ -138,158 +139,44 @@ impl<F: FormInterface> Transport for LocalSite<F> {
     }
 }
 
-/// Decorator adding fixed virtual latency per fetch, billed per
-/// connection.
+/// The plain virtual wire: constructors for a [`ChaosTransport`] whose
+/// [`ChaosSpec`] injects no fault.
 ///
-/// Latency is *accounted*, not slept: [`LatencyTransport::virtual_elapsed_ms`]
-/// returns what the wall clock would have shown — the way the paper's
-/// "matter of minutes" claim is checked without a multi-minute benchmark.
-/// Each connection has its own virtual clock; requests on one connection
-/// serialize while requests on different connections overlap, so the
-/// elapsed figure is the **max over connections**, never the sum over
-/// fetches (10 concurrent 150 ms fetches cost 150 ms, not 1500 ms).
-///
-/// Two ways to ride a connection:
-///
-/// * blocking [`Transport::fetch`] rides one connection, opened on first
-///   use, so its fetches serialize;
-/// * the [`AsyncTransport`] face hands out explicit [`ConnId`]s with
-///   non-blocking submit/poll/complete, so one thread can keep several
-///   requests in flight.
-#[derive(Debug)]
-pub struct LatencyTransport<T> {
-    inner: T,
-    latency_ms: u64,
-    /// Half-width of the per-request jitter band around `latency_ms`.
-    jitter_ms: u64,
-    /// State of the jitter RNG (a splitmix64 stream keyed off the seed).
-    jitter_state: AtomicU64,
-    wire: VirtualWire,
-    charged_ms: AtomicU64,
-}
+/// Latency is *accounted*, not slept: the wire's elapsed figure is what
+/// the wall clock would have shown — the way the paper's "matter of
+/// minutes" claim is checked without a multi-minute benchmark. Requests
+/// on one connection serialize and requests on different connections
+/// overlap, so 10 concurrent 150 ms fetches cost 150 ms, not 1500 ms
+/// (see [`crate::aio`]).
+pub enum LatencyTransport {}
 
-impl<T: Transport> LatencyTransport<T> {
-    /// Wrap `inner` with a fixed `latency_ms` per request.
-    pub fn new(inner: T, latency_ms: u64) -> Self {
+impl LatencyTransport {
+    /// Wrap `inner` with a fixed `latency_ms` per request (at least 1 ms).
+    // Named for the wire it builds; `LatencyTransport` itself is never a
+    // value, so `new` cannot return `Self`.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new<T: Transport>(inner: T, latency_ms: u64) -> ChaosTransport<T> {
         Self::with_jitter(inner, latency_ms, 0, 0)
     }
 
-    /// Wrap `inner` with per-request latency drawn uniformly from
-    /// `latency_ms ± jitter_ms` (clamped to ≥ 1 ms), deterministically from
-    /// `seed`. Heterogeneous fleets give every site its own base latency
-    /// and jitter, so the concurrent driver's win is measured against
-    /// realistic straggler sites rather than a lock-step wire.
-    pub fn with_jitter(inner: T, latency_ms: u64, jitter_ms: u64, seed: u64) -> Self {
-        LatencyTransport {
+    /// Wrap `inner` with `latency_ms` plus 0..=`jitter_ms` extra per
+    /// request, drawn deterministically from `seed` by the chaos jitter
+    /// rule ([`ChaosSpec::decide`]).
+    pub fn with_jitter<T: Transport>(
+        inner: T,
+        latency_ms: u64,
+        jitter_ms: u64,
+        seed: u64,
+    ) -> ChaosTransport<T> {
+        ChaosTransport::new(
             inner,
-            latency_ms,
-            jitter_ms,
-            jitter_state: AtomicU64::new(seed),
-            wire: VirtualWire::default(),
-            charged_ms: AtomicU64::new(0),
-        }
-    }
-
-    /// The latency to bill for the next request: the fixed base, or a draw
-    /// from the jitter band. Atomic counter + splitmix64 keeps draws
-    /// deterministic in *aggregate* across threads (each request consumes
-    /// exactly one stream position) without a lock.
-    fn draw_latency_ms(&self) -> u64 {
-        if self.jitter_ms == 0 {
-            return self.latency_ms;
-        }
-        let n = self.jitter_state.fetch_add(1, Ordering::Relaxed);
-        let mut z = n.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        let span = 2 * self.jitter_ms + 1;
-        (self.latency_ms + z % span)
-            .saturating_sub(self.jitter_ms)
-            .max(1)
-    }
-
-    /// Virtual wall-clock consumed so far: the maximum over all
-    /// connections' clocks (overlapping requests overlap).
-    pub fn virtual_elapsed_ms(&self) -> u64 {
-        self.wire.elapsed()
-    }
-
-    /// Total latency charged across all fetches (the old serial
-    /// accounting: sum over fetches). Useful as a cost figure; not a wall
-    /// clock.
-    pub fn total_charged_ms(&self) -> u64 {
-        self.charged_ms.load(Ordering::Relaxed)
-    }
-
-    /// Number of virtual connections opened (the blocking face's one and
-    /// explicit [`AsyncTransport::connect`] calls).
-    pub fn connections(&self) -> usize {
-        self.wire.connections()
-    }
-
-    /// Submitted fetches whose results have not yet been taken
-    /// (completed or cancelled). A figure that grows without bound means
-    /// some caller drops handles instead of cancelling them.
-    pub fn pending_fetches(&self) -> usize {
-        self.wire.pending()
-    }
-
-    /// The wrapped transport.
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: Transport> Transport for LatencyTransport<T> {
-    fn fetch(&self, path: &str) -> Result<String, InterfaceError> {
-        let handle = self.submit(self.wire.blocking_conn(), path);
-        self.wire.complete(handle)
-    }
-
-    fn backoff(&self, ms: u64) {
-        self.wire.backoff(ms);
-    }
-}
-
-impl<T: Transport> Clocked for LatencyTransport<T> {
-    fn elapsed_ms(&self) -> u64 {
-        self.virtual_elapsed_ms()
-    }
-}
-
-impl<T: Transport> AsyncTransport for LatencyTransport<T> {
-    fn connect(&self) -> ConnId {
-        self.wire.connect()
-    }
-
-    fn submit(&self, conn: ConnId, path: &str) -> FetchHandle {
-        let latency_ms = self.draw_latency_ms();
-        self.charged_ms.fetch_add(latency_ms, Ordering::Relaxed);
-        // The inner fetch is CPU work; only the wire is virtual. Executing
-        // it eagerly keeps submit non-blocking in virtual time while the
-        // result waits for the clock to catch up.
-        self.wire.submit(conn, latency_ms, self.inner.fetch(path))
-    }
-
-    fn poll(&self, handle: FetchHandle) -> FetchPoll {
-        self.wire.poll(handle)
-    }
-
-    fn complete(&self, handle: FetchHandle) -> Result<String, InterfaceError> {
-        self.wire.complete(handle)
-    }
-
-    fn cancel(&self, handle: FetchHandle) {
-        self.wire.cancel(handle);
-    }
-
-    fn observe_now(&self, conn: ConnId, now_ms: u64) {
-        self.wire.advance_to(conn, now_ms);
-    }
-
-    fn virtual_elapsed_ms(&self) -> u64 {
-        self.wire.elapsed()
+            ChaosSpec {
+                seed,
+                latency_ms,
+                jitter_ms,
+                ..ChaosSpec::default()
+            },
+        )
     }
 }
 
@@ -320,6 +207,8 @@ impl<T: Transport + ?Sized> Transport for Arc<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aio::{AsyncTransport, FetchPoll};
+    use crate::chaos::ChaosCounters;
     use hdsampler_hidden_db::HiddenDb;
     use hdsampler_model::{Attribute, SchemaBuilder, Tuple};
 
@@ -401,8 +290,8 @@ mod tests {
         }
         // The blocking face rides one connection: fetches serialize.
         assert_eq!(t.virtual_elapsed_ms(), 1_500);
-        assert_eq!(t.total_charged_ms(), 1_500);
         assert_eq!(t.connections(), 1);
+        assert_eq!(t.counters(), ChaosCounters::default(), "no fault injected");
         assert!(
             before.elapsed().as_millis() < 1_000,
             "must not actually sleep"
@@ -451,49 +340,33 @@ mod tests {
     }
 
     #[test]
-    fn cancel_releases_buffered_results() {
-        let site = site();
-        let t = LatencyTransport::new(&site, 100);
-        let conn = t.connect();
-        let keep = t.submit(conn, "/search?make=Honda");
-        let abandon = t.submit(conn, "/search?make=Toyota");
-        assert_eq!(t.pending_fetches(), 2);
-        t.cancel(abandon);
-        assert_eq!(t.pending_fetches(), 1, "cancel frees the buffered page");
-        t.complete(keep).unwrap();
-        assert_eq!(t.pending_fetches(), 0);
-        // Cancelling does not un-send: the connection time stays occupied.
-        assert_eq!(t.total_charged_ms(), 200);
-    }
-
-    #[test]
     fn jitter_stays_in_band_and_is_deterministic() {
         let run = |seed: u64| {
             let site = site();
             let t = LatencyTransport::with_jitter(&site, 100, 30, seed);
             let mut charges = Vec::new();
-            let mut prev_total = 0;
+            let mut prev = 0;
             for _ in 0..50 {
                 t.fetch("/search?make=Honda").unwrap();
-                let total = t.total_charged_ms();
-                charges.push(total - prev_total);
-                prev_total = total;
+                let elapsed = t.virtual_elapsed_ms();
+                charges.push(elapsed - prev);
+                prev = elapsed;
             }
             charges
         };
         let a = run(7);
-        assert!(a.iter().all(|&ms| (70..=130).contains(&ms)), "{a:?}");
+        assert!(a.iter().all(|&ms| (100..=130).contains(&ms)), "{a:?}");
         assert!(
             a.iter().collect::<std::collections::HashSet<_>>().len() > 5,
             "jitter must actually vary: {a:?}"
         );
         assert_eq!(a, run(7), "same seed, same draws");
         assert_ne!(a, run(8), "different seed, different draws");
-        // Zero jitter is the old fixed-latency behaviour.
+        // Zero jitter is the fixed-latency wire.
         let site = site();
         let t = LatencyTransport::with_jitter(&site, 100, 0, 9);
         t.fetch("/search?make=Honda").unwrap();
-        assert_eq!(t.total_charged_ms(), 100);
+        assert_eq!(t.virtual_elapsed_ms(), 100);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use hdsampler::prelude::*;
 
-type Wire = LatencyTransport<LocalSite<Arc<HiddenDb>>>;
+type Wire = ChaosTransport<LocalSite<Arc<HiddenDb>>>;
 
 fn site(name: &str, n: usize, seed: u64, latency_ms: u64) -> SiteTask<Wire> {
     let db = hdsampler::simulated_site(n, 100, seed);

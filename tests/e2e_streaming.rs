@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use hdsampler::prelude::*;
 
-type Wire = LatencyTransport<LocalSite<Arc<HiddenDb>>>;
+type Wire = ChaosTransport<LocalSite<Arc<HiddenDb>>>;
 
 fn site_task(name: &str, n: usize, seed: u64, latency_ms: u64) -> SiteTask<Wire> {
     let db = hdsampler::simulated_site(n, 60, seed);
